@@ -14,10 +14,11 @@ import pytest
 
 from repro.api import (
     BitErrorChannel,
+    ClosedLoopRateController,
     CodecConfig,
     GilbertElliottLoss,
     NoLoss,
-    RateController,
+    RateControlConfig,
     SimulationConfig,
     UniformLoss,
     foreman_like,
@@ -192,7 +193,11 @@ def test_rate_control_with_pbpair(benchmark, sequence):
     target_bits = 16000
 
     def run():
-        controller = RateController(target_bits, base_qp=6)
+        # QP-only control (no Intra_Th steering): 480 kbps at 30 fps is
+        # the same 16000 bits per frame.
+        controller = ClosedLoopRateController(
+            RateControlConfig(target_kbps=480, base_qp=6, steer_intra=False)
+        )
         return simulate(
             sequence,
             strategy=make_strategy("PBPAIR", intra_th=INTRA_TH, plr=PLR),

@@ -32,6 +32,7 @@ import time
 
 from repro.api import (
     EncodedStreamCache,
+    RunnerOptions,
     encode_content_hash,
     run_grid,
 )
@@ -51,7 +52,9 @@ def unique_encode_keys(jobs) -> int:
 def _timed_run(jobs, stream_cache=None, share=True) -> tuple[float, list]:
     start = time.perf_counter()
     outcomes = run_grid(
-        jobs, max_workers=1, stream_cache=stream_cache, share_streams=share
+        jobs,
+        RunnerOptions(jobs=1, use_cache=False, share_streams=share),
+        stream_cache=stream_cache,
     )
     elapsed = time.perf_counter() - start
     failures = [o for o in outcomes if not o.ok]

@@ -33,6 +33,7 @@ import time
 from repro.api import (
     JobSpec,
     ResultCache,
+    RunnerOptions,
     SimulationConfig,
     build_grid,
     run_grid,
@@ -63,9 +64,11 @@ def scaling_grid(
     )
 
 
-def _timed_run(jobs, max_workers, cache=None) -> tuple[float, list]:
+def _timed_run(jobs, workers, cache=None) -> tuple[float, list]:
     start = time.perf_counter()
-    outcomes = run_grid(jobs, max_workers=max_workers, cache=cache)
+    outcomes = run_grid(
+        jobs, RunnerOptions(jobs=workers, use_cache=False), cache=cache
+    )
     elapsed = time.perf_counter() - start
     failures = [o for o in outcomes if not o.ok]
     if failures:
@@ -129,7 +132,7 @@ def measure(
     timings: dict[str, float] = {}
     reference = None
     for workers in worker_counts:
-        elapsed, outcomes = _timed_run(jobs, max_workers=workers)
+        elapsed, outcomes = _timed_run(jobs, workers=workers)
         timings[str(workers)] = round(elapsed, 3)
         metrics = [o.result.average_psnr_decoder for o in outcomes]
         if reference is None:
@@ -142,8 +145,8 @@ def measure(
 
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
-        _timed_run(jobs, max_workers=1, cache=cache)  # populate
-        cached_s, _ = _timed_run(jobs, max_workers=1, cache=cache)
+        _timed_run(jobs, workers=1, cache=cache)  # populate
+        cached_s, _ = _timed_run(jobs, workers=1, cache=cache)
 
     serial_s = timings[str(worker_counts[0])]
     cpu_count = os.cpu_count() or 1
@@ -228,8 +231,8 @@ def main(argv=None) -> int:
 def test_parallel_grid_matches_serial_on_reduced_grid():
     """Determinism across worker counts, on a grid small enough for CI."""
     jobs = scaling_grid(n_frames=4, schemes=("NO", "PBPAIR"), seeds=(1, 2))
-    serial_s, serial = _timed_run(jobs, max_workers=1)
-    parallel_s, parallel = _timed_run(jobs, max_workers=2)
+    serial_s, serial = _timed_run(jobs, workers=1)
+    parallel_s, parallel = _timed_run(jobs, workers=2)
     for s, p in zip(serial, parallel):
         assert s.result.frames == p.result.frames
         assert s.result.counters == p.result.counters
@@ -259,8 +262,8 @@ def test_speedup_is_clamped_at_the_parallel_ceiling():
 def test_cached_pass_returns_identical_results(tmp_path):
     jobs = scaling_grid(n_frames=4, schemes=("NO",), seeds=(1, 2))
     cache = ResultCache(tmp_path)
-    _, cold = _timed_run(jobs, max_workers=1, cache=cache)
-    _, warm = _timed_run(jobs, max_workers=1, cache=cache)
+    _, cold = _timed_run(jobs, workers=1, cache=cache)
+    _, warm = _timed_run(jobs, workers=1, cache=cache)
     assert all(o.from_cache for o in warm)
     for a, b in zip(cold, warm):
         assert a.result.frames == b.result.frames

@@ -7,101 +7,19 @@ H.263-style codec, the NO/GOP/AIR/PGOP baselines, a lossy packet
 network, error concealment, an operation-counting energy model with PDA
 device profiles, quality metrics, and an end-to-end simulation harness.
 
-Quick start::
+The public surface is :mod:`repro.api`.  Quick start::
 
-    from repro import (
-        PBPAIRConfig, PBPAIRStrategy, UniformLoss, foreman_like, simulate,
-    )
+    from repro import api
 
-    video = foreman_like(n_frames=60)
-    strategy = PBPAIRStrategy(PBPAIRConfig(intra_th=0.35, plr=0.1))
-    result = simulate(video, strategy, loss_model=UniformLoss(plr=0.1))
+    video = api.make_sequence("foreman", n_frames=60)
+    strategy = api.make_strategy("PBPAIR", intra_th=0.35, plr=0.1)
+    result = api.simulate(video, strategy=strategy, plr=0.1)
     print(result.average_psnr_decoder, result.energy_joules)
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure.
 """
 
-from repro.codec import (
-    ClosedLoopRateController,
-    CodecConfig,
-    Decoder,
-    Encoder,
-    FrameType,
-    MacroblockMode,
-    RateControlConfig,
-    RateController,
-    build_rate_controller,
-)
-from repro.concealment import (
-    CopyConcealment,
-    MotionRecoveryConcealment,
-    SpatialConcealment,
-)
-from repro.core import (
-    CorrectnessMatrix,
-    EnergyBudgetController,
-    FeedbackIntraThController,
-    InstrumentedPBPAIRStrategy,
-    PBPAIRConfig,
-    PBPAIRController,
-    approximate_sigma,
-    intra_th_for_plr_change,
-    refresh_interval,
-    sigma_heatmap,
-)
-from repro.energy import (
-    DEVICE_PROFILES,
-    EnergyModel,
-    IPAQ_H5555,
-    OperationCounters,
-    ZAURUS_SL5600,
-)
-from repro.metrics import (
-    average_psnr,
-    bad_pixel_count,
-    bitrate_kbps,
-    frame_size_stats,
-    psnr,
-    sequence_bad_pixels,
-    ssim,
-)
-from repro.network import (
-    BandwidthDeadlineLoss,
-    BitErrorChannel,
-    Channel,
-    GilbertElliottLoss,
-    NoLoss,
-    Packetizer,
-    ScriptedLoss,
-    TraceLoss,
-    UniformLoss,
-)
-from repro.resilience import (
-    AIRStrategy,
-    GOPStrategy,
-    NoResilience,
-    PBPAIRStrategy,
-    PGOPStrategy,
-    build_strategy,
-)
-from repro.sim import (
-    RateMatchSpec,
-    SimulationConfig,
-    SimulationResult,
-    calibrate_intra_th,
-    encode_only,
-    match_intra_th_to_size,
-    simulate,
-)
-from repro.video import (
-    Frame,
-    SEQUENCE_GENERATORS,
-    VideoSequence,
-    akiyo_like,
-    foreman_like,
-    garden_like,
-)
 
 def _resolve_version() -> str:
     """The package version, single-sourced from packaging metadata.
@@ -131,69 +49,3 @@ def _resolve_version() -> str:
 
 
 __version__ = _resolve_version()
-
-__all__ = [
-    "CodecConfig",
-    "Encoder",
-    "Decoder",
-    "FrameType",
-    "MacroblockMode",
-    "RateController",
-    "RateControlConfig",
-    "ClosedLoopRateController",
-    "build_rate_controller",
-    "RateMatchSpec",
-    "CopyConcealment",
-    "MotionRecoveryConcealment",
-    "SpatialConcealment",
-    "CorrectnessMatrix",
-    "PBPAIRConfig",
-    "PBPAIRController",
-    "approximate_sigma",
-    "refresh_interval",
-    "intra_th_for_plr_change",
-    "FeedbackIntraThController",
-    "EnergyBudgetController",
-    "InstrumentedPBPAIRStrategy",
-    "sigma_heatmap",
-    "OperationCounters",
-    "EnergyModel",
-    "IPAQ_H5555",
-    "ZAURUS_SL5600",
-    "DEVICE_PROFILES",
-    "psnr",
-    "average_psnr",
-    "bad_pixel_count",
-    "sequence_bad_pixels",
-    "frame_size_stats",
-    "bitrate_kbps",
-    "ssim",
-    "Channel",
-    "BitErrorChannel",
-    "BandwidthDeadlineLoss",
-    "Packetizer",
-    "NoLoss",
-    "UniformLoss",
-    "ScriptedLoss",
-    "TraceLoss",
-    "GilbertElliottLoss",
-    "NoResilience",
-    "GOPStrategy",
-    "AIRStrategy",
-    "PGOPStrategy",
-    "PBPAIRStrategy",
-    "build_strategy",
-    "SimulationConfig",
-    "SimulationResult",
-    "simulate",
-    "encode_only",
-    "match_intra_th_to_size",
-    "calibrate_intra_th",
-    "Frame",
-    "VideoSequence",
-    "foreman_like",
-    "akiyo_like",
-    "garden_like",
-    "SEQUENCE_GENERATORS",
-    "__version__",
-]

@@ -1,9 +1,8 @@
 """Stable public facade of the reproduction toolkit.
 
-This module is the **stability boundary** of the package: scripts,
-notebooks and downstream tooling should import from ``repro.api`` (or
-the aliases re-exported in :mod:`repro` itself), not from the internal
-submodules.  Everything in ``__all__`` here keeps its name and call
+This module is the **stability boundary** of the package and its one
+public surface: scripts, notebooks and downstream tooling should import
+from ``repro.api``, not from the internal submodules.  Everything in ``__all__`` here keeps its name and call
 signature across minor versions; internal modules
 (``repro.sim.pipeline``, ``repro.codec.*``, ...) may be refactored
 freely underneath it.
@@ -75,10 +74,8 @@ from repro.codec.motion import (
 )
 from repro.codec.quant import dequantize_blocks, quantize_blocks
 from repro.codec.rate import (
-    AnyRateController,
     ClosedLoopRateController,
     RateControlConfig,
-    RateController,
     build_rate_controller,
 )
 from repro.codec.reference import (
@@ -160,7 +157,6 @@ from repro.sim.experiment import (
     RateMatchSpec,
     ReplicationSummary,
     calibrate_intra_th,
-    match_intra_th_to_size,
     total_encoded_bytes,
 )
 from repro.sim.experiment import comparison_specs as _comparison_specs
@@ -265,7 +261,7 @@ def simulate(
     seed: int = 1,
     config: Optional[SimulationConfig] = None,
     concealment: Optional[ConcealmentStrategy] = None,
-    rate_controller: Optional[AnyRateController] = None,
+    rate_controller: Optional[ClosedLoopRateController] = None,
     bit_errors: Optional[BitErrorChannel] = None,
     faults: Optional[FaultPlan] = None,
 ) -> SimulationResult:
@@ -313,10 +309,9 @@ def sweep(
     *,
     specs: Iterable[ExperimentSpec],
     config: Optional[SimulationConfig] = None,
-    max_workers: Optional[int] = 1,
 ) -> list[ExperimentResult]:
     """Run several specs against one sequence, preserving order."""
-    return _sweep(sequence, specs, config=config, max_workers=max_workers)
+    return _sweep(sequence, specs, config=config)
 
 
 def replicate(
@@ -328,7 +323,6 @@ def replicate(
     seeds: Sequence[int],
     label: str = "run",
     config: Optional[SimulationConfig] = None,
-    max_workers: Optional[int] = 1,
 ) -> ReplicationSummary:
     """Run the same experiment over several channel seeds."""
     return _replicate(
@@ -339,7 +333,6 @@ def replicate(
         seeds,
         label=label,
         config=config,
-        max_workers=max_workers,
     )
 
 
@@ -446,7 +439,6 @@ __all__ = [
     "comparison_specs",
     "make_strategy",
     "make_sequence",
-    "match_intra_th_to_size",
     "calibrate_intra_th",
     "total_encoded_bytes",
     # matched-bitrate comparison and closed-loop rate control
@@ -475,7 +467,6 @@ __all__ = [
     "MacroblockMode",
     "Encoder",
     "Decoder",
-    "RateController",
     # batched block kernels and their scalar reference oracles
     "forward_dct_blocks",
     "inverse_dct_blocks",

@@ -43,6 +43,7 @@ and prints the same per-stage breakdown ``repro trace`` would.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -83,6 +84,7 @@ from repro.sim.runner import (
     JobResult,
     JobSpec,
     RunnerOptions,
+    run_grid,
 )
 from repro.video.synthetic import SEQUENCE_GENERATORS
 
@@ -328,7 +330,7 @@ def _grid_results(args, jobs, options, cache, stream_cache=None):
     manifest file, failures are reported on stderr, and failed cells
     come back as ``None`` so callers can render the surviving rows.
     """
-    outcomes = options.run(jobs, cache=cache, stream_cache=stream_cache)
+    outcomes = run_grid(jobs, options, cache=cache, stream_cache=stream_cache)
     failures = [o for o in outcomes if isinstance(o, JobFailure)]
     for failure in failures:
         quarantined = " [quarantined]" if failure.quarantined else ""
@@ -732,7 +734,9 @@ def _service_error(error: Exception) -> "SystemExit":
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig, serve
 
-    options = _runner_options(args)
+    # --manifest names the service manifest written on drain; the
+    # runner must not also write a grid manifest there per batch.
+    options = dataclasses.replace(_runner_options(args), manifest_path=None)
     try:
         config = ServiceConfig(
             queue_dir=args.queue_dir,
@@ -744,6 +748,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_pending=args.max_pending,
             lease_s=args.lease,
             max_fails=args.max_fails,
+            manifest_path=args.manifest,
         )
     except ValueError as error:
         raise SystemExit(str(error))

@@ -26,7 +26,6 @@ from repro.codec.encoder import Encoder
 from repro.codec.rate import (
     ClosedLoopRateController,
     RateControlConfig,
-    RateController,
     build_rate_controller,
 )
 from repro.codec.decoder import Decoder, DecodeResult
@@ -53,7 +52,6 @@ __all__ = [
     "EncodedMacroblock",
     "FrameEncodeStats",
     "Encoder",
-    "RateController",
     "RateControlConfig",
     "ClosedLoopRateController",
     "build_rate_controller",

@@ -12,6 +12,10 @@ Three pieces:
 * :mod:`repro.core.adaptation` — the power-awareness extension of
   Section 3.2: adapting ``Intra_Th`` to PLR changes, energy budgets and
   quality targets.
+
+:mod:`repro.core.instrumentation` (sigma traces and heatmaps) builds on
+the PBPAIR resilience strategy, so it is imported from its own module
+rather than re-exported here.
 """
 
 from repro.core.correctness import (
@@ -27,12 +31,6 @@ from repro.core.adaptation import (
     FeedbackIntraThController,
     EnergyBudgetController,
 )
-from repro.core.instrumentation import (
-    InstrumentedPBPAIRStrategy,
-    SigmaSnapshot,
-    SigmaTrace,
-    sigma_heatmap,
-)
 
 __all__ = [
     "CorrectnessMatrix",
@@ -45,8 +43,4 @@ __all__ = [
     "intra_th_for_plr_change",
     "FeedbackIntraThController",
     "EnergyBudgetController",
-    "InstrumentedPBPAIRStrategy",
-    "SigmaSnapshot",
-    "SigmaTrace",
-    "sigma_heatmap",
 ]

@@ -164,7 +164,7 @@ class FaultPlan:
     """A seeded bundle of :class:`FaultSpec` entries.
 
     The plan is the unit that travels: ``simulate(..., faults=plan)``,
-    ``JobSpec(..., faults=plan)``, ``run_grid(..., faults=plan)`` and
+    ``JobSpec(..., faults=plan)``, ``RunnerOptions(faults=plan)`` and
     the CLI ``--faults`` flag all accept one.
     """
 

@@ -4,7 +4,7 @@ An asyncio service that turns the batch grid runner into a streaming
 session service: clients submit simulate/sweep jobs over a local
 HTTP+JSONL API, a persistent :class:`~repro.service.queue.JobQueue`
 makes every accepted job durable, and dispatcher tasks drain the queue
-through the existing chunked :func:`~repro.sim.runner.run_grid` pool —
+through the batch grid runner, :func:`~repro.sim.runner.run_grid` —
 with the encode-once stream cache underneath, so concurrent sessions
 that share an encode configuration share the encode work.
 
@@ -111,12 +111,16 @@ class ServiceConfig:
             restarts; reopen the same directory to resume).
         host, port: listen address; port 0 binds an ephemeral port
             (the bound port is reported by :attr:`EncodeDaemon.port`).
-        runner: execution options shared with the batch CLI verbs —
-            worker count, caches, retries, timeouts, fault plans.
+        runner: execution options shared with the batch CLI verbs,
+            handed to ``run_grid`` unchanged for every batch — worker
+            count, caches, retries, timeouts, fault plans, and the
+            run-level rate config and scenario pack.  Leave its
+            ``manifest_path`` unset: the service writes its own
+            manifest (``manifest_path`` below).
         service_workers: concurrent dispatcher tasks (each runs one
             claimed batch at a time).
         batch_size: jobs claimed per dispatch; batching feeds the
-            chunked ``run_grid`` pool and keeps equal-encode sessions
+            ``run_grid`` pool and keeps equal-encode sessions
             together on the stream cache.
         max_pending: queue backlog bound — submissions beyond it get
             HTTP 429 with a Retry-After hint.
@@ -288,18 +292,11 @@ class EncodeDaemon:
         session whose spec matches previous work is served from cache
         and equal-encode sessions pay for one encode.
         """
-        specs = [job.submit.spec for job in batch]
-        options = self.config.runner
         return run_grid(
-            specs,
-            max_workers=options.max_workers,
+            [job.submit.spec for job in batch],
+            self.config.runner,
             cache=self.cache,
-            timeout=options.job_timeout,
-            trace_dir=options.trace_dir,
-            retry=options.retry_policy,
-            faults=options.faults,
             stream_cache=self.stream_cache,
-            share_streams=options.share_streams,
         )
 
     def _report_batch(self, owner, batch, outcomes) -> None:

@@ -29,7 +29,6 @@ from repro.sim.experiment import (
     sweep,
     replicate,
     calibrate_intra_th,
-    match_intra_th_to_size,
 )
 from repro.sim.runner import (
     EncodedStreamCache,
@@ -42,7 +41,6 @@ from repro.sim.runner import (
     encode_stream_key,
     run_grid,
     run_job,
-    run_simulations,
     stable_hash,
 )
 from repro.sim.report import format_table, format_series, format_csv
@@ -58,7 +56,6 @@ __all__ = [
     "encode_stream_key",
     "run_grid",
     "run_job",
-    "run_simulations",
     "stable_hash",
     "SimulationConfig",
     "SimulationResult",
@@ -76,7 +73,6 @@ __all__ = [
     "run_experiment",
     "sweep",
     "calibrate_intra_th",
-    "match_intra_th_to_size",
     "ReplicationSummary",
     "replicate",
     "format_table",

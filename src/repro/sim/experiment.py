@@ -9,25 +9,24 @@ encoded bitstream" (Figure 6).  Two ways to get there:
   under the same closed-loop :class:`~repro.codec.rate.RateControlConfig`
   and the controller *drives* each one to the target bitrate in a
   single pass.  No probing, no bisection.
-* :func:`calibrate_intra_th` — the legacy offline path: find the
+* :func:`calibrate_intra_th` — the offline path: find the
   ``Intra_Th`` whose encoded size matches a reference by bisection (the
   intra-macroblock count, and with it the encoded size, grows
-  monotonically with the threshold).  Kept for matched-*size* studies;
-  its old name, :func:`match_intra_th_to_size`, is a deprecated alias.
+  monotonically with the threshold).  It implements Figure 5's
+  matched-*size* protocol.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.core.pbpair import PBPAIRConfig
 from repro.network.loss import LossModel
 from repro.resilience.base import ResilienceStrategy
 from repro.resilience.pbpair_strategy import PBPAIRStrategy
-from repro.resilience.registry import build_strategy
+from repro.resilience.registry import build_strategy, strategy_to_spec
 from repro.sim.pipeline import (
     SimulationConfig,
     SimulationResult,
@@ -41,8 +40,8 @@ from repro.sim.runner import (
     JobSpec,
     ResultCache,
     encode_stream_key,
-    run_simulations,
     sequence_digest,
+    simulate_encoded,
     stable_hash,
 )
 from repro.video.frame import VideoSequence
@@ -85,35 +84,70 @@ def run_experiment(
     return ExperimentResult(label=spec.label, result=result)
 
 
+def _encode_once(
+    sequence: VideoSequence,
+    config: Optional[SimulationConfig],
+) -> Callable[[ResilienceStrategy, Optional[LossModel]], SimulationResult]:
+    """A runner that encodes each distinct stream of ``sequence`` once.
+
+    Runs whose strategies round-trip through the spec registry share
+    encodes through a memory-only :class:`EncodedStreamCache` and run
+    only the transmit phase on a hit — a seed sweep pays for one
+    encode instead of N.  Other strategies give no grounds to assume
+    two instances encode identically and run the full pipeline.  The
+    results are value-identical either way.
+    """
+    stream_cache = EncodedStreamCache()
+    digest = sequence_digest(sequence)
+
+    def run(
+        strategy: ResilienceStrategy, loss_model: Optional[LossModel]
+    ) -> SimulationResult:
+        try:
+            scheme, kwargs = strategy_to_spec(strategy)
+            key = encode_stream_key(
+                sequence=digest,
+                scheme=scheme,
+                strategy_kwargs=kwargs,
+                config=config or SimulationConfig(),
+            )
+        except (ValueError, AttributeError, TypeError):  # not a registry spec
+            return simulate(
+                sequence, strategy, loss_model=loss_model, config=config
+            )
+        return simulate_encoded(
+            sequence,
+            strategy,
+            key,
+            stream_cache,
+            scheme=scheme,
+            loss_model=loss_model,
+            config=config,
+        )
+
+    return run
+
+
 def sweep(
     sequence: VideoSequence,
     specs: Iterable[ExperimentSpec],
     config: Optional[SimulationConfig] = None,
-    max_workers: Optional[int] = 1,
 ) -> list[ExperimentResult]:
     """Run a list of specs against one sequence, preserving order.
 
-    ``max_workers`` fans the runs across a process pool via
-    :func:`repro.sim.runner.run_simulations`; strategies and loss
-    models are instantiated here (fresh per run) and shipped to the
-    workers as initial-state objects, so parallel results are
-    bit-identical to serial ones.  Specs whose factories do not pickle
-    (e.g. lambdas) silently run serially instead.
+    Strategies and loss models are instantiated fresh per run; specs
+    with equal strategies encode once (see :func:`_encode_once`).
     """
-    specs = list(specs)
-    tasks = [
-        (
-            sequence,
-            spec.strategy_factory(),
-            spec.loss_factory() if spec.loss_factory else None,
-            config,
+    run = _encode_once(sequence, config)
+    return [
+        ExperimentResult(
+            label=spec.label,
+            result=run(
+                spec.strategy_factory(),
+                spec.loss_factory() if spec.loss_factory else None,
+            ),
         )
         for spec in specs
-    ]
-    results = run_simulations(tasks, max_workers=max_workers)
-    return [
-        ExperimentResult(label=spec.label, result=result)
-        for spec, result in zip(specs, results)
     ]
 
 
@@ -275,33 +309,11 @@ def calibrate_intra_th(
     )
 
 
-def match_intra_th_to_size(*args: Any, **kwargs: Any) -> CalibrationResult:
-    """Deprecated alias of :func:`calibrate_intra_th`.
-
-    .. deprecated::
-        Matched-*bitrate* comparisons no longer probe at all — build a
-        :class:`RateMatchSpec` (or pass ``--target-kbps`` to the CLI)
-        and the closed-loop controller drives every scheme to the
-        target in one pass.  For the remaining matched-*size* studies,
-        call :func:`calibrate_intra_th`; it is the same bisection with
-        the same signature and the same :class:`CalibrationResult`
-        return.  This alias will be removed in a future release.
-    """
-    warnings.warn(
-        "match_intra_th_to_size is deprecated: use RateMatchSpec / "
-        "--target-kbps for matched-bitrate comparisons, or "
-        "calibrate_intra_th for matched-size calibration",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return calibrate_intra_th(*args, **kwargs)
-
-
 @dataclass(frozen=True)
 class RateMatchSpec:
     """A matched-bitrate comparison: every scheme, one kbps target.
 
-    The first-class replacement for the ``match_intra_th_to_size``
+    The first-class alternative to the :func:`calibrate_intra_th`
     probe loop on the Figure 5/6 path: instead of bisecting PBPAIR's
     ``Intra_Th`` until its file size matches a reference encode, every
     scheme carries the same closed-loop
@@ -405,7 +417,6 @@ def replicate(
     seeds: Sequence[int],
     label: str = "run",
     config: Optional[SimulationConfig] = None,
-    max_workers: Optional[int] = 1,
 ) -> ReplicationSummary:
     """Run the same experiment over several channel seeds.
 
@@ -413,21 +424,17 @@ def replicate(
     frames the channel drops; reporting mean and spread over seeds is
     how the comparison benches should be read.  ``loss_factory`` maps a
     seed to a fresh loss model; ``strategy_factory`` builds a fresh
-    (stateful) strategy per run.
-
-    The per-seed runs are independent, so ``max_workers`` fans them
-    across a process pool (:func:`repro.sim.runner.run_simulations`);
-    the ``metric`` callable is applied in *this* process, so it may be
-    a lambda.  Seed order and values are identical at any worker count.
+    (stateful) strategy per run.  A registry strategy is encoded once
+    and replayed against every seed's channel (see
+    :func:`_encode_once`).
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    tasks = [
-        (sequence, strategy_factory(), loss_factory(seed), config)
+    run = _encode_once(sequence, config)
+    values = [
+        float(metric(run(strategy_factory(), loss_factory(seed))))
         for seed in seeds
     ]
-    results = run_simulations(tasks, max_workers=max_workers)
-    values = [float(metric(result)) for result in results]
     return ReplicationSummary(
         label=label, seeds=tuple(int(s) for s in seeds), values=tuple(values)
     )

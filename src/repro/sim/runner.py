@@ -22,21 +22,14 @@ embarrassingly parallel *and* cacheable — this module exploits both:
 Determinism: a job's outcome depends only on its spec (synthetic
 sequences, the channel and the codec are all explicitly seeded), so the
 same grid produces bit-identical results at any worker count — the
-serial path is the ``max_workers=1`` special case of the same code, not
-a separate implementation.
+serial loop is the ``RunnerOptions(jobs=1)`` reference, and the pooled
+loop runs the very same per-cell code in worker processes.
 
-Observability: passing ``trace_dir`` to :func:`run_grid` runs every
+Observability: a :class:`RunnerOptions` with ``trace_dir`` runs every
 executed cell under a per-job :class:`repro.obs.Tracer`; workers write
 ``job-*.jsonl`` trace files (span records cannot ride the result pickle
 without coupling results to tracing) and the parent merges them into
 ``trace_dir/trace.jsonl`` once the grid completes.
-
-:func:`run_simulations` is the lower-level sibling used by
-:func:`repro.sim.experiment.sweep` and
-:func:`~repro.sim.experiment.replicate`: it parallelizes already-built
-(sequence, strategy, loss model) triples, falling back to serial
-execution when the objects cannot cross a process boundary (e.g. lambda
-factories) or the platform has no working process pool.
 """
 
 from __future__ import annotations
@@ -57,11 +50,12 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.faults import FaultInjector, FaultPlan, encode_subplan
 from repro.faults.inject import InjectedWorkerCrash
-from repro.network.loss import UniformLoss
+from repro.network.loss import LossModel, UniformLoss
 from repro.scenarios.pack import ScenarioPack
 from repro.obs import Tracer, get_tracer, merge_job_traces, use_tracer, write_trace
 from repro.codec.rate import RateControlConfig, build_rate_controller
-from repro.resilience.registry import build_strategy, strategy_to_spec
+from repro.resilience.base import ResilienceStrategy
+from repro.resilience.registry import build_strategy
 from repro.sim.pipeline import (
     EncodedStream,
     SimulationConfig,
@@ -376,8 +370,8 @@ class RunnerOptions:
     grow the same flag set independently (``--jobs``, ``--no-cache``,
     ``--cache-dir``, ``--faults``, ``--retries``, ``--job-timeout``,
     ``--manifest``, ``--no-stream-cache``).  This dataclass is the one
-    typed surface those flags resolve into: build it once, hand it to
-    :func:`run_grid` (``options=``) or to
+    typed surface those flags resolve into and the only way to set a
+    runner knob: build it once, hand it to :func:`run_grid` or to
     :class:`repro.service.daemon.EncodeDaemon`, and the execution
     semantics are identical everywhere.
 
@@ -428,11 +422,6 @@ class RunnerOptions:
             )
 
     @property
-    def max_workers(self) -> Optional[int]:
-        """The :func:`run_grid` ``max_workers`` value (``None`` = all)."""
-        return None if self.jobs == 0 else self.jobs
-
-    @property
     def retry_policy(self) -> Optional[RetryPolicy]:
         return (
             RetryPolicy(max_attempts=self.retries + 1)
@@ -455,12 +444,6 @@ class RunnerOptions:
         return EncodedStreamCache(
             cache.directory / "streams" if cache is not None else None
         )
-
-    def run(
-        self, jobs: Iterable["JobSpec"], **overrides: Any
-    ) -> list[Union["JobResult", "JobFailure"]]:
-        """Run a grid under these options (``run_grid`` shorthand)."""
-        return run_grid(jobs, options=self, **overrides)
 
 
 def build_grid(
@@ -745,9 +728,15 @@ class ResultCache:
     def put(self, key: str, value: object) -> None:
         path = self.path_for(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with tmp.open("wb") as handle:
-            pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(path)
+        try:
+            with tmp.open("wb") as handle:
+                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            tmp.replace(path)
+        except BaseException:
+            # An unpicklable value (or an interrupt) must not leave a
+            # half-written temp file behind: nothing else would remove it.
+            tmp.unlink(missing_ok=True)
+            raise
         self._evict(keep=path)
 
     def _evict(self, keep: Path) -> None:
@@ -778,7 +767,9 @@ class ResultCache:
         return sum(1 for _ in self.directory.glob("*.pkl"))
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry and stray temp file; returns the entry count."""
+        for path in self.directory.glob("*.tmp.*"):
+            path.unlink(missing_ok=True)
         removed = 0
         for path in self.directory.glob("*.pkl"):
             path.unlink(missing_ok=True)
@@ -1005,10 +996,44 @@ def run_job(
             faults=spec.faults,
             **channel_kwargs,
         )
+    return simulate_encoded(
+        sequence,
+        strategy,
+        encode_content_hash(spec),
+        stream_cache,
+        scheme=spec.scheme,
+        loss_model=loss_model,
+        config=spec.config,
+        rate=spec.rate,
+        faults=spec.faults,
+        **channel_kwargs,
+    )
 
+
+def simulate_encoded(
+    sequence: VideoSequence,
+    strategy: ResilienceStrategy,
+    key: str,
+    stream_cache: EncodedStreamCache,
+    *,
+    scheme: str,
+    loss_model: Optional[LossModel] = None,
+    config: Optional[SimulationConfig] = None,
+    rate: Optional[RateControlConfig] = None,
+    faults: Optional[FaultPlan] = None,
+    **channel_kwargs: Any,
+) -> SimulationResult:
+    """One encode-once cell: the stream under ``key``, then the channel.
+
+    The encode-sharing twin of :func:`~repro.sim.pipeline.simulate`,
+    value-identical to it and opening the same ``simulate`` trace root:
+    the stream comes from ``stream_cache`` (encoded on a miss) and only
+    the transmit phase runs per cell, with an ``encode_reused`` trace
+    event (tagged ``scheme``) marking the skipped work.  :func:`run_job`
+    and the experiment helpers (``sweep``, ``replicate``) share it.
+    """
     tracer = get_tracer()
     with tracer.span("simulate") as run_span:
-        key = encode_content_hash(spec)
         stream, reused = stream_cache.get_or_encode(
             key,
             # A fresh controller per encode: its state is a pure
@@ -1017,16 +1042,16 @@ def run_job(
             lambda: encode_phase(
                 sequence,
                 strategy,
-                config=spec.config,
-                rate_controller=build_rate_controller(spec.rate),
+                config=config,
+                rate_controller=build_rate_controller(rate),
             ),
         )
         if reused and tracer.enabled:
             tracer.event(
                 "encode_reused",
                 key=key[:16],
-                scheme=spec.scheme,
-                sequence=spec.sequence,
+                scheme=scheme,
+                sequence=sequence.name,
                 frames=stream.n_frames,
             )
         run_span.add(frames=stream.n_frames)
@@ -1035,8 +1060,8 @@ def run_job(
             stream,
             sequence,
             loss_model=loss_model,
-            config=spec.config,
-            faults=spec.faults,
+            config=config,
+            faults=faults,
             **channel_kwargs,
         )
 
@@ -1082,14 +1107,12 @@ def _raise_worker_faults(
 
 def _execute_job(
     spec: JobSpec,
-    trace_dir: Optional[str] = None,
-    attempt: int = 1,
-    allow_process_exit: bool = False,
-    stream_dir: Optional[str] = None,
-    share_streams: bool = False,
-    stream_cache: Optional[EncodedStreamCache] = None,
+    trace_dir: Optional[str],
+    attempt: int,
+    allow_process_exit: bool,
+    stream_cache: Optional[EncodedStreamCache],
 ) -> tuple[bool, object, float]:
-    """Worker entry point: never raises*, returns a picklable outcome.
+    """Run one cell attempt: never raises*, returns a picklable outcome.
 
     (*except an injected ``worker_exit``, which by design takes the
     whole process down so the parent's broken-pool recovery path gets
@@ -1102,19 +1125,10 @@ def _execute_job(
     parent merges the per-job files after the grid completes.  Tracing
     is observation-only: the returned result is bit-identical either
     way.
-
-    With ``share_streams``, the job replays its cell against the
-    per-process encoded-stream cache rooted at ``stream_dir`` (memory
-    only when ``None``) — the worker looks the stream up by content
-    hash instead of receiving pickled megabytes from the parent.
     """
     start = time.perf_counter()
     try:
         _raise_worker_faults(spec, attempt, allow_process_exit)
-        if stream_cache is None and share_streams:
-            stream_cache = _worker_stream_cache(stream_dir)
-        elif not share_streams:
-            stream_cache = None
         if trace_dir is not None:
             tracer = Tracer(trace_id=_job_trace_id(spec))
             with use_tracer(tracer):
@@ -1151,40 +1165,37 @@ def _worker_stream_cache(directory: Optional[str]) -> EncodedStreamCache:
     """Per-process encoded-stream cache handle.
 
     Like :func:`_worker_cache` but for streams; ``None`` gives this
-    process a memory-only cache (jobs of one serial run, or of one
-    worker's lifetime, still share).  Keys are content hashes, so a
-    long-lived handle can never serve a stale stream.
+    process a memory-only cache (the cells of one worker's lifetime
+    still share).  Keys are content hashes, so a long-lived handle can
+    never serve a stale stream.
     """
     return EncodedStreamCache(directory)
 
 
 def _execute_chunk(
-    specs: Sequence[JobSpec],
-    trace_dir: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-    stream_dir: Optional[str] = None,
-    share_streams: bool = False,
+    cells: Sequence[tuple[JobSpec, int]],
+    trace_dir: Optional[str],
+    cache_dir: Optional[str],
+    stream_dir: Optional[str],
+    share_streams: bool,
 ) -> list[tuple[bool, object, float]]:
-    """Run a batch of clean-path jobs in one worker dispatch.
+    """The pool's worker entry: run a chunk of ``(spec, attempt)`` cells.
 
-    The coarse-grained sibling of :func:`_execute_job`, used by
-    :func:`run_grid` when no retries, timeouts or faults are in play:
-    one pool round-trip carries a whole chunk of specs (pickle
-    deduplicates the shared config objects across them) and the worker
-    writes its own successes into the result cache, so neither the
-    per-job dispatch latency nor the cache writes serialize on the
-    parent.  Outcomes are per spec, order-aligned, never raising —
-    identical to what per-job dispatch would have produced.
-
-    :func:`run_grid` sorts the clean path's pending cells by encode
-    key before chunking, so the cells of one encode group usually land
-    in the same chunk and hit this worker's stream cache back to back.
+    One pool round-trip carries the whole chunk (pickle deduplicates
+    the shared config objects across its specs), and the worker writes
+    its own successes into the result cache, so neither the dispatch
+    latency nor the cache writes serialize on the parent.  The worker
+    looks encoded streams up by content hash in its per-process stream
+    cache rooted at ``stream_dir`` instead of receiving pickled
+    megabytes from the parent.  Outcomes are per cell, order-aligned,
+    never raising.
     """
     cache = _worker_cache(cache_dir) if cache_dir is not None else None
+    stream_cache = _worker_stream_cache(stream_dir) if share_streams else None
     outcomes = []
-    for spec in specs:
+    for spec, attempt in cells:
         ok, payload, elapsed = _execute_job(
-            spec, trace_dir, 1, True, stream_dir, share_streams
+            spec, trace_dir, attempt, True, stream_cache
         )
         if ok and cache is not None:
             cache.put(spec.content_hash(), payload)
@@ -1220,15 +1231,6 @@ def _outcome(
         quarantined=quarantined,
         injected_faults=tuple(injected),
     )
-
-
-def resolve_workers(max_workers: Optional[int]) -> int:
-    """None -> all cores; values below 1 are a configuration error."""
-    if max_workers is None:
-        return os.cpu_count() or 1
-    if max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-    return max_workers
 
 
 def _poison_cache_entries(
@@ -1275,161 +1277,80 @@ def _attempt_labels(spec: JobSpec, attempt: int) -> list[str]:
     ]
 
 
+def _with_run_defaults(spec: JobSpec, options: RunnerOptions) -> JobSpec:
+    """Apply the run-level fault plan, rate config and scenario pack.
+
+    A spec's own setting always wins: it is part of the cache key.
+    """
+    overrides: dict[str, Any] = {}
+    if options.faults and spec.faults is None:
+        overrides["faults"] = options.faults
+    if options.rate is not None and spec.rate is None:
+        overrides["rate"] = options.rate
+    if options.scenario is not None and spec.scenario is None:
+        overrides["scenario"] = options.scenario
+    return dataclasses.replace(spec, **overrides) if overrides else spec
+
+
 def run_grid(
     jobs: Iterable[JobSpec],
-    max_workers: Optional[int] = None,
+    options: RunnerOptions,
+    *,
     cache: Optional[ResultCache] = None,
-    timeout: Optional[float] = None,
-    trace_dir: Optional[Union[str, Path]] = None,
-    retry: Optional[RetryPolicy] = None,
-    faults: Optional[FaultPlan] = None,
-    manifest_path: Optional[Union[str, Path]] = None,
     stream_cache: Optional[EncodedStreamCache] = None,
-    share_streams: Optional[bool] = None,
-    rate: Optional[RateControlConfig] = None,
-    scenario: Optional[ScenarioPack] = None,
-    options: Optional[RunnerOptions] = None,
 ) -> list[Union[JobResult, JobFailure]]:
     """Run a grid of jobs, in parallel, with caching and error capture.
 
     Args:
         jobs: the grid cells; results come back in the same order.
-        options: a :class:`RunnerOptions` bundle supplying defaults for
-            every other argument; any argument passed explicitly still
-            wins.  ``run_grid(jobs, options=opts)`` is the one-call form
-            the CLI verbs and the service daemon share.
-        max_workers: process count; ``None`` uses every core, ``1``
-            (or a single uncached job, or a platform without a working
-            process pool) runs serially in this process.
-        cache: optional on-disk result cache.  Cached cells are
-            returned immediately (``from_cache=True``) without touching
-            the pool; fresh successes are written back.  Failures are
-            never cached.
-        timeout: per-job wall-clock limit in seconds, enforced while
-            collecting pool results — a cell that exceeds it becomes a
-            :class:`JobFailure` with ``error_type="TimeoutError"`` (or
-            is retried, under a ``retry`` policy).  Best-effort: an
-            already-running worker process is not killed, and the
-            serial path cannot preempt a job at all.
-        trace_dir: when given, every *executed* cell runs under a
-            :class:`repro.obs.Tracer` and writes a per-job
-            ``job-*.jsonl`` trace into this directory (workers cannot
-            share one file); after the grid completes they are merged
-            into ``trace_dir/trace.jsonl``.  Cache hits execute
-            nothing, so they contribute no spans.  Tracing never
-            changes results.
-        retry: bounded-retry policy for failed cells.  A cell that
-            fails (raises, times out, or takes its pool down) is re-run
-            up to ``retry.max_attempts`` total times with the policy's
-            jittered exponential backoff between attempts; a cell still
-            failing with the budget spent comes back as a *quarantined*
-            :class:`JobFailure`.  Default: one attempt, no retries.
-        faults: run-level :class:`~repro.faults.FaultPlan` applied to
-            every spec that does not already carry its own plan (a
-            spec-level plan wins — it is part of the cache key).
-        manifest_path: when given, a :class:`GridManifest` JSON file is
-            written here after the grid completes — every submitted
-            job, succeeded or failed, for machine consumption.  Written
-            even when everything succeeded (``complete: true``).
-        stream_cache: encoded-stream cache for encode-once execution.
-            Defaults to one rooted at ``<cache dir>/streams`` when a
-            result ``cache`` is given, else a memory-only cache per
-            process.  Workers receive the cache *directory*, never a
-            pickled stream.
-        share_streams: set False to force every cell through the full
-            encode+transmit pipeline (the A/B lever the equivalence
-            tests and ``bench_grid_reuse`` pull).  Sharing never
-            changes values — cells that differ only in channel
-            conditions replay one byte-identical stream; cells whose
-            fault plans corrupt the encode stage opt out on their own.
-        rate: run-level :class:`~repro.codec.rate.RateControlConfig`
-            applied to every spec that does not already carry its own
-            (a spec-level config wins — it is part of the cache key).
-            This is the matched-bitrate switch: one config, every
-            scheme chases the same kbps target.
-        scenario: run-level
-            :class:`~repro.scenarios.pack.ScenarioPack` applied to
-            every spec that does not already carry its own (a
-            spec-level pack wins — it is part of the cache key): one
-            channel timeline, every cell.
+        options: every execution knob (see :class:`RunnerOptions`):
+            worker count, result and stream caching, retries, per-job
+            timeout, failure manifest, run-level fault plan, tracing,
+            and the run-level rate config and scenario pack applied to
+            every spec that does not carry its own.
+        cache: a live result cache to use instead of the one
+            ``options`` describes — callers that run several grids (the
+            service daemon across batches, the CLI across calibration
+            and the grid) share one handle and its hit counters.
+        stream_cache: likewise, a live encoded-stream cache.  Ignored
+            when ``options.share_streams`` is off.  Workers receive the
+            cache *directory*, never a pickled stream.
 
     Returns:
         One :class:`JobResult` or :class:`JobFailure` per input spec,
         order-aligned with ``jobs``.  Outcomes are deterministic: the
         worker count changes wall time, never values.
 
-    Dispatch granularity: when no retries, timeouts or faults are
-    configured (the common sweep), uncached jobs are shipped to the
-    pool in coarse chunks — one round-trip per chunk instead of per
-    job, with workers writing their own cache entries — which removes
-    most of the fan-out overhead on small grids.  Retry/timeout/fault
-    runs keep per-job futures, since those features need to observe
-    individual cells in flight.
-    """
-    if options is not None:
-        if max_workers is None:
-            max_workers = options.max_workers
-        if cache is None:
-            cache = options.build_cache()
-        if timeout is None:
-            timeout = options.job_timeout
-        if trace_dir is None:
-            trace_dir = options.trace_dir
-        if retry is None:
-            retry = options.retry_policy
-        if faults is None:
-            faults = options.faults
-        if manifest_path is None:
-            manifest_path = options.manifest_path
-        if share_streams is None:
-            share_streams = options.share_streams
-        if stream_cache is None:
-            stream_cache = options.build_stream_cache(cache)
-        if rate is None:
-            rate = options.rate
-        if scenario is None:
-            scenario = options.scenario
-    if share_streams is None:
-        share_streams = True
+    Cached cells are returned immediately (``from_cache=True``);
+    failures are never cached.  A failed cell (raised, timed out, or
+    took its pool down) is re-run up to ``options.retries`` more times
+    with :class:`RetryPolicy` backoff, and comes back as a
+    *quarantined* :class:`JobFailure` once the budget is spent.  The
+    timeout is best-effort: an already-running worker process is not
+    killed, and the serial loop cannot preempt a job at all.
 
-    specs = list(jobs)
-    if faults is not None and faults:
-        specs = [
-            spec if spec.faults is not None
-            else dataclasses.replace(spec, faults=faults)
-            for spec in specs
-        ]
-    if rate is not None:
-        specs = [
-            spec if spec.rate is not None
-            else dataclasses.replace(spec, rate=rate)
-            for spec in specs
-        ]
-    if scenario is not None:
-        specs = [
-            spec if spec.scenario is not None
-            else dataclasses.replace(spec, scenario=scenario)
-            for spec in specs
-        ]
-    retry = retry or RetryPolicy()
+    ``jobs=1`` (or a single pending cell, or a platform without a
+    working process pool) runs the serial reference loop in this
+    process.  Otherwise one pooled loop dispatches chunks of cells:
+    coarse chunks for a clean run, one cell per chunk when retries, a
+    timeout or a fault plan need to observe individual cells in flight.
+    """
+    if cache is None:
+        cache = options.build_cache()
+    if not options.share_streams:
+        stream_cache = None
+    elif stream_cache is None:
+        stream_cache = options.build_stream_cache(cache)
+    specs = [_with_run_defaults(spec, options) for spec in jobs]
+    retry = options.retry_policy or RetryPolicy()
+    timeout = options.job_timeout
     outcomes: dict[int, Union[JobResult, JobFailure]] = {}
 
-    trace_dir_arg: Optional[str] = None
-    if trace_dir is not None:
-        trace_path = Path(trace_dir)
+    trace_dir: Optional[str] = None
+    if options.trace_dir is not None:
+        trace_path = Path(options.trace_dir)
         trace_path.mkdir(parents=True, exist_ok=True)
-        trace_dir_arg = str(trace_path)
-
-    stream_dir_arg: Optional[str] = None
-    if share_streams:
-        if stream_cache is None:
-            stream_cache = EncodedStreamCache(
-                cache.directory / "streams" if cache is not None else None
-            )
-        if stream_cache.directory is not None:
-            stream_dir_arg = str(stream_cache.directory)
-    else:
-        stream_cache = None
+        trace_dir = str(trace_path)
 
     pending: list[int] = []
     labels: dict[int, list[str]] = {}
@@ -1448,7 +1369,7 @@ def run_grid(
                 continue
         pending.append(index)
 
-    workers = min(resolve_workers(max_workers), max(len(pending), 1))
+    workers = min(options.jobs or os.cpu_count() or 1, max(len(pending), 1))
     attempts: dict[int, int] = {index: 1 for index in pending}
 
     def note_attempt(index: int) -> None:
@@ -1456,19 +1377,13 @@ def run_grid(
             _attempt_labels(specs[index], attempts[index])
         )
 
-    def finish(
-        index: int,
-        ok: bool,
-        payload: object,
-        elapsed: float,
-        cache_written: bool = False,
-    ) -> None:
+    def finish(index: int, ok: bool, payload: object, elapsed: float) -> None:
         quarantined = (
             not ok
             and retry.max_attempts > 1
             and attempts[index] >= retry.max_attempts
         )
-        outcome = _outcome(
+        outcomes[index] = _outcome(
             specs[index],
             ok,
             payload,
@@ -1477,9 +1392,6 @@ def run_grid(
             injected=labels[index],
             quarantined=quarantined,
         )
-        if cache is not None and isinstance(outcome, JobResult) and not cache_written:
-            cache.put(specs[index].content_hash(), outcome.result)
-        outcomes[index] = outcome
 
     def should_retry(index: int, ok: bool) -> bool:
         if ok or attempts[index] >= retry.max_attempts:
@@ -1492,11 +1404,11 @@ def run_grid(
         return True
 
     def collect() -> list[Union[JobResult, JobFailure]]:
-        if trace_dir_arg is not None:
-            merge_job_traces(trace_dir_arg)
+        if trace_dir is not None:
+            merge_job_traces(trace_dir)
         results = [outcomes[i] for i in range(len(specs))]
-        if manifest_path is not None:
-            grid_manifest(results).write(manifest_path)
+        if options.manifest_path is not None:
+            grid_manifest(results).write(options.manifest_path)
         return results
 
     def run_serial() -> list[Union[JobResult, JobFailure]]:
@@ -1505,14 +1417,16 @@ def run_grid(
             while True:
                 ok, payload, elapsed = _execute_job(
                     specs[index],
-                    trace_dir_arg,
+                    trace_dir,
                     attempts[index],
-                    share_streams=share_streams,
-                    stream_cache=stream_cache,
+                    False,
+                    stream_cache,
                 )
                 if not should_retry(index, ok):
                     break
             finish(index, ok, payload, elapsed)
+            if ok and cache is not None:
+                cache.put(specs[index].content_hash(), payload)
         return collect()
 
     if workers <= 1:
@@ -1527,279 +1441,98 @@ def run_grid(
         # No usable process pool on this platform: same results, serially.
         return run_serial()
 
-    def run_chunked() -> list[Union[JobResult, JobFailure]]:
-        # Clean-path fan-out: no retries, timeouts or faults anywhere,
-        # so nothing needs per-job futures.  Ship the grid in coarse
-        # chunks (a few per worker keeps the pool load-balanced) and
-        # let workers write their own cache entries; the pickle memo
-        # shares the config objects across a chunk's specs, so the
-        # per-job submit payload shrinks along with the dispatch count.
-        chunksize = max(1, -(-len(pending) // (workers * 4)))
-        # Encode-group-contiguous dispatch: cells sharing an encoded
-        # stream land in the same chunk (hence the same worker's
-        # stream cache) whenever the grid's own order interleaves
-        # them.  Output order is unaffected — outcomes key on the
-        # original index.
-        dispatch = (
-            sorted(pending, key=lambda i: (encode_content_hash(specs[i]), i))
-            if share_streams
-            else pending
+    # One cell per chunk whenever a feature must observe cells in
+    # flight; otherwise a few coarse chunks per worker keep the pool
+    # load-balanced with one round-trip per chunk.
+    per_cell = (
+        retry.max_attempts > 1
+        or timeout is not None
+        or any(specs[index].faults for index in pending)
+    )
+    chunk_size = 1 if per_cell else max(1, -(-len(pending) // (workers * 4)))
+    # Encode-group-contiguous dispatch: cells sharing an encoded stream
+    # land in the same chunk (hence the same worker's stream cache)
+    # whenever the grid's own order interleaves them.  Output order is
+    # unaffected — outcomes key on the original index.
+    if stream_cache is not None:
+        pending.sort(key=lambda i: (encode_content_hash(specs[i]), i))
+    cache_dir = str(cache.directory) if cache is not None else None
+    stream_dir = (
+        str(stream_cache.directory)
+        if stream_cache is not None and stream_cache.directory is not None
+        else None
+    )
+
+    def submit(chunk: list[int]) -> tuple[list[int], concurrent.futures.Future]:
+        future = executor.submit(
+            _execute_chunk,
+            [(specs[index], attempts[index]) for index in chunk],
+            trace_dir,
+            cache_dir,
+            stream_dir,
+            stream_cache is not None,
         )
-        chunks = [
-            dispatch[i : i + chunksize]
-            for i in range(0, len(dispatch), chunksize)
+        return chunk, future
+
+    def submit_unfinished() -> list[tuple[list[int], concurrent.futures.Future]]:
+        unfinished = [index for index in pending if index not in outcomes]
+        return [
+            submit(unfinished[i : i + chunk_size])
+            for i in range(0, len(unfinished), chunk_size)
         ]
-        cache_dir = str(cache.directory) if cache is not None else None
-        try:
-            chunk_futures = [
-                executor.submit(
-                    _execute_chunk,
-                    [specs[i] for i in chunk],
-                    trace_dir_arg,
-                    cache_dir,
-                    stream_dir_arg,
-                    share_streams,
-                )
-                for chunk in chunks
-            ]
-            for chunk, future in zip(chunks, chunk_futures):
+
+    try:
+        for index in pending:
+            note_attempt(index)
+        inflight = submit_unfinished()
+        while inflight:
+            chunk, future = inflight.pop(0)
+            try:
+                chunk_outcomes = future.result(timeout=timeout)
+            except concurrent.futures.TimeoutError:
+                # Only per-cell chunks carry a timeout.
+                future.cancel()
+                chunk_outcomes = [
+                    (
+                        False,
+                        ("TimeoutError", f"job exceeded {timeout}s", ""),
+                        float(timeout or 0.0),
+                    )
+                ]
+            except concurrent.futures.process.BrokenProcessPool as error:
+                # A worker hard-died and took the pool with it: every
+                # in-flight future is lost.  This chunk's cells spend
+                # the attempt; rebuild the pool and resubmit every cell
+                # that has no outcome yet.  A cell whose *current*
+                # attempt is itself scheduled to hard-exit spends that
+                # attempt first (the plan is deterministic, so the
+                # parent knows without hearing back) — resubmitting it
+                # unchanged would just kill the fresh pool again.
                 for index in chunk:
-                    note_attempt(index)
-                try:
-                    chunk_outcomes = future.result()
-                except concurrent.futures.process.BrokenProcessPool as error:
-                    # The pool died under this chunk; with no retry
-                    # budget on the clean path the chunk's cells become
-                    # failures (the error-capture contract), and later
-                    # chunks report the same way as their futures fail.
-                    for index in chunk:
+                    if not should_retry(index, False):
                         finish(
                             index,
                             False,
                             ("BrokenProcessPool", str(error), ""),
                             0.0,
                         )
-                    continue
-                for index, (ok, payload, elapsed) in zip(
-                    chunk, chunk_outcomes
-                ):
-                    finish(index, ok, payload, elapsed, cache_written=ok)
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-        return collect()
-
-    clean_path = (
-        retry.max_attempts == 1
-        and timeout is None
-        and all(not specs[index].faults for index in pending)
-    )
-    if clean_path:
-        return run_chunked()
-
-    futures: dict[int, concurrent.futures.Future] = {}
-
-    def submit(index: int) -> None:
-        futures[index] = executor.submit(
-            _execute_job,
-            specs[index],
-            trace_dir_arg,
-            attempts[index],
-            True,  # allow_process_exit: the pool absorbs a hard exit
-            stream_dir_arg,
-            share_streams,
-        )
-
-    def rebuild_and_resubmit() -> None:
-        # A worker hard-died and took the pool's queues with it: every
-        # in-flight future is lost.  Rebuild the pool and resubmit the
-        # cells that have no outcome yet.  A cell whose *current*
-        # attempt is itself scheduled to hard-exit spends that attempt
-        # first (the plan is deterministic, so the parent knows without
-        # hearing back) — resubmitting it unchanged would just kill the
-        # fresh pool again and bleed the other cells' retry budgets.
-        nonlocal executor
-        executor.shutdown(wait=False, cancel_futures=True)
-        executor = make_executor()
-        for index in pending:
-            if index in outcomes:
+                executor.shutdown(wait=False, cancel_futures=True)
+                executor = make_executor()
+                for index in pending:
+                    while (
+                        index not in outcomes
+                        and attempts[index] < retry.max_attempts
+                        and f"worker_exit@{attempts[index]}" in labels[index]
+                    ):
+                        attempts[index] += 1
+                        note_attempt(index)
+                inflight = submit_unfinished()
                 continue
-            while (
-                attempts[index] < retry.max_attempts
-                and f"worker_exit@{attempts[index]}" in labels[index]
-            ):
-                attempts[index] += 1
-                note_attempt(index)
-            submit(index)
-
-    try:
-        for index in pending:
-            note_attempt(index)
-            submit(index)
-        for index in pending:
-            while index not in outcomes:
-                try:
-                    ok, payload, elapsed = futures[index].result(
-                        timeout=timeout
-                    )
-                except concurrent.futures.TimeoutError:
-                    futures[index].cancel()
-                    ok = False
-                    payload = (
-                        "TimeoutError",
-                        f"job exceeded {timeout}s",
-                        "",
-                    )
-                    elapsed = float(timeout or 0.0)
-                except concurrent.futures.process.BrokenProcessPool as error:
-                    ok = False
-                    payload = ("BrokenProcessPool", str(error), "")
-                    elapsed = 0.0
-                    if should_retry(index, ok):
-                        rebuild_and_resubmit()
-                        continue
-                    finish(index, ok, payload, elapsed)
-                    rebuild_and_resubmit()
-                    continue
+            for index, (ok, payload, elapsed) in zip(chunk, chunk_outcomes):
                 if should_retry(index, ok):
-                    submit(index)
-                    continue
-                finish(index, ok, payload, elapsed)
+                    inflight.insert(0, submit([index]))
+                else:
+                    finish(index, ok, payload, elapsed)
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
-
     return collect()
-
-
-# ---------------------------------------------------------------------------
-# Lower-level parallel simulate (for already-built experiment objects)
-# ---------------------------------------------------------------------------
-
-
-def _execute_simulation(task: tuple) -> SimulationResult:
-    sequence, strategy, loss_model, config = task
-    return simulate(sequence, strategy, loss_model=loss_model, config=config)
-
-
-def _execute_transmit(task: tuple) -> SimulationResult:
-    """Replay one channel realization against a pre-encoded stream.
-
-    The transmit-only sibling of :func:`_execute_simulation` for tasks
-    whose encode phase was shared; opens the same ``simulate`` trace
-    root so per-run span structure stays uniform either way.
-    """
-    stream, sequence, loss_model, config = task
-    tracer = get_tracer()
-    with tracer.span("simulate") as run_span:
-        run_span.add(frames=stream.n_frames)
-        tracer.metrics.gauge("sim.frames", stream.n_frames)
-        return transmit_phase(
-            stream, sequence, loss_model=loss_model, config=config
-        )
-
-
-def _simulation_signature(
-    task: tuple, digests: dict[int, str]
-) -> Optional[str]:
-    """Encode-sharing key for one (sequence, strategy, loss, config) task.
-
-    ``None`` (no sharing) when the strategy did not come from the spec
-    registry — an unknown strategy type gives no grounds to assume two
-    instances encode identically.  ``digests`` memoizes pixel digests
-    by object identity so replication sweeps hash their clip once.
-    """
-    sequence, strategy, _, config = task
-    try:
-        spec_str, kwargs = strategy_to_spec(strategy)
-    except (ValueError, AttributeError):
-        return None
-    key = id(sequence)
-    if key not in digests:
-        digests[key] = sequence_digest(sequence)
-    try:
-        return encode_stream_key(
-            sequence=digests[key],
-            scheme=spec_str,
-            strategy_kwargs=kwargs,
-            config=config or SimulationConfig(),
-        )
-    except TypeError:  # unhashable kwargs: skip sharing, never fail
-        return None
-
-
-def run_simulations(
-    tasks: Sequence[tuple],
-    max_workers: Optional[int] = 1,
-    share_streams: bool = True,
-) -> list[SimulationResult]:
-    """Run ``simulate`` over (sequence, strategy, loss_model, config) tuples.
-
-    The object-level counterpart of :func:`run_grid`, used by
-    :func:`repro.sim.experiment.sweep` and
-    :func:`~repro.sim.experiment.replicate`: strategies and loss models
-    are instantiated by the *caller* (fresh per run — they are
-    stateful), then shipped to workers as initial-state instances.
-
-    With ``share_streams`` (the default), tasks whose strategies round-
-    trip through the spec registry are grouped by encode key; each
-    group with two or more members is encoded once in the parent and
-    its members run only the transmit phase — a replication sweep over
-    channel seeds pays for one encode instead of N.  Groups of one and
-    non-registry strategies run the full pipeline unchanged, and the
-    results are value-identical either way.
-
-    Falls back to serial execution when ``max_workers`` is 1, when a
-    task does not pickle (user-supplied objects are arbitrary), or when
-    the platform has no working process pool.  Exceptions propagate to
-    the caller unchanged, matching the serial semantics these helpers
-    always had.
-    """
-    tasks = list(tasks)
-
-    runs: list[tuple[Callable[[tuple], SimulationResult], tuple]] = []
-    if share_streams:
-        digests: dict[int, str] = {}
-        signatures = [_simulation_signature(task, digests) for task in tasks]
-        members: dict[str, int] = {}
-        for signature in signatures:
-            if signature is not None:
-                members[signature] = members.get(signature, 0) + 1
-        streams: dict[str, EncodedStream] = {}
-        for task, signature in zip(tasks, signatures):
-            if signature is None or members[signature] < 2:
-                runs.append((_execute_simulation, task))
-                continue
-            if signature not in streams:
-                sequence, strategy, _, config = task
-                streams[signature] = encode_phase(
-                    sequence, strategy, config=config
-                )
-            runs.append(
-                (
-                    _execute_transmit,
-                    (streams[signature], task[0], task[2], task[3]),
-                )
-            )
-    else:
-        runs = [(_execute_simulation, task) for task in tasks]
-
-    workers = min(resolve_workers(max_workers), max(len(tasks), 1))
-    if workers > 1:
-        try:
-            for _, payload in runs:
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            workers = 1
-
-    if workers <= 1:
-        return [fn(payload) for fn, payload in runs]
-
-    try:
-        executor = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-    except (NotImplementedError, OSError, PermissionError):
-        return [fn(payload) for fn, payload in runs]
-
-    with executor:
-        futures = [
-            executor.submit(fn, payload) for fn, payload in runs
-        ]
-        return [future.result() for future in futures]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import settings as hypothesis_settings
 
 from repro.codec.types import CodecConfig
+from repro.sim.runner import RunnerOptions
 from repro.video.frame import Frame, VideoSequence
 from repro.video.synthetic import SyntheticConfig, generate_sequence
 
@@ -33,6 +34,15 @@ def small_config(**overrides) -> CodecConfig:
     defaults = dict(width=SMALL_W, height=SMALL_H, quantizer=6)
     defaults.update(overrides)
     return CodecConfig(**defaults)
+
+
+def runner_options(**knobs) -> RunnerOptions:
+    """Runner options without the default on-disk result cache.
+
+    Tests that want caching pass a live ``ResultCache`` to ``run_grid``,
+    so they can read its hit counters.
+    """
+    return RunnerOptions(use_cache=False, **knobs)
 
 
 def small_sequence(n_frames: int = 8, seed: int = 11, **overrides) -> VideoSequence:

@@ -69,7 +69,7 @@ class TestFacadeSurface:
             api.simulate(
                 video,
                 strategy=api.make_strategy("NO"),
-                loss_model=repro.UniformLoss(plr=0.1),
+                loss_model=api.UniformLoss(plr=0.1),
                 plr=0.1,
             )
 
@@ -209,9 +209,14 @@ class TestPackageReExports:
             for cls in (FrameRecord, SimulationConfig, SimulationResult)
         )
 
-    def test_top_level_all_resolves(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name)
+    def test_top_level_is_version_only(self):
+        # repro.api is the one facade: the package root re-exports nothing.
+        public = {
+            name
+            for name, value in vars(repro).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+        }
+        assert public == set()
 
 
 class TestVersion:

@@ -19,7 +19,7 @@ from repro.network.loss import UniformLoss
 from repro.network.packet import Packetizer
 from repro.obs import Tracer, use_tracer
 from repro.resilience.registry import build_strategy
-from repro.sim.experiment import replicate
+from repro.sim.experiment import ExperimentSpec, replicate, sweep
 from repro.sim.pipeline import (
     SimulationConfig,
     encode_phase,
@@ -32,11 +32,16 @@ from repro.sim.runner import (
     encode_content_hash,
     run_grid,
     run_job,
-    run_simulations,
 )
 from repro.video.synthetic import SyntheticConfig
 
-from tests.conftest import SMALL_H, SMALL_W, small_config, small_sequence
+from tests.conftest import (
+    SMALL_H,
+    SMALL_W,
+    runner_options,
+    small_config,
+    small_sequence,
+)
 
 N_FRAMES = 6
 
@@ -192,11 +197,12 @@ class TestGridSharing:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_share_on_off_identical(self, workers, tmp_path):
         shared = run_grid(
-            _grid(), max_workers=workers,
+            _grid(),
+            runner_options(jobs=workers),
             stream_cache=EncodedStreamCache(tmp_path / "streams"),
         )
         unshared = run_grid(
-            _grid(), max_workers=workers, share_streams=False
+            _grid(), runner_options(jobs=workers, share_streams=False)
         )
         assert len(shared) == len(unshared)
         for a, b in zip(shared, unshared):
@@ -246,27 +252,31 @@ class TestGridSharing:
         assert all(e.stage != "encode" for e in shared.fault_events)
 
 
-class TestRunSimulationsSharing:
-    def _tasks(self, seeds=(0, 1, 2)):
-        video = small_sequence(N_FRAMES)
-        config = _sim_config()
-        return [
-            (
-                video,
-                build_strategy("GOP-2"),
-                UniformLoss(plr=0.3, seed=seed),
-                config,
-            )
-            for seed in seeds
-        ]
-
+class TestSweepSharing:
     def test_share_on_off_identical(self):
-        shared = run_simulations(self._tasks(), max_workers=1)
-        unshared = run_simulations(
-            self._tasks(), max_workers=1, share_streams=False
-        )
-        for a, b in zip(shared, unshared):
-            assert_results_equal(a, b)
+        video = small_sequence(N_FRAMES)
+        specs = [
+            ExperimentSpec(
+                label=f"seed {seed}",
+                strategy_factory=lambda: build_strategy("GOP-2"),
+                loss_factory=lambda seed=seed: UniformLoss(plr=0.3, seed=seed),
+            )
+            for seed in (0, 1, 2)
+        ]
+        tracer = Tracer(trace_id="sweep")
+        with use_tracer(tracer):
+            shared = sweep(video, specs, _sim_config())
+        # One encode, replayed against the other two seeds' channels.
+        reuse_events = [e for e in tracer.events if e.name == "encode_reused"]
+        assert len(reuse_events) == 2
+        for spec, outcome in zip(specs, shared):
+            unshared = simulate(
+                video,
+                spec.strategy_factory(),
+                loss_model=spec.loss_factory(),
+                config=_sim_config(),
+            )
+            assert_results_equal(outcome.result, unshared)
 
     def test_replicate_unchanged_by_sharing(self):
         video = small_sequence(N_FRAMES)

@@ -7,9 +7,8 @@ import pytest
 from repro.network.loss import UniformLoss
 from repro.sim.experiment import (
     ExperimentSpec,
+    calibrate_intra_th,
     comparison_specs,
-    match_intra_th_to_size,
-    replicate,
     run_experiment,
     sweep,
     total_encoded_bytes,
@@ -55,33 +54,6 @@ class TestRunExperiment:
         out = run_experiment(clip, spec, sim_config)
         assert out.result.channel_log.loss_rate > 0
 
-    def test_parallel_sweep_matches_serial(self, clip, sim_config):
-        specs = comparison_specs(
-            ["NO", "GOP-2", "PBPAIR"],
-            lambda: UniformLoss(plr=0.4, seed=7),
-            pbpair_kwargs=dict(intra_th=0.8, plr=0.4),
-        )
-        serial = sweep(clip, specs, sim_config, max_workers=1)
-        parallel = sweep(clip, specs, sim_config, max_workers=2)
-        assert [r.label for r in serial] == [r.label for r in parallel]
-        for s, p in zip(serial, parallel):
-            assert s.result.frames == p.result.frames
-            assert s.result.counters == p.result.counters
-            assert s.result.energy == p.result.energy
-
-    def test_parallel_replicate_matches_serial(self, clip, sim_config):
-        kwargs = dict(
-            sequence=clip,
-            strategy_factory=NoResilience,
-            loss_factory=lambda seed: UniformLoss(plr=0.4, seed=seed),
-            metric=lambda r: r.average_psnr_decoder,
-            seeds=[1, 2, 3],
-            config=sim_config,
-        )
-        serial = replicate(max_workers=1, **kwargs)
-        parallel = replicate(max_workers=3, **kwargs)
-        assert serial == parallel
-
 
 class TestComparisonSpecs:
     def test_pbpair_kwargs_applied(self, clip, sim_config):
@@ -110,7 +82,7 @@ class TestSizeMatching:
 
     def test_match_finds_reasonable_threshold(self, clip, sim_config):
         target = total_encoded_bytes(clip, build_strategy("GOP-3"), sim_config)
-        th = match_intra_th_to_size(
+        th = calibrate_intra_th(
             clip, target, plr=0.3, config=sim_config, max_iterations=6
         )
         matched = total_encoded_bytes(
@@ -120,18 +92,18 @@ class TestSizeMatching:
 
     def test_validation(self, clip, sim_config):
         with pytest.raises(ValueError):
-            match_intra_th_to_size(clip, 0, plr=0.1)
+            calibrate_intra_th(clip, 0, plr=0.1)
         with pytest.raises(ValueError):
-            match_intra_th_to_size(clip, 100, plr=0.1, tolerance=0)
+            calibrate_intra_th(clip, 100, plr=0.1, tolerance=0)
 
     def test_zero_iterations_rejected(self, clip):
         with pytest.raises(ValueError, match="max_iterations"):
-            match_intra_th_to_size(clip, 100, plr=0.1, max_iterations=0)
+            calibrate_intra_th(clip, 100, plr=0.1, max_iterations=0)
         with pytest.raises(ValueError, match="max_iterations"):
-            match_intra_th_to_size(clip, 100, plr=0.1, max_iterations=-3)
+            calibrate_intra_th(clip, 100, plr=0.1, max_iterations=-3)
 
     def test_single_iteration_returns_first_probe(self, clip, sim_config):
-        th = match_intra_th_to_size(
+        th = calibrate_intra_th(
             clip, 10_000, plr=0.3, config=sim_config, max_iterations=1
         )
         assert th == 0.5  # one bisection probe: the midpoint
@@ -141,13 +113,13 @@ class TestSizeMatching:
 
         cache = ResultCache(tmp_path)
         target = total_encoded_bytes(clip, build_strategy("GOP-3"), sim_config)
-        th_cold = match_intra_th_to_size(
+        th_cold = calibrate_intra_th(
             clip, target, plr=0.3, config=sim_config, max_iterations=4,
             cache=cache,
         )
         probes = len(cache)
         assert probes >= 1
-        th_warm = match_intra_th_to_size(
+        th_warm = calibrate_intra_th(
             clip, target, plr=0.3, config=sim_config, max_iterations=4,
             cache=cache,
         )
@@ -169,7 +141,7 @@ class TestCalibrationResult:
 
     def test_reports_probe_and_encode_counts(self, clip, sim_config):
         target = total_encoded_bytes(clip, build_strategy("GOP-3"), sim_config)
-        th = match_intra_th_to_size(
+        th = calibrate_intra_th(
             clip, target, plr=0.3, config=sim_config, max_iterations=4
         )
         assert th.probes >= 1
@@ -182,13 +154,13 @@ class TestCalibrationResult:
 
         target = total_encoded_bytes(clip, build_strategy("GOP-3"), sim_config)
         stream_cache = EncodedStreamCache(max_entries=16)
-        cold = match_intra_th_to_size(
+        cold = calibrate_intra_th(
             clip, target, plr=0.3, config=sim_config, max_iterations=4,
             stream_cache=stream_cache,
         )
         assert cold.unique_encodes == cold.probes
         assert stream_cache.encodes == cold.probes
-        warm = match_intra_th_to_size(
+        warm = calibrate_intra_th(
             clip, target, plr=0.3, config=sim_config, max_iterations=4,
             stream_cache=stream_cache,
         )

@@ -35,7 +35,13 @@ from repro.sim.pipeline import SimulationConfig, simulate
 from repro.sim.runner import JobSpec, run_grid
 from repro.video.synthetic import SyntheticConfig
 
-from tests.conftest import SMALL_H, SMALL_W, small_config, small_sequence
+from tests.conftest import (
+    SMALL_H,
+    SMALL_W,
+    runner_options,
+    small_config,
+    small_sequence,
+)
 
 CONFIG = small_config()
 
@@ -293,8 +299,8 @@ class TestGridDeterminism:
         ]
 
     def test_identical_results_across_worker_counts(self):
-        serial = run_grid(self._jobs(), max_workers=1)
-        pooled = run_grid(self._jobs(), max_workers=2)
+        serial = run_grid(self._jobs(), runner_options(jobs=1))
+        pooled = run_grid(self._jobs(), runner_options(jobs=2))
         for s, p in zip(serial, pooled):
             assert s.ok and p.ok
             assert s.result.frames == p.result.frames

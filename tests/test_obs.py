@@ -33,7 +33,13 @@ from repro.sim.pipeline import SimulationConfig, simulate
 from repro.sim.runner import JobSpec, run_grid
 from repro.video.synthetic import SyntheticConfig
 
-from tests.conftest import SMALL_H, SMALL_W, small_config, small_sequence
+from tests.conftest import (
+    SMALL_H,
+    SMALL_W,
+    runner_options,
+    small_config,
+    small_sequence,
+)
 
 
 class TestTracer:
@@ -319,7 +325,7 @@ class TestRunnerTracing:
     def test_run_grid_merges_job_traces(self, tmp_path):
         trace_dir = tmp_path / "traces"
         outcomes = run_grid(
-            self._jobs(), max_workers=1, cache=None, trace_dir=trace_dir
+            self._jobs(), runner_options(jobs=1, trace_dir=trace_dir)
         )
         assert len(outcomes) == 2
         assert len(job_trace_files(trace_dir)) == 2
@@ -329,13 +335,13 @@ class TestRunnerTracing:
         assert len(roots) == 2
 
     def test_untraced_grid_writes_nothing(self, tmp_path):
-        run_grid(self._jobs(), max_workers=1, cache=None)
+        run_grid(self._jobs(), runner_options(jobs=1))
         assert list(tmp_path.iterdir()) == []
 
     def test_grid_results_unchanged_by_tracing(self, tmp_path):
-        plain = run_grid(self._jobs(), max_workers=1, cache=None)
+        plain = run_grid(self._jobs(), runner_options(jobs=1))
         traced = run_grid(
-            self._jobs(), max_workers=1, cache=None, trace_dir=tmp_path
+            self._jobs(), runner_options(jobs=1, trace_dir=tmp_path)
         )
         for a, b in zip(plain, traced):
             assert a.result.frames == b.result.frames

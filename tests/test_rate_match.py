@@ -1,4 +1,4 @@
-"""Matched-bitrate comparison API: RateMatchSpec, the deprecated shim,
+"""Matched-bitrate comparison API: RateMatchSpec, calibration stats,
 rate-aware cache keys and grid determinism under rate control."""
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from repro.sim.experiment import (
     CalibrationResult,
     RateMatchSpec,
     calibrate_intra_th,
-    match_intra_th_to_size,
 )
 from repro.sim.pipeline import SimulationConfig
 from repro.sim.runner import (
@@ -21,7 +20,6 @@ from repro.sim.runner import (
     encode_stream_key,
     run_grid,
 )
-
 from repro.video.synthetic import SyntheticConfig
 
 from tests.conftest import SMALL_H, SMALL_W, small_config, small_sequence
@@ -79,28 +77,6 @@ class TestRateMatchSpec:
         )
         assert jobs[0].pbpair_kwargs == {}
         assert jobs[1].pbpair_kwargs == {"intra_th": 0.8}
-
-
-class TestDeprecatedShim:
-    def test_shim_warns_and_delegates(self, clip, sim_config):
-        calibrated = calibrate_intra_th(
-            clip, 6000, plr=0.1, config=sim_config, max_iterations=2
-        )
-        with pytest.warns(DeprecationWarning, match="RateMatchSpec"):
-            shimmed = match_intra_th_to_size(
-                clip, 6000, plr=0.1, config=sim_config, max_iterations=2
-            )
-        assert isinstance(shimmed, CalibrationResult)
-        assert float(shimmed) == float(calibrated)
-
-    def test_calibrate_does_not_warn(self, clip, sim_config):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            calibrate_intra_th(
-                clip, 6000, plr=0.1, config=sim_config, max_iterations=1
-            )
 
 
 class TestCalibrationResultStats:

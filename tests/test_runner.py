@@ -9,6 +9,7 @@ import pytest
 
 from repro.codec.types import CodecConfig
 from repro.faults import FaultPlan, FaultSpec
+from repro.service.wire import session_result_digest
 from repro.sim.pipeline import SimulationConfig
 from repro.sim.runner import (
     JobFailure,
@@ -21,13 +22,18 @@ from repro.sim.runner import (
     load_manifest,
     run_grid,
     run_job,
-    run_simulations,
     sequence_digest,
     stable_hash,
 )
 from repro.video.synthetic import SyntheticConfig
 
-from tests.conftest import SMALL_H, SMALL_W, small_config, small_sequence
+from tests.conftest import (
+    SMALL_H,
+    SMALL_W,
+    runner_options,
+    small_config,
+    small_sequence,
+)
 
 #: A tiny declarative clip every job in this file shares (5 frames of
 #: 64x48 keeps a full grid under a second per cell).
@@ -156,6 +162,20 @@ class TestResultCache:
         assert cache.clear() == 2
         assert len(cache) == 0
 
+    def test_failed_put_leaves_no_temp_file(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        with pytest.raises(Exception):
+            cache.put("bad", lambda: None)  # lambdas do not pickle
+        assert list(tmp_path.iterdir()) == []
+        assert "bad" not in cache
+
+    def test_clear_removes_stray_temp_files(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("a", 1)
+        (tmp_path / "orphan.tmp.12345").write_bytes(b"half a pickle")
+        assert cache.clear() == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRunGrid:
     GRID = [
@@ -166,7 +186,7 @@ class TestRunGrid:
     ]
 
     def test_serial_results_labelled_and_ordered(self):
-        outcomes = run_grid(self.GRID, max_workers=1)
+        outcomes = run_grid(self.GRID, runner_options(jobs=1))
         assert all(isinstance(o, JobResult) for o in outcomes)
         assert [o.result.strategy_name for o in outcomes] == [
             "NO",
@@ -176,8 +196,8 @@ class TestRunGrid:
         ]
 
     def test_parallel_matches_serial_bit_for_bit(self):
-        serial = run_grid(self.GRID, max_workers=1)
-        parallel = run_grid(self.GRID, max_workers=2)
+        serial = run_grid(self.GRID, runner_options(jobs=1))
+        parallel = run_grid(self.GRID, runner_options(jobs=2))
         for s, p in zip(serial, parallel):
             assert s.result.frames == p.result.frames
             assert s.result.counters == p.result.counters
@@ -189,11 +209,11 @@ class TestRunGrid:
 
     def test_cache_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path)
-        first = run_grid(self.GRID[:2], max_workers=1, cache=cache)
+        first = run_grid(self.GRID[:2], runner_options(jobs=1), cache=cache)
         assert [o.from_cache for o in first] == [False, False]
         assert cache.misses == 2
 
-        second = run_grid(self.GRID[:2], max_workers=1, cache=cache)
+        second = run_grid(self.GRID[:2], runner_options(jobs=1), cache=cache)
         assert [o.from_cache for o in second] == [True, True]
         assert cache.hits == 2
         for a, b in zip(first, second):
@@ -201,20 +221,20 @@ class TestRunGrid:
 
     def test_cache_only_covers_matching_specs(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_grid([self.GRID[0]], max_workers=1, cache=cache)
+        run_grid([self.GRID[0]], runner_options(jobs=1), cache=cache)
         changed = tiny_job(scheme="NO", plr=0.31)
         outcomes = run_grid(
-            [self.GRID[0], changed], max_workers=1, cache=cache
+            [self.GRID[0], changed], runner_options(jobs=1), cache=cache
         )
         assert outcomes[0].from_cache is True
         assert outcomes[1].from_cache is False
 
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_failure_captured_not_raised(self, max_workers):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_captured_not_raised(self, jobs):
         # Codec dimensions mismatch the 64x48 clip: simulate raises.
         bad = tiny_job(config=SimulationConfig(codec=CodecConfig()))
         outcomes = run_grid(
-            [bad, self.GRID[0]], max_workers=max_workers
+            [bad, self.GRID[0]], runner_options(jobs=jobs)
         )
         failure, success = outcomes
         assert isinstance(failure, JobFailure)
@@ -226,14 +246,29 @@ class TestRunGrid:
     def test_failures_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path)
         bad = tiny_job(config=SimulationConfig(codec=CodecConfig()))
-        run_grid([bad], max_workers=1, cache=cache)
+        run_grid([bad], runner_options(jobs=1), cache=cache)
         assert len(cache) == 0
-        again = run_grid([bad], max_workers=1, cache=cache)
+        again = run_grid([bad], runner_options(jobs=1), cache=cache)
         assert isinstance(again[0], JobFailure)
 
     def test_max_workers_validation(self):
         with pytest.raises(ValueError):
-            run_grid(self.GRID[:1], max_workers=0)
+            run_grid(self.GRID[:1], runner_options(jobs=-1))
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{}, {"retries": 1}, {"job_timeout": 120.0}],
+        ids=["clean", "retries", "timeout"],
+    )
+    def test_pooled_loop_matches_serial_digests(self, knobs):
+        # Covers both chunk sizes of the pooled loop: coarse chunks on a
+        # clean run, one cell per chunk under retries or a timeout.
+        serial = run_grid(self.GRID, runner_options(jobs=1, **knobs))
+        pooled = run_grid(self.GRID, runner_options(jobs=2, **knobs))
+        assert all(o.ok for o in serial + pooled)
+        assert [session_result_digest(o.result) for o in pooled] == [
+            session_result_digest(o.result) for o in serial
+        ]
 
 
 def runner_plan(kind="worker_crash", times=1, seed=3, **knobs) -> FaultPlan:
@@ -242,34 +277,33 @@ def runner_plan(kind="worker_crash", times=1, seed=3, **knobs) -> FaultPlan:
     )
 
 
-FAST_RETRY = RetryPolicy(max_attempts=2, backoff_s=0.001)
-
-
 class TestRetryAndQuarantine:
     JOBS = [tiny_job(), tiny_job(channel_seed=2)]
 
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_crash_retried_then_recovers(self, max_workers):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_crash_retried_then_recovers(self, jobs):
         outcomes = run_grid(
             self.JOBS,
-            max_workers=max_workers,
-            faults=runner_plan("worker_crash"),
-            retry=FAST_RETRY,
+            runner_options(
+                jobs=jobs, faults=runner_plan("worker_crash"), retries=1
+            ),
         )
         for outcome in outcomes:
             assert isinstance(outcome, JobResult)
             assert outcome.attempts == 2
             assert "worker_crash@1" in outcome.injected_faults
 
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_poison_job_quarantined(self, max_workers):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_poison_job_quarantined(self, jobs):
         # times=None: the crash fires on *every* attempt, so the retry
         # budget runs out and the job must land in quarantine.
         outcomes = run_grid(
             self.JOBS,
-            max_workers=max_workers,
-            faults=runner_plan("worker_crash", times=None),
-            retry=FAST_RETRY,
+            runner_options(
+                jobs=jobs,
+                faults=runner_plan("worker_crash", times=None),
+                retries=1,
+            ),
         )
         for outcome in outcomes:
             assert isinstance(outcome, JobFailure)
@@ -279,7 +313,8 @@ class TestRetryAndQuarantine:
 
     def test_no_retry_policy_keeps_single_attempt_semantics(self):
         outcomes = run_grid(
-            self.JOBS[:1], max_workers=1, faults=runner_plan("worker_crash")
+            self.JOBS[:1],
+            runner_options(jobs=1, faults=runner_plan("worker_crash")),
         )
         assert isinstance(outcomes[0], JobFailure)
         assert outcomes[0].attempts == 1
@@ -290,9 +325,7 @@ class TestRetryAndQuarantine:
         # rebuild the broken pool and still finish every cell.
         outcomes = run_grid(
             self.JOBS,
-            max_workers=2,
-            faults=runner_plan("worker_exit"),
-            retry=FAST_RETRY,
+            runner_options(jobs=2, faults=runner_plan("worker_exit"), retries=1),
         )
         for outcome in outcomes:
             assert isinstance(outcome, JobResult)
@@ -308,9 +341,7 @@ class TestRetryAndQuarantine:
         )
         outcomes = run_grid(
             [hung, self.JOBS[1]],
-            max_workers=2,
-            timeout=1.0,
-            retry=FAST_RETRY,
+            runner_options(jobs=2, job_timeout=1.0, retries=1),
         )
         assert isinstance(outcomes[0], JobResult)
         assert outcomes[0].attempts == 2
@@ -339,10 +370,12 @@ class TestFaultedCaching:
         cache = ResultCache(tmp_path)
         run_grid(
             [tiny_job()],
-            max_workers=1,
+            runner_options(
+                jobs=1,
+                faults=runner_plan("worker_crash", times=None),
+                retries=1,
+            ),
             cache=cache,
-            faults=runner_plan("worker_crash", times=None),
-            retry=FAST_RETRY,
         )
         assert len(cache) == 0
 
@@ -350,14 +383,14 @@ class TestFaultedCaching:
         cache = ResultCache(tmp_path)
         plan = runner_plan("poison_cache")
         first = run_grid(
-            [tiny_job()], max_workers=1, cache=cache, faults=plan
+            [tiny_job()], runner_options(jobs=1, faults=plan), cache=cache
         )
         assert not first[0].from_cache
         assert len(cache) == 1
         # Second run: the plan rots the entry on disk before the cache
         # scan; the corrupt entry must read as a miss and recompute.
         second = run_grid(
-            [tiny_job()], max_workers=1, cache=cache, faults=plan
+            [tiny_job()], runner_options(jobs=1, faults=plan), cache=cache
         )
         assert isinstance(second[0], JobResult)
         assert not second[0].from_cache
@@ -369,8 +402,7 @@ class TestFaultedCaching:
         spec = dataclasses.replace(tiny_job(), faults=FaultPlan())
         outcomes = run_grid(
             [spec],
-            max_workers=1,
-            faults=runner_plan("worker_crash", times=None),
+            runner_options(jobs=1, faults=runner_plan("worker_crash", times=None)),
         )
         # The spec's own (empty) plan shields it from the run-level one.
         assert isinstance(outcomes[0], JobResult)
@@ -381,13 +413,12 @@ class TestGridManifest:
         cache = ResultCache(tmp_path / "cache")
         good = tiny_job()
         bad = tiny_job(config=SimulationConfig(codec=CodecConfig()))
-        run_grid([good], max_workers=1, cache=cache)  # warm one entry
+        run_grid([good], runner_options(jobs=1), cache=cache)  # warm one entry
         manifest_file = tmp_path / "manifest.json"
         outcomes = run_grid(
             [good, bad],
-            max_workers=1,
+            runner_options(jobs=1, manifest_path=manifest_file),
             cache=cache,
-            manifest_path=manifest_file,
         )
         manifest = load_manifest(manifest_file)
         assert manifest.n_jobs == 2
@@ -404,10 +435,12 @@ class TestGridManifest:
         manifest_file = tmp_path / "manifest.json"
         run_grid(
             [tiny_job()],
-            max_workers=1,
-            faults=runner_plan("worker_crash", times=None),
-            retry=FAST_RETRY,
-            manifest_path=manifest_file,
+            runner_options(
+                jobs=1,
+                faults=runner_plan("worker_crash", times=None),
+                retries=1,
+                manifest_path=manifest_file,
+            ),
         )
         entry = load_manifest(manifest_file).entries[0]
         assert entry.status == "failed"
@@ -418,7 +451,9 @@ class TestGridManifest:
 
     def test_complete_manifest_written_on_success(self, tmp_path):
         manifest_file = tmp_path / "manifest.json"
-        run_grid([tiny_job()], max_workers=1, manifest_path=manifest_file)
+        run_grid(
+            [tiny_job()], runner_options(jobs=1, manifest_path=manifest_file)
+        )
         manifest = load_manifest(manifest_file)
         assert manifest.complete
         assert manifest.entries[0].status == "ok"
@@ -428,7 +463,9 @@ class TestGridManifest:
         import json
 
         manifest_file = tmp_path / "manifest.json"
-        run_grid([tiny_job()], max_workers=1, manifest_path=manifest_file)
+        run_grid(
+            [tiny_job()], runner_options(jobs=1, manifest_path=manifest_file)
+        )
         record = json.loads(manifest_file.read_text())
         record["schema"] = 99
         manifest_file.write_text(json.dumps(record))
@@ -447,30 +484,6 @@ class TestRunJob:
         result = run_job(spec)
         assert result.sequence_name == "akiyo"
         assert result.n_frames == 2
-
-
-class TestRunSimulations:
-    def test_unpicklable_task_falls_back_to_serial(self):
-        clip = small_sequence(n_frames=3)
-        config = SimulationConfig(codec=small_config())
-
-        class LocalLoss:
-            """Defined in a function scope: pickle cannot import it."""
-
-            def survives(self, packet):
-                return True
-
-            def reset(self):
-                pass
-
-        from repro.resilience.none import NoResilience
-
-        with pytest.raises(Exception):
-            pickle.dumps(LocalLoss())
-        results = run_simulations(
-            [(clip, NoResilience(), LocalLoss(), config)], max_workers=2
-        )
-        assert len(results) == 1 and results[0].n_frames == 3
 
 
 class TestSequenceDigest:

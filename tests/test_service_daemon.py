@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 
 import pytest
 
+from repro.codec.rate import RateControlConfig
 from repro.faults import FaultPlan, FaultSpec
+from repro.scenarios import load_pack
 from repro.service import (
     JobSubmit,
     ServiceBusy,
@@ -22,7 +25,7 @@ from repro.sim.pipeline import SimulationConfig
 from repro.sim.runner import JobSpec, RunnerOptions, run_grid
 from repro.video.synthetic import SyntheticConfig
 
-from tests.conftest import SMALL_H, SMALL_W, small_config
+from tests.conftest import SMALL_H, SMALL_W, runner_options, small_config
 
 TINY_CLIP = SyntheticConfig(
     width=SMALL_W, height=SMALL_H, n_frames=4, seed=11
@@ -152,9 +155,36 @@ class TestEndToEnd:
                 client.result(job_id).result_digest for job_id in job_ids
             ]
             client.shutdown()
-        batch = run_grid(specs)  # no cache: a fully independent run
+        # no cache: a fully independent run
+        batch = run_grid(specs, runner_options(jobs=0))
         batch_digests = [session_result_digest(o.result) for o in batch]
         assert daemon_digests == batch_digests
+
+    def test_run_level_rate_and_scenario_reach_the_daemon(self, tmp_path):
+        """The daemon honours every run-level option batch ``run_grid`` does."""
+        options = RunnerOptions(
+            jobs=1,
+            cache_dir=tmp_path / "cache",
+            scenario=load_pack("bursty-wifi"),
+            rate=RateControlConfig(target_kbps=60.0),
+        )
+        specs = [tiny_spec(seed=i, scheme="GOP-2") for i in range(2)]
+        with start_daemon(daemon_config(tmp_path, runner=options)) as handle:
+            client = ServiceClient(handle.url)
+            job_ids = client.submit([JobSubmit(spec=s) for s in specs])
+            client.wait(job_ids, timeout=WAIT_S)
+            daemon_digests = [
+                client.result(job_id).result_digest for job_id in job_ids
+            ]
+            client.shutdown()
+        batch = run_grid(specs, dataclasses.replace(options, use_cache=False))
+        assert daemon_digests == [
+            session_result_digest(o.result) for o in batch
+        ]
+        plain = run_grid(specs, runner_options())
+        assert daemon_digests != [
+            session_result_digest(o.result) for o in plain
+        ]
 
     def test_unknown_job_is_404(self, tmp_path):
         with start_daemon(daemon_config(tmp_path)) as handle:

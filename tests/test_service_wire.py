@@ -38,7 +38,7 @@ from repro.sim.runner import (
 )
 from repro.video.synthetic import SyntheticConfig, generate_sequence
 
-from tests.conftest import SMALL_H, SMALL_W, small_config
+from tests.conftest import SMALL_H, SMALL_W, runner_options, small_config
 
 TINY_CLIP = SyntheticConfig(
     width=SMALL_W, height=SMALL_H, n_frames=4, seed=11
@@ -247,14 +247,19 @@ class TestSessionResult:
         # depends on the delivered values, so however a spec executes
         # (serial, pooled, behind the daemon) the digest is the same.
         spec = tiny_spec()
-        first, second = run_grid([spec]), run_grid([spec, tiny_spec()])
+        options = runner_options(jobs=0)
+        first = run_grid([spec], options)
+        second = run_grid([spec, tiny_spec()], options)
         assert (
             session_result_digest(first[0].result)
             == session_result_digest(second[0].result)
         )
 
     def test_digest_sensitive_to_channel(self):
-        out = run_grid([tiny_spec(channel_seed=1), tiny_spec(channel_seed=2)])
+        out = run_grid(
+            [tiny_spec(channel_seed=1), tiny_spec(channel_seed=2)],
+            runner_options(jobs=0),
+        )
         assert (
             session_result_digest(out[0].result)
             != session_result_digest(out[1].result)
@@ -367,7 +372,7 @@ class TestGridManifestVersioning:
 
     def test_v2_writes_both_version_keys(self, tmp_path):
         path = tmp_path / "m.json"
-        run_grid([tiny_spec()], manifest_path=path)
+        run_grid([tiny_spec()], runner_options(manifest_path=path))
         record = json.loads(path.read_text())
         assert record["schema"] == 2
         assert record["schema_version"] == 2
@@ -375,7 +380,7 @@ class TestGridManifestVersioning:
 
     def test_loader_accepts_previous_version(self, tmp_path):
         path = tmp_path / "m.json"
-        run_grid([tiny_spec()], manifest_path=path)
+        run_grid([tiny_spec()], runner_options(manifest_path=path))
         record = json.loads(path.read_text())
         # Rewrite as a v1 file: only the old "schema" key, no
         # "schema_version", no v2-only counters.
