@@ -16,6 +16,12 @@ at 1.0 with zero tolerance — any mismatch means scheduling or shared
 state leaked into a simulation result, which is a correctness bug,
 not host noise.
 
+The serial sweep runs traced, so the record also carries its exact
+decoder work: ``fragments_decoded`` (fragments whose macroblock layer
+reached the VLD) and ``fragments_parsed`` (those actually parsed —
+the rest replayed a parse another cell of the same encoded stream
+already made).  Both are informational.
+
 Entry points mirror the other benchmarks: run standalone with
 ``python benchmarks/bench_scenarios.py [--out BENCH_scenarios.json]``,
 or under pytest for the structural smoke check.
@@ -28,11 +34,14 @@ import json
 import os
 import platform
 import sys
+import tempfile
+from pathlib import Path
 
 from repro.api import (
     FLEET_SCHEMES,
     RunnerOptions,
     available_packs,
+    load_trace,
     run_fleet,
 )
 
@@ -57,9 +66,17 @@ def measure(
         n_frames=n_frames,
         replicas=replicas,
     )
-    serial = run_fleet(
-        **kwargs, options=RunnerOptions(jobs=1, use_cache=False)
-    )
+    with tempfile.TemporaryDirectory() as trace_dir:
+        serial = run_fleet(
+            **kwargs,
+            options=RunnerOptions(
+                jobs=1, use_cache=False, trace_dir=trace_dir
+            ),
+        )
+        trace = load_trace(Path(trace_dir) / "trace.jsonl")
+    counters = trace.metrics.snapshot()["counters"]
+    parsed = int(counters.get("decoder.fragments_parsed", 0))
+    reused = int(counters.get("decoder.fragments_reused", 0))
     pooled = run_fleet(
         **kwargs, options=RunnerOptions(jobs=2, use_cache=False)
     )
@@ -95,6 +112,8 @@ def measure(
         "cells_total": len(serial.cells),
         "cells_matched": matched,
         "protected_cells": len(protected),
+        "fragments_decoded": parsed + reused,
+        "fragments_parsed": parsed,
         "determinism_ratio": round(matched / len(serial.cells), 3),
         "note": (
             "determinism_ratio is the gated field: the fraction of "
@@ -102,7 +121,8 @@ def measure(
             "between a serial and a pooled sweep of the same grid.  "
             "Every channel decision comes from structural RNG keys, so "
             "1.0 is exact on any host and gates with zero tolerance; "
-            "the percentile tables in `cells` are informational"
+            "the percentile tables in `cells` and the serial sweep's "
+            "fragments_decoded / fragments_parsed are informational"
         ),
     }
 
@@ -120,6 +140,7 @@ def test_scenarios_benchmark_smoke():
     assert record["cells_total"] == 4
     assert record["determinism_ratio"] == 1.0
     assert record["fleet_digest"] == record["pooled_digest"]
+    assert 0 < record["fragments_parsed"] <= record["fragments_decoded"]
     for cell in record["cells"]:
         assert 0.0 <= cell["loss_rate"] <= 1.0
         assert cell["psnr_db"]["p50"] is None or cell["psnr_db"]["p50"] > 0

@@ -27,6 +27,7 @@ from repro.codec.bitstream import BitReader, BitstreamError
 from repro.codec.dct import inverse_dct_blocks
 from repro.codec.quant import dequantize_blocks
 from repro.codec.syntax import (
+    ParseMemo,
     decode_macroblock_layer,
     read_fragment_header,
 )
@@ -81,15 +82,23 @@ class Decoder:
     is tallied into :attr:`counters` so receive-side energy can be
     priced with the same device profiles as the encoder — handhelds
     spend battery on both directions of a video call.
+
+    ``parse_memo`` lets decoders of one encoded stream share their
+    variable-length decode (see :class:`~repro.codec.syntax.ParseMemo`):
+    a fragment whose bytes were already parsed skips only the parse.
+    Reconstruction and every counter are unchanged, so the modelled
+    decode energy still prices the parse.
     """
 
     def __init__(
         self,
         config: CodecConfig,
         counters: Optional[OperationCounters] = None,
+        parse_memo: Optional[ParseMemo] = None,
     ) -> None:
         self.config = config
         self.counters = counters if counters is not None else OperationCounters()
+        self.parse_memo = parse_memo
 
     def decode_frame(
         self,
@@ -238,6 +247,8 @@ class Decoder:
         allow_inter = padded_ref is not None and not (
             config.chroma and padded_chroma is None
         )
+        memo = self.parse_memo
+        stored = len(memo) if memo is not None else 0
         embs = decode_macroblock_layer(
             reader,
             header.frame_type,
@@ -246,7 +257,17 @@ class Decoder:
             allow_skip=config.allow_skip,
             allow_inter=allow_inter,
             mv_limit=mv_limit,
+            memo=memo,
         )
+        tracer = get_tracer()
+        if tracer.enabled:
+            # Every fresh parse adds a memo entry; a replayed one does not.
+            reused = memo is not None and len(memo) == stored
+            tracer.metrics.inc(
+                "decoder.fragments_reused"
+                if reused
+                else "decoder.fragments_parsed"
+            )
         parsed = [
             (header.first_mb + offset, emb) for offset, emb in enumerate(embs)
         ]

@@ -14,11 +14,15 @@ The encoder side is batched: a whole block array is turned into
 and packed by the word-level :class:`~repro.codec.bitstream.BitWriter`
 in one operation, instead of thousands of per-coefficient Python calls.
 The decoder is necessarily sequential (VLC codewords must be parsed in
-order to know where the next one starts) but rides the reader's
-word-buffered Exp-Golomb fast path and materializes each batch of
-blocks with a single scatter.  Both directions are bit-identical to the
-original bit-serial implementation — locked by the golden-bitstream
-regression tests.
+order to know where the next one starts).  Its fast path is the batch
+VLD in :func:`repro.codec.syntax.decode_macroblock_layer`, which walks
+the 64-bit windows of :func:`~repro.codec.bitstream.build_word_index`
+with plain integer arithmetic and scatters each fragment's coefficient
+events in one batch.  :func:`decode_blocks` here, which rides the
+reader's word-buffered Exp-Golomb path, serves the sequential
+per-macroblock decoder that the batch VLD must match.  Both
+directions are bit-identical to the original bit-serial
+implementation — locked by the golden-bitstream regression tests.
 """
 
 from __future__ import annotations

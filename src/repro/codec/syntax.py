@@ -17,6 +17,7 @@ Layout of one fragment payload::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from repro.codec.entropy import (
     write_ue,
 )
 from repro.codec.types import FrameType, MacroblockMode, EncodedMacroblock
-from repro.codec.zigzag import inverse_zigzag_order
+from repro.codec.zigzag import zigzag_order
 
 #: Sanity byte opening every fragment.
 FRAGMENT_MAGIC = 0xD5
@@ -465,6 +466,74 @@ def _parse_macroblock_fast(
     return p, intra, mv_y, mv_x
 
 
+class ParseMemo(dict):
+    """Batch-VLD parses keyed by exact fragment bytes and parse arguments.
+
+    The variable-length decode is a pure function of the payload bytes
+    and the arguments of :func:`decode_macroblock_layer`, so cells that
+    replay one encoded stream can share it: a fragment delivered intact
+    to many cells is parsed once.  Values are :class:`_LayerParse`
+    records, read-only; every lookup scatters fresh coefficient arrays.
+    The grid runner scopes one memo to the cells of an encode group.
+    """
+
+
+class _LayerParse(NamedTuple):
+    """One fragment's batch-VLD outcome, before the coefficient scatter.
+
+    ``end`` is the bit position the reader is left at; ``meta`` holds
+    one ``(intra, mv_y, mv_x)`` row per salvaged macroblock; ``ev_index``
+    and ``ev_levels`` list every coefficient event as (raster index into
+    the flattened coefficient array, level).  The arrays are read-only
+    and compact (see :func:`_compact`).
+    """
+
+    end: int
+    meta: np.ndarray
+    ev_index: np.ndarray
+    ev_levels: np.ndarray
+
+
+def _compact(values) -> np.ndarray:
+    """Integers as a read-only array of the narrowest exact dtype.
+
+    Picks int16, int32 or int64, whichever first holds every value, so
+    a group's memo stays small and no stored value can wrap.
+    """
+    array = np.asarray(values, dtype=np.int64)
+    for dtype in (np.int16, np.int32, np.int64):
+        limits = np.iinfo(dtype)
+        if not array.size or (
+            array.min() >= limits.min and array.max() <= limits.max
+        ):
+            break
+    array = array.astype(dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _scatter_macroblocks(
+    meta: list, ev_index, ev_levels, blocks_per_mb: int
+) -> list[EncodedMacroblock]:
+    """Fresh :class:`EncodedMacroblock` objects from a parse's events.
+
+    ``ev_levels`` outside int32 raise :class:`OverflowError` here (the
+    coefficient dtype), after the reader has moved.
+    """
+    count = len(meta)
+    coefficients = np.zeros(count * blocks_per_mb * 64, dtype=np.int32)
+    if len(ev_levels):
+        coefficients[ev_index] = ev_levels
+    coefficients = coefficients.reshape(count, blocks_per_mb, 8, 8)
+    intra_mode, inter_mode = MacroblockMode.INTRA, MacroblockMode.INTER
+    return [
+        EncodedMacroblock(
+            intra_mode if intra else inter_mode, (mv_y, mv_x), block
+        )
+        for (intra, mv_y, mv_x), block in zip(meta, coefficients)
+    ]
+
+
 def decode_macroblock_layer(
     reader: BitReader,
     frame_type: FrameType,
@@ -474,6 +543,7 @@ def decode_macroblock_layer(
     allow_skip: bool = False,
     allow_inter: bool = True,
     mv_limit: int | None = None,
+    memo: ParseMemo | None = None,
 ) -> list[EncodedMacroblock]:
     """Batch VLD of up to ``mb_count`` macroblocks (the decoder fast path).
 
@@ -490,15 +560,39 @@ def decode_macroblock_layer(
     is returned and the reader is left positioned after the last
     macroblock whose bits were consumed, matching the sequential
     decoder's salvage semantics and bit accounting.
+
+    With a ``memo``, a parse of the same bytes from the same bit
+    position with the same arguments is replayed instead of re-run; the
+    result (macroblocks, reader position, exceptions) is the same
+    either way, and the returned arrays are always fresh.
     """
     if blocks_per_mb not in (4, 6):
         raise ValueError(f"blocks_per_mb must be 4 or 6, got {blocks_per_mb}")
     data = reader.data
-    total = len(data) * 8
-    words = build_word_index(data)
-    p = reader.bits_consumed
+    start = reader.bits_consumed
     is_p = frame_type is FrameType.P
     read_cod = allow_skip and is_p
+    if memo is not None:
+        key = (
+            bytes(data),
+            start,
+            is_p,
+            mb_count,
+            blocks_per_mb,
+            read_cod,
+            allow_inter,
+            mv_limit,
+        )
+        parse = memo.get(key)
+        if parse is not None:
+            reader.skip_bits(parse.end - start)
+            return _scatter_macroblocks(
+                parse.meta.tolist(), parse.ev_index, parse.ev_levels,
+                blocks_per_mb,
+            )
+    total = len(data) * 8
+    words = build_word_index(data)
+    p = start
     meta: list[tuple[bool, int, int]] = []
     block_ids: list[int] = []
     block_counts: list[int] = []
@@ -551,27 +645,29 @@ def decode_macroblock_layer(
             del ev_levels[n_events:]
             break
         meta.append((intra, mv_y, mv_x))
-    reader.skip_bits(p - reader.bits_consumed)
+    reader.skip_bits(p - start)
 
-    count = len(meta)
-    coefficients = np.zeros((count * blocks_per_mb, 64), dtype=np.int32)
-    if ev_levels:
-        ev_blocks = np.repeat(
-            np.asarray(block_ids, dtype=np.int64),
+    # Each event lands at its block's base plus the raster position of
+    # its zigzag index, so the scatter yields natural order directly.
+    ev_index = (
+        np.repeat(
+            np.asarray(block_ids, dtype=np.int64) * 64,
             np.asarray(block_counts, dtype=np.int64),
         )
-        coefficients[ev_blocks, ev_positions] = ev_levels
-    coefficients = coefficients[:, inverse_zigzag_order()].reshape(
-        count, blocks_per_mb, 8, 8
+        + zigzag_order()[ev_positions]
+        if ev_levels
+        else ()
     )
-    return [
-        EncodedMacroblock(
-            mode=MacroblockMode.INTRA if intra else MacroblockMode.INTER,
-            mv=(mv_y, mv_x),
-            coefficients=coefficients[index],
+    # The scatter takes the plain list, so a level beyond int32 raises
+    # where it always did, and nothing reaches the memo.
+    macroblocks = _scatter_macroblocks(
+        meta, ev_index, ev_levels, blocks_per_mb
+    )
+    if memo is not None:
+        memo[key] = _LayerParse(
+            p, _compact(meta), _compact(ev_index), _compact(ev_levels)
         )
-        for index, (intra, mv_y, mv_x) in enumerate(meta)
-    ]
+    return macroblocks
 
 
 def decode_macroblock_skippable(

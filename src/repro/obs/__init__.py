@@ -30,7 +30,6 @@ tracer and per-job trace file, merged by the parent with
 
 from repro.obs.export import (
     MERGED_TRACE_NAME,
-    SUPPORTED_TRACE_SCHEMAS,
     TRACE_SCHEMA_VERSION,
     TraceData,
     TraceFormatError,
@@ -80,7 +79,6 @@ __all__ = [
     "TraceData",
     "TraceFormatError",
     "TRACE_SCHEMA_VERSION",
-    "SUPPORTED_TRACE_SCHEMAS",
     "MERGED_TRACE_NAME",
     "write_trace",
     "load_trace",

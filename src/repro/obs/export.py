@@ -28,12 +28,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import EventRecord, SpanRecord, Tracer
 
 #: Bumped when the record layout changes incompatibly.  Version 2 added
-#: ``event`` records (structured fault/error events); version-1 files
-#: remain loadable.
+#: ``event`` records (structured fault/error events).  :func:`load_trace`
+#: reads this version only.
 TRACE_SCHEMA_VERSION = 2
-
-#: Schema versions :func:`load_trace` understands.
-SUPPORTED_TRACE_SCHEMAS = frozenset({1, TRACE_SCHEMA_VERSION})
 
 #: File name of the merged whole-run trace inside a trace directory.
 MERGED_TRACE_NAME = "trace.jsonl"
@@ -152,11 +149,10 @@ def load_trace(path: Union[str, Path]) -> TraceData:
             kind = record.get("type")
             if kind == "header":
                 schema = record.get("schema")
-                if schema not in SUPPORTED_TRACE_SCHEMAS:
-                    supported = sorted(SUPPORTED_TRACE_SCHEMAS)
+                if schema != TRACE_SCHEMA_VERSION:
                     raise TraceFormatError(
                         f"{path}: trace schema {schema!r} "
-                        f"(this reader understands {supported})"
+                        f"(this reader understands {TRACE_SCHEMA_VERSION})"
                     )
             elif kind == "span":
                 span = _span_from_json(record)

@@ -8,12 +8,10 @@ the CLI verbs and the persistent job queue all share this single typed
 surface (re-exported through :mod:`repro.api`); nothing on the wire is
 ad-hoc.
 
-Versioning follows the trace-schema precedent
-(:data:`repro.obs.export.SUPPORTED_TRACE_SCHEMAS`): every record
-carries an explicit ``schema_version``, writers always stamp the
-current version, and readers accept the current version *and* the one
-before it, so a daemon and a client one release apart still interoperate
-in both directions.
+Versioning: every record carries an explicit ``schema_version``,
+writers always stamp the current version, and readers accept the
+current version *and* the one before it, so a daemon and a client one
+release apart still interoperate in both directions.
 
 The vocabulary:
 

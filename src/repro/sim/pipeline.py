@@ -34,6 +34,7 @@ import numpy as np
 from repro.codec.decoder import Decoder
 from repro.codec.encoder import Encoder
 from repro.codec.rate import ClosedLoopRateController
+from repro.codec.syntax import ParseMemo
 from repro.codec.types import CodecConfig, EncodedFrame, FrameType
 from repro.concealment.base import ConcealmentStrategy
 from repro.concealment.copy import CopyConcealment
@@ -517,6 +518,7 @@ def transmit_phase(
     faults: Optional[Union[FaultPlan, FaultInjector]] = None,
     scenario=None,
     scenario_seed: int = 0,
+    parse_memo: Optional[ParseMemo] = None,
 ) -> SimulationResult:
     """Phase 2 of Figure 1: channel -> depacketize -> decode -> metrics.
 
@@ -546,6 +548,9 @@ def transmit_phase(
             caps, FEC/retransmission wrappers).
         scenario_seed: channel seed for the scenario's loss models
             (each segment derives its own stream structurally from it).
+        parse_memo: optional :class:`~repro.codec.syntax.ParseMemo`
+            shared with other replays of the same stream; results are
+            identical with or without it.
     """
     config = config or SimulationConfig()
     _check_dimensions(sequence, config)
@@ -558,7 +563,7 @@ def transmit_phase(
         stream,
         sequence,
         config,
-        Decoder(config.codec),
+        Decoder(config.codec, parse_memo=parse_memo),
         Depacketizer(),
         _build_channel(loss_model, scenario, scenario_seed),
         EnergyModel(config.device),

@@ -46,8 +46,18 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
+from repro.codec.syntax import ParseMemo
 from repro.faults import FaultInjector, FaultPlan, encode_subplan
 from repro.faults.inject import InjectedWorkerCrash
 from repro.network.loss import LossModel, UniformLoss
@@ -88,12 +98,8 @@ STREAM_SCHEMA_VERSION = 2
 #: Schema version of the JSON failure manifest written by
 #: :meth:`GridManifest.write`.  Version 2 added the explicit
 #: ``schema_version`` key and the ``counts.quarantined`` accounting;
-#: version-1 manifests remain loadable (current and v-1, the same
-#: contract the trace schema keeps).
+#: :meth:`GridManifest.from_json` reads this version only.
 MANIFEST_SCHEMA_VERSION = 2
-
-#: Manifest schema versions :meth:`GridManifest.from_json` understands.
-SUPPORTED_MANIFEST_SCHEMAS = frozenset({1, MANIFEST_SCHEMA_VERSION})
 
 #: Default on-disk cache location (overridable per call and via the CLI).
 DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
@@ -595,11 +601,10 @@ class GridManifest:
     @classmethod
     def from_json(cls, record: Mapping[str, Any]) -> "GridManifest":
         schema = record.get("schema", record.get("schema_version"))
-        if schema not in SUPPORTED_MANIFEST_SCHEMAS:
-            supported = sorted(SUPPORTED_MANIFEST_SCHEMAS)
+        if schema != MANIFEST_SCHEMA_VERSION:
             raise ValueError(
                 f"manifest schema {schema!r} "
-                f"(this reader understands {supported})"
+                f"(this reader understands {MANIFEST_SCHEMA_VERSION})"
             )
         return cls(
             entries=tuple(
@@ -960,6 +965,7 @@ def _sequence_for(
 def run_job(
     spec: JobSpec,
     stream_cache: Optional[EncodedStreamCache] = None,
+    parse_memo: Optional[ParseMemo] = None,
 ) -> SimulationResult:
     """Execute one grid cell from scratch, deterministically.
 
@@ -971,7 +977,10 @@ def run_job(
     another cell already paid for the encode — value-identical to the
     full pipeline, with an ``encode_reused`` trace event marking the
     skipped work.  Specs carrying encode-stage faults opt out and run
-    the whole pipeline (their corrupted stream is theirs alone).
+    the whole pipeline (their corrupted stream is theirs alone).  A
+    ``parse_memo`` shared with the other cells of the stream lets the
+    decoder skip re-parsing fragment bytes they already parsed; it is
+    used only on the shared-stream path and never changes the result.
     """
     sequence = _sequence_for(spec.sequence, spec.n_frames, spec.synthetic)
     strategy = build_strategy(spec.scheme, **_strategy_kwargs_for(spec))
@@ -1006,6 +1015,7 @@ def run_job(
         config=spec.config,
         rate=spec.rate,
         faults=spec.faults,
+        parse_memo=parse_memo,
         **channel_kwargs,
     )
 
@@ -1021,6 +1031,7 @@ def simulate_encoded(
     config: Optional[SimulationConfig] = None,
     rate: Optional[RateControlConfig] = None,
     faults: Optional[FaultPlan] = None,
+    parse_memo: Optional[ParseMemo] = None,
     **channel_kwargs: Any,
 ) -> SimulationResult:
     """One encode-once cell: the stream under ``key``, then the channel.
@@ -1030,7 +1041,8 @@ def simulate_encoded(
     the stream comes from ``stream_cache`` (encoded on a miss) and only
     the transmit phase runs per cell, with an ``encode_reused`` trace
     event (tagged ``scheme``) marking the skipped work.  :func:`run_job`
-    and the experiment helpers (``sweep``, ``replicate``) share it.
+    and the experiment helpers (``sweep``, ``replicate``) share it;
+    ``parse_memo`` passes through to the decoder.
     """
     tracer = get_tracer()
     with tracer.span("simulate") as run_span:
@@ -1062,6 +1074,7 @@ def simulate_encoded(
             loss_model=loss_model,
             config=config,
             faults=faults,
+            parse_memo=parse_memo,
             **channel_kwargs,
         )
 
@@ -1111,6 +1124,7 @@ def _execute_job(
     attempt: int,
     allow_process_exit: bool,
     stream_cache: Optional[EncodedStreamCache],
+    parse_memo: Optional[ParseMemo] = None,
 ) -> tuple[bool, object, float]:
     """Run one cell attempt: never raises*, returns a picklable outcome.
 
@@ -1132,13 +1146,13 @@ def _execute_job(
         if trace_dir is not None:
             tracer = Tracer(trace_id=_job_trace_id(spec))
             with use_tracer(tracer):
-                result = run_job(spec, stream_cache)
+                result = run_job(spec, stream_cache, parse_memo)
             write_trace(
                 Path(trace_dir) / f"job-{spec.content_hash()[:16]}.jsonl",
                 tracer,
             )
         else:
-            result = run_job(spec, stream_cache)
+            result = run_job(spec, stream_cache, parse_memo)
         return True, result, time.perf_counter() - start
     except Exception as error:  # noqa: BLE001 - error capture is the contract
         payload = (
@@ -1147,6 +1161,44 @@ def _execute_job(
             traceback.format_exc(),
         )
         return False, payload, time.perf_counter() - start
+
+
+def _shared_stream_key(spec: JobSpec) -> Optional[str]:
+    """The encode key a cell replays a shared stream under.
+
+    ``None`` for a cell carrying encode-stage faults: :func:`run_job`
+    runs it through the whole pipeline, sharing nothing.
+    """
+    if encode_subplan(spec.faults) is not None:
+        return None
+    return encode_content_hash(spec)
+
+
+def _stream_groups(keys: Sequence[Optional[str]]) -> list[list[int]]:
+    """Positions of ``keys`` grouped by key, in first-occurrence order."""
+    groups: dict[Optional[str], list[int]] = {}
+    for position, key in enumerate(keys):
+        groups.setdefault(key, []).append(position)
+    return list(groups.values())
+
+
+def _parse_memo_scopes(
+    keys: Sequence[Optional[str]],
+) -> Iterator[tuple[int, Optional[ParseMemo]]]:
+    """Walk a loop's cells group by group, each with its group's memo.
+
+    ``keys`` holds each cell's shared-stream key (``None``: the cell
+    shares no stream).  Cells with one key replay one stream, so they
+    share one :class:`~repro.codec.syntax.ParseMemo`.  A memo exists
+    only for a key two or more cells of this loop share, and is dropped
+    once the group's last cell has run.  Both grid loops (the serial
+    one and each pooled chunk) run their cells through this walk.
+    """
+    for group in _stream_groups(keys):
+        shared = len(group) > 1 and keys[group[0]] is not None
+        memo = ParseMemo() if shared else None
+        for position in group:
+            yield position, memo
 
 
 @lru_cache(maxsize=4)
@@ -1187,19 +1239,25 @@ def _execute_chunk(
     latency nor the cache writes serialize on the parent.  The worker
     looks encoded streams up by content hash in its per-process stream
     cache rooted at ``stream_dir`` instead of receiving pickled
-    megabytes from the parent.  Outcomes are per cell, order-aligned,
-    never raising.
+    megabytes from the parent, and cells of one stream share a parse
+    memo (:func:`_parse_memo_scopes`).  Outcomes are per cell,
+    order-aligned, never raising.
     """
     cache = _worker_cache(cache_dir) if cache_dir is not None else None
     stream_cache = _worker_stream_cache(stream_dir) if share_streams else None
-    outcomes = []
-    for spec, attempt in cells:
+    keys = [
+        _shared_stream_key(spec) if share_streams else None
+        for spec, _ in cells
+    ]
+    outcomes: list = [None] * len(cells)
+    for position, parse_memo in _parse_memo_scopes(keys):
+        spec, attempt = cells[position]
         ok, payload, elapsed = _execute_job(
-            spec, trace_dir, attempt, True, stream_cache
+            spec, trace_dir, attempt, True, stream_cache, parse_memo
         )
         if ok and cache is not None:
             cache.put(spec.content_hash(), payload)
-        outcomes.append((ok, payload, elapsed))
+        outcomes[position] = (ok, payload, elapsed)
     return outcomes
 
 
@@ -1369,6 +1427,18 @@ def run_grid(
                 continue
         pending.append(index)
 
+    # Cells replaying one encoded stream run back to back, groups in
+    # order of first occurrence (outcomes key on the original index):
+    # a worker's stream cache then serves a whole group, and its cells
+    # share one parse memo.  A grid of distinct keys keeps its order.
+    keys = [
+        _shared_stream_key(specs[index]) if stream_cache is not None else None
+        for index in pending
+    ]
+    order = [position for group in _stream_groups(keys) for position in group]
+    pending = [pending[position] for position in order]
+    keys = [keys[position] for position in order]
+
     workers = min(options.jobs or os.cpu_count() or 1, max(len(pending), 1))
     attempts: dict[int, int] = {index: 1 for index in pending}
 
@@ -1412,7 +1482,8 @@ def run_grid(
         return results
 
     def run_serial() -> list[Union[JobResult, JobFailure]]:
-        for index in pending:
+        for position, parse_memo in _parse_memo_scopes(keys):
+            index = pending[position]
             note_attempt(index)
             while True:
                 ok, payload, elapsed = _execute_job(
@@ -1421,6 +1492,7 @@ def run_grid(
                     attempts[index],
                     False,
                     stream_cache,
+                    parse_memo,
                 )
                 if not should_retry(index, ok):
                     break
@@ -1450,12 +1522,6 @@ def run_grid(
         or any(specs[index].faults for index in pending)
     )
     chunk_size = 1 if per_cell else max(1, -(-len(pending) // (workers * 4)))
-    # Encode-group-contiguous dispatch: cells sharing an encoded stream
-    # land in the same chunk (hence the same worker's stream cache)
-    # whenever the grid's own order interleaves them.  Output order is
-    # unaffected — outcomes key on the original index.
-    if stream_cache is not None:
-        pending.sort(key=lambda i: (encode_content_hash(specs[i]), i))
     cache_dir = str(cache.directory) if cache is not None else None
     stream_dir = (
         str(stream_cache.directory)

@@ -352,29 +352,3 @@ class TestFaultEventsInTraces:
         assert first.fields["kind"] in KIND_STAGES
         summary = trace_summary(loaded)
         assert "events:" in summary and "fault:" in summary
-
-    def test_schema_v1_traces_still_load(self, tmp_path):
-        # Event records bumped the trace schema to 2; files written by
-        # older builds (schema 1, spans only) must keep loading.
-        path = tmp_path / "old.jsonl"
-        lines = [
-            json.dumps(
-                {"type": "header", "schema": 1, "format": "repro-trace"}
-            ),
-            json.dumps(
-                {
-                    "type": "span",
-                    "name": "simulate",
-                    "start_s": 0.0,
-                    "duration_s": 1.0,
-                    "depth": 0,
-                    "parent": None,
-                    "counters": {},
-                    "trace_id": "old",
-                }
-            ),
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        loaded = load_trace(path)
-        assert len(loaded.spans) == 1
-        assert loaded.events == []

@@ -200,6 +200,14 @@ class TestTraceFiles:
         with pytest.raises(TraceFormatError):
             load_trace(path)
 
+    def test_load_rejects_schema_1(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"type": "header", "schema": 1, "format": "repro-trace"}\n'
+        )
+        with pytest.raises(TraceFormatError, match="schema 1"):
+            load_trace(path)
+
     def test_load_rejects_unknown_record_type(self, tmp_path):
         path = tmp_path / "odd.jsonl"
         path.write_text('{"type": "mystery"}\n')

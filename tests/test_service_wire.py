@@ -30,7 +30,6 @@ from repro.resilience.registry import build_strategy
 from repro.scenarios import load_pack
 from repro.sim.pipeline import SimulationConfig, simulate
 from repro.sim.runner import (
-    SUPPORTED_MANIFEST_SCHEMAS,
     GridManifest,
     JobSpec,
     load_manifest,
@@ -368,7 +367,7 @@ class TestServiceManifest:
 
 
 class TestGridManifestVersioning:
-    """The runner manifest mirrors the v1/v2 trace-schema precedent."""
+    """The runner manifest is read at its current schema only."""
 
     def test_v2_writes_both_version_keys(self, tmp_path):
         path = tmp_path / "m.json"
@@ -376,19 +375,15 @@ class TestGridManifestVersioning:
         record = json.loads(path.read_text())
         assert record["schema"] == 2
         assert record["schema_version"] == 2
-        assert SUPPORTED_MANIFEST_SCHEMAS == frozenset({1, 2})
+        assert load_manifest(path).n_jobs == 1
 
-    def test_loader_accepts_previous_version(self, tmp_path):
+    def test_loader_rejects_version_1(self, tmp_path):
         path = tmp_path / "m.json"
         run_grid([tiny_spec()], runner_options(manifest_path=path))
         record = json.loads(path.read_text())
-        # Rewrite as a v1 file: only the old "schema" key, no
-        # "schema_version", no v2-only counters.
+        # A v1 file: only the old "schema" key, no "schema_version".
         record["schema"] = 1
         del record["schema_version"]
-        record.get("counts", {}).pop("quarantined", None)
         path.write_text(json.dumps(record))
-        manifest = load_manifest(path)
-        assert isinstance(manifest, GridManifest)
-        assert manifest.n_jobs == 1
-        assert manifest.complete
+        with pytest.raises(ValueError, match="manifest schema"):
+            load_manifest(path)
