@@ -23,11 +23,7 @@ Two entry points:
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import statistics
-import sys
 import time
 
 import numpy as np
@@ -43,6 +39,10 @@ from repro.api import (
     quantize_blocks,
     quantize_scalar,
 )
+try:
+    from benchmarks.perf_gate import emit, make_record
+except ImportError:  # standalone: python benchmarks/bench_block_kernels.py
+    from perf_gate import emit, make_record
 
 DEFAULT_FRAMES = 5
 DEFAULT_RUNS = 3
@@ -132,9 +132,9 @@ def measure(n_frames: int = DEFAULT_FRAMES, runs: int = DEFAULT_RUNS) -> dict:
     }
     total_scalar = sum(scalar_s.values())
     total_batched = sum(batched_s.values())
-    return {
-        "benchmark": "block_kernels",
-        "workload": {
+    return make_record(
+        "block_kernels",
+        workload={
             "sequence": "foreman",
             "n_frames": n_frames,
             "runs": runs,
@@ -144,22 +144,18 @@ def measure(n_frames: int = DEFAULT_FRAMES, runs: int = DEFAULT_RUNS) -> dict:
             "search_range": SEARCH_RANGE,
             "early_exit_sad": EARLY_EXIT_SAD,
         },
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "scalar_s": {k: round(v, 5) for k, v in scalar_s.items()},
-        "batched_s": {k: round(v, 5) for k, v in batched_s.items()},
-        "speedups": {
+        gated={"combined_block_speedup": {"tolerance": 0.25}},
+        scalar_s={k: round(v, 5) for k, v in scalar_s.items()},
+        batched_s={k: round(v, 5) for k, v in batched_s.items()},
+        speedups={
             kernel: round(scalar_s[kernel] / batched_s[kernel], 2)
             for kernel in scalar_s
             if batched_s[kernel]
         },
-        "combined_block_speedup": (
+        combined_block_speedup=(
             round(total_scalar / total_batched, 2) if total_batched else None
         ),
-    }
+    )
 
 
 def main(argv=None) -> int:
@@ -176,13 +172,7 @@ def main(argv=None) -> int:
         "--runs", type=int, default=DEFAULT_RUNS, help="timing repetitions"
     )
     args = parser.parse_args(argv)
-    record = measure(n_frames=args.frames, runs=args.runs)
-    rendered = json.dumps(record, indent=2)
-    print(rendered)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+    emit(measure(n_frames=args.frames, runs=args.runs), args.out)
     return 0
 
 

@@ -20,10 +20,7 @@ Two entry points:
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import statistics
-import sys
 import time
 
 from repro.api import (
@@ -34,6 +31,10 @@ from repro.api import (
     foreman_like,
     make_strategy,
 )
+try:
+    from benchmarks.perf_gate import emit, make_record
+except ImportError:  # standalone: python benchmarks/bench_entropy_report.py
+    from perf_gate import emit, make_record
 
 N_FRAMES = 12
 
@@ -95,27 +96,24 @@ def build_report(n_frames: int = N_FRAMES, runs: int = 5) -> dict:
     before = BIT_SERIAL_BASELINE
     combined_before = before["encode_s"] + before["decode_s"]
     combined_after = after["encode_s"] + after["decode_s"]
-    return {
-        "benchmark": "entropy_hot_path",
-        "workload": {
+    return make_record(
+        "entropy_hot_path",
+        workload={
             "sequence": "foreman",
             "n_frames": n_frames,
             "scheme": "NO",
             "resolution": "176x144",
         },
-        "host": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "before_bit_serial": before,
-        "after_word_level": after,
-        "combined_encode_decode_speedup": round(
+        gated={"combined_encode_decode_speedup": {"tolerance": 0.25}},
+        before_bit_serial=before,
+        after_word_level=after,
+        combined_encode_decode_speedup=round(
             combined_before / combined_after, 2
         ),
-        "packetize_speedup": round(
+        packetize_speedup=round(
             before["packetize_s"] / max(after["packetize_s"], 1e-6), 1
         ),
-    }
+    )
 
 
 def test_entropy_report_smoke():
@@ -156,13 +154,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    report = build_report(n_frames=args.frames, runs=args.runs)
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+    emit(build_report(n_frames=args.frames, runs=args.runs), args.out)
     return 0
 
 

@@ -23,10 +23,6 @@ under pytest for the reduced-grid correctness checks.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import sys
 import tempfile
 import time
 
@@ -38,8 +34,10 @@ from repro.api import (
 )
 try:
     from benchmarks.bench_runner_scaling import scaling_grid
+    from benchmarks.perf_gate import emit, make_record
 except ImportError:  # standalone: python benchmarks/bench_grid_reuse.py
     from bench_runner_scaling import scaling_grid
+    from perf_gate import emit, make_record
 
 DEFAULT_FRAMES = 24
 
@@ -98,9 +96,9 @@ def measure(n_frames: int = DEFAULT_FRAMES) -> dict:
             "observation-equivalent to encoding every cell"
         )
 
-    return {
-        "benchmark": "grid_reuse",
-        "grid": {
+    return make_record(
+        "grid_reuse",
+        workload={
             "schemes": ["NO", "GOP-3", "PGOP-3", "PBPAIR"],
             "channel_seeds": [1, 2, 3, 4],
             "plr": 0.1,
@@ -108,36 +106,32 @@ def measure(n_frames: int = DEFAULT_FRAMES) -> dict:
             "n_frames": n_frames,
             "cells": len(jobs),
         },
-        "host": {
-            "cpu_count": os.cpu_count() or 1,
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "unique_encodes": unique,
-        "cells_per_unique_encode": round(len(jobs) / unique, 3),
-        "measured_cold_encodes": cold_encodes,
-        "measured_cold_hits": cold_hits,
-        "measured_warm_encodes": warm_encodes,
-        "wall_time_s": {
+        gated={"cells_per_unique_encode": {"tolerance": 0.25}},
+        unique_encodes=unique,
+        cells_per_unique_encode=round(len(jobs) / unique, 3),
+        measured_cold_encodes=cold_encodes,
+        measured_cold_hits=cold_hits,
+        measured_warm_encodes=warm_encodes,
+        wall_time_s={
             "unshared": round(unshared_s, 3),
             "cold_shared": round(cold_s, 3),
             "warm_shared": round(warm_s, 3),
         },
-        "cold_speedup_vs_unshared": (
+        cold_speedup_vs_unshared=(
             round(unshared_s / cold_s, 3) if cold_s else None
         ),
-        "warm_speedup_vs_unshared": (
+        warm_speedup_vs_unshared=(
             round(unshared_s / warm_s, 3) if warm_s else None
         ),
-        "results_identical": identical,
-        "note": (
+        results_identical=identical,
+        note=(
             "cells_per_unique_encode is the gated field: it is a "
             "structural property of the grid (how many cells share each "
             "encode key), deterministic on any host; wall times and "
             "their speedups depend on how much of a cell's cost is the "
             "encoder vs the channel+decoder and do not transfer"
         ),
-    }
+    )
 
 
 def main(argv=None) -> int:
@@ -151,13 +145,7 @@ def main(argv=None) -> int:
         "--frames", type=int, default=DEFAULT_FRAMES, help="frames per cell"
     )
     args = parser.parse_args(argv)
-    record = measure(n_frames=args.frames)
-    rendered = json.dumps(record, indent=2)
-    print(rendered)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+    emit(measure(n_frames=args.frames), args.out)
     return 0
 
 

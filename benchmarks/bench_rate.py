@@ -25,16 +25,16 @@ pytest for the structural smoke check.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import sys
 
 from repro.api import (
     RateMatchSpec,
     RunnerOptions,
     run_grid,
 )
+try:
+    from benchmarks.perf_gate import emit, make_record
+except ImportError:  # standalone: python benchmarks/bench_rate.py
+    from perf_gate import emit, make_record
 
 #: Matched-bitrate error budget: the acceptance band for a scheme to
 #: count as "on target" (3%), and the wider band used to locate the
@@ -119,9 +119,9 @@ def measure(
             }
         )
 
-    return {
-        "benchmark": "rate_control",
-        "grid": {
+    return make_record(
+        "rate_control",
+        workload={
             "target_kbps": target_kbps,
             "schemes": list(match.schemes),
             "plr": plr,
@@ -129,18 +129,12 @@ def measure(
             "n_frames": n_frames,
             "fps": rate.fps,
         },
-        "host": {
-            "cpu_count": os.cpu_count() or 1,
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "schemes": schemes,
-        "match_tolerance_pct": 100.0 * MATCH_TOLERANCE,
-        "matched_ratio": round(matched / len(schemes), 3),
-        "max_abs_error_pct": max(
-            abs(s["bitrate_error_pct"]) for s in schemes
-        ),
-        "note": (
+        gated={"matched_ratio": {"tolerance": 0}},
+        schemes=schemes,
+        match_tolerance_pct=100.0 * MATCH_TOLERANCE,
+        matched_ratio=round(matched / len(schemes), 3),
+        max_abs_error_pct=max(abs(s["bitrate_error_pct"]) for s in schemes),
+        note=(
             "matched_ratio is the gated field: the fraction of schemes "
             "whose delivered bitrate lands within the match tolerance "
             "of the shared target.  The controller and the clip are "
@@ -148,7 +142,7 @@ def measure(
             "with zero tolerance; convergence_frame and psnr_db are "
             "informational"
         ),
-    }
+    )
 
 
 def test_rate_benchmark_smoke():
@@ -191,12 +185,7 @@ def main(argv=None) -> int:
         n_frames=args.frames,
         sequence=args.sequence,
     )
-    rendered = json.dumps(record, indent=2)
-    print(rendered)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+    emit(record, args.out)
     return 0
 
 

@@ -22,11 +22,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import json
 import os
 import pickle
-import platform
-import sys
 import tempfile
 import time
 
@@ -38,6 +35,10 @@ from repro.api import (
     build_grid,
     run_grid,
 )
+try:
+    from benchmarks.perf_gate import emit, make_record
+except ImportError:  # standalone: python benchmarks/bench_runner_scaling.py
+    from perf_gate import emit, make_record
 
 #: Worker counts measured by the standalone run (1 is the serial base).
 DEFAULT_WORKER_COUNTS = (1, 2, 4)
@@ -157,9 +158,9 @@ def measure(
         workers: round(serial_s / elapsed, 3) if elapsed else None
         for workers, elapsed in timings.items()
     }
-    return {
-        "benchmark": "runner_scaling",
-        "grid": {
+    return make_record(
+        "runner_scaling",
+        workload={
             "schemes": list(schemes),
             "channel_seeds": list(seeds),
             "plr": PLR,
@@ -167,13 +168,14 @@ def measure(
             "n_frames": n_frames,
             "cells": len(jobs),
         },
-        "host": {
-            "cpu_count": cpu_count,
-            "platform": platform.platform(),
-            "python": platform.python_version(),
+        gated={
+            "speedup_vs_serial.2": {
+                "tolerance": 0.25,
+                "ceiling": "parallel_ceiling.2",
+            }
         },
-        "wall_time_s": timings,
-        "speedup_vs_serial": {
+        wall_time_s=timings,
+        speedup_vs_serial={
             workers: (
                 min(raw, float(ceilings[workers]))
                 if raw is not None
@@ -181,20 +183,20 @@ def measure(
             )
             for workers, raw in raw_speedups.items()
         },
-        "speedup_vs_serial_raw": raw_speedups,
-        "parallel_ceiling": ceilings,
-        "note": (
+        speedup_vs_serial_raw=raw_speedups,
+        parallel_ceiling=ceilings,
+        note=(
             "speedup_vs_serial is clamped at min(workers, cpu_count) — "
             "a measured ratio above that ceiling is timer noise, not "
             "parallelism, so only the clamped value is gate-worthy; "
             "speedup_vs_serial_raw preserves the unclamped measurement"
         ),
-        "fan_out": fan_out_metrics(jobs, workers=max(
+        fan_out=fan_out_metrics(jobs, workers=max(
             int(w) for w in timings
         )),
-        "cached_pass_s": round(cached_s, 3),
-        "cache_speedup": round(serial_s / cached_s, 1) if cached_s else None,
-    }
+        cached_pass_s=round(cached_s, 3),
+        cache_speedup=round(serial_s / cached_s, 1) if cached_s else None,
+    )
 
 
 def main(argv=None) -> int:
@@ -215,13 +217,10 @@ def main(argv=None) -> int:
         help="worker counts to measure (first one is the serial baseline)",
     )
     args = parser.parse_args(argv)
-    record = measure(n_frames=args.frames, worker_counts=tuple(args.workers))
-    rendered = json.dumps(record, indent=2)
-    print(rendered)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+    emit(
+        measure(n_frames=args.frames, worker_counts=tuple(args.workers)),
+        args.out,
+    )
     return 0
 
 

@@ -30,10 +30,6 @@ or under pytest for the structural smoke check.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import sys
 import tempfile
 from pathlib import Path
 
@@ -44,6 +40,10 @@ from repro.api import (
     load_trace,
     run_fleet,
 )
+try:
+    from benchmarks.perf_gate import emit, make_record
+except ImportError:  # standalone: python benchmarks/bench_scenarios.py
+    from perf_gate import emit, make_record
 
 DEFAULT_SEQUENCE = "foreman"
 DEFAULT_FRAMES = 30
@@ -92,30 +92,26 @@ def measure(
         if cell.fec_recovered or cell.retransmissions or cell.deadline_drops
     ]
 
-    return {
-        "benchmark": "scenarios",
-        "grid": {
+    return make_record(
+        "scenarios",
+        workload={
             "schemes": list(serial.schemes),
             "packs": list(serial.packs),
             "sequence": sequence,
             "n_frames": n_frames,
             "replicas": replicas,
         },
-        "host": {
-            "cpu_count": os.cpu_count() or 1,
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "cells": [cell.to_json() for cell in serial.cells],
-        "fleet_digest": serial.digest,
-        "pooled_digest": pooled.digest,
-        "cells_total": len(serial.cells),
-        "cells_matched": matched,
-        "protected_cells": len(protected),
-        "fragments_decoded": parsed + reused,
-        "fragments_parsed": parsed,
-        "determinism_ratio": round(matched / len(serial.cells), 3),
-        "note": (
+        gated={"determinism_ratio": {"tolerance": 0}},
+        cells=[cell.to_json() for cell in serial.cells],
+        fleet_digest=serial.digest,
+        pooled_digest=pooled.digest,
+        cells_total=len(serial.cells),
+        cells_matched=matched,
+        protected_cells=len(protected),
+        fragments_decoded=parsed + reused,
+        fragments_parsed=parsed,
+        determinism_ratio=round(matched / len(serial.cells), 3),
+        note=(
             "determinism_ratio is the gated field: the fraction of "
             "(scheme, pack) cells whose content digest is identical "
             "between a serial and a pooled sweep of the same grid.  "
@@ -124,7 +120,7 @@ def measure(
             "the percentile tables in `cells` and the serial sweep's "
             "fragments_decoded / fragments_parsed are informational"
         ),
-    }
+    )
 
 
 def test_scenarios_benchmark_smoke():
@@ -171,12 +167,7 @@ def main(argv=None) -> int:
         sequence=args.sequence,
         replicas=args.replicas,
     )
-    rendered = json.dumps(record, indent=2)
-    print(rendered)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+    emit(record, args.out)
     return 0
 
 

@@ -25,10 +25,6 @@ or under pytest for a reduced-fleet smoke check.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -48,6 +44,10 @@ from repro.api import (
     session_result_digest,
     start_daemon,
 )
+try:
+    from benchmarks.perf_gate import emit, make_record
+except ImportError:  # standalone: python benchmarks/bench_service.py
+    from perf_gate import emit, make_record
 
 DEFAULT_SESSIONS = 1002
 
@@ -186,9 +186,9 @@ def measure(
         for cls in summary.classes
     }
 
-    return {
-        "benchmark": "service_fleet",
-        "fleet": {
+    return make_record(
+        "service_fleet",
+        workload={
             "sessions": n_sessions,
             "session_classes": [
                 {"name": name, "scheme": scheme, "priority": priority}
@@ -203,28 +203,25 @@ def measure(
             "service_workers": service_workers,
             "batch_size": batch_size,
         },
-        "host": {
-            "cpu_count": os.cpu_count() or 1,
-            "platform": platform.platform(),
-            "python": platform.python_version(),
+        gated={
+            "completion_ratio": {"tolerance": 0},
+            "digest_match_ratio": {"tolerance": 0},
         },
-        "counts": manifest.counts,
-        "classes": classes,
-        "unique_encodes": unique_encodes,
-        "sessions_per_unique_encode": round(
-            n_sessions / unique_encodes, 3
-        ),
-        "wall_time_s": {
+        counts=manifest.counts,
+        classes=classes,
+        unique_encodes=unique_encodes,
+        sessions_per_unique_encode=round(n_sessions / unique_encodes, 3),
+        wall_time_s={
             "submit": round(submit_s, 3),
             "fleet_total": round(fleet_s, 3),
             "batch_run_grid": round(batch_s, 3),
         },
-        "sessions_per_second": (
+        sessions_per_second=(
             round(n_sessions / fleet_s, 3) if fleet_s else None
         ),
-        "completion_ratio": completion_ratio,
-        "digest_match_ratio": digest_match_ratio,
-        "note": (
+        completion_ratio=completion_ratio,
+        digest_match_ratio=digest_match_ratio,
+        note=(
             "completion_ratio and digest_match_ratio are the gated "
             "fields: both are exact by construction (every session "
             "finishes ok; every daemon result digest equals the batch "
@@ -232,7 +229,7 @@ def measure(
             "correctness bug, not noise.  Latency percentiles and "
             "sessions/s depend on the host and do not transfer."
         ),
-    }
+    )
 
 
 def main(argv=None) -> int:
@@ -266,12 +263,7 @@ def main(argv=None) -> int:
         service_workers=args.service_workers,
         batch_size=args.batch_size,
     )
-    rendered = json.dumps(record, indent=2)
-    print(rendered)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+    emit(record, args.out)
     return 0
 
 

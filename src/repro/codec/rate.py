@@ -354,7 +354,10 @@ class ClosedLoopRateController:
         """Account one frame's size; returns the next frame's QP.
 
         Without the full frame, the table learns against the QP the
-        controller last asked for.
+        controller last asked for.  The encode loop calls
+        :meth:`observe_frame`; this bits-only hook is the seam through
+        which the unit tests drive the control law with synthetic frame
+        sizes, without encoding a frame.
         """
         if bits < 0:
             raise ValueError("bits must be >= 0")

@@ -12,7 +12,6 @@ packs") for the pack schema and authoring guide.
 from repro.scenarios.pack import (
     LOSS_KINDS,
     SCENARIO_SCHEMA_VERSION,
-    SUPPORTED_SCENARIO_SCHEMAS,
     LossSpec,
     ResilienceSpec,
     ScenarioFormatError,
@@ -54,7 +53,6 @@ def __getattr__(name):
 __all__ = [
     "LOSS_KINDS",
     "SCENARIO_SCHEMA_VERSION",
-    "SUPPORTED_SCENARIO_SCHEMAS",
     "LossSpec",
     "ResilienceSpec",
     "ScenarioFormatError",

@@ -14,7 +14,7 @@ The pack itself never touches packets — it is interpreted by
 Serialization mirrors the :class:`repro.faults.FaultPlan` precedent:
 ``to_json`` writes only non-default fields, ``from_json`` rejects
 unknown fields, and every rendered pack carries an explicit
-``schema_version`` checked against :data:`SUPPORTED_SCENARIO_SCHEMAS`.
+``schema_version`` that must equal :data:`SCENARIO_SCHEMA_VERSION`.
 """
 
 from __future__ import annotations
@@ -33,16 +33,10 @@ from repro.network.loss import (
     UniformLoss,
 )
 
-#: Version stamped on every pack this module writes.  Bump on
-#: incompatible layout changes; the loader keeps accepting the previous
-#: version, mirroring the wire/trace schema precedent.
+#: Version stamped on every pack this module writes, and the only
+#: version :func:`ScenarioPack.from_json` accepts.  Bump on
+#: incompatible layout changes, as the wire and trace schemas do.
 SCENARIO_SCHEMA_VERSION = 1
-
-#: Pack schema versions :func:`ScenarioPack.from_json` understands.
-SUPPORTED_SCENARIO_SCHEMAS = frozenset(
-    v for v in (SCENARIO_SCHEMA_VERSION - 1, SCENARIO_SCHEMA_VERSION)
-    if v >= 1
-)
 
 #: Loss-model kinds a segment can declare.
 LOSS_KINDS = (
@@ -417,11 +411,10 @@ class ScenarioPack:
     @classmethod
     def from_json(cls, record: Mapping[str, Any]) -> "ScenarioPack":
         schema = record.get("schema_version")
-        if schema not in SUPPORTED_SCENARIO_SCHEMAS:
-            supported = sorted(SUPPORTED_SCENARIO_SCHEMAS)
+        if schema != SCENARIO_SCHEMA_VERSION:
             raise ScenarioFormatError(
                 f"scenario pack schema {schema!r} "
-                f"(this reader understands {supported})"
+                f"(this reader understands {SCENARIO_SCHEMA_VERSION})"
             )
         known = {f.name for f in fields(cls)} | {"schema_version"}
         unknown = set(record) - known

@@ -8,10 +8,10 @@ the CLI verbs and the persistent job queue all share this single typed
 surface (re-exported through :mod:`repro.api`); nothing on the wire is
 ad-hoc.
 
-Versioning: every record carries an explicit ``schema_version``,
-writers always stamp the current version, and readers accept the
-current version *and* the one before it, so a daemon and a client one
-release apart still interoperate in both directions.
+Versioning: every record carries an explicit ``schema_version``;
+writers stamp the current version and readers accept only that
+version, so a stale peer fails with a message naming both versions
+instead of misreading a record.
 
 The vocabulary:
 
@@ -49,20 +49,12 @@ from repro.sim.pipeline import SimulationConfig, SimulationResult
 from repro.sim.runner import JobSpec
 from repro.video.synthetic import SyntheticConfig
 
-#: Version stamped on every wire record this module writes.  Bump on
-#: incompatible layout changes; readers keep accepting the previous
-#: version (see :data:`SUPPORTED_WIRE_SCHEMAS`).
-#: Version 2: JobSpec records carry an optional ``rate`` (closed-loop
-#: rate control config); v1 records parse with ``rate=None``.
-#: Version 3: JobSpec records carry an optional ``scenario`` (channel
-#: scenario pack); v2 records parse with ``scenario=None``.
+#: Version stamped on every wire record this module writes, and the
+#: only version its readers accept.  Bump on incompatible layout
+#: changes.  Version 2 added JobSpec's optional ``rate`` (closed-loop
+#: rate control config), version 3 its optional ``scenario`` (channel
+#: scenario pack).
 WIRE_SCHEMA_VERSION = 3
-
-#: Wire schema versions the ``from_json`` readers understand: the
-#: current version and, once one exists, the version before it.
-SUPPORTED_WIRE_SCHEMAS = frozenset(
-    v for v in (WIRE_SCHEMA_VERSION - 1, WIRE_SCHEMA_VERSION) if v >= 1
-)
 
 #: Queue lifecycle states a job moves through (see
 #: :class:`repro.service.queue.JobQueue` for the transitions).
@@ -79,15 +71,15 @@ class WireFormatError(ValueError):
 def check_schema(record: Mapping[str, Any], what: str) -> int:
     """Validate a record's ``schema_version``; returns the version.
 
-    Raises :class:`WireFormatError` on a missing or unsupported
-    version — the error names the record type and the supported set so
-    a stale client gets an actionable message, not a KeyError.
+    Raises :class:`WireFormatError` on a missing or other version — the
+    error names the record type and the version this reader understands
+    so a stale client gets an actionable message, not a KeyError.
     """
     schema = record.get("schema_version")
-    if schema not in SUPPORTED_WIRE_SCHEMAS:
-        supported = sorted(SUPPORTED_WIRE_SCHEMAS)
+    if schema != WIRE_SCHEMA_VERSION:
         raise WireFormatError(
-            f"{what} schema {schema!r} (this reader understands {supported})"
+            f"{what} schema {schema!r} "
+            f"(this reader understands {WIRE_SCHEMA_VERSION})"
         )
     return schema
 

@@ -680,29 +680,13 @@ class ResultCache:
     deleted.  Keys are the stable content hashes produced by
     :meth:`JobSpec.content_hash` / :func:`stable_hash`, so the cache is
     shared safely between sweeps: equal spec, equal key, equal result.
-
-    ``max_bytes`` bounds the directory's total ``*.pkl`` size with LRU
-    eviction: every read refreshes its entry's mtime, and every write
-    evicts stalest-first until the budget holds again.  The entry just
-    written is never evicted, even when it alone exceeds the budget —
-    a cache that silently drops what it was asked to keep would turn
-    one oversized result into an infinite recompute loop.  ``None``
-    (the default) keeps the historical unbounded behaviour.
     """
 
-    def __init__(
-        self,
-        directory: Union[str, Path] = DEFAULT_CACHE_DIR,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
+    def __init__(self, directory: Union[str, Path] = DEFAULT_CACHE_DIR) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
@@ -723,11 +707,6 @@ class ResultCache:
             self.misses += 1
             return None
         self.hits += 1
-        if self.max_bytes is not None:
-            try:
-                os.utime(path)  # mark recently-used for LRU eviction
-            except OSError:
-                pass
         return value
 
     def put(self, key: str, value: object) -> None:
@@ -742,28 +721,6 @@ class ResultCache:
             # half-written temp file behind: nothing else would remove it.
             tmp.unlink(missing_ok=True)
             raise
-        self._evict(keep=path)
-
-    def _evict(self, keep: Path) -> None:
-        """Drop stalest entries until the byte budget holds again."""
-        if self.max_bytes is None:
-            return
-        entries = []
-        total = 0
-        for path in self.directory.glob("*.pkl"):
-            try:
-                stat = path.stat()
-            except OSError:  # raced with another process's eviction
-                continue
-            total += stat.st_size
-            if path != keep:
-                entries.append((stat.st_mtime, path, stat.st_size))
-        entries.sort()
-        while total > self.max_bytes and entries:
-            _, path, size = entries.pop(0)
-            path.unlink(missing_ok=True)
-            total -= size
-            self.evictions += 1
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()
@@ -793,8 +750,7 @@ class EncodedStreamCache:
     A small in-memory LRU front (the streams a worker is actively
     replaying) over an optional on-disk :class:`ResultCache` back end
     (shared between workers and across runs) — the disk layer inherits
-    ResultCache's atomic writes, corrupt-entry recovery and max-bytes
-    eviction wholesale.  Pass ``directory=None`` for a memory-only
+    ResultCache's atomic writes and corrupt-entry recovery wholesale.  Pass ``directory=None`` for a memory-only
     cache (serial runs, tests).
 
     Keys come from :func:`encode_stream_key`: the encoder is
@@ -806,16 +762,13 @@ class EncodedStreamCache:
         self,
         directory: Optional[Union[str, Path]] = None,
         max_entries: int = 8,
-        max_bytes: Optional[int] = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._memory: OrderedDict[str, EncodedStream] = OrderedDict()
         self.max_entries = max_entries
         self.disk: Optional[ResultCache] = (
-            ResultCache(directory, max_bytes=max_bytes)
-            if directory is not None
-            else None
+            ResultCache(directory) if directory is not None else None
         )
         self.hits = 0
         self.misses = 0

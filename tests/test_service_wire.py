@@ -10,7 +10,6 @@ import pytest
 from repro.codec.rate import RateControlConfig
 from repro.faults import FaultPlan, FaultSpec
 from repro.service.wire import (
-    SUPPORTED_WIRE_SCHEMAS,
     WIRE_SCHEMA_VERSION,
     ClassSummary,
     FleetSummary,
@@ -59,15 +58,14 @@ def tiny_spec(**overrides) -> JobSpec:
 
 class TestSchemaContract:
     def test_current_version_supported(self):
-        assert WIRE_SCHEMA_VERSION in SUPPORTED_WIRE_SCHEMAS
+        record = {"schema_version": WIRE_SCHEMA_VERSION}
+        assert check_schema(record, "JobStatus") == WIRE_SCHEMA_VERSION
 
-    def test_supported_set_is_current_and_previous(self):
-        expected = {
-            v
-            for v in (WIRE_SCHEMA_VERSION - 1, WIRE_SCHEMA_VERSION)
-            if v >= 1
-        }
-        assert SUPPORTED_WIRE_SCHEMAS == frozenset(expected)
+    def test_previous_version_rejected(self):
+        with pytest.raises(WireFormatError, match="JobSubmit"):
+            check_schema(
+                {"schema_version": WIRE_SCHEMA_VERSION - 1}, "JobSubmit"
+            )
 
     def test_unknown_version_rejected_with_supported_set(self):
         with pytest.raises(WireFormatError) as excinfo:
