@@ -20,7 +20,7 @@ Two kinds of names live here:
       result = api.simulate(video, strategy=strategy, plr=0.1)
 
 * **Types** — the dataclasses those functions accept and return
-  (:class:`SimulationConfig`, :class:`ExperimentSpec`, ...), re-exported
+  (:class:`SimulationConfig`, :class:`JobSpec`, ...), re-exported
   unchanged.
 
 The codec itself is part of the facade: :func:`encode_sequence` and
@@ -60,7 +60,7 @@ drive a daemon end to end::
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from repro.codec.dct import forward_dct_blocks, inverse_dct_blocks
 from repro.codec.decoder import Decoder, DecodeResult
@@ -152,17 +152,10 @@ from repro.resilience.pbpair_strategy import PBPAIRStrategy
 from repro.resilience.registry import STRATEGY_BUILDERS, build_strategy
 from repro.sim.experiment import (
     CalibrationResult,
-    ExperimentResult,
-    ExperimentSpec,
     RateMatchSpec,
-    ReplicationSummary,
     calibrate_intra_th,
     total_encoded_bytes,
 )
-from repro.sim.experiment import comparison_specs as _comparison_specs
-from repro.sim.experiment import replicate as _replicate
-from repro.sim.experiment import run_experiment as _run_experiment
-from repro.sim.experiment import sweep as _sweep
 from repro.sim.pipeline import (
     EncodedStream,
     FrameRecord,
@@ -231,7 +224,6 @@ from repro.sim.runner import (
     JobSpec,
     ManifestEntry,
     ResultCache,
-    RetryPolicy,
     RunnerOptions,
     build_grid,
     encode_content_hash,
@@ -291,60 +283,6 @@ def simulate(
         rate_controller=rate_controller,
         bit_errors=bit_errors,
         faults=faults,
-    )
-
-
-def run_experiment(
-    sequence: VideoSequence,
-    *,
-    spec: ExperimentSpec,
-    config: Optional[SimulationConfig] = None,
-) -> ExperimentResult:
-    """Run one labelled :class:`ExperimentSpec` against one sequence."""
-    return _run_experiment(sequence, spec, config=config)
-
-
-def sweep(
-    sequence: VideoSequence,
-    *,
-    specs: Iterable[ExperimentSpec],
-    config: Optional[SimulationConfig] = None,
-) -> list[ExperimentResult]:
-    """Run several specs against one sequence, preserving order."""
-    return _sweep(sequence, specs, config=config)
-
-
-def replicate(
-    sequence: VideoSequence,
-    *,
-    strategy_factory: Callable[[], ResilienceStrategy],
-    loss_factory: Callable[[int], LossModel],
-    metric: Callable[[SimulationResult], float],
-    seeds: Sequence[int],
-    label: str = "run",
-    config: Optional[SimulationConfig] = None,
-) -> ReplicationSummary:
-    """Run the same experiment over several channel seeds."""
-    return _replicate(
-        sequence,
-        strategy_factory,
-        loss_factory,
-        metric,
-        seeds,
-        label=label,
-        config=config,
-    )
-
-
-def comparison_specs(
-    scheme_specs: Sequence[str],
-    *,
-    loss_factory: Optional[Callable[[], LossModel]] = None,
-    pbpair_kwargs: Optional[dict] = None,
-) -> list[ExperimentSpec]:
-    """Build the paper's figure legends ("NO", "PBPAIR", "PGOP-3", ...)."""
-    return _comparison_specs(
-        scheme_specs, loss_factory=loss_factory, pbpair_kwargs=pbpair_kwargs
     )
 
 
@@ -433,10 +371,6 @@ def make_sequence(name: str, *, n_frames: int = 90) -> VideoSequence:
 __all__ = [
     # harness functions (keyword-only options)
     "simulate",
-    "run_experiment",
-    "sweep",
-    "replicate",
-    "comparison_specs",
     "make_strategy",
     "make_sequence",
     "calibrate_intra_th",
@@ -487,9 +421,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "FrameRecord",
-    "ExperimentSpec",
-    "ExperimentResult",
-    "ReplicationSummary",
     # network: packetization, channels and loss models
     "Packetizer",
     "Depacketizer",
@@ -558,7 +489,6 @@ __all__ = [
     "JobFailure",
     "ResultCache",
     "EncodedStreamCache",
-    "RetryPolicy",
     "RunnerOptions",
     "build_grid",
     "run_grid",

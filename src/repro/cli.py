@@ -297,8 +297,6 @@ def _runner_options(args: argparse.Namespace) -> RunnerOptions:
             manifest_path=getattr(args, "manifest", None),
             faults=_fault_plan(args),
             trace_dir=_trace_dir(args) if hasattr(args, "trace") else None,
-            rate=_rate_config(args),
-            scenario=_scenario_pack(args),
         )
     except ValueError as error:
         raise SystemExit(str(error))
@@ -441,11 +439,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     video = _sequence(args)
     config = _config(args)
-    options, cache, stream_cache = _runner_setup(args)
     rate = _rate_config(args)
+    scenario = _scenario_pack(args)
+    options, cache, stream_cache = _runner_setup(args)
     if rate is not None:
         return _compare_matched_bitrate(
-            args, video, config, options, cache, stream_cache
+            args, video, config, scenario, options, cache, stream_cache
         )
     print("Calibrating PBPAIR's Intra_Th to PGOP-3's size ...",
           file=sys.stderr)
@@ -470,6 +469,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             n_frames=args.frames,
             config=config,
             pbpair_kwargs={"intra_th": intra_th},
+            scenario=scenario,
         )
         for spec in schemes
     ]
@@ -506,7 +506,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _compare_matched_bitrate(
-    args, video, config, options, cache, stream_cache
+    args, video, config, scenario, options, cache, stream_cache
 ) -> int:
     """``compare --target-kbps``: every scheme at one bitrate, no probes.
 
@@ -518,13 +518,16 @@ def _compare_matched_bitrate(
         target_kbps=args.target_kbps, sensitivity=args.rate_sensitivity
     )
     rate = match.rate_config()
-    jobs = match.jobs(
-        plr=args.plr,
-        channel_seed=args.seed,
-        sequence=args.sequence,
-        n_frames=args.frames,
-        config=config,
-    )
+    jobs = [
+        dataclasses.replace(job, scenario=scenario)
+        for job in match.jobs(
+            plr=args.plr,
+            channel_seed=args.seed,
+            sequence=args.sequence,
+            n_frames=args.frames,
+            config=config,
+        )
+    ]
     rows = []
     for spec, result in zip(
         match.schemes,
@@ -568,6 +571,8 @@ def _compare_matched_bitrate(
 def _cmd_sweep(args: argparse.Namespace) -> int:
     video = _sequence(args)
     config = _config(args)
+    rate = _rate_config(args)
+    scenario = _scenario_pack(args)
     options, cache, stream_cache = _runner_setup(args)
     thresholds = (0.0, 0.5, 0.8, 0.9, 0.95, 1.0)
     jobs = [
@@ -579,6 +584,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             n_frames=args.frames,
             config=config,
             pbpair_kwargs={"intra_th": th},
+            rate=rate,
+            scenario=scenario,
         )
         for th in thresholds
     ]
@@ -877,15 +884,16 @@ def _summary_lines(summary) -> list[str]:
 
 
 def _journal_statuses(path: Path) -> list:
-    """Reconstruct the latest per-job state from a queue journal file.
+    """Each job's latest state from a queue journal file.
 
     Exits with a clear message on a missing, empty, or truncated
     journal — the offline mirror of the daemon's ``GET /v1/jobs``.
     """
-    from repro.service import JOB_STATES
+    from repro.service import WireFormatError
+    from repro.service.queue import read_journal
 
     try:
-        text = path.read_text(encoding="utf-8")
+        events, torn_line = read_journal(path)
     except FileNotFoundError:
         raise SystemExit(f"no such journal file: {path}")
     except IsADirectoryError:
@@ -893,52 +901,14 @@ def _journal_statuses(path: Path) -> list:
             f"{path} is a directory; point --journal at the queue's "
             "journal.jsonl file"
         )
-    if not text.strip():
-        raise SystemExit(
-            f"journal file {path} is empty; has the daemon accepted "
-            "any jobs yet?"
+    except WireFormatError as error:
+        raise SystemExit(str(error))
+    if torn_line is not None:
+        print(
+            f"warning: ignoring truncated final journal line {torn_line}",
+            file=sys.stderr,
         )
-    import json as _json
-
-    latest: dict[str, dict] = {}
-    for index, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = _json.loads(line)
-        except _json.JSONDecodeError as error:
-            if index == len(text.splitlines()):
-                # A torn final line happens when the daemon dies
-                # mid-append; everything before it is still good.
-                print(
-                    f"warning: ignoring truncated final journal line "
-                    f"{index}",
-                    file=sys.stderr,
-                )
-                continue
-            raise SystemExit(
-                f"not a journal file: {path}: bad JSON on line "
-                f"{index}: {error}"
-            )
-        if record.get("type") == "header":
-            continue
-        if record.get("type") != "event" or "job_id" not in record:
-            raise SystemExit(
-                f"not a journal file: {path}: line {index} is not a "
-                "journal event"
-            )
-        if record.get("state") not in JOB_STATES:
-            raise SystemExit(
-                f"journal file {path} line {index} has unknown state "
-                f"{record.get('state')!r}"
-            )
-        latest[record["job_id"]] = record
-    if not latest:
-        raise SystemExit(
-            f"journal file {path} holds no job events; has the daemon "
-            "accepted any jobs yet?"
-        )
-    return list(latest.values())
+    return events
 
 
 def _cmd_status(args: argparse.Namespace) -> int:

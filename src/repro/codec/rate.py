@@ -7,8 +7,7 @@ provides that cooperation: :class:`ClosedLoopRateController`, the
 controller the grid runner wires through
 :func:`~repro.sim.pipeline.encode_phase` — a per-frame bit budget with
 carry-over repayment, a QP<->bits table learned online from observed
-frame sizes, per-macroblock-row budget accounting from the bitstream's
-MB offsets, and joint steering of PBPAIR's ``Intra_Th`` so refresh
+frame sizes, and joint steering of PBPAIR's ``Intra_Th`` so refresh
 intensity and quantizer chase one target bitrate together.  Its
 declarative twin, :class:`RateControlConfig`, is what travels in
 :class:`~repro.sim.runner.JobSpec` and over the service wire.
@@ -210,8 +209,8 @@ class ClosedLoopRateController:
     and calls two hooks around it:
 
     * :meth:`observe_frame` — learns from the full
-      :class:`~repro.codec.types.EncodedFrame` (QP actually used, and
-      per-macroblock-row bit accounting from ``mb_bit_offsets``);
+      :class:`~repro.codec.types.EncodedFrame` (the QP actually used,
+      the frame type and its bits);
     * :meth:`steer_strategy` — nudges a live PBPAIR controller's
       ``Intra_Th`` with the current budget pressure.
     """
@@ -231,8 +230,6 @@ class ClosedLoopRateController:
         self._inter_frames = 0
         self._delivered_bits = 0
         self._base_intra_th: Optional[float] = None
-        self._rows_over_budget = 0
-        self._last_row_bits: tuple[int, ...] = ()
 
     # -- budget -------------------------------------------------------
 
@@ -369,11 +366,8 @@ class ClosedLoopRateController:
         """Learn from a full encoded frame; returns the next frame's QP.
 
         Uses the QP the frame was *actually* coded with (``encoded.qp``
-        is authoritative even if a caller overrode the controller) and
-        folds the bitstream's per-macroblock offsets into per-row
-        budget accounting.
+        is authoritative even if a caller overrode the controller).
         """
-        self._account_rows(encoded)
         self._account(
             int(encoded.qp),
             int(encoded.stats.bits),
@@ -394,37 +388,6 @@ class ClosedLoopRateController:
         self._delivered_bits += bits
         self._frames += 1
 
-    def _account_rows(self, encoded: "EncodedFrame") -> None:
-        """Per-MB-row budget accounting from the bitstream offsets.
-
-        Actuation stays frame-level (a per-row QP would change the
-        bitstream syntax); the accounting feeds observability — how
-        unevenly the frame spent its budget, and how many rows ran
-        over their share.
-        """
-        offsets = encoded.mb_bit_offsets
-        rows = encoded.reconstruction.shape[0] // 16
-        if len(offsets) < 2 or rows < 1 or (len(offsets) - 1) % rows:
-            return
-        per_row = (len(offsets) - 1) // rows
-        row_bits = tuple(
-            offsets[(r + 1) * per_row] - offsets[r * per_row]
-            for r in range(rows)
-        )
-        self._last_row_bits = row_bits
-        row_budget = self.frame_budget / rows
-        self._rows_over_budget += sum(1 for b in row_bits if b > row_budget)
-
-    @property
-    def last_row_bits(self) -> tuple[int, ...]:
-        """Per-macroblock-row bit spend of the last observed frame."""
-        return self._last_row_bits
-
-    @property
-    def rows_over_budget(self) -> int:
-        """Macroblock rows that exceeded their share of the frame budget."""
-        return self._rows_over_budget
-
     def reset(self) -> None:
         self.intra_model.reset()
         self.inter_model.reset()
@@ -435,8 +398,6 @@ class ClosedLoopRateController:
         self._inter_frames = 0
         self._delivered_bits = 0
         self._base_intra_th = None
-        self._rows_over_budget = 0
-        self._last_row_bits = ()
 
 
 def build_rate_controller(

@@ -19,11 +19,11 @@ appending, no tree surgery required.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
+from repro.atomic import write_atomic
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import EventRecord, SpanRecord, Tracer
 
@@ -124,10 +124,8 @@ def write_trace(path: Union[str, Path], tracer: Tracer) -> Path:
                 {"type": "metrics", "trace_id": tracer.trace_id, **snapshot}
             )
         )
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
-    return path
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    return write_atomic(path, lambda handle: handle.write(data))
 
 
 def load_trace(path: Union[str, Path]) -> TraceData:
@@ -194,10 +192,8 @@ def merge_traces(
     if any(snapshot.values()):
         lines.append(json.dumps({"type": "metrics", "trace_id": "merged", **snapshot}))
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out_path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(out_path)
-    return out_path
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    return write_atomic(out_path, lambda handle: handle.write(data))
 
 
 def job_trace_files(directory: Union[str, Path]) -> list[Path]:

@@ -7,17 +7,14 @@ vocabulary.  PBPAIR accepts its tuning knobs as keyword arguments
 (``intra_th``, ``plr``, ...), which map onto
 :class:`repro.core.pbpair.PBPAIRConfig`.
 
-:func:`strategy_to_spec` is the inverse: it reduces a built strategy
-back to ``(spec string, kwargs)`` plain data.  That round-trip is what
-lets the parallel runner (:mod:`repro.sim.runner`) describe any
-registry-built scheme declaratively — a spec string and a kwargs dict
-pickle to worker processes and hash into cache keys; a live, stateful
-strategy object should not.
+A spec string plus a kwargs dict is also how the grid runner
+(:mod:`repro.sim.runner`) names a scheme: plain data pickles to worker
+processes and hashes into cache keys, and each worker builds its own
+fresh, stateful strategy from it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Dict
 
 from repro.core.pbpair import PBPAIRConfig
@@ -113,32 +110,3 @@ def build_strategy(spec: str, **kwargs: object) -> ResilienceStrategy:
         return STRATEGY_BUILDERS[name](parameter, variant=variant, **kwargs)
     return STRATEGY_BUILDERS[name](parameter, **kwargs)
 
-
-def strategy_to_spec(
-    strategy: ResilienceStrategy,
-) -> tuple[str, dict[str, object]]:
-    """Reduce a registry-built strategy to ``(spec string, kwargs)``.
-
-    The declarative form round-trips:
-    ``build_strategy(*_as_args(strategy_to_spec(s)))`` yields a fresh,
-    initial-state strategy equivalent to ``s`` as built.  Baselines
-    encode everything in their name ("GOP-3", "AIR-10-cyclic", ...);
-    PBPAIR returns its :class:`~repro.core.pbpair.PBPAIRConfig` fields
-    as kwargs, defaults omitted so the spec stays minimal and its
-    content hash stays stable across config-default churn.
-    """
-    if isinstance(strategy, PBPAIRStrategy):
-        kwargs = {
-            f.name: getattr(strategy.config, f.name)
-            for f in dataclasses.fields(strategy.config)
-            if getattr(strategy.config, f.name) != f.default
-        }
-        return "PBPAIR", kwargs
-    name = getattr(strategy, "name", "")
-    head = name.partition("-")[0].upper()
-    if head not in STRATEGY_BUILDERS:
-        raise ValueError(
-            f"strategy {type(strategy).__name__} (name={name!r}) did not "
-            "come from this registry; cannot express it as a spec string"
-        )
-    return name, {}

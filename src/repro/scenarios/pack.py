@@ -333,8 +333,8 @@ class ScenarioPack:
     """A named, versioned channel scenario: segments on a timeline.
 
     The unit that travels: ``simulate(..., scenario=pack)``,
-    ``JobSpec(..., scenario=pack)``, ``RunnerOptions(scenario=pack)``
-    and the CLI ``--scenario`` flag all accept one.  The pack is
+    ``JobSpec(..., scenario=pack)`` and the CLI ``--scenario`` flag
+    all accept one.  The pack is
     deliberately *transmit-side only* — it joins the result-cache and
     wire keys but not the encoded-stream key, so a fleet sweep across
     many scenarios encodes each (scheme, clip) exactly once.

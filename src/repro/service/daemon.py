@@ -31,7 +31,9 @@ Execution model: each of ``service_workers`` dispatcher tasks claims up
 to ``batch_size`` jobs (CAS, priority order), heartbeats their leases,
 and runs the batch via ``run_grid`` in a thread-pool executor under the
 daemon's shared result/stream caches.  Failures feed the queue's
-requeue/quarantine path; a reaper task releases the leases of silent
+requeue/quarantine path — a failed cell, and every job of a batch that
+raised as a whole (counted in ``service.batch_errors``; the dispatcher
+keeps running) — and a reaper task releases the leases of silent
 workers.  Observability: per-session spans land in the runner trace
 directory when the :class:`~repro.sim.runner.RunnerOptions` asks for
 tracing, and the daemon's :class:`~repro.obs.MetricsRegistry` tracks
@@ -113,8 +115,9 @@ class ServiceConfig:
             (the bound port is reported by :attr:`EncodeDaemon.port`).
         runner: execution options shared with the batch CLI verbs,
             handed to ``run_grid`` unchanged for every batch — worker
-            count, caches, retries, timeouts, fault plans, and the
-            run-level rate config and scenario pack.  Leave its
+            count, caches, retries, timeouts, tracing and the fault
+            plan.  What a session computes (rate control, scenario
+            pack, ...) rides on each submitted ``JobSpec``.  Leave its
             ``manifest_path`` unset: the service writes its own
             manifest (``manifest_path`` below).
         service_workers: concurrent dispatcher tasks (each runs one
@@ -273,6 +276,19 @@ class EncodeDaemon:
                 outcomes = await loop.run_in_executor(
                     self._executor, self._execute_batch, batch
                 )
+            except Exception as error:  # noqa: BLE001 - keep dispatching
+                # Cell errors come back as JobFailure outcomes; this is
+                # the batch itself raising (a result-cache write, say).
+                # Fail every job so the queue requeues or quarantines it.
+                self.metrics.inc("service.batch_errors")
+                outcomes = [
+                    JobFailure(
+                        spec=job.submit.spec,
+                        error_type=type(error).__name__,
+                        message=str(error),
+                    )
+                    for job in batch
+                ]
             finally:
                 heartbeat.cancel()
             self._report_batch(name, batch, outcomes)

@@ -36,8 +36,9 @@ backlog reaches ``max_pending``; the daemon maps that to HTTP 429 with
 a ``Retry-After`` derived from the recent drain rate.
 
 Every transition also lands in ``<dir>/journal.jsonl`` — an append-only
-JSONL audit stream (schema-versioned header line first) that ``repro
-status --journal`` can render without the daemon running.
+JSONL audit stream (schema-versioned header line first).
+:func:`read_journal`, its reader, rebuilds each job's latest state from
+it without the daemon running (``repro status --journal``).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Union
 
+from repro.atomic import write_atomic
 from repro.service.wire import (
     JOB_STATES,
     TERMINAL_STATES,
@@ -232,13 +234,11 @@ class JobQueue:
         return self.claims_dir / f"{job_id}.claim"
 
     def _write_record(self, record: JobRecord) -> None:
-        path = self._job_path(record.job_id)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(
-            json.dumps(record.to_json(), separators=(",", ":")) + "\n",
-            encoding="utf-8",
+        data = json.dumps(record.to_json(), separators=(",", ":")) + "\n"
+        write_atomic(
+            self._job_path(record.job_id),
+            lambda handle: handle.write(data.encode("utf-8")),
         )
-        tmp.replace(path)
 
     def _read_record(self, job_id: str) -> JobRecord:
         path = self._job_path(job_id)
@@ -432,16 +432,14 @@ class JobQueue:
         with self._lock:
             if not self._owns_claim(job_id, owner):
                 return False
-            path = self._claim_path(job_id)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(
-                json.dumps(
-                    {"owner": owner, "expires_at": now + self.lease_s},
-                    separators=(",", ":"),
-                ),
-                encoding="utf-8",
+            data = json.dumps(
+                {"owner": owner, "expires_at": now + self.lease_s},
+                separators=(",", ":"),
             )
-            tmp.replace(path)
+            write_atomic(
+                self._claim_path(job_id),
+                lambda handle: handle.write(data.encode("utf-8")),
+            )
             return True
 
     def complete(
@@ -589,3 +587,58 @@ class JobQueue:
 
     def drained(self) -> bool:
         return self.depth() == 0
+
+
+def read_journal(path: Union[str, Path]) -> tuple[list[dict], Optional[int]]:
+    """Each job's latest event in a queue journal, in first-seen order.
+
+    Returns ``(events, torn_line)``.  ``torn_line`` is the number of a
+    final line that holds no complete JSON record — the daemon died
+    mid-append, and every line before it is still good — or ``None``.
+    Raises :class:`FileNotFoundError` or :class:`IsADirectoryError`
+    for a path that is not a file, and :class:`WireFormatError` for an
+    empty file, a file that is not a journal, or one that holds no job
+    events.
+    """
+    path = Path(path)
+    text = path.read_text(encoding="utf-8")
+    if not text.strip():
+        raise WireFormatError(
+            f"journal file {path} is empty; has the daemon accepted "
+            "any jobs yet?"
+        )
+    lines = text.splitlines()
+    latest: dict[str, dict] = {}
+    torn_line: Optional[int] = None
+    for index, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as error:
+            if index == len(lines):
+                torn_line = index
+                continue
+            raise WireFormatError(
+                f"not a journal file: {path}: bad JSON on line "
+                f"{index}: {error}"
+            )
+        if record.get("type") == "header":
+            continue
+        if record.get("type") != "event" or "job_id" not in record:
+            raise WireFormatError(
+                f"not a journal file: {path}: line {index} is not a "
+                "journal event"
+            )
+        if record.get("state") not in JOB_STATES:
+            raise WireFormatError(
+                f"journal file {path} line {index} has unknown state "
+                f"{record.get('state')!r}"
+            )
+        latest[record["job_id"]] = record
+    if not latest:
+        raise WireFormatError(
+            f"journal file {path} holds no job events; has the daemon "
+            "accepted any jobs yet?"
+        )
+    return list(latest.values()), torn_line

@@ -37,11 +37,11 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
+from repro.atomic import write_atomic
 from repro.codec.rate import RateControlConfig
 from repro.faults import FaultPlan
 from repro.scenarios.pack import ScenarioPack
@@ -617,12 +617,8 @@ class ServiceManifest:
         """Write the manifest atomically (tempfile + rename)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8"
-        )
-        tmp.replace(path)
-        return path
+        data = (json.dumps(self.to_json(), indent=2) + "\n").encode("utf-8")
+        return write_atomic(path, lambda handle: handle.write(data))
 
 
 def load_service_manifest(path: Union[str, Path]) -> ServiceManifest:

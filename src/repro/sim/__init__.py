@@ -2,10 +2,11 @@
 
 :func:`repro.sim.pipeline.simulate` wires the whole Figure-1 system
 together and returns a :class:`repro.sim.pipeline.SimulationResult` with
-everything the paper's figures plot; :mod:`repro.sim.experiment` runs
-parameter sweeps over schemes/sequences/channels; :mod:`repro.sim.runner`
-fans declarative job grids across a process pool with on-disk result
-caching; :mod:`repro.sim.report` prints figure-shaped tables.
+everything the paper's figures plot; :mod:`repro.sim.runner` runs
+declarative job grids (one :class:`JobSpec` per cell) across a process
+pool with on-disk result caching; :mod:`repro.sim.experiment` matches
+schemes' operating points (equal size, equal bitrate);
+:mod:`repro.sim.report` prints figure-shaped tables.
 """
 
 from repro.sim.pipeline import (
@@ -21,13 +22,7 @@ from repro.sim.pipeline import (
 )
 from repro.sim.experiment import (
     CalibrationResult,
-    ExperimentSpec,
-    ExperimentResult,
     RateMatchSpec,
-    ReplicationSummary,
-    run_experiment,
-    sweep,
-    replicate,
     calibrate_intra_th,
 )
 from repro.sim.runner import (
@@ -67,14 +62,8 @@ __all__ = [
     "transmit_phase",
     "encode_only",
     "CalibrationResult",
-    "ExperimentSpec",
-    "ExperimentResult",
     "RateMatchSpec",
-    "run_experiment",
-    "sweep",
     "calibrate_intra_th",
-    "ReplicationSummary",
-    "replicate",
     "format_table",
     "format_series",
     "format_csv",

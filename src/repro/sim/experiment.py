@@ -1,4 +1,4 @@
-"""Experiment harness: sweeps, scheme comparisons, operating-point matching.
+"""Operating-point matching: equal-size and equal-bitrate comparisons.
 
 The paper's comparisons are run at *matched compression ratio*: "We
 choose Intra_Th that gives similar compression ratio with PGOP-3, GOP-3,
@@ -14,26 +14,21 @@ encoded bitstream" (Figure 6).  Two ways to get there:
   intra-macroblock count, and with it the encoded size, grows
   monotonically with the threshold).  It implements Figure 5's
   matched-*size* protocol.
+
+Either way, the comparison itself runs as
+:class:`~repro.sim.runner.JobSpec` cells through
+:func:`~repro.sim.runner.run_grid`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from repro.core.pbpair import PBPAIRConfig
-from repro.network.loss import LossModel
 from repro.resilience.base import ResilienceStrategy
 from repro.resilience.pbpair_strategy import PBPAIRStrategy
-from repro.resilience.registry import build_strategy, strategy_to_spec
-from repro.sim.pipeline import (
-    SimulationConfig,
-    SimulationResult,
-    encode_only,
-    encode_phase,
-    simulate,
-)
+from repro.sim.pipeline import SimulationConfig, encode_only, encode_phase
 from repro.codec.rate import RateControlConfig
 from repro.sim.runner import (
     EncodedStreamCache,
@@ -41,114 +36,9 @@ from repro.sim.runner import (
     ResultCache,
     encode_stream_key,
     sequence_digest,
-    simulate_encoded,
     stable_hash,
 )
 from repro.video.frame import VideoSequence
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One cell of a comparison grid.
-
-    ``strategy_factory`` builds a *fresh* strategy per run (strategies
-    are stateful); ``loss_factory`` likewise for the channel.
-    """
-
-    label: str
-    strategy_factory: Callable[[], ResilienceStrategy]
-    loss_factory: Optional[Callable[[], LossModel]] = None
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """A labelled simulation outcome."""
-
-    label: str
-    result: SimulationResult
-
-
-def run_experiment(
-    sequence: VideoSequence,
-    spec: ExperimentSpec,
-    config: Optional[SimulationConfig] = None,
-) -> ExperimentResult:
-    """Run one spec against one sequence."""
-    loss_model = spec.loss_factory() if spec.loss_factory else None
-    result = simulate(
-        sequence,
-        spec.strategy_factory(),
-        loss_model=loss_model,
-        config=config,
-    )
-    return ExperimentResult(label=spec.label, result=result)
-
-
-def _encode_once(
-    sequence: VideoSequence,
-    config: Optional[SimulationConfig],
-) -> Callable[[ResilienceStrategy, Optional[LossModel]], SimulationResult]:
-    """A runner that encodes each distinct stream of ``sequence`` once.
-
-    Runs whose strategies round-trip through the spec registry share
-    encodes through a memory-only :class:`EncodedStreamCache` and run
-    only the transmit phase on a hit — a seed sweep pays for one
-    encode instead of N.  Other strategies give no grounds to assume
-    two instances encode identically and run the full pipeline.  The
-    results are value-identical either way.
-    """
-    stream_cache = EncodedStreamCache()
-    digest = sequence_digest(sequence)
-
-    def run(
-        strategy: ResilienceStrategy, loss_model: Optional[LossModel]
-    ) -> SimulationResult:
-        try:
-            scheme, kwargs = strategy_to_spec(strategy)
-            key = encode_stream_key(
-                sequence=digest,
-                scheme=scheme,
-                strategy_kwargs=kwargs,
-                config=config or SimulationConfig(),
-            )
-        except (ValueError, AttributeError, TypeError):  # not a registry spec
-            return simulate(
-                sequence, strategy, loss_model=loss_model, config=config
-            )
-        return simulate_encoded(
-            sequence,
-            strategy,
-            key,
-            stream_cache,
-            scheme=scheme,
-            loss_model=loss_model,
-            config=config,
-        )
-
-    return run
-
-
-def sweep(
-    sequence: VideoSequence,
-    specs: Iterable[ExperimentSpec],
-    config: Optional[SimulationConfig] = None,
-) -> list[ExperimentResult]:
-    """Run a list of specs against one sequence, preserving order.
-
-    Strategies and loss models are instantiated fresh per run; specs
-    with equal strategies encode once (see :func:`_encode_once`).
-    """
-    run = _encode_once(sequence, config)
-    return [
-        ExperimentResult(
-            label=spec.label,
-            result=run(
-                spec.strategy_factory(),
-                spec.loss_factory() if spec.loss_factory else None,
-            ),
-        )
-        for spec in specs
-    ]
 
 
 def total_encoded_bytes(
@@ -387,96 +277,3 @@ class RateMatchSpec:
             )
             for scheme in self.schemes
         ]
-
-
-@dataclass(frozen=True)
-class ReplicationSummary:
-    """Mean/stddev of a metric over several independent channel seeds."""
-
-    label: str
-    seeds: tuple[int, ...]
-    values: tuple[float, ...]
-
-    @property
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values)
-
-    @property
-    def std(self) -> float:
-        mu = self.mean
-        return math.sqrt(
-            sum((v - mu) ** 2 for v in self.values) / len(self.values)
-        )
-
-
-def replicate(
-    sequence: VideoSequence,
-    strategy_factory: Callable[[], ResilienceStrategy],
-    loss_factory: Callable[[int], LossModel],
-    metric: Callable[[SimulationResult], float],
-    seeds: Sequence[int],
-    label: str = "run",
-    config: Optional[SimulationConfig] = None,
-) -> ReplicationSummary:
-    """Run the same experiment over several channel seeds.
-
-    Single-seed results can flatter or punish a scheme by luck of which
-    frames the channel drops; reporting mean and spread over seeds is
-    how the comparison benches should be read.  ``loss_factory`` maps a
-    seed to a fresh loss model; ``strategy_factory`` builds a fresh
-    (stateful) strategy per run.  A registry strategy is encoded once
-    and replayed against every seed's channel (see
-    :func:`_encode_once`).
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    run = _encode_once(sequence, config)
-    values = [
-        float(metric(run(strategy_factory(), loss_factory(seed))))
-        for seed in seeds
-    ]
-    return ReplicationSummary(
-        label=label, seeds=tuple(int(s) for s in seeds), values=tuple(values)
-    )
-
-
-def comparison_specs(
-    scheme_specs: Sequence[str],
-    loss_factory: Optional[Callable[[], LossModel]] = None,
-    pbpair_kwargs: Optional[dict] = None,
-) -> list[ExperimentSpec]:
-    """Build the paper's figure legends ("NO", "PBPAIR", "PGOP-3", ...).
-
-    ``pbpair_kwargs`` configures the PBPAIR entries (``intra_th``,
-    ``plr``, ...); the baselines take their parameter from the spec
-    string itself.
-    """
-    kwargs = dict(pbpair_kwargs or {})
-    specs = []
-    for spec_string in scheme_specs:
-        if spec_string.upper().startswith("PBPAIR"):
-            factory = _pbpair_factory(kwargs)
-        else:
-            factory = _baseline_factory(spec_string)
-        specs.append(
-            ExperimentSpec(
-                label=spec_string,
-                strategy_factory=factory,
-                loss_factory=loss_factory,
-            )
-        )
-    return specs
-
-
-def _pbpair_factory(kwargs: dict) -> Callable[[], ResilienceStrategy]:
-    def factory() -> ResilienceStrategy:
-        return build_strategy("PBPAIR", **kwargs)
-
-    return factory
-
-
-def _baseline_factory(spec_string: str) -> Callable[[], ResilienceStrategy]:
-    def factory() -> ResilienceStrategy:
-        return build_strategy(spec_string)
-
-    return factory

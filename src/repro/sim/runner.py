@@ -57,14 +57,14 @@ from typing import (
     Union,
 )
 
+from repro.atomic import write_atomic
 from repro.codec.syntax import ParseMemo
 from repro.faults import FaultInjector, FaultPlan, encode_subplan
 from repro.faults.inject import InjectedWorkerCrash
-from repro.network.loss import LossModel, UniformLoss
+from repro.network.loss import UniformLoss
 from repro.scenarios.pack import ScenarioPack
 from repro.obs import Tracer, get_tracer, merge_job_traces, use_tracer, write_trace
 from repro.codec.rate import RateControlConfig, build_rate_controller
-from repro.resilience.base import ResilienceStrategy
 from repro.resilience.registry import build_strategy
 from repro.sim.pipeline import (
     EncodedStream,
@@ -331,40 +331,25 @@ class JobFailure:
         return False
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff and deterministic jitter.
+#: Backoff before a failed cell's next attempt: the delay after attempt
+#: ``n`` is ``RETRY_BACKOFF_S * RETRY_BACKOFF_FACTOR**(n-1) * (1 +
+#: RETRY_JITTER * u)``.  ``RunnerOptions.retries`` is the one retry knob.
+RETRY_BACKOFF_S = 0.05
+RETRY_BACKOFF_FACTOR = 2.0
+RETRY_JITTER = 0.25
 
-    ``max_attempts`` bounds total executions of one job (1 = no
-    retries, the default — existing callers keep their semantics).
-    The delay before attempt ``n+1`` is::
 
-        backoff_s * backoff_factor**(n-1) * (1 + jitter * u)
+def retry_delay(attempt: int, key: str = "") -> float:
+    """Seconds to wait after failed attempt ``attempt`` (1-based).
 
-    where ``u`` in [0, 1) is derived from a stable hash of the job key
-    and the attempt number — jittered like production retry loops (so
+    ``u`` in [0, 1) is derived from a stable hash of the job key and
+    the attempt number — jittered like production retry loops (so
     simultaneous retries do not stampede), yet exactly reproducible.
     """
-
-    max_attempts: int = 1
-    backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_s < 0 or self.backoff_factor < 1 or self.jitter < 0:
-            raise ValueError("backoff parameters must be non-negative")
-
-    def delay_for(self, attempt: int, key: str = "") -> float:
-        """Seconds to wait after failed attempt ``attempt`` (1-based)."""
-        digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
-        u = int.from_bytes(digest[:8], "big") / 2**64
-        base = self.backoff_s * self.backoff_factor ** (attempt - 1)
-        return base * (1.0 + self.jitter * u)
+    digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
+    u = int.from_bytes(digest[:8], "big") / 2**64
+    base = RETRY_BACKOFF_S * RETRY_BACKOFF_FACTOR ** (attempt - 1)
+    return base * (1.0 + RETRY_JITTER * u)
 
 
 @dataclass(frozen=True)
@@ -393,16 +378,15 @@ class RunnerOptions:
         job_timeout: per-job wall-clock limit in seconds, or ``None``.
         manifest_path: where to write the :class:`GridManifest` JSON,
             or ``None`` to skip it.
-        faults: run-level deterministic :class:`~repro.faults.FaultPlan`.
+        faults: run-level deterministic :class:`~repro.faults.FaultPlan`,
+            applied to every spec that does not carry its own.  It stays
+            run-level because its runner-stage faults aim at the workers
+            executing the cells (``repro serve --faults``).
         trace_dir: per-job trace directory, or ``None`` for no tracing.
-        rate: run-level :class:`~repro.codec.rate.RateControlConfig`
-            applied to every spec that does not carry its own — the
-            matched-bitrate switch: one config, every scheme encodes
-            toward the same kbps target.
-        scenario: run-level
-            :class:`~repro.scenarios.pack.ScenarioPack` applied to
-            every spec that does not carry its own — one pack, every
-            cell transmits over the same channel timeline.
+
+    What a cell computes — scheme, channel, rate control, scenario pack
+    — lives on its :class:`JobSpec` alone, whose fields are its cache
+    key.
     """
 
     jobs: int = 1
@@ -414,8 +398,6 @@ class RunnerOptions:
     manifest_path: Optional[Union[str, Path]] = None
     faults: Optional[FaultPlan] = None
     trace_dir: Optional[Union[str, Path]] = None
-    rate: Optional[RateControlConfig] = None
-    scenario: Optional[ScenarioPack] = None
 
     def __post_init__(self) -> None:
         if self.jobs < 0:
@@ -426,14 +408,6 @@ class RunnerOptions:
             raise ValueError(
                 f"job_timeout must be positive, got {self.job_timeout}"
             )
-
-    @property
-    def retry_policy(self) -> Optional[RetryPolicy]:
-        return (
-            RetryPolicy(max_attempts=self.retries + 1)
-            if self.retries
-            else None
-        )
 
     def build_cache(self) -> Optional["ResultCache"]:
         """The result cache these options describe (``None`` when off)."""
@@ -616,12 +590,8 @@ class GridManifest:
         """Write the manifest as JSON (atomically: tempfile + rename)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8"
-        )
-        tmp.replace(path)
-        return path
+        data = (json.dumps(self.to_json(), indent=2) + "\n").encode("utf-8")
+        return write_atomic(path, lambda handle: handle.write(data))
 
 
 def grid_manifest(
@@ -710,17 +680,12 @@ class ResultCache:
         return value
 
     def put(self, key: str, value: object) -> None:
-        path = self.path_for(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            with tmp.open("wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            tmp.replace(path)
-        except BaseException:
-            # An unpicklable value (or an interrupt) must not leave a
-            # half-written temp file behind: nothing else would remove it.
-            tmp.unlink(missing_ok=True)
-            raise
+        write_atomic(
+            self.path_for(key),
+            lambda handle: pickle.dump(
+                value, handle, protocol=pickle.HIGHEST_PROTOCOL
+            ),
+        )
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()
@@ -928,12 +893,13 @@ def run_job(
     With a ``stream_cache``, the encode phase is looked up under
     :func:`encode_content_hash` and only the transmit phase runs when
     another cell already paid for the encode — value-identical to the
-    full pipeline, with an ``encode_reused`` trace event marking the
-    skipped work.  Specs carrying encode-stage faults opt out and run
-    the whole pipeline (their corrupted stream is theirs alone).  A
-    ``parse_memo`` shared with the other cells of the stream lets the
-    decoder skip re-parsing fragment bytes they already parsed; it is
-    used only on the shared-stream path and never changes the result.
+    full pipeline and opening the same ``simulate`` trace root, with an
+    ``encode_reused`` trace event marking the skipped work.  Specs
+    carrying encode-stage faults opt out and run the whole pipeline
+    (their corrupted stream is theirs alone).  A ``parse_memo`` shared
+    with the other cells of the stream lets the decoder skip re-parsing
+    fragment bytes they already parsed; it is used only on the
+    shared-stream path and never changes the result.
     """
     sequence = _sequence_for(spec.sequence, spec.n_frames, spec.synthetic)
     strategy = build_strategy(spec.scheme, **_strategy_kwargs_for(spec))
@@ -958,45 +924,7 @@ def run_job(
             faults=spec.faults,
             **channel_kwargs,
         )
-    return simulate_encoded(
-        sequence,
-        strategy,
-        encode_content_hash(spec),
-        stream_cache,
-        scheme=spec.scheme,
-        loss_model=loss_model,
-        config=spec.config,
-        rate=spec.rate,
-        faults=spec.faults,
-        parse_memo=parse_memo,
-        **channel_kwargs,
-    )
-
-
-def simulate_encoded(
-    sequence: VideoSequence,
-    strategy: ResilienceStrategy,
-    key: str,
-    stream_cache: EncodedStreamCache,
-    *,
-    scheme: str,
-    loss_model: Optional[LossModel] = None,
-    config: Optional[SimulationConfig] = None,
-    rate: Optional[RateControlConfig] = None,
-    faults: Optional[FaultPlan] = None,
-    parse_memo: Optional[ParseMemo] = None,
-    **channel_kwargs: Any,
-) -> SimulationResult:
-    """One encode-once cell: the stream under ``key``, then the channel.
-
-    The encode-sharing twin of :func:`~repro.sim.pipeline.simulate`,
-    value-identical to it and opening the same ``simulate`` trace root:
-    the stream comes from ``stream_cache`` (encoded on a miss) and only
-    the transmit phase runs per cell, with an ``encode_reused`` trace
-    event (tagged ``scheme``) marking the skipped work.  :func:`run_job`
-    and the experiment helpers (``sweep``, ``replicate``) share it;
-    ``parse_memo`` passes through to the decoder.
-    """
+    key = encode_content_hash(spec)
     tracer = get_tracer()
     with tracer.span("simulate") as run_span:
         stream, reused = stream_cache.get_or_encode(
@@ -1007,15 +935,15 @@ def simulate_encoded(
             lambda: encode_phase(
                 sequence,
                 strategy,
-                config=config,
-                rate_controller=build_rate_controller(rate),
+                config=spec.config,
+                rate_controller=build_rate_controller(spec.rate),
             ),
         )
         if reused and tracer.enabled:
             tracer.event(
                 "encode_reused",
                 key=key[:16],
-                scheme=scheme,
+                scheme=spec.scheme,
                 sequence=sequence.name,
                 frames=stream.n_frames,
             )
@@ -1025,8 +953,8 @@ def simulate_encoded(
             stream,
             sequence,
             loss_model=loss_model,
-            config=config,
-            faults=faults,
+            config=spec.config,
+            faults=spec.faults,
             parse_memo=parse_memo,
             **channel_kwargs,
         )
@@ -1289,18 +1217,10 @@ def _attempt_labels(spec: JobSpec, attempt: int) -> list[str]:
 
 
 def _with_run_defaults(spec: JobSpec, options: RunnerOptions) -> JobSpec:
-    """Apply the run-level fault plan, rate config and scenario pack.
-
-    A spec's own setting always wins: it is part of the cache key.
-    """
-    overrides: dict[str, Any] = {}
+    """Apply the run-level fault plan; a spec's own plan always wins."""
     if options.faults and spec.faults is None:
-        overrides["faults"] = options.faults
-    if options.rate is not None and spec.rate is None:
-        overrides["rate"] = options.rate
-    if options.scenario is not None and spec.scenario is None:
-        overrides["scenario"] = options.scenario
-    return dataclasses.replace(spec, **overrides) if overrides else spec
+        return dataclasses.replace(spec, faults=options.faults)
+    return spec
 
 
 def run_grid(
@@ -1316,9 +1236,7 @@ def run_grid(
         jobs: the grid cells; results come back in the same order.
         options: every execution knob (see :class:`RunnerOptions`):
             worker count, result and stream caching, retries, per-job
-            timeout, failure manifest, run-level fault plan, tracing,
-            and the run-level rate config and scenario pack applied to
-            every spec that does not carry its own.
+            timeout, failure manifest, run-level fault plan and tracing.
         cache: a live result cache to use instead of the one
             ``options`` describes — callers that run several grids (the
             service daemon across batches, the CLI across calibration
@@ -1335,7 +1253,7 @@ def run_grid(
     Cached cells are returned immediately (``from_cache=True``);
     failures are never cached.  A failed cell (raised, timed out, or
     took its pool down) is re-run up to ``options.retries`` more times
-    with :class:`RetryPolicy` backoff, and comes back as a
+    with :func:`retry_delay` backoff, and comes back as a
     *quarantined* :class:`JobFailure` once the budget is spent.  The
     timeout is best-effort: an already-running worker process is not
     killed, and the serial loop cannot preempt a job at all.
@@ -1353,7 +1271,7 @@ def run_grid(
     elif stream_cache is None:
         stream_cache = options.build_stream_cache(cache)
     specs = [_with_run_defaults(spec, options) for spec in jobs]
-    retry = options.retry_policy or RetryPolicy()
+    max_attempts = options.retries + 1
     timeout = options.job_timeout
     outcomes: dict[int, Union[JobResult, JobFailure]] = {}
 
@@ -1403,8 +1321,8 @@ def run_grid(
     def finish(index: int, ok: bool, payload: object, elapsed: float) -> None:
         quarantined = (
             not ok
-            and retry.max_attempts > 1
-            and attempts[index] >= retry.max_attempts
+            and max_attempts > 1
+            and attempts[index] >= max_attempts
         )
         outcomes[index] = _outcome(
             specs[index],
@@ -1417,11 +1335,9 @@ def run_grid(
         )
 
     def should_retry(index: int, ok: bool) -> bool:
-        if ok or attempts[index] >= retry.max_attempts:
+        if ok or attempts[index] >= max_attempts:
             return False
-        time.sleep(
-            retry.delay_for(attempts[index], specs[index].content_hash())
-        )
+        time.sleep(retry_delay(attempts[index], specs[index].content_hash()))
         attempts[index] += 1
         note_attempt(index)
         return True
@@ -1470,7 +1386,7 @@ def run_grid(
     # flight; otherwise a few coarse chunks per worker keep the pool
     # load-balanced with one round-trip per chunk.
     per_cell = (
-        retry.max_attempts > 1
+        max_attempts > 1
         or timeout is not None
         or any(specs[index].faults for index in pending)
     )
@@ -1540,7 +1456,7 @@ def run_grid(
                 for index in pending:
                     while (
                         index not in outcomes
-                        and attempts[index] < retry.max_attempts
+                        and attempts[index] < max_attempts
                         and f"worker_exit@{attempts[index]}" in labels[index]
                     ):
                         attempts[index] += 1

@@ -38,10 +38,6 @@ class TestFacadeSurface:
         "name",
         [
             "simulate",
-            "run_experiment",
-            "sweep",
-            "replicate",
-            "comparison_specs",
             "encode_sequence",
             "decode_stream",
         ],
@@ -161,15 +157,30 @@ class TestFacadeBehaviour:
         ]
 
     def test_experiment_helpers_round_trip(self):
-        video = small_sequence(n_frames=3)
-        from repro.sim.pipeline import SimulationConfig
+        """A facade grid cell computes what ``api.simulate`` computes."""
+        from tests.conftest import SMALL_H, SMALL_W
 
-        config = SimulationConfig(codec=small_config())
-        specs = api.comparison_specs(["NO", "GOP-2"])
-        results = api.sweep(video, specs=specs, config=config)
-        assert [r.label for r in results] == ["NO", "GOP-2"]
-        single = api.run_experiment(video, spec=specs[0], config=config)
-        assert single.result.frames == results[0].result.frames
+        clip = api.SyntheticConfig(
+            width=SMALL_W, height=SMALL_H, n_frames=3, seed=11
+        )
+        config = api.SimulationConfig(codec=small_config())
+        jobs = [
+            api.JobSpec(
+                scheme=scheme, plr=0.3, channel_seed=2, sequence="tiny",
+                synthetic=clip, config=config,
+            )
+            for scheme in ("NO", "GOP-2")
+        ]
+        outcomes = api.run_grid(jobs, api.RunnerOptions(use_cache=False))
+        assert [o.result.strategy_name for o in outcomes] == ["NO", "GOP-2"]
+        single = api.simulate(
+            api.generate_sequence(clip, name="tiny"),
+            strategy=api.make_strategy("NO"),
+            plr=0.3,
+            seed=2,
+            config=config,
+        )
+        assert single.frames == outcomes[0].result.frames
 
 
 class TestPackageReExports:

@@ -19,7 +19,6 @@ from repro.network.loss import UniformLoss
 from repro.network.packet import Packetizer
 from repro.obs import Tracer, use_tracer
 from repro.resilience.registry import build_strategy
-from repro.sim.experiment import ExperimentSpec, replicate, sweep
 from repro.sim.pipeline import (
     SimulationConfig,
     encode_phase,
@@ -250,56 +249,6 @@ class TestGridSharing:
         assert cache.encodes == 1
         assert_results_equal(run_job(spec), shared)
         assert all(e.stage != "encode" for e in shared.fault_events)
-
-
-class TestSweepSharing:
-    def test_share_on_off_identical(self):
-        video = small_sequence(N_FRAMES)
-        specs = [
-            ExperimentSpec(
-                label=f"seed {seed}",
-                strategy_factory=lambda: build_strategy("GOP-2"),
-                loss_factory=lambda seed=seed: UniformLoss(plr=0.3, seed=seed),
-            )
-            for seed in (0, 1, 2)
-        ]
-        tracer = Tracer(trace_id="sweep")
-        with use_tracer(tracer):
-            shared = sweep(video, specs, _sim_config())
-        # One encode, replayed against the other two seeds' channels.
-        reuse_events = [e for e in tracer.events if e.name == "encode_reused"]
-        assert len(reuse_events) == 2
-        for spec, outcome in zip(specs, shared):
-            unshared = simulate(
-                video,
-                spec.strategy_factory(),
-                loss_model=spec.loss_factory(),
-                config=_sim_config(),
-            )
-            assert_results_equal(outcome.result, unshared)
-
-    def test_replicate_unchanged_by_sharing(self):
-        video = small_sequence(N_FRAMES)
-        summary = replicate(
-            video,
-            strategy_factory=lambda: build_strategy("GOP-2"),
-            loss_factory=lambda seed: UniformLoss(plr=0.3, seed=seed),
-            metric=lambda r: r.average_psnr_decoder,
-            seeds=(0, 1, 2),
-            config=_sim_config(),
-        )
-        expected = [
-            simulate(
-                video, build_strategy("GOP-2"),
-                loss_model=UniformLoss(plr=0.3, seed=seed),
-                config=_sim_config(),
-            ).average_psnr_decoder
-            for seed in (0, 1, 2)
-        ]
-        assert list(summary.values) == pytest.approx(expected)
-
-
-# -- cross-process determinism (the cache-key contract) ----------------------
 
 
 def _encode_fingerprint(spec: JobSpec) -> tuple:

@@ -315,7 +315,6 @@ class TestClosedLoopRateControllerUnit:
         assert controller.debt_bits == 0.0
         assert controller.frames_observed == 0
         assert controller.quantizer == controller.config.base_qp
-        assert controller.last_row_bits == ()
 
     def test_separate_intra_inter_models(self, sequence, codec_config):
         controller = self.make()
@@ -329,32 +328,6 @@ class TestClosedLoopRateControllerUnit:
             controller.inter_model.complexity
             < controller.intra_model.complexity
         )
-
-
-class TestPerRowAccounting:
-    def test_row_bits_partition_the_frame(self, sequence, codec_config):
-        controller = ClosedLoopRateController(
-            RateControlConfig(target_kbps=300.0)
-        )
-        encoder = Encoder(codec_config, NoResilience())
-        encoded = encoder.encode_frame(sequence[0])
-        controller.observe_frame(encoded)
-        rows = encoded.reconstruction.shape[0] // 16
-        assert len(controller.last_row_bits) == rows
-        assert sum(controller.last_row_bits) == (
-            encoded.mb_bit_offsets[-1] - encoded.mb_bit_offsets[0]
-        )
-
-    def test_rows_over_budget_counts_hot_rows(self, sequence, codec_config):
-        # A tiny budget: every row must run over its share.
-        controller = ClosedLoopRateController(
-            RateControlConfig(target_kbps=0.001)
-        )
-        encoder = Encoder(codec_config, NoResilience())
-        encoded = encoder.encode_frame(sequence[0])
-        controller.observe_frame(encoded)
-        rows = encoded.reconstruction.shape[0] // 16
-        assert controller.rows_over_budget == rows
 
 
 class TestClosedLoopConvergence:

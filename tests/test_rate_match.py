@@ -151,24 +151,6 @@ class TestRateControlledGrid:
             for scheme in ("NO", "GOP-3", "PBPAIR")
         ]
 
-    def test_run_level_rate_applies_to_bare_specs(self, sim_config):
-        rate = RateControlConfig(target_kbps=100.0)
-        jobs = self._jobs(sim_config)
-        options = RunnerOptions(jobs=1, use_cache=False, rate=rate)
-        results = run_grid(jobs, options=options)
-        assert all(r.ok for r in results)
-        assert all(r.spec.rate == rate for r in results)
-
-    def test_spec_level_rate_wins_over_run_level(self, sim_config):
-        spec_rate = RateControlConfig(target_kbps=120.0)
-        run_rate = RateControlConfig(target_kbps=480.0)
-        jobs = self._jobs(sim_config, rate=spec_rate)
-        results = run_grid(
-            jobs, options=RunnerOptions(jobs=1, use_cache=False,
-                                        rate=run_rate)
-        )
-        assert all(r.spec.rate == spec_rate for r in results)
-
     def test_serial_and_pooled_grids_agree_under_rate(self, sim_config):
         rate = RateControlConfig(target_kbps=150.0)
         jobs = self._jobs(sim_config, rate=rate)

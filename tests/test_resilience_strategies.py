@@ -299,46 +299,3 @@ class TestRegistryAIRVariants:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             build_strategy("AIR-10-psychic")
-
-
-class TestSpecRoundTrip:
-    """strategy_to_spec: the declarative form the parallel runner pickles."""
-
-    @pytest.mark.parametrize(
-        "spec", ["NO", "GOP-3", "AIR-24", "AIR-10-cyclic", "PGOP-2"]
-    )
-    def test_baselines_round_trip_through_their_name(self, spec):
-        from repro.resilience.registry import strategy_to_spec
-
-        name, kwargs = strategy_to_spec(build_strategy(spec))
-        assert name == spec
-        assert kwargs == {}
-        rebuilt = build_strategy(name, **kwargs)
-        assert rebuilt.name == spec
-        assert type(rebuilt) is type(build_strategy(spec))
-
-    def test_pbpair_round_trips_with_kwargs(self):
-        from repro.resilience.registry import strategy_to_spec
-
-        original = build_strategy("PBPAIR", intra_th=0.77, plr=0.25)
-        name, kwargs = strategy_to_spec(original)
-        assert name == "PBPAIR"
-        assert kwargs == {"intra_th": 0.77, "plr": 0.25}
-        rebuilt = build_strategy(name, **kwargs)
-        assert rebuilt.config == original.config
-
-    def test_pbpair_defaults_omitted(self):
-        from repro.resilience.registry import strategy_to_spec
-
-        _, kwargs = strategy_to_spec(build_strategy("PBPAIR"))
-        assert kwargs == {}
-
-    def test_foreign_strategy_rejected(self):
-        from repro.resilience.base import ResilienceStrategy
-        from repro.resilience.registry import strategy_to_spec
-
-        class Custom(ResilienceStrategy):
-            name = "CUSTOM-1"
-
-        with pytest.raises(ValueError):
-            strategy_to_spec(Custom())

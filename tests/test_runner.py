@@ -15,11 +15,15 @@ from repro.sim.runner import (
     JobFailure,
     JobResult,
     JobSpec,
+    RETRY_BACKOFF_FACTOR,
+    RETRY_BACKOFF_S,
+    RETRY_JITTER,
     ResultCache,
-    RetryPolicy,
+    RunnerOptions,
     build_grid,
     grid_manifest,
     load_manifest,
+    retry_delay,
     run_grid,
     run_job,
     sequence_digest,
@@ -349,20 +353,20 @@ class TestRetryAndQuarantine:
         assert isinstance(outcomes[1], JobResult)
 
     def test_retry_delays_deterministic_and_bounded(self):
-        policy = RetryPolicy(
-            max_attempts=3, backoff_s=0.1, backoff_factor=2.0, jitter=0.5
-        )
-        for attempt, base in ((1, 0.1), (2, 0.2)):
-            delay = policy.delay_for(attempt, key="job")
-            assert delay == policy.delay_for(attempt, key="job")
-            assert base <= delay <= base * 1.5
-        assert policy.delay_for(1, key="a") != policy.delay_for(1, key="b")
+        for attempt in (1, 2, 3):
+            base = RETRY_BACKOFF_S * RETRY_BACKOFF_FACTOR ** (attempt - 1)
+            delay = retry_delay(attempt, key="job")
+            assert delay == retry_delay(attempt, key="job")
+            assert base <= delay <= base * (1.0 + RETRY_JITTER)
+        assert retry_delay(1, key="a") != retry_delay(1, key="b")
 
     def test_retry_policy_validation(self):
+        # ``retries`` is the one retry knob: extra attempts, never < 0.
         with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
+            RunnerOptions(retries=-1)
+        assert RETRY_BACKOFF_S >= 0
+        assert RETRY_BACKOFF_FACTOR >= 1
+        assert RETRY_JITTER >= 0
 
 
 class TestFaultedCaching:

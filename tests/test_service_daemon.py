@@ -161,15 +161,18 @@ class TestEndToEnd:
         assert daemon_digests == batch_digests
 
     def test_run_level_rate_and_scenario_reach_the_daemon(self, tmp_path):
-        """The daemon honours every run-level option batch ``run_grid`` does."""
-        options = RunnerOptions(
-            jobs=1,
-            cache_dir=tmp_path / "cache",
-            scenario=load_pack("bursty-wifi"),
-            rate=RateControlConfig(target_kbps=60.0),
-        )
-        specs = [tiny_spec(seed=i, scheme="GOP-2") for i in range(2)]
-        with start_daemon(daemon_config(tmp_path, runner=options)) as handle:
+        """A run's rate config and scenario pack ride on every spec it
+        submits (as ``repro submit --target-kbps --scenario`` sends
+        them) and reach the daemon's execution: its results match batch
+        ``run_grid`` on the same specs, and differ from plain specs."""
+        rate = RateControlConfig(target_kbps=60.0)
+        scenario = load_pack("bursty-wifi")
+        plain = [tiny_spec(seed=i, scheme="GOP-2") for i in range(2)]
+        specs = [
+            dataclasses.replace(s, rate=rate, scenario=scenario)
+            for s in plain
+        ]
+        with start_daemon(daemon_config(tmp_path)) as handle:
             client = ServiceClient(handle.url)
             job_ids = client.submit([JobSubmit(spec=s) for s in specs])
             client.wait(job_ids, timeout=WAIT_S)
@@ -177,13 +180,13 @@ class TestEndToEnd:
                 client.result(job_id).result_digest for job_id in job_ids
             ]
             client.shutdown()
-        batch = run_grid(specs, dataclasses.replace(options, use_cache=False))
+        batch = run_grid(specs, runner_options())
         assert daemon_digests == [
             session_result_digest(o.result) for o in batch
         ]
-        plain = run_grid(specs, runner_options())
+        unrated = run_grid(plain, runner_options())
         assert daemon_digests != [
-            session_result_digest(o.result) for o in plain
+            session_result_digest(o.result) for o in unrated
         ]
 
     def test_unknown_job_is_404(self, tmp_path):
@@ -309,6 +312,40 @@ class TestFaultsAgainstClaims:
         assert manifest.counts == {"ok": 2, "quarantined": 1}
         assert not manifest.complete
         assert manifest.n_jobs == 3
+
+    def test_dispatcher_survives_a_batch_that_raises(self, tmp_path):
+        """A batch that raises outside any cell (here the result-cache
+        write) fails its jobs back to the queue, and the only
+        dispatcher keeps claiming: every job finishes, drain completes."""
+        config = daemon_config(tmp_path, service_workers=1)
+        with start_daemon(config) as handle:
+            cache = handle.daemon.cache
+            original_put = cache.put
+            puts = []
+
+            def put_failing_once(key, value):
+                puts.append(key)
+                if len(puts) == 1:
+                    raise OSError("injected: result cache write failed")
+                original_put(key, value)
+
+            cache.put = put_failing_once
+            client = ServiceClient(handle.url)
+            job_ids = client.submit(
+                [JobSubmit(spec=tiny_spec(seed=i)) for i in range(2)]
+            )
+            done = client.wait(job_ids, timeout=30.0)
+            assert [done[j].state for j in job_ids] == ["ok", "ok"]
+            assert [done[j].fail_count for j in job_ids] == [1, 1]
+            metrics = client.metrics()
+            assert metrics["counters"]["service.batch_errors"] == 1
+            client.drain()
+            wait_until(
+                lambda: handle.manifest is not None,
+                timeout=30.0,
+                message="drain to complete",
+            )
+        assert handle.manifest.counts == {"ok": 2}
 
 
 class TestConfigValidation:

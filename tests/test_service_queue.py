@@ -14,8 +14,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.service.queue import ClaimLost, JobQueue, JobRecord, QueueFull
-from repro.service.wire import JobSubmit
+from repro.service.queue import (
+    ClaimLost,
+    JobQueue,
+    JobRecord,
+    QueueFull,
+    read_journal,
+)
+from repro.service.wire import JobSubmit, WireFormatError
 from repro.sim.pipeline import SimulationConfig
 from repro.sim.runner import JobSpec
 from repro.video.synthetic import SyntheticConfig
@@ -310,6 +316,60 @@ class TestPersistence:
         assert events == [
             "submitted", "claimed", "requeued", "claimed", "completed",
         ]
+
+    def test_read_journal_gives_latest_states(self, tmp_path, clock):
+        queue = JobQueue(tmp_path / "q", clock=clock, max_fails=2)
+        jobs = [queue.submit(tiny_submit(seed=seed)) for seed in range(5)]
+        ok, poison, running = (job.job_id for job in jobs[:3])
+        assert [queue.claim("w1").job_id for _ in range(3)] == [
+            ok, poison, running,
+        ]
+        queue.complete(ok, "w1")
+        queue.fail(poison, "w1", "x")
+        queue.fail(running, "w1", "x")
+        assert queue.claim("w1").job_id == poison
+        queue.fail(poison, "w1", "y")  # second failure: quarantined
+        assert queue.claim("w1").job_id == running
+        events, torn_line = read_journal(tmp_path / "q" / "journal.jsonl")
+        assert torn_line is None
+        states = {event["job_id"]: event["state"] for event in events}
+        assert states == {
+            record.job_id: record.state for record in queue.records()
+        }
+        assert [event["job_id"] for event in events] == [
+            job.job_id for job in jobs
+        ]
+        by_state: dict[str, int] = {}
+        for state in states.values():
+            by_state[state] = by_state.get(state, 0) + 1
+        assert by_state == queue.counts()
+        assert by_state == {
+            "ok": 1, "pending": 2, "running": 1, "quarantined": 1,
+        }
+
+    def test_read_journal_skips_a_torn_final_line(self, tmp_path, clock):
+        queue = JobQueue(tmp_path / "q", clock=clock)
+        record = queue.submit(tiny_submit())
+        path = tmp_path / "q" / "journal.jsonl"
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"type":"event","job_id":"x","sta')
+        events, torn_line = read_journal(path)
+        assert [event["job_id"] for event in events] == [record.job_id]
+        assert torn_line == 3
+
+    def test_read_journal_rejects_non_journals(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(WireFormatError, match="is empty"):
+            read_journal(path)
+        path.write_text('{"type":"header"}\n', encoding="utf-8")
+        with pytest.raises(WireFormatError, match="no job events"):
+            read_journal(path)
+        path.write_text('{"a":1}\n{"b":2}\n', encoding="utf-8")
+        with pytest.raises(WireFormatError, match="not a journal file"):
+            read_journal(path)
+        with pytest.raises(FileNotFoundError):
+            read_journal(tmp_path / "missing.jsonl")
 
     def test_corrupt_record_does_not_break_scans(self, tmp_path, clock):
         queue = JobQueue(tmp_path / "q", clock=clock)

@@ -1,13 +1,12 @@
-"""Tests for trace-driven loss and multi-seed replication."""
+"""Tests for trace-driven loss."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.network.loss import TraceLoss, UniformLoss
+from repro.network.loss import TraceLoss
 from repro.network.packet import Packet
 from repro.resilience.none import NoResilience
-from repro.sim.experiment import ReplicationSummary, replicate
 from repro.sim.pipeline import SimulationConfig, simulate
 
 from tests.conftest import small_config, small_sequence
@@ -56,52 +55,3 @@ class TestTraceLoss:
         )
         lost = [r.frame_index for r in result.frames if r.packets_lost > 0]
         assert lost == [3]
-
-
-class TestReplication:
-    def test_summary_statistics(self):
-        summary = ReplicationSummary("x", (1, 2, 3), (1.0, 2.0, 3.0))
-        assert summary.mean == pytest.approx(2.0)
-        assert summary.std == pytest.approx((2.0 / 3.0) ** 0.5)
-
-    def test_replicate_runs_each_seed(self):
-        clip = small_sequence(n_frames=6)
-        summary = replicate(
-            clip,
-            strategy_factory=NoResilience,
-            loss_factory=lambda seed: UniformLoss(plr=0.3, seed=seed),
-            metric=lambda r: r.average_psnr_decoder,
-            seeds=(1, 2, 3),
-            label="NO",
-            config=SimulationConfig(codec=small_config()),
-        )
-        assert summary.label == "NO"
-        assert len(summary.values) == 3
-        # Different seeds hit different frames: values spread.
-        assert summary.std > 0
-
-    def test_replicate_needs_seeds(self):
-        clip = small_sequence(n_frames=4)
-        with pytest.raises(ValueError):
-            replicate(
-                clip,
-                NoResilience,
-                lambda seed: UniformLoss(plr=0.1, seed=seed),
-                lambda r: 0.0,
-                seeds=(),
-            )
-
-    def test_deterministic_given_seeds(self):
-        clip = small_sequence(n_frames=6)
-
-        def run():
-            return replicate(
-                clip,
-                NoResilience,
-                lambda seed: UniformLoss(plr=0.3, seed=seed),
-                lambda r: r.total_bad_pixels,
-                seeds=(7, 8),
-                config=SimulationConfig(codec=small_config()),
-            )
-
-        assert run().values == run().values
