@@ -197,23 +197,28 @@ class ServiceClient:
     ) -> dict[str, JobStatus]:
         """Poll until every job is terminal; returns id → final status.
 
-        Raises :class:`TimeoutError` naming the unfinished jobs if the
-        deadline passes first.
+        A cursor walks the ids in order with one :meth:`status` call
+        each and stops at the first job that is not terminal; the next
+        poll resumes there, because a terminal job stays terminal.  So
+        a poll costs the daemon a record read or two, never a listing
+        of every job.  Raises :class:`TimeoutError` naming the
+        unfinished jobs if the deadline passes first.
         """
-        waiting = set(job_ids)
+        waiting = list(dict.fromkeys(job_ids))
         done: dict[str, JobStatus] = {}
         deadline = time.monotonic() + timeout
-        while waiting:
-            for status in self.jobs():
-                if status.job_id in waiting and status.terminal:
-                    done[status.job_id] = status
-                    waiting.discard(status.job_id)
-            if not waiting:
-                break
+        position = 0
+        while position < len(waiting):
+            status = self.status(waiting[position])
+            if status.terminal:
+                done[status.job_id] = status
+                position += 1
+                continue
             if time.monotonic() > deadline:
+                unfinished = waiting[position:]
                 raise TimeoutError(
-                    f"{len(waiting)} jobs still not terminal after "
-                    f"{timeout:g}s: {sorted(waiting)[:5]}"
+                    f"{len(unfinished)} jobs still not terminal after "
+                    f"{timeout:g}s: {unfinished[:5]}"
                 )
             time.sleep(poll_s)
         return done

@@ -23,7 +23,8 @@ Routes (all under the versioned ``/v1`` prefix)::
     GET  /v1/results/<id>  one SessionResult (409 until terminal)
     GET  /v1/summary       FleetSummary percentiles per session class
     GET  /v1/manifest      ServiceManifest (every submission accounted)
-    GET  /v1/metrics       obs MetricsRegistry snapshot
+    GET  /v1/metrics       obs MetricsRegistry snapshot, plus the
+                           queue's service.queue.records_read
     POST /v1/drain         stop accepting, finish the backlog
     POST /v1/shutdown      drain bypass: write the manifest and exit
 
@@ -452,14 +453,15 @@ class EncodeDaemon:
         if path == "/v1/manifest" and method == "GET":
             return 200, {}, _json_bytes(self.manifest().to_json())
         if path == "/v1/metrics" and method == "GET":
+            snapshot = self.metrics.snapshot()
+            snapshot["counters"]["service.queue.records_read"] = (
+                self.queue.records_read
+            )
             return (
                 200,
                 {},
                 _json_bytes(
-                    {
-                        "schema_version": WIRE_SCHEMA_VERSION,
-                        **self.metrics.snapshot(),
-                    }
+                    {"schema_version": WIRE_SCHEMA_VERSION, **snapshot}
                 ),
             )
         if path == "/v1/drain" and method == "POST":
@@ -478,14 +480,16 @@ class EncodeDaemon:
 
     def _health(self) -> dict[str, Any]:
         counts = self.queue.counts()
+        pending = counts.get("pending", 0)
+        running = counts.get("running", 0)
         return {
             "schema_version": WIRE_SCHEMA_VERSION,
             "ok": True,
             "draining": self._draining,
-            "drained": self.queue.drained(),
-            "queue_depth": self.queue.depth(),
-            "pending": counts.get("pending", 0),
-            "running": counts.get("running", 0),
+            "drained": pending + running == 0,
+            "queue_depth": pending + running,
+            "pending": pending,
+            "running": running,
             "counts": counts,
             "uptime_s": time.time() - self.started_at,
             "sessions_completed": len(self.results),

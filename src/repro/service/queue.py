@@ -36,9 +36,18 @@ backlog reaches ``max_pending``; the daemon maps that to HTTP 429 with
 a ``Retry-After`` derived from the recent drain rate.
 
 Every transition also lands in ``<dir>/journal.jsonl`` — an append-only
-JSONL audit stream (schema-versioned header line first).
-:func:`read_journal`, its reader, rebuilds each job's latest state from
-it without the daemon running (``repro status --journal``).
+JSONL stream (schema-versioned header line first) whose events carry
+the job's absolute state.  It is the queue's cross-process index: a
+:class:`JobQueue` keeps each job's state, the per-state counts and the
+claim index in memory, updates them itself on its own transitions, and
+learns every other process's transitions by tailing the journal from
+the byte offset it last read (:func:`read_journal` with a
+:class:`JournalCursor`).  So counting and claiming cost O(new
+transitions), not a read of every job record ever submitted; the
+records are scanned in full only when a queue opens, when the tail
+meets a line it cannot decode, and for :meth:`JobQueue.statuses`.  The
+same reader rebuilds each job's latest state offline, without the
+daemon running (``repro status --journal``).
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ import os
 import threading
 import time
 import uuid
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Union
@@ -115,6 +125,11 @@ class JobRecord:
     def priority(self) -> int:
         return self.submit.priority
 
+    @property
+    def claim_key(self) -> tuple[int, int, str]:
+        """Sort key of the claim order: priority first, then FIFO."""
+        return (-self.priority, self.seq, self.job_id)
+
     def status(self) -> JobStatus:
         """The wire-format snapshot of this record."""
         return JobStatus(
@@ -172,12 +187,14 @@ class JobRecord:
 class JobQueue:
     """The persistent queue; see the module docstring for the protocol.
 
-    Thread-safe within a process (one lock around scan/transition
-    sequences) and safe across processes for the operations that race
-    in practice — claims (O_EXCL), record writes (atomic rename) and
-    journal appends (``O_APPEND``).
+    Thread-safe within a process (one lock around every in-memory
+    update and transition) and safe across processes for the
+    operations that race in practice — claims (O_EXCL), record writes
+    (atomic rename) and journal appends (``O_APPEND``).
 
-    ``clock`` is injectable so lease-expiry tests do not sleep.
+    ``records_read`` counts job-record reads, the cost the in-memory
+    index exists to avoid; ``clock`` is injectable so lease-expiry
+    tests do not sleep.
     """
 
     def __init__(
@@ -203,6 +220,7 @@ class JobQueue:
         self.lease_s = lease_s
         self.max_fails = max_fails
         self.clock = clock
+        self.records_read = 0
         self._lock = threading.Lock()
         self._journal_path = self.directory / JOURNAL_NAME
         if not self._journal_path.exists():
@@ -213,17 +231,15 @@ class JobQueue:
                     "format": "repro-service-journal",
                 }
             )
-        self._seq = self._recover_seq()
-        # In-memory claim index: (-priority, seq, job_id) of pending
-        # jobs, kept sorted so a claim pops the best candidate without
-        # re-reading every record.  Authoritative for the transitions
-        # this instance performs; claims raced from *other* processes
-        # are caught by the CAS + record re-read, and externally
-        # submitted jobs are picked up by the throttled rebuild below.
-        self._index_rescan_s = 0.5
-        self._last_rebuild = float("-inf")
-        self._pending_index: list[tuple[int, int, str]] = []
-        self._rebuild_index()
+        # In-memory state, set by this instance's own transitions and
+        # by _sync() replaying other processes' before each count or
+        # claim: _states (job id -> state), _counts (per-state totals),
+        # _keys (job id -> claim_key) and _pending_index, the sorted
+        # claim keys of pending jobs.  A job whose claim CAS was lost
+        # leaves the index but stays pending; its next journal event,
+        # or the reaper removing an orphan claim, re-indexes it.
+        self._seq = 0
+        self._resync()
 
     # -- storage primitives -------------------------------------------------
 
@@ -241,6 +257,7 @@ class JobQueue:
         )
 
     def _read_record(self, job_id: str) -> JobRecord:
+        self.records_read += 1
         path = self._job_path(job_id)
         try:
             text = path.read_text(encoding="utf-8")
@@ -273,16 +290,6 @@ class JobQueue:
                 "ts": self.clock(),
             }
         )
-
-    def _recover_seq(self) -> int:
-        highest = -1
-        for path in self.jobs_dir.glob("*.json"):
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-                highest = max(highest, int(record.get("seq", 0)))
-            except (OSError, ValueError):
-                continue
-        return highest + 1
 
     # -- CAS primitives -----------------------------------------------------
 
@@ -323,19 +330,83 @@ class JobQueue:
     def _release_claim(self, job_id: str) -> None:
         self._claim_path(job_id).unlink(missing_ok=True)
 
-    # -- pending index ------------------------------------------------------
+    # -- in-memory state ----------------------------------------------------
 
-    def _index_add(self, record: JobRecord) -> None:
-        bisect.insort(
-            self._pending_index, (-record.priority, record.seq, record.job_id)
+    def _track(self, record: JobRecord) -> None:
+        """Account one of this instance's own transitions in memory."""
+        self._keys.setdefault(record.job_id, record.claim_key)
+        self._set_state(record.job_id, record.state)
+
+    def _set_state(self, job_id: str, state: str) -> None:
+        """Move ``job_id`` to ``state`` in the counts and claim index."""
+        previous = self._states.get(job_id)
+        if previous is not None:
+            self._counts[previous] -= 1
+            if not self._counts[previous]:
+                del self._counts[previous]
+        self._states[job_id] = state
+        self._counts[state] = self._counts.get(state, 0) + 1
+        key = self._keys.get(job_id)
+        if key is None:
+            return
+        index = self._pending_index
+        position = bisect.bisect_left(index, key)
+        indexed = index[position : position + 1] == [key]
+        if state == "pending" and not indexed:
+            index.insert(position, key)
+        elif state != "pending" and indexed:
+            del index[position]
+
+    def _resync(self) -> None:
+        """Rebuild the in-memory state from one full scan of the records.
+
+        The journal offset is taken *before* the scan: a transition
+        that lands in between is then both scanned and replayed, and
+        replaying an absolute state is harmless, where one missed would
+        stay missed.  Starting at the file's end skips whatever
+        unterminated line a killed writer left there.
+        """
+        try:
+            offset = self._journal_path.stat().st_size
+        except FileNotFoundError:
+            offset = 0
+        records = self._records()
+        self._cursor = JournalCursor(offset)
+        self._states = {r.job_id: r.state for r in records}
+        self._keys = {r.job_id: r.claim_key for r in records}
+        self._counts = dict(Counter(self._states.values()))
+        self._pending_index = sorted(
+            r.claim_key for r in records if r.state == "pending"
         )
+        self._seq = max([self._seq, *(r.seq + 1 for r in records)])
 
-    def _rebuild_index(self) -> None:
-        self._pending_index = [
-            (-r.priority, r.seq, r.job_id) for r in self._pending_records()
-        ]
-        self._pending_index.sort()
-        self._last_rebuild = self.clock()
+    def _sync(self) -> None:
+        """Apply the transitions other processes journaled since last time.
+
+        Only each job's latest event in the new chunk counts, and it
+        carries an absolute state, so replaying this instance's own
+        lines changes nothing.  A job first seen in the pending state
+        costs one record read for its claim key.  A line that cannot be
+        decoded, or a journal that shrank, falls back to a full resync.
+        """
+        try:
+            if self._journal_path.stat().st_size == self._cursor.offset:
+                return  # nothing appended: the idle dispatcher's case
+            events, _ = read_journal(self._journal_path, self._cursor)
+        except (WireFormatError, FileNotFoundError):
+            self._resync()
+            return
+        for event in events:
+            job_id, state = event["job_id"], event["state"]
+            if state == "pending" and job_id not in self._keys:
+                try:
+                    record = self._read_record(job_id)
+                except (KeyError, WireFormatError):
+                    pass  # counted, not claimable until a resync
+                else:
+                    self._keys[job_id] = record.claim_key
+                    self._seq = max(self._seq, record.seq + 1)
+            self._set_state(job_id, state)
 
     # -- public API ---------------------------------------------------------
 
@@ -347,7 +418,8 @@ class JobQueue:
         """Enqueue one job; raises :class:`QueueFull` at the backlog cap."""
         now = self.clock()
         with self._lock:
-            backlog = len(self._pending_index)
+            self._sync()
+            backlog = self._counts.get("pending", 0)
             if backlog >= self.max_pending:
                 raise QueueFull(
                     f"queue full: {backlog} pending >= "
@@ -365,7 +437,7 @@ class JobQueue:
                 raise ValueError(f"duplicate job_id: {record.job_id}")
             self._seq += 1
             self._write_record(record)
-            self._index_add(record)
+            self._track(record)
             self._journal_transition(record, "submitted")
             return record
 
@@ -389,20 +461,17 @@ class JobQueue:
             raise ValueError(f"limit must be >= 1, got {limit}")
         now = self.clock()
         claimed: list[JobRecord] = []
+        seen: list[JobRecord] = []
         with self._lock:
-            if (
-                not self._pending_index
-                and now - self._last_rebuild >= self._index_rescan_s
-            ):
-                self._rebuild_index()
-            keep: list[tuple[int, int, str]] = []
-            for position, entry in enumerate(self._pending_index):
+            self._sync()
+            tried = 0
+            for key in self._pending_index:
                 if len(claimed) >= limit:
-                    keep.extend(self._pending_index[position:])
                     break
-                job_id = entry[2]
+                tried += 1
+                job_id = key[2]
                 if not self._try_claim_file(job_id, owner, now + self.lease_s):
-                    continue  # raced and lost: drop the stale entry
+                    continue  # raced and lost: drop the entry
                 try:
                     current = self._read_record(job_id)
                 except (KeyError, WireFormatError):
@@ -410,6 +479,7 @@ class JobQueue:
                     continue
                 if current.state != "pending":
                     self._release_claim(job_id)
+                    seen.append(current)
                     continue
                 running = replace(
                     current,
@@ -423,7 +493,9 @@ class JobQueue:
                 self._write_record(running)
                 self._journal_transition(running, "claimed")
                 claimed.append(running)
-            self._pending_index = keep
+            del self._pending_index[:tried]
+            for record in (*seen, *claimed):
+                self._track(record)
         return claimed
 
     def heartbeat(self, job_id: str, owner: str) -> bool:
@@ -463,6 +535,7 @@ class JobQueue:
             )
             self._write_record(done)
             self._release_claim(job_id)
+            self._track(done)
             self._journal_transition(done, "completed")
             return done
 
@@ -505,8 +578,7 @@ class JobQueue:
             )
             event = "requeued"
         self._write_record(failed)
-        if failed.state == "pending":
-            self._index_add(failed)
+        self._track(failed)
         self._journal_transition(failed, event)
         return failed
 
@@ -515,8 +587,10 @@ class JobQueue:
 
         A worker that hung or died without reporting stops renewing its
         lease; its job goes back to ``pending`` (fail count +1) or to
-        ``quarantined`` when the budget is spent.  Returns the affected
-        job ids.
+        ``quarantined`` when the budget is spent.  A claim whose record
+        is still ``pending`` — its claimant died between the claim and
+        the record write — is removed and the job becomes claimable
+        again.  Returns the affected job ids.
         """
         now = self.clock()
         released = []
@@ -539,6 +613,8 @@ class JobQueue:
                         now,
                     )
                 self._release_claim(job_id)
+                if record.state == "pending":
+                    self._track(record)
                 released.append(job_id)
         return released
 
@@ -554,42 +630,42 @@ class JobQueue:
         records.sort(key=lambda r: (r.seq, r.job_id))
         return records
 
-    def _pending_records(self) -> list[JobRecord]:
-        pending = [r for r in self._records() if r.state == "pending"]
-        pending.sort(key=lambda r: (-r.priority, r.seq, r.job_id))
-        return pending
-
     def get(self, job_id: str) -> JobRecord:
         return self._read_record(job_id)
-
-    def records(self) -> list[JobRecord]:
-        """Every job record, in submission order."""
-        return self._records()
 
     def statuses(self) -> list[JobStatus]:
         """Wire-format snapshots of every job, in submission order."""
         return [record.status() for record in self._records()]
 
     def counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for record in self._records():
-            counts[record.state] = counts.get(record.state, 0) + 1
-        return counts
-
-    def pending_count(self) -> int:
-        return sum(1 for r in self._records() if r.state == "pending")
+        """Jobs per state; states with no jobs are absent."""
+        with self._lock:
+            self._sync()
+            return dict(self._counts)
 
     def depth(self) -> int:
         """Backlog the fleet still owes: pending + running."""
-        return sum(
-            1 for r in self._records() if r.state in ("pending", "running")
-        )
+        with self._lock:
+            self._sync()
+            return self._counts.get("pending", 0) + self._counts.get(
+                "running", 0
+            )
 
     def drained(self) -> bool:
         return self.depth() == 0
 
 
-def read_journal(path: Union[str, Path]) -> tuple[list[dict], Optional[int]]:
+@dataclass
+class JournalCursor:
+    """Where a resumed :func:`read_journal` starts: the byte offset just
+    past the last complete line already read."""
+
+    offset: int = 0
+
+
+def read_journal(
+    path: Union[str, Path], cursor: Optional[JournalCursor] = None
+) -> tuple[list[dict], Optional[int]]:
     """Each job's latest event in a queue journal, in first-seen order.
 
     Returns ``(events, torn_line)``.  ``torn_line`` is the number of a
@@ -599,15 +675,32 @@ def read_journal(path: Union[str, Path]) -> tuple[list[dict], Optional[int]]:
     for a path that is not a file, and :class:`WireFormatError` for an
     empty file, a file that is not a journal, or one that holds no job
     events.
+
+    With a ``cursor`` the read resumes: it starts at ``cursor.offset``,
+    takes only newline-terminated lines — an unterminated final line is
+    left for the next read, so ``torn_line`` is always ``None`` — and
+    advances the cursor past them.  A resumed read may find no events;
+    it raises :class:`WireFormatError` for any line it cannot decode,
+    and when the file is shorter than the offset already read.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if not text.strip():
+    start = 0 if cursor is None else cursor.offset
+    with open(path, "rb") as handle:
+        if handle.seek(0, os.SEEK_END) < start:
+            raise WireFormatError(
+                f"journal file {path} is shorter than the {start} bytes "
+                "already read from it"
+            )
+        handle.seek(start)
+        data = handle.read()
+    if cursor is not None:
+        data = data[: data.rfind(b"\n") + 1]
+    elif not data.strip():
         raise WireFormatError(
             f"journal file {path} is empty; has the daemon accepted "
             "any jobs yet?"
         )
-    lines = text.splitlines()
+    lines = data.decode("utf-8").splitlines()
     latest: dict[str, dict] = {}
     torn_line: Optional[int] = None
     for index, line in enumerate(lines, start=1):
@@ -616,7 +709,7 @@ def read_journal(path: Union[str, Path]) -> tuple[list[dict], Optional[int]]:
         try:
             record = json.loads(line)
         except json.JSONDecodeError as error:
-            if index == len(lines):
+            if cursor is None and index == len(lines):
                 torn_line = index
                 continue
             raise WireFormatError(
@@ -636,7 +729,9 @@ def read_journal(path: Union[str, Path]) -> tuple[list[dict], Optional[int]]:
                 f"{record.get('state')!r}"
             )
         latest[record["job_id"]] = record
-    if not latest:
+    if cursor is not None:
+        cursor.offset += len(data)
+    elif not latest:
         raise WireFormatError(
             f"journal file {path} holds no job events; has the daemon "
             "accepted any jobs yet?"

@@ -200,6 +200,24 @@ class TestEndToEnd:
             assert excinfo.value.status == 404
             client.shutdown()
 
+    def test_metrics_count_queue_record_reads(self, tmp_path):
+        """Health answers from the queue's in-memory counts, and the
+        queue's record reads are reported as a metric."""
+        with start_daemon(daemon_config(tmp_path)) as handle:
+            client = ServiceClient(handle.url)
+            job_ids = client.submit(
+                [JobSubmit(spec=tiny_spec(seed=i)) for i in range(3)]
+            )
+            client.wait(job_ids, timeout=WAIT_S)
+            reads = client.metrics()["counters"]["service.queue.records_read"]
+            assert reads == handle.daemon.queue.records_read
+            assert reads >= 2 * len(job_ids)  # a claim and a completion each
+            for _ in range(5):
+                assert client.health()["drained"]
+            after = client.metrics()["counters"]["service.queue.records_read"]
+            assert after == reads
+            client.shutdown()
+
     def test_malformed_submit_is_400(self, tmp_path):
         with start_daemon(daemon_config(tmp_path)) as handle:
             client = ServiceClient(handle.url)

@@ -105,7 +105,7 @@ class TestSubmitAndClaim:
         ]
         batch = queue.claim_batch("w1", 2)
         assert [r.job_id for r in batch] == [ids[3], ids[2]]
-        assert queue.pending_count() == 2
+        assert queue.counts().get("pending", 0) == 2
 
     def test_claim_on_empty_queue(self, queue):
         assert queue.claim("w1") is None
@@ -334,7 +334,7 @@ class TestPersistence:
         assert torn_line is None
         states = {event["job_id"]: event["state"] for event in events}
         assert states == {
-            record.job_id: record.state for record in queue.records()
+            status.job_id: status.state for status in queue.statuses()
         }
         assert [event["job_id"] for event in events] == [
             job.job_id for job in jobs
@@ -375,8 +375,163 @@ class TestPersistence:
         queue = JobQueue(tmp_path / "q", clock=clock)
         queue.submit(tiny_submit(seed=1))
         (tmp_path / "q" / "jobs" / "garbage.json").write_text("{not json")
-        assert len(queue.records()) == 1
-        assert queue.pending_count() == 1
+        assert len(queue.statuses()) == 1
+        assert queue.counts().get("pending", 0) == 1
+
+
+def scanned_counts(queue: JobQueue) -> dict[str, int]:
+    """Jobs per state from a full scan of the records on disk."""
+    counts: dict[str, int] = {}
+    for status in queue.statuses():
+        counts[status.state] = counts.get(status.state, 0) + 1
+    return counts
+
+
+class TestCrossProcessIndex:
+    """Two queue handles on one directory share nothing in memory, like
+    two processes: each learns the other's transitions from the journal."""
+
+    @staticmethod
+    def assert_matches_scan(queue: JobQueue) -> None:
+        expected = scanned_counts(queue)
+        backlog = expected.get("pending", 0) + expected.get("running", 0)
+        assert queue.counts() == expected
+        assert queue.depth() == backlog
+        assert queue.drained() == (backlog == 0)
+
+    def test_counts_follow_the_other_instance(self, tmp_path, clock):
+        directory = tmp_path / "q"
+        a = JobQueue(directory, max_fails=2, clock=clock)
+        b = JobQueue(directory, max_fails=2, clock=clock)
+        for seed in range(4):
+            b.submit(tiny_submit(seed=seed))
+        self.assert_matches_scan(a)
+        done, failing, hung = b.claim_batch("b", 3)
+        self.assert_matches_scan(a)
+        b.complete(done.job_id, "b")
+        self.assert_matches_scan(a)
+        b.fail(failing.job_id, "b", "boom")  # requeued
+        self.assert_matches_scan(a)
+        assert b.claim("b").job_id == failing.job_id
+        b.fail(failing.job_id, "b", "boom")  # quarantined
+        self.assert_matches_scan(a)
+        clock.advance(31.0)
+        assert b.release_stale() == [hung.job_id]  # requeued
+        self.assert_matches_scan(a)
+        assert a.counts() == {"ok": 1, "quarantined": 1, "pending": 2}
+        for job in a.claim_batch("a", 4):
+            a.complete(job.job_id, "a")
+        self.assert_matches_scan(a)
+        self.assert_matches_scan(b)
+        assert a.drained() and b.drained()
+
+    def test_job_from_the_other_instance_is_claimable_at_once(
+        self, tmp_path, clock
+    ):
+        directory = tmp_path / "q"
+        a = JobQueue(directory, clock=clock)
+        b = JobQueue(directory, clock=clock)
+        assert a.claim("a") is None
+        low = b.submit(tiny_submit(seed=1, priority=0))
+        high = b.submit(tiny_submit(seed=2, priority=5))
+        # No clock advance: the journal event, not a rescan, indexes it.
+        assert a.claim("a").job_id == high.job_id
+        assert b.claim("b").job_id == low.job_id
+        b.fail(low.job_id, "b", "boom")  # requeued by the other instance
+        assert a.claim("a").job_id == low.job_id
+        # A job submitted here after one submitted there claims later.
+        first = b.submit(tiny_submit(seed=3))
+        second = a.submit(tiny_submit(seed=4))
+        assert [job.job_id for job in a.claim_batch("a", 2)] == [
+            first.job_id, second.job_id,
+        ]
+
+    def test_orphan_claim_on_pending_record_is_reaped(self, queue, clock):
+        """A claimant died between its claim-file create and its record
+        write: the CAS loss drops the job from the index, the reaper
+        puts it back."""
+        record = queue.submit(tiny_submit())
+        claim = queue.directory / "claims" / f"{record.job_id}.claim"
+        claim.write_text(
+            json.dumps({"owner": "dead", "expires_at": clock() + 30.0})
+        )
+        assert queue.claim("w1") is None
+        assert queue.release_stale() == []  # lease still live
+        clock.advance(31.0)
+        assert queue.release_stale() == [record.job_id]
+        assert queue.get(record.job_id).state == "pending"
+        assert queue.claim("w1").job_id == record.job_id
+
+    def test_undecodable_journal_line_resyncs_from_records(
+        self, tmp_path, clock
+    ):
+        directory = tmp_path / "q"
+        a = JobQueue(directory, clock=clock)
+        b = JobQueue(directory, clock=clock)
+        b.submit(tiny_submit(seed=1))
+        assert a.counts() == {"pending": 1}
+        # A writer killed mid-append, then another process appended
+        # after it: the merged line is garbage in mid-journal.
+        with (directory / "journal.jsonl").open("a") as handle:
+            handle.write('{"type":"event","job_id":"x","sta')
+        b.submit(tiny_submit(seed=2))
+        job = b.claim("b")
+        b.submit(tiny_submit(seed=3))
+        self.assert_matches_scan(a)
+        assert a.counts() == {"pending": 2, "running": 1}
+        b.complete(job.job_id, "b")  # the tail resumes past the garbage
+        assert a.counts() == {"pending": 2, "ok": 1}
+
+    def test_torn_final_line_waits_for_its_newline(
+        self, tmp_path, clock, monkeypatch
+    ):
+        directory = tmp_path / "q"
+        path = directory / "journal.jsonl"
+        a = JobQueue(directory, clock=clock)
+        b = JobQueue(directory, clock=clock)
+        job = b.submit(tiny_submit())
+        data = path.read_bytes()
+        line = data.splitlines(keepends=True)[-1]
+        # What a reader racing the append sees: half of b's line.
+        path.write_bytes(data[: -len(line)] + line[:20])
+
+        def no_resync():
+            raise AssertionError("a torn final line forced a resync")
+
+        monkeypatch.setattr(a, "_resync", no_resync)
+        assert a.counts() == {}
+        with path.open("ab") as handle:
+            handle.write(line[20:])
+        assert a.counts() == {"pending": 1}
+        assert a.claim("a").job_id == job.job_id
+
+
+class TestRecordReads:
+    def test_counting_reads_no_records(self, tmp_path, clock, monkeypatch):
+        """Counts come from memory: a job's record is read once to
+        confirm its claim and once to complete it, however often the
+        queue is asked how deep it is."""
+        reads: list[str] = []
+        original = JobQueue._read_record
+
+        def counting(self, job_id):
+            reads.append(job_id)
+            return original(self, job_id)
+
+        monkeypatch.setattr(JobQueue, "_read_record", counting)
+        queue = JobQueue(tmp_path / "q", clock=clock)
+        n_jobs, n_polls = 6, 5
+        for seed in range(n_jobs):
+            queue.submit(tiny_submit(seed=seed))
+        for _ in range(n_polls):
+            assert queue.depth() == n_jobs
+            assert queue.counts() == {"pending": n_jobs}
+            assert not queue.drained()
+        for job in queue.claim_batch("w1", n_jobs):
+            queue.complete(job.job_id, "w1")
+        assert queue.drained()
+        assert len(reads) == 2 * n_jobs
+        assert queue.records_read == 2 * n_jobs
 
 
 class TestValidation:
