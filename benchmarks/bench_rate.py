@@ -1,9 +1,11 @@
 """Closed-loop rate control: convergence and bitrate accuracy per scheme.
 
-The matched-bitrate comparison (``RateMatchSpec`` / ``repro compare
---target-kbps``) only means something if the controller actually lands
-every scheme on the shared target.  This benchmark runs the Figure-5
-scheme set under one closed-loop config and records, per scheme:
+The matched-bitrate comparison (``repro compare --target-kbps``: one
+:class:`JobSpec` per scheme, all carrying the same
+:class:`RateControlConfig`) only means something if the controller
+actually lands every scheme on the shared target.  This benchmark runs
+the Figure-5 scheme set under one closed-loop config and records, per
+scheme:
 
 * the delivered bitrate and its signed error against the target;
 * the PSNR at the matched rate (the number the paper's comparison is
@@ -27,7 +29,8 @@ from __future__ import annotations
 import argparse
 
 from repro.api import (
-    RateMatchSpec,
+    JobSpec,
+    RateControlConfig,
     RunnerOptions,
     run_grid,
 )
@@ -49,6 +52,9 @@ DEFAULT_TARGET_KBPS = 200.0
 DEFAULT_FRAMES = 90
 DEFAULT_SEQUENCE = "foreman"
 DEFAULT_PLR = 0.1
+
+#: The Figure-5 legend, in the order the record lists the schemes.
+SCHEMES = ("NO", "GOP-3", "AIR-24", "PGOP-3", "PBPAIR")
 
 
 def convergence_frame(frame_bits, target_bits_per_frame, band) -> int | None:
@@ -80,9 +86,17 @@ def measure(
     plr: float = DEFAULT_PLR,
 ) -> dict:
     """Run the matched-bitrate grid and score each scheme's tracking."""
-    match = RateMatchSpec(target_kbps=target_kbps)
-    rate = match.rate_config()
-    jobs = match.jobs(plr=plr, sequence=sequence, n_frames=n_frames)
+    rate = RateControlConfig(target_kbps=target_kbps)
+    jobs = [
+        JobSpec(
+            scheme=scheme,
+            plr=plr,
+            sequence=sequence,
+            n_frames=n_frames,
+            rate=rate,
+        )
+        for scheme in SCHEMES
+    ]
     outcomes = run_grid(
         jobs, options=RunnerOptions(jobs=1, use_cache=False)
     )
@@ -95,7 +109,7 @@ def measure(
 
     schemes = []
     matched = 0
-    for scheme, outcome in zip(match.schemes, outcomes):
+    for scheme, outcome in zip(SCHEMES, outcomes):
         result = outcome.result
         delivered_kbps = (
             result.total_bytes * 8 / result.n_frames * rate.fps / 1000.0
@@ -123,7 +137,7 @@ def measure(
         "rate_control",
         workload={
             "target_kbps": target_kbps,
-            "schemes": list(match.schemes),
+            "schemes": list(SCHEMES),
             "plr": plr,
             "sequence": sequence,
             "n_frames": n_frames,

@@ -152,7 +152,6 @@ from repro.resilience.pbpair_strategy import PBPAIRStrategy
 from repro.resilience.registry import STRATEGY_BUILDERS, build_strategy
 from repro.sim.experiment import (
     CalibrationResult,
-    RateMatchSpec,
     calibrate_intra_th,
     total_encoded_bytes,
 )
@@ -376,7 +375,6 @@ __all__ = [
     "calibrate_intra_th",
     "total_encoded_bytes",
     # matched-bitrate comparison and closed-loop rate control
-    "RateMatchSpec",
     "RateControlConfig",
     "ClosedLoopRateController",
     "build_rate_controller",

@@ -71,11 +71,7 @@ from repro.scenarios import (
     run_fleet,
 )
 from repro.service.daemon import DEFAULT_PORT as SERVICE_DEFAULT_PORT
-from repro.sim.experiment import (
-    RateMatchSpec,
-    calibrate_intra_th,
-    total_encoded_bytes,
-)
+from repro.sim.experiment import calibrate_intra_th, total_encoded_bytes
 from repro.sim.pipeline import SimulationConfig, simulate
 from repro.sim.report import format_table
 from repro.sim.runner import (
@@ -161,8 +157,9 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
         "--no-stream-cache",
         action="store_true",
         help="disable encoded-stream sharing: encode every grid cell "
-        "from scratch instead of replaying one stream per operating "
-        "point (results are identical either way)",
+        "and every calibration probe from scratch instead of replaying "
+        "one stream per operating point (results are identical either "
+        "way)",
     )
     parser.add_argument(
         "--retries",
@@ -306,7 +303,7 @@ def _runner_setup(args: argparse.Namespace):
     """(options, cache, stream_cache) from the shared runner flags.
 
     The caches are built once here so calibration probes and the grid
-    run share them within one command.
+    run share the stream cache within one command.
     """
     options = _runner_options(args)
     try:
@@ -437,29 +434,42 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    """All five schemes at one operating point.
+
+    By default PBPAIR's ``Intra_Th`` is calibrated to PGOP-3's encoded
+    size (Figure 5).  With ``--target-kbps`` the closed-loop controller
+    replaces the calibration entirely: each scheme encodes once,
+    steered to the shared target, and the table reports how precisely
+    it was hit.
+    """
     video = _sequence(args)
     config = _config(args)
     rate = _rate_config(args)
     scenario = _scenario_pack(args)
     options, cache, stream_cache = _runner_setup(args)
-    if rate is not None:
-        return _compare_matched_bitrate(
-            args, video, config, scenario, options, cache, stream_cache
+    if rate is None:
+        print("Calibrating PBPAIR's Intra_Th to PGOP-3's size ...",
+              file=sys.stderr)
+        target = total_encoded_bytes(video, build_strategy("PGOP-3"), config)
+        intra_th = calibrate_intra_th(
+            video, target, plr=args.plr, config=config, max_iterations=8,
+            stream_cache=stream_cache,
         )
-    print("Calibrating PBPAIR's Intra_Th to PGOP-3's size ...",
-          file=sys.stderr)
-    target = total_encoded_bytes(video, build_strategy("PGOP-3"), config)
-    intra_th = calibrate_intra_th(
-        video, target, plr=args.plr, config=config, max_iterations=8,
-        cache=cache, stream_cache=stream_cache,
-    )
-    print(
-        f"calibration: {intra_th.probes} probes, "
-        f"{intra_th.unique_encodes} encodes "
-        f"({intra_th.saved_encodes} served from cache)",
-        file=sys.stderr,
-    )
-    schemes = ("NO", "PBPAIR", "PGOP-3", "GOP-3", "AIR-24")
+        print(
+            f"calibration: {intra_th.probes} probes, "
+            f"{intra_th.unique_encodes} encodes "
+            f"({intra_th.saved_encodes} served from cache)",
+            file=sys.stderr,
+        )
+        schemes = ("NO", "PBPAIR", "PGOP-3", "GOP-3", "AIR-24")
+        pbpair_kwargs = {"intra_th": intra_th}
+        size_headers = ["size KB"]
+        operating_point = f"PBPAIR Intra_Th={intra_th:.3f}"
+    else:
+        schemes = ("NO", "GOP-3", "AIR-24", "PGOP-3", "PBPAIR")
+        pbpair_kwargs = {}
+        size_headers = ["kbps", "err %"]
+        operating_point = f"matched bitrate {rate.target_kbps:g} kbps"
     jobs = [
         JobSpec(
             scheme=spec,
@@ -468,7 +478,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             sequence=args.sequence,
             n_frames=args.frames,
             config=config,
-            pbpair_kwargs={"intra_th": intra_th},
+            pbpair_kwargs=pbpair_kwargs,
+            rate=rate,
             scenario=scenario,
         )
         for spec in schemes
@@ -480,86 +491,29 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     ):
         if result is None:
             continue
+        if rate is None:
+            size = [result.total_bytes / 1024]
+        else:
+            kbps = result.total_bytes * 8 / result.n_frames * rate.fps / 1000.0
+            size = [kbps, 100.0 * (kbps - rate.target_kbps) / rate.target_kbps]
         rows.append(
             [
                 spec,
                 result.average_psnr_decoder,
                 result.total_bad_pixels / 1e6,
-                result.total_bytes / 1024,
+                *size,
                 result.energy_joules,
                 100 * result.intra_fraction,
             ]
         )
     print(
         format_table(
-            ["scheme", "PSNR dB", "bad px M", "size KB", "energy J", "intra %"],
-            rows,
-            title=(
-                f"{video.name}, {args.frames} frames, PLR={args.plr:.0%}, "
-                f"PBPAIR Intra_Th={intra_th:.3f}"
-            ),
-        )
-    )
-    if options.trace_dir is not None:
-        _print_trace_report(Path(options.trace_dir) / MERGED_TRACE_NAME, args)
-    return 0
-
-
-def _compare_matched_bitrate(
-    args, video, config, scenario, options, cache, stream_cache
-) -> int:
-    """``compare --target-kbps``: every scheme at one bitrate, no probes.
-
-    The closed-loop controller replaces the calibration bisection
-    entirely — each scheme encodes once, steered to the shared target,
-    and the table reports how precisely it was hit.
-    """
-    match = RateMatchSpec(
-        target_kbps=args.target_kbps, sensitivity=args.rate_sensitivity
-    )
-    rate = match.rate_config()
-    jobs = [
-        dataclasses.replace(job, scenario=scenario)
-        for job in match.jobs(
-            plr=args.plr,
-            channel_seed=args.seed,
-            sequence=args.sequence,
-            n_frames=args.frames,
-            config=config,
-        )
-    ]
-    rows = []
-    for spec, result in zip(
-        match.schemes,
-        _grid_results(args, jobs, options, cache, stream_cache),
-    ):
-        if result is None:
-            continue
-        delivered_kbps = (
-            result.total_bytes * 8 / result.n_frames * rate.fps / 1000.0
-        )
-        error_pct = (
-            100.0 * (delivered_kbps - rate.target_kbps) / rate.target_kbps
-        )
-        rows.append(
-            [
-                spec,
-                result.average_psnr_decoder,
-                result.total_bad_pixels / 1e6,
-                delivered_kbps,
-                error_pct,
-                result.energy_joules,
-                100 * result.intra_fraction,
-            ]
-        )
-    print(
-        format_table(
-            ["scheme", "PSNR dB", "bad px M", "kbps", "err %", "energy J",
+            ["scheme", "PSNR dB", "bad px M", *size_headers, "energy J",
              "intra %"],
             rows,
             title=(
                 f"{video.name}, {args.frames} frames, PLR={args.plr:.0%}, "
-                f"matched bitrate {rate.target_kbps:g} kbps"
+                f"{operating_point}"
             ),
         )
     )
@@ -790,11 +744,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         raise SystemExit("--count must be >= 1")
     _sequence(args)  # validates --frames early, before touching the daemon
     config = _config(args)
-    pbpair_kwargs = (
-        {"intra_th": args.intra_th}
-        if args.scheme.upper().startswith("PBPAIR")
-        else {}
-    )
     faults = _fault_plan(args)
     rate = _rate_config(args)
     scenario = _scenario_pack(args)
@@ -807,7 +756,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 sequence=args.sequence,
                 n_frames=args.frames,
                 config=config,
-                pbpair_kwargs=pbpair_kwargs,
+                pbpair_kwargs={"intra_th": args.intra_th},
                 faults=faults,
                 rate=rate,
                 scenario=scenario,

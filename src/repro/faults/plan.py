@@ -11,10 +11,9 @@ Stages mirror the pipeline's own vocabulary:
 
 * ``encode`` — applied to the encoder's output bitstream before
   packetization: bytes rotting in the sender's frame buffer.  Encode
-  faults change the *stream itself*, which is why plans carrying them
-  opt out of encoded-stream sharing in the grid runner (the fault
-  sub-plan is part of the encode cache key, see
-  :func:`encode_subplan`).
+  faults change the *stream itself*, so the grid runner shares such a
+  stream only between cells with equal encode sub-plans (the sub-plan
+  is part of the encode cache key, see :func:`encode_subplan`).
 * ``channel`` — applied to the *delivered* packet stream, after the
   loss model: the failures a wireless receiver hands the depacketizer
   (truncated, reordered, duplicated, bit-rotted, or silently dropped
@@ -214,20 +213,25 @@ class FaultPlan:
 
 
 def encode_subplan(plan: Optional["FaultPlan"]) -> Optional["FaultPlan"]:
-    """The encode-stage slice of a plan, or None when it has none.
+    """The part of a plan the encoder sees, or None when it has none.
 
-    The grid runner's encoded-stream sharing is keyed on this: a plan
-    whose faults all act on the channel, the decoder input or the
-    runner never changes the encoder's output, so its cells may share
-    one encoded stream; encode-stage faults corrupt the stream itself,
-    so they travel into the encode cache key and disable sharing.
+    The grid runner's encode cache key carries this: a plan whose
+    faults all act on the channel, the decoder input or the runner
+    never changes the encoder's output, so its cells share the clean
+    stream; encode-stage faults corrupt the stream itself, so cells
+    share one corrupted stream only when their sub-plans are equal.
+
+    The sub-plan is the plan cut after its last encode-stage spec.  A
+    spec's RNG stream is keyed by its index in the plan, so the specs
+    before it stay in place: cutting them out would renumber the encode
+    specs and name a different stream.
     """
     if plan is None or not plan:
         return None
-    specs = tuple(spec for spec in plan.faults if spec.stage == STAGE_ENCODE)
-    if not specs:
+    encode_at = [index for index, _ in plan.for_stage(STAGE_ENCODE)]
+    if not encode_at:
         return None
-    return FaultPlan(faults=specs, seed=plan.seed)
+    return FaultPlan(faults=plan.faults[: encode_at[-1] + 1], seed=plan.seed)
 
 
 @dataclass(frozen=True)

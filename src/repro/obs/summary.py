@@ -39,17 +39,23 @@ _ENERGY_COUNTERS = frozenset(
 
 @dataclass
 class StageStats:
-    """Aggregate of every span sharing one name."""
+    """Aggregate of every span sharing one name.
+
+    ``parent`` is the enclosing span's name at the stage's shallowest
+    occurrence (``None`` for a top-level stage).
+    """
 
     name: str
     count: int = 0
     total_s: float = 0.0
     min_depth: int = 0
+    parent: Optional[str] = None
     counters: dict[str, float] = field(default_factory=dict)
 
     def absorb(self, span: SpanRecord) -> None:
         if not self.count or span.depth < self.min_depth:
             self.min_depth = span.depth
+            self.parent = span.parent
         self.count += 1
         self.total_s += span.duration_s
         for key, value in span.counters.items():
@@ -109,6 +115,29 @@ def coverage(spans: Sequence[SpanRecord]) -> Coverage:
     return Coverage(root_s=root_s, stages_s=stages_s)
 
 
+def _stage_tree(stages: Sequence[StageStats]) -> list[tuple[int, StageStats]]:
+    """``(level, stage)`` rows: each stage under its parent, depth first.
+
+    Siblings are ordered by total time; a stage whose parent is not a
+    stage of this trace is a root.  A parent always sits shallower than
+    its child, so the parent links form a forest.
+    """
+    names = {stage.name for stage in stages}
+    children: dict[Optional[str], list[StageStats]] = {}
+    for stage in sorted(stages, key=lambda s: -s.total_s):
+        parent = stage.parent if stage.parent in names else None
+        children.setdefault(parent, []).append(stage)
+    rows: list[tuple[int, StageStats]] = []
+
+    def place(parent: Optional[str], level: int) -> None:
+        for stage in children.get(parent, ()):
+            rows.append((level, stage))
+            place(stage.name, level + 1)
+
+    place(None, 0)
+    return rows
+
+
 def _format_table(headers: Sequence[str], rows: list[list[str]]) -> str:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -136,15 +165,16 @@ def trace_summary(
 ) -> str:
     """Render the per-stage time/energy breakdown table of a trace.
 
-    One row per span name (stage), ordered by total time; the energy
-    column prices each stage's operation payloads with ``device``
+    One row per span name (stage), indented under its parent stage,
+    siblings ordered by total time; the energy column prices each
+    stage's operation payloads with ``device``
     (omitted when no profile is given).  Ends with the coverage line
     the CI smoke test greps for.
     """
     spans = trace.spans
     if not spans:
         return "trace is empty (no spans recorded)"
-    stages = sorted(aggregate_stages(spans), key=lambda s: -s.total_s)
+    stages = aggregate_stages(spans)
     total_s = sum(s.duration_s for s in spans if s.name == ROOT_SPAN)
     if total_s == 0.0:  # trace without a simulate root: fall back
         total_s = sum(s.total_s for s in stages if s.min_depth == 1)
@@ -154,10 +184,10 @@ def trace_summary(
         headers.append("energy J")
     headers.append("counters")
     rows = []
-    for stage in stages:
+    for level, stage in _stage_tree(stages):
         share = 100.0 * stage.total_s / total_s if total_s else 0.0
         row = [
-            ("  " * max(stage.min_depth - 1, 0)) + stage.name,
+            "  " * level + stage.name,
             str(stage.count),
             f"{stage.total_s:.3f}",
             f"{share:.1f}",

@@ -18,11 +18,9 @@ from repro.sim.pipeline import (
     simulate,
     encode_phase,
     transmit_phase,
-    encode_only,
 )
 from repro.sim.experiment import (
     CalibrationResult,
-    RateMatchSpec,
     calibrate_intra_th,
 )
 from repro.sim.runner import (
@@ -60,9 +58,7 @@ __all__ = [
     "simulate",
     "encode_phase",
     "transmit_phase",
-    "encode_only",
     "CalibrationResult",
-    "RateMatchSpec",
     "calibrate_intra_th",
     "format_table",
     "format_series",

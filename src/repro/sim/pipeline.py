@@ -35,7 +35,7 @@ from repro.codec.decoder import Decoder
 from repro.codec.encoder import Encoder
 from repro.codec.rate import ClosedLoopRateController
 from repro.codec.syntax import ParseMemo
-from repro.codec.types import CodecConfig, EncodedFrame, FrameType
+from repro.codec.types import CodecConfig, FrameType
 from repro.concealment.base import ConcealmentStrategy
 from repro.concealment.copy import CopyConcealment
 from repro.energy.counters import OperationCounters
@@ -239,18 +239,6 @@ class SimulationResult:
                     break
             times.append(recovered - start)
         return times
-
-
-def encode_only(
-    sequence: VideoSequence,
-    strategy: ResilienceStrategy,
-    config: Optional[SimulationConfig] = None,
-) -> tuple[list[EncodedFrame], OperationCounters]:
-    """Run just the encoder (for size/energy studies without a channel)."""
-    config = config or SimulationConfig()
-    encoder = Encoder(config.codec, strategy)
-    encoded = encoder.encode_sequence(sequence)
-    return encoded, encoder.counters
 
 
 def _as_injector(

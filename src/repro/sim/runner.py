@@ -200,7 +200,8 @@ class JobSpec:
             ``"packet"``.
         config: pipeline configuration (codec, MTU, device profile).
         pbpair_kwargs: extra :class:`repro.core.pbpair.PBPAIRConfig`
-            knobs for PBPAIR schemes (``intra_th``, ...).
+            knobs (``intra_th``, ...); kept for PBPAIR only, normalised
+            to ``{}`` for every other scheme.
         faults: optional deterministic :class:`repro.faults.FaultPlan`.
             Pipeline-stage faults are injected inside the simulation
             (and change the result, so the plan is part of the cache
@@ -252,8 +253,13 @@ class JobSpec:
                 "pass synthetic=SyntheticConfig(...) for custom clips"
             )
         # Normalize to a plain dict so equality and hashing see the same
-        # content regardless of the mapping type the caller used.
-        object.__setattr__(self, "pbpair_kwargs", dict(self.pbpair_kwargs))
+        # content regardless of the mapping type the caller used; other
+        # schemes ignore PBPAIR's knobs, so they never reach their keys.
+        object.__setattr__(
+            self,
+            "pbpair_kwargs",
+            dict(self.pbpair_kwargs) if self.is_pbpair else {},
+        )
 
     @property
     def is_pbpair(self) -> bool:
@@ -894,12 +900,12 @@ def run_job(
     :func:`encode_content_hash` and only the transmit phase runs when
     another cell already paid for the encode — value-identical to the
     full pipeline and opening the same ``simulate`` trace root, with an
-    ``encode_reused`` trace event marking the skipped work.  Specs
-    carrying encode-stage faults opt out and run the whole pipeline
-    (their corrupted stream is theirs alone).  A ``parse_memo`` shared
-    with the other cells of the stream lets the decoder skip re-parsing
-    fragment bytes they already parsed; it is used only on the
-    shared-stream path and never changes the result.
+    ``encode_reused`` trace event marking the skipped work.  Encode-stage
+    faults are part of that key and act inside the encode, so cells
+    with equal encode sub-plans share their corrupted stream too.  A
+    ``parse_memo`` shared with the other cells of the stream lets the
+    decoder skip re-parsing fragment bytes they already parsed; it is
+    used only on the shared-stream path and never changes the result.
     """
     sequence = _sequence_for(spec.sequence, spec.n_frames, spec.synthetic)
     strategy = build_strategy(spec.scheme, **_strategy_kwargs_for(spec))
@@ -914,7 +920,7 @@ def run_job(
             plr=spec.plr, seed=spec.channel_seed, granularity=spec.granularity
         )
         channel_kwargs = {}
-    if stream_cache is None or encode_subplan(spec.faults) is not None:
+    if stream_cache is None:
         return simulate(
             sequence,
             strategy,
@@ -937,6 +943,7 @@ def run_job(
                 strategy,
                 config=spec.config,
                 rate_controller=build_rate_controller(spec.rate),
+                faults=spec.faults,
             ),
         )
         if reused and tracer.enabled:
@@ -1044,17 +1051,6 @@ def _execute_job(
         return False, payload, time.perf_counter() - start
 
 
-def _shared_stream_key(spec: JobSpec) -> Optional[str]:
-    """The encode key a cell replays a shared stream under.
-
-    ``None`` for a cell carrying encode-stage faults: :func:`run_job`
-    runs it through the whole pipeline, sharing nothing.
-    """
-    if encode_subplan(spec.faults) is not None:
-        return None
-    return encode_content_hash(spec)
-
-
 def _stream_groups(keys: Sequence[Optional[str]]) -> list[list[int]]:
     """Positions of ``keys`` grouped by key, in first-occurrence order."""
     groups: dict[Optional[str], list[int]] = {}
@@ -1068,8 +1064,8 @@ def _parse_memo_scopes(
 ) -> Iterator[tuple[int, Optional[ParseMemo]]]:
     """Walk a loop's cells group by group, each with its group's memo.
 
-    ``keys`` holds each cell's shared-stream key (``None``: the cell
-    shares no stream).  Cells with one key replay one stream, so they
+    ``keys`` holds each cell's :func:`encode_content_hash` (``None``:
+    stream sharing is off).  Cells with one key replay one stream, so they
     share one :class:`~repro.codec.syntax.ParseMemo`.  A memo exists
     only for a key two or more cells of this loop share, and is dropped
     once the group's last cell has run.  Both grid loops (the serial
@@ -1127,7 +1123,7 @@ def _execute_chunk(
     cache = _worker_cache(cache_dir) if cache_dir is not None else None
     stream_cache = _worker_stream_cache(stream_dir) if share_streams else None
     keys = [
-        _shared_stream_key(spec) if share_streams else None
+        encode_content_hash(spec) if share_streams else None
         for spec, _ in cells
     ]
     outcomes: list = [None] * len(cells)
@@ -1239,9 +1235,10 @@ def run_grid(
             timeout, failure manifest, run-level fault plan and tracing.
         cache: a live result cache to use instead of the one
             ``options`` describes — callers that run several grids (the
-            service daemon across batches, the CLI across calibration
-            and the grid) share one handle and its hit counters.
-        stream_cache: likewise, a live encoded-stream cache.  Ignored
+            service daemon across batches) share one handle and its hit
+            counters.
+        stream_cache: likewise, a live encoded-stream cache (the CLI
+            shares one between calibration and the grid).  Ignored
             when ``options.share_streams`` is off.  Workers receive the
             cache *directory*, never a pickled stream.
 
@@ -1303,7 +1300,7 @@ def run_grid(
     # a worker's stream cache then serves a whole group, and its cells
     # share one parse memo.  A grid of distinct keys keeps its order.
     keys = [
-        _shared_stream_key(specs[index]) if stream_cache is not None else None
+        encode_content_hash(specs[index]) if stream_cache is not None else None
         for index in pending
     ]
     order = [position for group in _stream_groups(keys) for position in group]

@@ -3,8 +3,9 @@
 The contract under test: splitting :func:`simulate` into
 ``encode_phase`` + ``transmit_phase`` and sharing encoded streams
 across grid cells is *observation-equivalent* — byte-identical
-bitstreams, value-identical metrics, in any process — and cells whose
-fault plans touch the encode stage correctly opt out of sharing.
+bitstreams, value-identical metrics, in any process — including cells
+whose fault plans corrupt the encode stage, which share a stream only
+with cells carrying the same encode sub-plan.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.network.loss import UniformLoss
 from repro.network.packet import Packetizer
 from repro.obs import Tracer, use_tracer
 from repro.resilience.registry import build_strategy
+from repro.service.wire import session_result_digest
 from repro.sim.pipeline import (
     SimulationConfig,
     encode_phase,
@@ -191,6 +193,27 @@ class TestEncodeKeys:
             _spec("GOP-2", faults=encode_plan)
         )
 
+    def test_encode_subplan_keeps_plan_indices(self):
+        """An encode spec's RNG is keyed by its plan index, so a plan
+        that puts it behind a channel spec encodes a different stream."""
+        flip = FaultSpec(kind="encode_byteflip", probability=1.0, amount=4)
+        drop = FaultSpec(kind="drop", probability=0.5)
+        first = FaultPlan(faults=(flip, drop), seed=5)
+        second = FaultPlan(faults=(drop, flip), seed=5)
+        assert encode_subplan(first) == FaultPlan(faults=(flip,), seed=5)
+        assert encode_subplan(second) == second
+        grid = [
+            _spec("GOP-2", faults=plan)
+            for plan in (FaultPlan(faults=(flip,), seed=5), first, second)
+        ]
+        assert len({encode_content_hash(spec) for spec in grid}) == 2
+        cache = EncodedStreamCache()
+        shared = run_grid(grid, runner_options(), stream_cache=cache)
+        unshared = run_grid(grid, runner_options(share_streams=False))
+        assert cache.encodes == 2
+        for a, b in zip(shared, unshared):
+            assert_results_equal(a.result, b.result)
+
 
 class TestGridSharing:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -223,21 +246,43 @@ class TestGridSharing:
             f.size_bytes for f in second.frames
         ]
 
-    def test_encode_fault_plans_opt_out(self):
-        plan = FaultPlan(
+    def test_mixed_fault_grid_shares_by_encode_subplan(self):
+        channel = FaultPlan(
+            faults=(FaultSpec(kind="drop", probability=0.5),), seed=3
+        )
+        encode = FaultPlan(
             faults=(FaultSpec(kind="encode_byteflip", probability=1.0,
                               amount=4),),
-            seed=9,
+            seed=3,
         )
-        spec = _spec("GOP-2", faults=plan)
+        both = FaultPlan(faults=encode.faults + channel.faults, seed=3)
+        grid = [
+            _spec(scheme, seed, faults=plan)
+            for plan in (None, channel, encode, both)
+            for scheme in ("GOP-2", "PBPAIR")
+            for seed in (0, 1)
+        ]
+
+        def digests(outcomes):
+            assert all(outcome.ok for outcome in outcomes)
+            return [session_result_digest(o.result) for o in outcomes]
+
         cache = EncodedStreamCache()
-        with_cache = run_job(spec, cache)
-        assert cache.encodes == 0  # full pipeline, no stream shared
-        plain = run_job(spec)
-        assert_results_equal(plain, with_cache)
-        assert any(e.stage == "encode" for e in with_cache.fault_events)
-        clean = run_job(_spec("GOP-2"))
-        assert clean.frames != with_cache.frames
+        serial = digests(run_grid(grid, runner_options(), stream_cache=cache))
+        assert cache.encodes == 4  # one per (scheme, encode sub-plan)
+        assert digests(run_grid(grid, runner_options(jobs=2))) == serial
+        assert digests(
+            run_grid(grid, runner_options(share_streams=False))
+        ) == serial
+        corrupted = [
+            o.result
+            for o in run_grid(grid, runner_options(), stream_cache=cache)
+            if o.spec.faults in (encode, both)
+        ]
+        assert all(
+            any(e.stage == "encode" for e in result.fault_events)
+            for result in corrupted
+        )
 
     def test_channel_fault_plans_share(self):
         plan = FaultPlan(

@@ -61,23 +61,24 @@ class TestSizeMatching:
         assert th == 0.5  # one bisection probe: the midpoint
 
     def test_calibration_cache_reused(self, clip, sim_config, tmp_path):
-        from repro.sim.runner import ResultCache
+        from repro.sim.runner import EncodedStreamCache
 
-        cache = ResultCache(tmp_path)
         target = total_encoded_bytes(clip, build_strategy("GOP-3"), sim_config)
         th_cold = calibrate_intra_th(
             clip, target, plr=0.3, config=sim_config, max_iterations=4,
-            cache=cache,
+            stream_cache=EncodedStreamCache(tmp_path),
         )
-        probes = len(cache)
+        probes = th_cold.probes
         assert probes >= 1
+        # A fresh handle on the same directory: only the disk tier is warm.
+        disk = EncodedStreamCache(tmp_path)
         th_warm = calibrate_intra_th(
             clip, target, plr=0.3, config=sim_config, max_iterations=4,
-            cache=cache,
+            stream_cache=disk,
         )
         assert th_warm == th_cold
-        assert cache.hits >= probes  # every probe answered from disk
-        assert th_warm.probes == th_warm.cache_hits
+        assert disk.hits == probes  # every probe answered from disk
+        assert disk.encodes == 0
         assert th_warm.unique_encodes == 0
 
 
@@ -85,7 +86,7 @@ class TestCalibrationResult:
     def test_behaves_as_float(self):
         from repro.sim.experiment import CalibrationResult
 
-        th = CalibrationResult(0.5, probes=4, unique_encodes=3, cache_hits=1)
+        th = CalibrationResult(0.5, probes=4, unique_encodes=3)
         assert th == 0.5
         assert f"{th:.3f}" == "0.500"
         assert th * 2 == 1.0
@@ -98,7 +99,6 @@ class TestCalibrationResult:
         )
         assert th.probes >= 1
         assert th.unique_encodes == th.probes  # no cache: every probe encodes
-        assert th.cache_hits == 0
         assert th.saved_encodes == 0
 
     def test_warm_stream_cache_skips_encodes(self, clip, sim_config):
@@ -118,7 +118,6 @@ class TestCalibrationResult:
         )
         assert warm == cold
         assert warm.unique_encodes == 0
-        assert warm.cache_hits == warm.probes
         assert warm.saved_encodes == warm.probes
         assert stream_cache.encodes == cold.probes  # no new encoder runs
 

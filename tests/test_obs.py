@@ -28,6 +28,8 @@ from repro.obs import (
     use_tracer,
     write_trace,
 )
+from repro.obs.export import TraceData
+from repro.obs.tracer import SpanRecord
 from repro.resilience.registry import build_strategy
 from repro.sim.pipeline import SimulationConfig, simulate
 from repro.sim.runner import JobSpec, run_grid
@@ -313,6 +315,42 @@ class TestPipelineTracing:
         assert "simulate" in text
         assert "encode_frame" in text
         assert "stage coverage" in text
+
+
+class TestSummaryOrder:
+    def test_stages_sit_under_their_parent(self):
+        """Encoder sub-stages render under ``encode_frame`` even when
+        ``decode_frame`` outweighs some of them."""
+
+        def span(name, duration, depth, parent):
+            return SpanRecord(name, 0.0, duration, depth, parent)
+
+        spans = [
+            span("simulate", 1.0, 1, None),
+            span("encode_frame", 0.5, 2, "simulate"),
+            span("motion_estimation", 0.25, 3, "encode_frame"),
+            span("quantize", 0.1, 3, "encode_frame"),
+            span("entropy_code", 0.05, 3, "encode_frame"),
+            span("decode_frame", 0.3, 2, "simulate"),
+            span("channel", 0.15, 2, "simulate"),
+        ]
+        text = trace_summary(TraceData(spans=spans, trace_ids=["run"]))
+        rows = [
+            line.split()[0]
+            for line in text.splitlines()[3:]
+            if not line.startswith("stage coverage")
+        ]
+        assert rows == [
+            "simulate",
+            "encode_frame",
+            "motion_estimation",
+            "quantize",
+            "entropy_code",
+            "decode_frame",
+            "channel",
+        ]
+        assert "    motion_estimation" in text
+        assert "  decode_frame" in text
 
 
 class TestRunnerTracing:

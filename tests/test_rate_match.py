@@ -1,5 +1,5 @@
-"""Matched-bitrate comparison API: RateMatchSpec, calibration stats,
-rate-aware cache keys and grid determinism under rate control."""
+"""Matched operating points: calibration stats, rate-aware cache keys
+and grid determinism under rate control."""
 
 from __future__ import annotations
 
@@ -8,11 +8,7 @@ import pickle
 import pytest
 
 from repro.codec.rate import RateControlConfig
-from repro.sim.experiment import (
-    CalibrationResult,
-    RateMatchSpec,
-    calibrate_intra_th,
-)
+from repro.sim.experiment import CalibrationResult, calibrate_intra_th
 from repro.sim.pipeline import SimulationConfig
 from repro.sim.runner import (
     JobSpec,
@@ -46,39 +42,6 @@ def sim_config():
     return SimulationConfig(codec=small_config())
 
 
-class TestRateMatchSpec:
-    def test_default_schemes_are_the_figure_legend(self):
-        match = RateMatchSpec(target_kbps=200.0)
-        assert match.schemes == ("NO", "GOP-3", "AIR-24", "PGOP-3", "PBPAIR")
-
-    def test_schemes_normalised_to_tuple(self):
-        match = RateMatchSpec(target_kbps=200.0, schemes=["NO", "PBPAIR"])
-        assert match.schemes == ("NO", "PBPAIR")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RateMatchSpec(target_kbps=200.0, schemes=())
-        with pytest.raises(ValueError):
-            RateMatchSpec(target_kbps=-1.0)
-        with pytest.raises(ValueError):
-            RateMatchSpec(target_kbps=200.0, sensitivity=0.0)
-
-    def test_jobs_share_one_rate_config(self, sim_config):
-        match = RateMatchSpec(target_kbps=200.0)
-        jobs = match.jobs(plr=0.1, config=sim_config)
-        assert [job.scheme for job in jobs] == list(match.schemes)
-        assert len({job.rate for job in jobs}) == 1
-        assert jobs[0].rate == match.rate_config()
-
-    def test_pbpair_kwargs_only_reach_pbpair(self, sim_config):
-        match = RateMatchSpec(target_kbps=200.0, schemes=("NO", "PBPAIR"))
-        jobs = match.jobs(
-            plr=0.1, config=sim_config, pbpair_kwargs={"intra_th": 0.8}
-        )
-        assert jobs[0].pbpair_kwargs == {}
-        assert jobs[1].pbpair_kwargs == {"intra_th": 0.8}
-
-
 class TestCalibrationResultStats:
     """The float subclass keeps its calibration-cost stats pinned."""
 
@@ -87,24 +50,20 @@ class TestCalibrationResultStats:
             clip, 6000, plr=0.1, config=sim_config, max_iterations=3
         )
         assert result.probes >= 1
-        assert result.unique_encodes + result.cache_hits == result.probes
+        assert result.unique_encodes == result.probes  # a private cache
         assert result.saved_encodes == result.probes - result.unique_encodes
 
     def test_float_semantics_preserved(self):
-        result = CalibrationResult(0.5, probes=4, unique_encodes=3,
-                                   cache_hits=1)
+        result = CalibrationResult(0.5, probes=4, unique_encodes=3)
         assert result == 0.5 and result * 2 == 1.0
         assert f"{result:.3f}" == "0.500"
         assert isinstance(result + 0.0, float)
 
     def test_stats_survive_pickling(self):
-        result = CalibrationResult(0.5, probes=4, unique_encodes=3,
-                                   cache_hits=1)
+        result = CalibrationResult(0.5, probes=4, unique_encodes=3)
         clone = pickle.loads(pickle.dumps(result))
         assert float(clone) == 0.5
-        assert (clone.probes, clone.unique_encodes, clone.cache_hits) == (
-            4, 3, 1,
-        )
+        assert (clone.probes, clone.unique_encodes) == (4, 3)
 
 
 class TestRateAwareCacheKeys:

@@ -139,6 +139,34 @@ class TestJobSpec:
         assert jobs[-1].scheme == "GOP-3" and jobs[-1].plr == 0.2
 
 
+    def test_pbpair_kwargs_only_reach_pbpair(self):
+        bare = tiny_job(scheme="NO")
+        knobbed = tiny_job(scheme="NO", pbpair_kwargs={"intra_th": 0.8})
+        assert knobbed.pbpair_kwargs == {}
+        assert knobbed.content_hash() == bare.content_hash()
+        pbpair = tiny_job(scheme="PBPAIR", pbpair_kwargs={"intra_th": 0.8})
+        assert pbpair.pbpair_kwargs == {"intra_th": 0.8}
+
+    def test_grids_differing_in_pbpair_kwargs_share_other_cells(
+        self, tmp_path
+    ):
+        cache = ResultCache(tmp_path)
+
+        def grid(intra_th):
+            return build_grid(
+                schemes=("NO", "GOP-3", "PBPAIR"),
+                plrs=(0.1,),
+                channel_seeds=(0,),
+                sequences=("akiyo",),
+                n_frames=2,
+                pbpair_kwargs={"intra_th": intra_th},
+            )
+
+        run_grid(grid(0.5), runner_options(), cache=cache)
+        second = run_grid(grid(0.9), runner_options(), cache=cache)
+        assert [o.from_cache for o in second] == [True, True, False]
+
+
 class TestResultCache:
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -11,7 +11,7 @@ from repro.resilience.gop import GOPStrategy
 from repro.resilience.none import NoResilience
 from repro.resilience.pbpair_strategy import PBPAIRStrategy
 from repro.core.pbpair import PBPAIRConfig
-from repro.sim.pipeline import SimulationConfig, encode_only, simulate
+from repro.sim.pipeline import SimulationConfig, simulate
 
 from tests.conftest import small_config, small_sequence
 
@@ -43,14 +43,6 @@ class TestLosslessRun:
         assert result.channel_log.sent >= result.n_frames
         assert result.sequence_name == clip.name
         assert result.strategy_name == "NO"
-
-    def test_encode_only_matches_simulate_sizes(self, clip, sim_config):
-        encoded, counters = encode_only(clip, NoResilience(), sim_config)
-        result = simulate(clip, NoResilience(), NoLoss(), sim_config)
-        assert [ef.size_bytes for ef in encoded] == [
-            r.size_bytes for r in result.frames
-        ]
-        assert counters.as_dict() == result.counters.as_dict()
 
 
 class TestLossyRun:
