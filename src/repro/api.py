@@ -2,10 +2,16 @@
 
 This module is the **stability boundary** of the package and its one
 public surface: scripts, notebooks and downstream tooling should import
-from ``repro.api``, not from the internal submodules.  Everything in ``__all__`` here keeps its name and call
-signature across minor versions; internal modules
-(``repro.sim.pipeline``, ``repro.codec.*``, ...) may be refactored
-freely underneath it.
+from ``repro.api``, not from the internal submodules.  Everything in
+``__all__`` here keeps its name and call signature across minor
+versions; internal modules (``repro.sim.pipeline``, ``repro.codec.*``,
+...) may be refactored freely underneath it.
+
+It is also the only module that gathers names from elsewhere.  The
+subpackages (``repro.codec``, ``repro.sim``, ...) export nothing —
+each ``__init__`` is just its docstring — so every import below names
+the module that defines the object, and each name here is that very
+object (same ``__module__`` and ``__qualname__``).
 
 Two kinds of names live here:
 
@@ -92,12 +98,10 @@ from repro.codec.types import (
     FrameType,
     MacroblockMode,
 )
-from repro.concealment import (
-    CopyConcealment,
-    MotionRecoveryConcealment,
-    SpatialConcealment,
-)
 from repro.concealment.base import ConcealmentStrategy
+from repro.concealment.copy import CopyConcealment
+from repro.concealment.motion import MotionRecoveryConcealment
+from repro.concealment.spatial import SpatialConcealment
 from repro.core.adaptation import (
     EnergyBudgetController,
     intra_th_for_plr_change,
@@ -108,18 +112,18 @@ from repro.core.instrumentation import (
     sigma_heatmap,
 )
 from repro.core.pbpair import PBPAIRConfig
-from repro.energy.model import EnergyModel, OperationCounters
-from repro.faults import (
+from repro.energy.counters import OperationCounters
+from repro.energy.model import EnergyModel
+from repro.energy.profiles import DEVICE_PROFILES, IPAQ_H5555, ZAURUS_SL5600
+from repro.faults.inject import FaultInjector, inject_faults
+from repro.faults.plan import (
     FaultEvent,
-    FaultInjector,
     FaultPlan,
     FaultSpec,
-    inject_faults,
     load_fault_plan,
     parse_fault_plan,
     write_fault_plan,
 )
-from repro.energy.profiles import DEVICE_PROFILES, IPAQ_H5555, ZAURUS_SL5600
 from repro.metrics.bitrate import frame_size_stats
 from repro.network.biterror import BitErrorChannel
 from repro.network.channel import Channel
@@ -136,20 +140,61 @@ from repro.network.loss import (
 )
 from repro.network.packet import Depacketizer, Packetizer
 from repro.network.protection import ResilienceWrapper, xor_parity_payload
-from repro.obs import (
-    MetricsRegistry,
-    TraceData,
-    Tracer,
-    get_tracer,
-    load_trace,
-    set_tracer,
-    trace_summary,
-    use_tracer,
-    write_trace,
-)
+from repro.obs.export import TraceData, load_trace, write_trace
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.summary import trace_summary
+from repro.obs.tracer import Tracer, get_tracer, set_tracer, use_tracer
 from repro.resilience.base import ResilienceStrategy
 from repro.resilience.pbpair_strategy import PBPAIRStrategy
 from repro.resilience.registry import STRATEGY_BUILDERS, build_strategy
+from repro.scenarios.channel import ScenarioChannel, segment_seed
+from repro.scenarios.fleet import (
+    FLEET_COLUMNS,
+    FLEET_SCHEMES,
+    RECOVERY_DIP_DB,
+    FleetCell,
+    FleetReport,
+    build_cell,
+    fleet_jobs,
+    recovery_summary,
+    run_fleet,
+)
+from repro.scenarios.pack import (
+    LOSS_KINDS,
+    SCENARIO_SCHEMA_VERSION,
+    LossSpec,
+    ResilienceSpec,
+    ScenarioFormatError,
+    ScenarioPack,
+    ScenarioSegment,
+    available_packs,
+    load_pack,
+    parse_scenario,
+    write_pack,
+)
+from repro.service.client import ServiceBusy, ServiceClient, ServiceClientError
+from repro.service.daemon import (
+    DaemonHandle,
+    EncodeDaemon,
+    ServiceConfig,
+    serve,
+    start_daemon,
+)
+from repro.service.queue import ClaimLost, JobQueue, QueueFull
+from repro.service.wire import (
+    ClassSummary,
+    FleetSummary,
+    JobStatus,
+    JobSubmit,
+    ServiceManifest,
+    SessionResult,
+    WireFormatError,
+    job_spec_from_json,
+    job_spec_to_json,
+    load_service_manifest,
+    percentile,
+    session_result_digest,
+)
 from repro.sim.experiment import (
     CalibrationResult,
     calibrate_intra_th,
@@ -166,55 +211,6 @@ from repro.sim.pipeline import (
 )
 from repro.sim.pipeline import simulate as _simulate
 from repro.sim.report import format_series, format_table
-from repro.service import (
-    ClaimLost,
-    ClassSummary,
-    DaemonHandle,
-    EncodeDaemon,
-    FleetSummary,
-    JobQueue,
-    JobStatus,
-    JobSubmit,
-    QueueFull,
-    ServiceBusy,
-    ServiceClient,
-    ServiceClientError,
-    ServiceConfig,
-    ServiceManifest,
-    SessionResult,
-    WireFormatError,
-    job_spec_from_json,
-    job_spec_to_json,
-    load_service_manifest,
-    percentile,
-    serve,
-    session_result_digest,
-    start_daemon,
-)
-from repro.scenarios import (
-    FLEET_COLUMNS,
-    FLEET_SCHEMES,
-    LOSS_KINDS,
-    RECOVERY_DIP_DB,
-    SCENARIO_SCHEMA_VERSION,
-    FleetCell,
-    FleetReport,
-    LossSpec,
-    ResilienceSpec,
-    ScenarioChannel,
-    ScenarioFormatError,
-    ScenarioPack,
-    ScenarioSegment,
-    available_packs,
-    build_cell,
-    fleet_jobs,
-    load_pack,
-    parse_scenario,
-    recovery_summary,
-    run_fleet,
-    segment_seed,
-    write_pack,
-)
 from repro.sim.runner import (
     EncodedStreamCache,
     GridManifest,

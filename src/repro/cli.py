@@ -48,29 +48,33 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.codec.encoder import Encoder
+from repro.codec.rate import RateControlConfig, build_rate_controller
+from repro.codec.types import CodecConfig
+from repro.core.instrumentation import InstrumentedPBPAIRStrategy, sigma_heatmap
+from repro.core.pbpair import PBPAIRConfig
 from repro.energy.profiles import DEVICE_PROFILES
-from repro.faults import parse_fault_plan
+from repro.faults.plan import parse_fault_plan
 from repro.network.loss import UniformLoss
-from repro.obs import (
+from repro.obs.export import (
     MERGED_TRACE_NAME,
     TraceFormatError,
-    Tracer,
     load_trace,
-    trace_summary,
-    use_tracer,
     write_trace,
 )
-from repro.codec.rate import RateControlConfig, build_rate_controller
+from repro.obs.summary import trace_summary
+from repro.obs.tracer import Tracer, use_tracer
 from repro.resilience.registry import STRATEGY_BUILDERS, build_strategy
-from repro.scenarios import (
-    FLEET_COLUMNS,
-    FLEET_SCHEMES,
-    ScenarioFormatError,
-    available_packs,
-    parse_scenario,
-    run_fleet,
+from repro.scenarios.fleet import FLEET_COLUMNS, FLEET_SCHEMES, run_fleet
+from repro.scenarios.pack import ScenarioFormatError, available_packs, parse_scenario
+from repro.service.client import ServiceClient, ServiceClientError
+from repro.service.daemon import (
+    DEFAULT_PORT as SERVICE_DEFAULT_PORT,
+    ServiceConfig,
+    serve,
 )
-from repro.service.daemon import DEFAULT_PORT as SERVICE_DEFAULT_PORT
+from repro.service.queue import read_journal
+from repro.service.wire import JobSubmit, WireFormatError
 from repro.sim.experiment import calibrate_intra_th, total_encoded_bytes
 from repro.sim.pipeline import SimulationConfig, simulate
 from repro.sim.report import format_table
@@ -633,14 +637,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_sigma(args: argparse.Namespace) -> int:
-    from repro.codec.encoder import Encoder
-    from repro.codec.types import CodecConfig
-    from repro.core.instrumentation import (
-        InstrumentedPBPAIRStrategy,
-        sigma_heatmap,
-    )
-    from repro.core.pbpair import PBPAIRConfig
-
     video = _sequence(args)
     strategy = InstrumentedPBPAIRStrategy(
         PBPAIRConfig(intra_th=args.intra_th, plr=args.plr)
@@ -683,8 +679,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _client(args: argparse.Namespace):
-    from repro.service import ServiceClient
-
     return ServiceClient(args.url)
 
 
@@ -693,8 +687,6 @@ def _service_error(error: Exception) -> "SystemExit":
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import ServiceConfig, serve
-
     # --manifest names the service manifest written on drain; the
     # runner must not also write a grid manifest there per batch.
     options = dataclasses.replace(_runner_options(args), manifest_path=None)
@@ -738,8 +730,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import JobSubmit, ServiceClientError
-
     if args.count < 1:
         raise SystemExit("--count must be >= 1")
     _sequence(args)  # validates --frames early, before touching the daemon
@@ -838,9 +828,6 @@ def _journal_statuses(path: Path) -> list:
     Exits with a clear message on a missing, empty, or truncated
     journal — the offline mirror of the daemon's ``GET /v1/jobs``.
     """
-    from repro.service import WireFormatError
-    from repro.service.queue import read_journal
-
     try:
         events, torn_line = read_journal(path)
     except FileNotFoundError:
@@ -861,8 +848,6 @@ def _journal_statuses(path: Path) -> list:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClientError
-
     if args.journal is not None:
         events = _journal_statuses(Path(args.journal))
         if args.job_id:
@@ -898,8 +883,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 def _cmd_drain(args: argparse.Namespace) -> int:
     import time as _time
-
-    from repro.service import ServiceClientError
 
     client = _client(args)
     try:

@@ -12,60 +12,3 @@ architecture and macroblock geometry, H.263-style quantization, a
 fixed-point integer DCT (the paper's PDAs had no FPU), and a real
 bit-level entropy layer (run-level coding with Exp-Golomb codewords).
 """
-
-from repro.codec.types import (
-    CodecConfig,
-    FrameType,
-    MacroblockMode,
-    MacroblockDecision,
-    EncodedFrame,
-    EncodedMacroblock,
-    FrameEncodeStats,
-)
-from repro.codec.encoder import Encoder
-from repro.codec.rate import (
-    ClosedLoopRateController,
-    RateControlConfig,
-    build_rate_controller,
-)
-from repro.codec.decoder import Decoder, DecodeResult
-from repro.codec.bitstream import BitReader, BitWriter, BitstreamError
-from repro.codec.motion import (
-    MotionEstimator,
-    FullSearchMotionEstimator,
-    ThreeStepMotionEstimator,
-    DiamondSearchMotionEstimator,
-    MotionField,
-)
-from repro.codec.halfpel import (
-    halfpel_to_pixels,
-    motion_compensate_half,
-    refine_half_pel,
-)
-
-__all__ = [
-    "CodecConfig",
-    "FrameType",
-    "MacroblockMode",
-    "MacroblockDecision",
-    "EncodedFrame",
-    "EncodedMacroblock",
-    "FrameEncodeStats",
-    "Encoder",
-    "RateControlConfig",
-    "ClosedLoopRateController",
-    "build_rate_controller",
-    "Decoder",
-    "DecodeResult",
-    "BitReader",
-    "BitWriter",
-    "BitstreamError",
-    "MotionEstimator",
-    "FullSearchMotionEstimator",
-    "ThreeStepMotionEstimator",
-    "DiamondSearchMotionEstimator",
-    "MotionField",
-    "halfpel_to_pixels",
-    "motion_compensate_half",
-    "refine_half_pel",
-]

@@ -35,7 +35,7 @@ from repro.codec.types import CodecConfig, FrameType, MacroblockMode
 from repro.codec.blocks import blocks_to_macroblocks, chroma_vector
 from repro.codec.halfpel import fetch_block_half
 from repro.energy.counters import OperationCounters
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ model prices per device.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -57,11 +57,15 @@ from repro.codec.types import (
     MacroblockMode,
 )
 from repro.energy.counters import OperationCounters
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
+from repro.resilience.base import (
+    FrameFeedback,
+    PostMEContext,
+    PreMEContext,
+    ResilienceStrategy,
+)
+from repro.resilience.none import NoResilience
 from repro.video.frame import Frame
-
-if TYPE_CHECKING:  # avoid a runtime import cycle with repro.resilience
-    from repro.resilience.base import ResilienceStrategy
 
 
 def _psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
@@ -88,12 +92,10 @@ class Encoder:
     def __init__(
         self,
         config: CodecConfig,
-        strategy: Optional["ResilienceStrategy"] = None,
+        strategy: Optional[ResilienceStrategy] = None,
         counters: Optional[OperationCounters] = None,
     ) -> None:
         if strategy is None:
-            from repro.resilience.none import NoResilience
-
             strategy = NoResilience()
         self.config = config
         self.strategy = strategy
@@ -203,8 +205,6 @@ class Encoder:
             psnr_reconstructed=_psnr(current, reconstruction),
         )
 
-        from repro.resilience.base import FrameFeedback
-
         feedback_mvs = halfpel_to_pixels(mvs) if config.half_pel else mvs
         self.strategy.frame_done(
             FrameFeedback(
@@ -237,8 +237,6 @@ class Encoder:
         self, frame_index: int, current: np.ndarray, mb_rows: int, mb_cols: int
     ):
         """Run the four-stage mode decision pipeline for a P-frame."""
-        from repro.resilience.base import PostMEContext, PreMEContext
-
         reference = self._previous_reconstruction
         assert reference is not None
 

@@ -25,7 +25,7 @@ Every estimator reports how many candidate blocks it evaluated; the
 energy model prices those evaluations, which is how "skipping ME"
 becomes an energy saving.  The same count is also attached to the
 enclosing trace span (``sad_blocks`` payload via
-:meth:`repro.obs.Tracer.count`) when tracing is enabled, so per-stage
+:meth:`repro.obs.tracer.Tracer.count`) when tracing is enabled, so per-stage
 breakdowns can attribute ME work without re-deriving it.
 """
 
@@ -37,8 +37,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.codec.blocks import MB
-from repro.obs import get_tracer
+from repro.codec.blocks import BLK, MB, chroma_vector
+from repro.obs.tracer import get_tracer
 
 #: Cost-function signature: arrays broadcastable to a common shape; must
 #: return a float cost of the same broadcast shape.  ``dy``/``dx`` may be
@@ -524,8 +524,6 @@ def motion_compensate_chroma(
     :func:`repro.codec.blocks.chroma_vector` (round half away from
     zero), the same mapping the decoder applies.
     """
-    from repro.codec.blocks import BLK, chroma_vector
-
     height, width = reference_plane.shape
     mb_rows, mb_cols = height // BLK, width // BLK
     if mvs.shape != (mb_rows, mb_cols, 2):

@@ -28,10 +28,9 @@ the first-order ``bits ~ C / QP`` model, then clamped to move at most
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
-    from repro.codec.types import EncodedFrame
+from repro.codec.types import EncodedFrame
 
 
 @dataclass(frozen=True)
@@ -362,7 +361,7 @@ class ClosedLoopRateController:
         self._account(qp, bits, intra=False)
         return self.quantizer
 
-    def observe_frame(self, encoded: "EncodedFrame") -> int:
+    def observe_frame(self, encoded: EncodedFrame) -> int:
         """Learn from a full encoded frame; returns the next frame's QP.
 
         Uses the QP the frame was *actually* coded with (``encoded.qp``

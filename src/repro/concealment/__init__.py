@@ -5,15 +5,3 @@ the decoding side" and notes other schemes slot in by changing the
 similarity factor.  This package provides that copy scheme plus a
 spatial-interpolation scheme as an extension, behind one interface.
 """
-
-from repro.concealment.base import ConcealmentStrategy
-from repro.concealment.copy import CopyConcealment
-from repro.concealment.motion import MotionRecoveryConcealment
-from repro.concealment.spatial import SpatialConcealment
-
-__all__ = [
-    "ConcealmentStrategy",
-    "CopyConcealment",
-    "MotionRecoveryConcealment",
-    "SpatialConcealment",
-]

@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.concealment.base import ConcealmentStrategy
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 
 
 class CopyConcealment(ConcealmentStrategy):

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.concealment.base import ConcealmentStrategy
 from repro.concealment.copy import CopyConcealment
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 
 
 class SpatialConcealment(ConcealmentStrategy):

@@ -14,33 +14,5 @@ Three pieces:
   quality targets.
 
 :mod:`repro.core.instrumentation` (sigma traces and heatmaps) builds on
-the PBPAIR resilience strategy, so it is imported from its own module
-rather than re-exported here.
+the PBPAIR resilience strategy.
 """
-
-from repro.core.correctness import (
-    CorrectnessMatrix,
-    approximate_sigma,
-    min_sigma_related,
-    refresh_interval,
-    similarity_from_sad,
-)
-from repro.core.pbpair import PBPAIRConfig, PBPAIRController
-from repro.core.adaptation import (
-    intra_th_for_plr_change,
-    FeedbackIntraThController,
-    EnergyBudgetController,
-)
-
-__all__ = [
-    "CorrectnessMatrix",
-    "approximate_sigma",
-    "min_sigma_related",
-    "refresh_interval",
-    "similarity_from_sad",
-    "PBPAIRConfig",
-    "PBPAIRController",
-    "intra_th_for_plr_change",
-    "FeedbackIntraThController",
-    "EnergyBudgetController",
-]

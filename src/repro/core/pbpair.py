@@ -86,8 +86,9 @@ class PBPAIRController:
     """Stateful PBPAIR decision engine for one encoding run.
 
     The controller is deliberately independent of the encoder: the
-    resilience adapter (:class:`repro.resilience.PBPAIRStrategy`) wires
-    its three methods into the encoder's hook pipeline.
+    resilience adapter
+    (:class:`repro.resilience.pbpair_strategy.PBPAIRStrategy`) wires its
+    three methods into the encoder's hook pipeline.
     """
 
     def __init__(self, config: PBPAIRConfig, mb_rows: int, mb_cols: int) -> None:

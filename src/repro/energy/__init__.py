@@ -10,22 +10,3 @@ energy between schemes — the quantity the paper reports — is then a
 function of how much work each scheme performs, exactly as on the real
 devices.  See DESIGN.md, substitution #3.
 """
-
-from repro.energy.counters import OperationCounters
-from repro.energy.model import EnergyModel, EnergyBreakdown
-from repro.energy.profiles import (
-    DeviceProfile,
-    IPAQ_H5555,
-    ZAURUS_SL5600,
-    DEVICE_PROFILES,
-)
-
-__all__ = [
-    "OperationCounters",
-    "EnergyModel",
-    "EnergyBreakdown",
-    "DeviceProfile",
-    "IPAQ_H5555",
-    "ZAURUS_SL5600",
-    "DEVICE_PROFILES",
-]

@@ -2,12 +2,13 @@
 
 The PBPAIR argument is about graceful behaviour under loss; this package
 makes the harness itself provable under *failure*.  A seeded,
-declarative :class:`FaultPlan` injects faults at named pipeline stages —
-packet truncation/reordering/duplication/byte-flips after the channel
-model, fragment corruption at the decoder input, and worker
-crash/hang/poison-cache faults at the experiment runner — with every
-injection recorded as a structured :class:`FaultEvent` in both the
-simulation result and the obs trace.
+declarative :class:`~repro.faults.plan.FaultPlan` injects faults at
+named pipeline stages — packet truncation/reordering/duplication/
+byte-flips after the channel model, fragment corruption at the decoder
+input, and worker crash/hang/poison-cache faults at the experiment
+runner — with every injection recorded as a structured
+:class:`~repro.faults.plan.FaultEvent` in both the simulation result and
+the obs trace.  :mod:`repro.faults.inject` applies a plan.
 
 The consumers are hardened against everything a plan can inject:
 :class:`repro.codec.decoder.Decoder` conceals damaged fragments and
@@ -15,45 +16,3 @@ keeps decoding, and :func:`repro.sim.runner.run_grid` retries with
 backoff, quarantines poison jobs, and reports partial grids through a
 machine-readable failure manifest.
 """
-
-from repro.faults.inject import (
-    FaultInjector,
-    InjectedFault,
-    InjectedWorkerCrash,
-    inject_faults,
-)
-from repro.faults.plan import (
-    KIND_STAGES,
-    STAGE_CHANNEL,
-    STAGE_DECODER_INPUT,
-    STAGE_ENCODE,
-    STAGE_RUNNER,
-    WORKER_FAULT_KINDS,
-    FaultEvent,
-    FaultPlan,
-    FaultSpec,
-    encode_subplan,
-    load_fault_plan,
-    parse_fault_plan,
-    write_fault_plan,
-)
-
-__all__ = [
-    "FaultPlan",
-    "FaultSpec",
-    "FaultEvent",
-    "FaultInjector",
-    "InjectedFault",
-    "InjectedWorkerCrash",
-    "inject_faults",
-    "encode_subplan",
-    "parse_fault_plan",
-    "load_fault_plan",
-    "write_fault_plan",
-    "KIND_STAGES",
-    "WORKER_FAULT_KINDS",
-    "STAGE_ENCODE",
-    "STAGE_CHANNEL",
-    "STAGE_DECODER_INPUT",
-    "STAGE_RUNNER",
-]

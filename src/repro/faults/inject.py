@@ -29,7 +29,7 @@ from repro.faults.plan import (
     FaultSpec,
 )
 from repro.network.packet import Packet
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 
 
 class InjectedFault(RuntimeError):

@@ -7,33 +7,3 @@
 * :mod:`repro.metrics.bitrate` — encoded size and frame-size-variation
   statistics (Figures 5c and 6b).
 """
-
-from repro.metrics.psnr import psnr, mse, sequence_psnr, average_psnr
-from repro.metrics.bad_pixels import (
-    bad_pixel_count,
-    bad_pixel_map,
-    sequence_bad_pixels,
-    DEFAULT_BAD_PIXEL_THRESHOLD,
-)
-from repro.metrics.bitrate import (
-    FrameSizeStats,
-    frame_size_stats,
-    bitrate_kbps,
-)
-from repro.metrics.ssim import ssim, sequence_ssim
-
-__all__ = [
-    "psnr",
-    "mse",
-    "sequence_psnr",
-    "average_psnr",
-    "bad_pixel_count",
-    "bad_pixel_map",
-    "sequence_bad_pixels",
-    "DEFAULT_BAD_PIXEL_THRESHOLD",
-    "FrameSizeStats",
-    "frame_size_stats",
-    "bitrate_kbps",
-    "ssim",
-    "sequence_ssim",
-]

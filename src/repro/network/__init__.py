@@ -6,47 +6,8 @@ macroblock boundaries beyond it — the paper's RTP setup), pushed through
 a loss model, and depacketized into per-frame fragment sets for the
 decoder.
 
-Loss models: :class:`UniformLoss` (the paper's "uniform distribution of
-frame discard"), :class:`ScriptedLoss` (the deterministic e1..e7 events
-of Figure 6), and :class:`GilbertElliottLoss` (bursty wireless loss, an
-extension).
+Loss models (all in :mod:`repro.network.loss`): ``UniformLoss`` (the
+paper's "uniform distribution of frame discard"), ``ScriptedLoss`` (the
+deterministic e1..e7 events of Figure 6), and ``GilbertElliottLoss``
+(bursty wireless loss, an extension).
 """
-
-from repro.network.packet import Packet, Packetizer, Depacketizer, DEFAULT_MTU
-from repro.network.loss import (
-    LossModel,
-    NoLoss,
-    UniformLoss,
-    ScriptedLoss,
-    TraceLoss,
-    GilbertElliottLoss,
-    MarkovBurstLoss,
-    structural_rng,
-)
-from repro.network.channel import Channel, ChannelLog
-from repro.network.biterror import BitErrorChannel, PROTECTED_HEADER_BYTES
-from repro.network.link import BandwidthDeadlineLoss, LinkLog
-from repro.network.protection import ResilienceWrapper, xor_parity_payload
-
-__all__ = [
-    "Packet",
-    "Packetizer",
-    "Depacketizer",
-    "DEFAULT_MTU",
-    "LossModel",
-    "NoLoss",
-    "UniformLoss",
-    "ScriptedLoss",
-    "TraceLoss",
-    "GilbertElliottLoss",
-    "MarkovBurstLoss",
-    "structural_rng",
-    "Channel",
-    "ChannelLog",
-    "BitErrorChannel",
-    "PROTECTED_HEADER_BYTES",
-    "BandwidthDeadlineLoss",
-    "LinkLog",
-    "ResilienceWrapper",
-    "xor_parity_payload",
-]

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.network.loss import LossModel
 from repro.network.packet import Packet
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 
 
 @dataclass

@@ -28,7 +28,7 @@ from repro.network.packet import Packet
 def structural_rng(seed: int, *key) -> np.random.Generator:
     """RNG keyed by *what* is being decided, not *when*.
 
-    Same pattern as :meth:`repro.faults.FaultPlan.rng`: the seed and a
+    Same pattern as :meth:`repro.faults.plan.FaultPlan.rng`: the seed and a
     structural key (frame index, draw counter, segment index, ...) are
     hashed into a generator, so a draw depends only on its identity —
     never on worker count, call order, or how many other draws happened

@@ -39,7 +39,7 @@ import numpy as np
 from repro.network.channel import ChannelLog
 from repro.network.loss import LossModel
 from repro.network.packet import Packet
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 
 
 def xor_parity_payload(packets: list[Packet]) -> bytes:

@@ -20,74 +20,12 @@ span                  opened around
 ``metrics``           PSNR / bad-pixel measurement
 ====================  =======================================================
 
-Everything is a no-op by default (:class:`NullTracer`); a traced run
-installs a real :class:`Tracer` with :func:`use_tracer`, then exports
-its spans and metrics snapshot with :func:`write_trace`.  Multi-process
-grids (:func:`repro.sim.runner.run_grid`) give each worker its own
-tracer and per-job trace file, merged by the parent with
-:func:`merge_job_traces`.  ``repro trace <file>`` renders the result.
+Everything is a no-op by default (``NullTracer``); a traced run
+installs a real ``Tracer`` with ``use_tracer`` (all three in
+:mod:`repro.obs.tracer`), then exports its spans and metrics snapshot
+with :func:`repro.obs.export.write_trace`.  Multi-process grids
+(:func:`repro.sim.runner.run_grid`) give each worker its own tracer and
+per-job trace file, merged by the parent with
+:func:`repro.obs.export.merge_job_traces`.  ``repro trace <file>``
+renders the result.
 """
-
-from repro.obs.export import (
-    MERGED_TRACE_NAME,
-    TRACE_SCHEMA_VERSION,
-    TraceData,
-    TraceFormatError,
-    job_trace_files,
-    load_trace,
-    merge_job_traces,
-    merge_traces,
-    write_trace,
-)
-from repro.obs.metrics import (
-    HistogramSummary,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
-from repro.obs.summary import (
-    Coverage,
-    StageStats,
-    aggregate_stages,
-    coverage,
-    trace_summary,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    EventRecord,
-    NullTracer,
-    Span,
-    SpanRecord,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    use_tracer,
-)
-
-__all__ = [
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "Span",
-    "SpanRecord",
-    "EventRecord",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
-    "MetricsRegistry",
-    "NullMetricsRegistry",
-    "HistogramSummary",
-    "TraceData",
-    "TraceFormatError",
-    "TRACE_SCHEMA_VERSION",
-    "MERGED_TRACE_NAME",
-    "write_trace",
-    "load_trace",
-    "merge_traces",
-    "merge_job_traces",
-    "job_trace_files",
-    "StageStats",
-    "Coverage",
-    "aggregate_stages",
-    "coverage",
-    "trace_summary",
-]

@@ -70,7 +70,7 @@ class EventRecord:
     Spans measure *stages*; events record *things that happened* —
     an injected fault, a concealed decoder error, a quarantined job.
     Fields may hold strings as well as numbers (span counters cannot),
-    so structured records like :class:`repro.faults.FaultEvent` ride
+    so structured records like :class:`repro.faults.plan.FaultEvent` ride
     the trace without flattening.
     """
 

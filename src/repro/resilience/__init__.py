@@ -16,30 +16,3 @@ interface:
 All strategies plug into :class:`repro.codec.encoder.Encoder` through the
 hook protocol in :mod:`repro.resilience.base`.
 """
-
-from repro.resilience.base import (
-    ResilienceStrategy,
-    PreMEContext,
-    PostMEContext,
-    FrameFeedback,
-)
-from repro.resilience.none import NoResilience
-from repro.resilience.gop import GOPStrategy
-from repro.resilience.air import AIRStrategy
-from repro.resilience.pgop import PGOPStrategy
-from repro.resilience.pbpair_strategy import PBPAIRStrategy
-from repro.resilience.registry import build_strategy, STRATEGY_BUILDERS
-
-__all__ = [
-    "ResilienceStrategy",
-    "PreMEContext",
-    "PostMEContext",
-    "FrameFeedback",
-    "NoResilience",
-    "GOPStrategy",
-    "AIRStrategy",
-    "PGOPStrategy",
-    "PBPAIRStrategy",
-    "build_strategy",
-    "STRATEGY_BUILDERS",
-]

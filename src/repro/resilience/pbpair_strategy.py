@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.codec.blocks import colocated_sad
 from repro.codec.motion import MECostFunction
+from repro.codec.types import MacroblockMode
 from repro.core.pbpair import PBPAIRConfig, PBPAIRController
 from repro.resilience.base import (
     FrameFeedback,
@@ -65,8 +66,6 @@ class PBPAIRStrategy(ResilienceStrategy):
         return self._controller.me_cost_function()
 
     def frame_done(self, feedback: FrameFeedback) -> None:
-        from repro.codec.types import MacroblockMode
-
         mb_rows, mb_cols = feedback.modes.shape
         controller = self._ensure_controller(mb_rows, mb_cols)
         if feedback.previous_reconstruction is None:

@@ -11,7 +11,7 @@ just multi-segment packs whose conditions shift at frame boundaries.
 
 The pack itself never touches packets — it is interpreted by
 :class:`repro.scenarios.channel.ScenarioChannel` at simulation time.
-Serialization mirrors the :class:`repro.faults.FaultPlan` precedent:
+Serialization mirrors the :class:`repro.faults.plan.FaultPlan` precedent:
 ``to_json`` writes only non-default fields, ``from_json`` rejects
 unknown fields, and every rendered pack carries an explicit
 ``schema_version`` that must equal :data:`SCENARIO_SCHEMA_VERSION`.

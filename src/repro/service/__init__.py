@@ -5,67 +5,10 @@ service: :mod:`~repro.service.wire` defines the schema-versioned job
 API, :mod:`~repro.service.queue` the persistent CAS-claimed job queue,
 :mod:`~repro.service.daemon` the asyncio HTTP+JSONL daemon behind
 ``repro serve``, and :mod:`~repro.service.client` the synchronous
-:class:`ServiceClient` used by ``repro submit``/``status``/``drain``.
+:class:`~repro.service.client.ServiceClient` used by ``repro
+submit``/``status``/``drain``.
 
-Import from :mod:`repro.api` in examples and benchmarks — it re-exports
-this surface and is the only import path the hygiene tests allow.
+This package exports nothing itself.  Examples and benchmarks import
+the service types from :mod:`repro.api`, the only import path the
+hygiene tests allow them.
 """
-
-from repro.service.client import ServiceBusy, ServiceClient, ServiceClientError
-from repro.service.daemon import (
-    DEFAULT_PORT,
-    DaemonHandle,
-    EncodeDaemon,
-    ServiceConfig,
-    serve,
-    start_daemon,
-)
-from repro.service.queue import ClaimLost, JobQueue, JobRecord, QueueFull
-from repro.service.wire import (
-    JOB_STATES,
-    TERMINAL_STATES,
-    WIRE_SCHEMA_VERSION,
-    ClassSummary,
-    FleetSummary,
-    JobStatus,
-    JobSubmit,
-    ServiceManifest,
-    SessionResult,
-    WireFormatError,
-    job_spec_from_json,
-    job_spec_to_json,
-    load_service_manifest,
-    percentile,
-    session_result_digest,
-)
-
-__all__ = [
-    "DEFAULT_PORT",
-    "JOB_STATES",
-    "TERMINAL_STATES",
-    "WIRE_SCHEMA_VERSION",
-    "ClaimLost",
-    "ClassSummary",
-    "DaemonHandle",
-    "EncodeDaemon",
-    "FleetSummary",
-    "JobQueue",
-    "JobRecord",
-    "JobStatus",
-    "JobSubmit",
-    "QueueFull",
-    "ServiceBusy",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceConfig",
-    "ServiceManifest",
-    "SessionResult",
-    "WireFormatError",
-    "job_spec_from_json",
-    "job_spec_to_json",
-    "load_service_manifest",
-    "percentile",
-    "serve",
-    "session_result_digest",
-    "start_daemon",
-]

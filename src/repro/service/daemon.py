@@ -37,7 +37,7 @@ raised as a whole (counted in ``service.batch_errors``; the dispatcher
 keeps running) — and a reaper task releases the leases of silent
 workers.  Observability: per-session spans land in the runner trace
 directory when the :class:`~repro.sim.runner.RunnerOptions` asks for
-tracing, and the daemon's :class:`~repro.obs.MetricsRegistry` tracks
+tracing, and the daemon's :class:`~repro.obs.metrics.MetricsRegistry` tracks
 queue depth, claims, completions and per-session latency.
 """
 
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional, Union
 
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.service.queue import ClaimLost, JobQueue, QueueFull
 from repro.service.wire import (
     WIRE_SCHEMA_VERSION,

@@ -43,7 +43,9 @@ from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.atomic import write_atomic
 from repro.codec.rate import RateControlConfig
-from repro.faults import FaultPlan
+from repro.codec.types import CodecConfig
+from repro.energy.profiles import DeviceProfile
+from repro.faults.plan import FaultPlan
 from repro.scenarios.pack import ScenarioPack
 from repro.sim.pipeline import SimulationConfig, SimulationResult
 from repro.sim.runner import JobSpec
@@ -123,9 +125,6 @@ def _config_to_json(config: SimulationConfig) -> dict:
 def _config_from_json(record: Optional[Mapping[str, Any]]) -> SimulationConfig:
     if record is None:
         return SimulationConfig()
-    from repro.codec.types import CodecConfig
-    from repro.energy.profiles import DeviceProfile
-
     defaults = SimulationConfig()
     return SimulationConfig(
         codec=_flat_from_json(CodecConfig, record.get("codec"))

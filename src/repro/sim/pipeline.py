@@ -41,7 +41,8 @@ from repro.concealment.copy import CopyConcealment
 from repro.energy.counters import OperationCounters
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.energy.profiles import DeviceProfile, IPAQ_H5555
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.faults.inject import FaultInjector
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.metrics.bad_pixels import (
     DEFAULT_BAD_PIXEL_THRESHOLD,
     bad_pixel_count,
@@ -52,8 +53,9 @@ from repro.network.biterror import BitErrorChannel
 from repro.network.channel import Channel, ChannelLog
 from repro.network.loss import LossModel, NoLoss
 from repro.network.packet import DEFAULT_MTU, Depacketizer, Packet, Packetizer
-from repro.obs import get_tracer
+from repro.obs.tracer import get_tracer
 from repro.resilience.base import ResilienceStrategy
+from repro.scenarios.channel import ScenarioChannel
 from repro.video.frame import VideoSequence
 
 
@@ -490,8 +492,6 @@ def _build_channel(
                 "pass either loss_model or scenario, not both "
                 "(a scenario pack declares its own loss models)"
             )
-        from repro.scenarios.channel import ScenarioChannel
-
         return ScenarioChannel(scenario, seed=scenario_seed)
     return Channel(loss_model if loss_model is not None else NoLoss())
 
@@ -594,7 +594,7 @@ def simulate(
         bit_errors: optional bit-flipping corruption applied to
             delivered packets (VLC desynchronization stress).
         faults: optional deterministic fault plan (or a prepared
-            :class:`~repro.faults.FaultInjector`): encode-stage faults
+            :class:`~repro.faults.inject.FaultInjector`): encode-stage faults
             hit the bitstream before packetization, channel-stage
             faults hit the delivered packet stream after ``bit_errors``,
             decoder-input faults hit the depacketized fragments.  Every

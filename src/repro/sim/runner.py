@@ -26,7 +26,7 @@ serial loop is the ``RunnerOptions(jobs=1)`` reference, and the pooled
 loop runs the very same per-cell code in worker processes.
 
 Observability: a :class:`RunnerOptions` with ``trace_dir`` runs every
-executed cell under a per-job :class:`repro.obs.Tracer`; workers write
+executed cell under a per-job :class:`repro.obs.tracer.Tracer`; workers write
 ``job-*.jsonl`` trace files (span records cannot ride the result pickle
 without coupling results to tracing) and the parent merges them into
 ``trace_dir/trace.jsonl`` once the grid completes.
@@ -58,14 +58,15 @@ from typing import (
 )
 
 from repro.atomic import write_atomic
-from repro.codec.syntax import ParseMemo
-from repro.faults import FaultInjector, FaultPlan, encode_subplan
-from repro.faults.inject import InjectedWorkerCrash
-from repro.network.loss import UniformLoss
-from repro.scenarios.pack import ScenarioPack
-from repro.obs import Tracer, get_tracer, merge_job_traces, use_tracer, write_trace
 from repro.codec.rate import RateControlConfig, build_rate_controller
+from repro.codec.syntax import ParseMemo
+from repro.faults.inject import FaultInjector, InjectedWorkerCrash
+from repro.faults.plan import FaultPlan, encode_subplan
+from repro.network.loss import UniformLoss
+from repro.obs.export import merge_job_traces, write_trace
+from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.resilience.registry import build_strategy
+from repro.scenarios.pack import ScenarioPack
 from repro.sim.pipeline import (
     EncodedStream,
     SimulationConfig,
@@ -96,8 +97,8 @@ CACHE_SCHEMA_VERSION = 4
 STREAM_SCHEMA_VERSION = 2
 
 #: Schema version of the JSON failure manifest written by
-#: :meth:`GridManifest.write`.  Version 2 added the explicit
-#: ``schema_version`` key and the ``counts.quarantined`` accounting;
+#: :meth:`GridManifest.write`, under its ``schema_version`` key.
+#: Version 2 added that key and the ``counts.quarantined`` accounting;
 #: :meth:`GridManifest.from_json` reads this version only.
 MANIFEST_SCHEMA_VERSION = 2
 
@@ -202,7 +203,7 @@ class JobSpec:
         pbpair_kwargs: extra :class:`repro.core.pbpair.PBPAIRConfig`
             knobs (``intra_th``, ...); kept for PBPAIR only, normalised
             to ``{}`` for every other scheme.
-        faults: optional deterministic :class:`repro.faults.FaultPlan`.
+        faults: optional deterministic :class:`repro.faults.plan.FaultPlan`.
             Pipeline-stage faults are injected inside the simulation
             (and change the result, so the plan is part of the cache
             key); runner-stage faults afflict the worker executing the
@@ -260,6 +261,15 @@ class JobSpec:
             "pbpair_kwargs",
             dict(self.pbpair_kwargs) if self.is_pbpair else {},
         )
+        if self.granularity not in ("frame", "packet"):
+            raise ValueError(
+                "granularity must be 'frame' or 'packet', "
+                f"got {self.granularity!r}"
+            )
+        # Build (and drop) the strategy once, so a spec that could never
+        # run — unknown scheme, bad suffix, unknown PBPAIR knob — is
+        # refused here instead of failing every attempt in a worker.
+        build_strategy(self.scheme, **_strategy_kwargs_for(self))
 
     @property
     def is_pbpair(self) -> bool:
@@ -293,7 +303,7 @@ class JobResult:
 
     ``attempts`` counts executions including retries (1 = first try
     succeeded); ``injected_faults`` labels the runner-stage faults a
-    :class:`~repro.faults.FaultPlan` fired against this job
+    :class:`~repro.faults.plan.FaultPlan` fired against this job
     (``"worker_crash@1"`` = crashed on attempt 1), so a degraded-but-
     recovered cell is distinguishable from a clean one.
     """
@@ -384,7 +394,7 @@ class RunnerOptions:
         job_timeout: per-job wall-clock limit in seconds, or ``None``.
         manifest_path: where to write the :class:`GridManifest` JSON,
             or ``None`` to skip it.
-        faults: run-level deterministic :class:`~repro.faults.FaultPlan`,
+        faults: run-level deterministic :class:`~repro.faults.plan.FaultPlan`,
             applied to every spec that does not carry its own.  It stays
             run-level because its runner-stage faults aim at the workers
             executing the cells (``repro serve --faults``).
@@ -570,7 +580,6 @@ class GridManifest:
         if quarantined:
             counts["quarantined"] = quarantined
         return {
-            "schema": MANIFEST_SCHEMA_VERSION,
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "n_jobs": self.n_jobs,
             "complete": self.complete,
@@ -580,7 +589,7 @@ class GridManifest:
 
     @classmethod
     def from_json(cls, record: Mapping[str, Any]) -> "GridManifest":
-        schema = record.get("schema", record.get("schema_version"))
+        schema = record.get("schema_version")
         if schema != MANIFEST_SCHEMA_VERSION:
             raise ValueError(
                 f"manifest schema {schema!r} "

@@ -6,45 +6,3 @@ seeded synthetic generators with the same *motion and texture profiles*
 (see DESIGN.md, substitution #1) plus raw-YUV file I/O so that real clips
 can be dropped in when available.
 """
-
-from repro.video.frame import (
-    Frame,
-    VideoSequence,
-    QCIF_WIDTH,
-    QCIF_HEIGHT,
-    MB_SIZE,
-)
-from repro.video.synthetic import (
-    SyntheticConfig,
-    generate_sequence,
-    foreman_like,
-    akiyo_like,
-    garden_like,
-    SEQUENCE_GENERATORS,
-)
-from repro.video.io import (
-    read_raw_luma,
-    write_raw_luma,
-    write_pgm,
-    write_ppm,
-    yuv420_to_rgb,
-)
-
-__all__ = [
-    "Frame",
-    "VideoSequence",
-    "QCIF_WIDTH",
-    "QCIF_HEIGHT",
-    "MB_SIZE",
-    "SyntheticConfig",
-    "generate_sequence",
-    "foreman_like",
-    "akiyo_like",
-    "garden_like",
-    "SEQUENCE_GENERATORS",
-    "read_raw_luma",
-    "write_raw_luma",
-    "write_pgm",
-    "write_ppm",
-    "yuv420_to_rgb",
-]

@@ -69,6 +69,15 @@ class TestFacadeSurface:
                 plr=0.1,
             )
 
+    def test_top_level_is_version_only(self):
+        # repro.api is the one facade: the package root re-exports nothing.
+        public = {
+            name
+            for name, value in vars(repro).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+        }
+        assert public == set()
+
 
 class TestFacadeBehaviour:
     def test_simulate_matches_internal_pipeline(self):
@@ -181,53 +190,6 @@ class TestFacadeBehaviour:
             config=config,
         )
         assert single.frames == outcomes[0].result.frames
-
-
-class TestPackageReExports:
-    def test_resilience_package_re_exports(self):
-        from repro.resilience import (
-            AIRStrategy,
-            GOPStrategy,
-            NoResilience,
-            PBPAIRStrategy,
-            PGOPStrategy,
-            build_strategy,
-        )
-
-        assert callable(build_strategy)
-        assert all(
-            inspect.isclass(cls)
-            for cls in (
-                AIRStrategy,
-                GOPStrategy,
-                NoResilience,
-                PBPAIRStrategy,
-                PGOPStrategy,
-            )
-        )
-
-    def test_sim_package_re_exports(self):
-        from repro.sim import (
-            FrameRecord,
-            SimulationConfig,
-            SimulationResult,
-            simulate,
-        )
-
-        assert callable(simulate)
-        assert all(
-            inspect.isclass(cls)
-            for cls in (FrameRecord, SimulationConfig, SimulationResult)
-        )
-
-    def test_top_level_is_version_only(self):
-        # repro.api is the one facade: the package root re-exports nothing.
-        public = {
-            name
-            for name, value in vars(repro).items()
-            if not name.startswith("_") and not inspect.ismodule(value)
-        }
-        assert public == set()
 
 
 class TestVersion:

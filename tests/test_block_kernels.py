@@ -21,7 +21,7 @@ from repro.codec.motion import (
     ThreeStepMotionEstimator,
 )
 from repro.codec.quant import dequantize_blocks, quantize_blocks
-from repro.obs import Tracer, use_tracer
+from repro.obs.tracer import Tracer, use_tracer
 from repro.video.synthetic import SEQUENCE_GENERATORS
 
 SEQUENCES = sorted(SEQUENCE_GENERATORS)  # akiyo, foreman, garden

@@ -227,6 +227,18 @@ class TestTraceCommandErrors:
         assert "directory" in str(excinfo.value.code)
 
 
+class TestSubmitCommandErrors:
+    def test_unknown_scheme_fails_before_contacting_the_daemon(self, capsys):
+        # Nothing listens on port 1: the spec must be refused first.
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["submit", "--url", "http://127.0.0.1:1", "--scheme", "NOPE",
+                 "--sequence", "akiyo", "--frames", "4"]
+            )
+        assert excinfo.value.code == 2
+        assert "unknown strategy 'NOPE'" in capsys.readouterr().err
+
+
 class TestStatusCommandErrors:
     """`repro status --journal` mirrors the trace command's robustness."""
 

@@ -15,10 +15,10 @@ import concurrent.futures
 import pytest
 
 from repro.codec.encoder import Encoder
-from repro.faults import FaultPlan, FaultSpec, encode_subplan
+from repro.faults.plan import FaultPlan, FaultSpec, encode_subplan
 from repro.network.loss import UniformLoss
 from repro.network.packet import Packetizer
-from repro.obs import Tracer, use_tracer
+from repro.obs.tracer import Tracer, use_tracer
 from repro.resilience.registry import build_strategy
 from repro.service.wire import session_result_digest
 from repro.sim.pipeline import (

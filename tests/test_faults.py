@@ -16,20 +16,21 @@ import json
 import pytest
 
 from repro.codec.encoder import Encoder
-from repro.faults import (
+from repro.faults.inject import FaultInjector, inject_faults
+from repro.faults.plan import (
     KIND_STAGES,
     STAGE_CHANNEL,
     FaultEvent,
-    FaultInjector,
     FaultPlan,
     FaultSpec,
-    inject_faults,
     load_fault_plan,
     parse_fault_plan,
     write_fault_plan,
 )
 from repro.network.packet import Packetizer
-from repro.obs import Tracer, load_trace, trace_summary, use_tracer, write_trace
+from repro.obs.export import load_trace, write_trace
+from repro.obs.summary import trace_summary
+from repro.obs.tracer import Tracer, use_tracer
 from repro.resilience.none import NoResilience
 from repro.sim.pipeline import SimulationConfig, simulate
 from repro.sim.runner import JobSpec, run_grid

@@ -18,7 +18,8 @@ from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.codec.decoder import Decoder
 from repro.codec.encoder import Encoder
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults.inject import FaultInjector
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.network.packet import Depacketizer, Packetizer
 from repro.resilience.none import NoResilience
 

@@ -1,4 +1,4 @@
-"""Import hygiene: scripts outside ``src/repro`` use the facade only.
+"""Import hygiene: one public surface, and no hidden import cycles.
 
 ``repro.api`` is the package's stability boundary; everything else may
 be refactored freely between releases.  The examples and benchmarks are
@@ -7,8 +7,15 @@ they must not reach into ``repro.codec``/``repro.sim`` (or any other
 internal module) directly — a deep import that creeps in here is
 exactly the kind that later breaks downstream users.
 
-The check parses every script with :mod:`ast` (catching imports nested
-inside functions too, which grep-style lint misses) and fails with a
+``repro.api`` is also the only module that gathers names from
+elsewhere: every subpackage ``__init__`` is a docstring and nothing
+else, so inside the package each import names its defining module.
+Package code imports ``repro`` modules at module level only — a
+function-local import or a ``TYPE_CHECKING`` guard is how an import
+cycle hides until some other module happens to be imported first.
+
+The checks parse every file with :mod:`ast` (catching imports nested
+inside functions too, which grep-style lint misses) and fail with a
 file:line listing of the offenders.
 """
 
@@ -26,6 +33,8 @@ FACADE_ONLY_DIRS = ("examples", "benchmarks")
 
 #: The only allowed module from the ``repro`` namespace.
 ALLOWED = {"repro.api"}
+
+SRC_REPRO = REPO_ROOT / "src" / "repro"
 
 
 def _facade_only_files() -> list[Path]:
@@ -80,3 +89,44 @@ def test_the_checker_sees_nested_imports(tmp_path):
     )
     modules = {module for _, module in _repro_imports(script)}
     assert modules == {"repro.codec.encoder", "repro.sim.pipeline"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC_REPRO.glob("*/__init__.py")),
+    ids=lambda p: f"repro.{p.parent.name}",
+)
+def test_subpackage_init_is_docstring_only(path: Path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert ast.get_docstring(tree), (
+        f"{path.relative_to(REPO_ROOT)} lost its package docstring"
+    )
+    assert len(tree.body) == 1, (
+        f"{path.relative_to(REPO_ROOT)} must hold only its docstring; import "
+        "names from their defining module (or from repro.api) instead"
+    )
+
+
+def test_package_imports_repro_at_module_level_only():
+    offenders = []
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top_level = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "TYPE_CHECKING":
+                offenders.append((path, node.lineno, "TYPE_CHECKING"))
+            if id(node) in top_level:
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name == "repro" or name.startswith("repro."):
+                    offenders.append((path, node.lineno, name))
+    assert not offenders, "deferred repro imports:\n" + "\n".join(
+        f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
+        for path, line, name in offenders
+    )

@@ -8,28 +8,27 @@ import pytest
 
 from repro.energy.profiles import IPAQ_H5555
 from repro.network.loss import UniformLoss
-from repro.obs import (
+from repro.obs.export import (
     MERGED_TRACE_NAME,
-    NULL_TRACER,
-    HistogramSummary,
-    MetricsRegistry,
-    NullTracer,
+    TraceData,
     TraceFormatError,
-    Tracer,
-    aggregate_stages,
-    coverage,
-    get_tracer,
     job_trace_files,
     load_trace,
     merge_job_traces,
     merge_traces,
-    set_tracer,
-    trace_summary,
-    use_tracer,
     write_trace,
 )
-from repro.obs.export import TraceData
-from repro.obs.tracer import SpanRecord
+from repro.obs.metrics import HistogramSummary, MetricsRegistry
+from repro.obs.summary import aggregate_stages, coverage, trace_summary
+from repro.obs.tracer import (
+    NULL_TRACER,
+    NullTracer,
+    SpanRecord,
+    Tracer,
+    get_tracer,
+    set_tracer,
+    use_tracer,
+)
 from repro.resilience.registry import build_strategy
 from repro.sim.pipeline import SimulationConfig, simulate
 from repro.sim.runner import JobSpec, run_grid

@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.api import fleet_jobs, session_result_digest
 from repro.codec.bitstream import BitReader, BitWriter, BitstreamError
 from repro.codec.encoder import Encoder
 from repro.codec.entropy import write_ue
@@ -39,10 +38,13 @@ from repro.codec.syntax import (
     write_fragment_header,
 )
 from repro.codec.types import FrameType, MacroblockMode
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.network.packet import Packetizer
-from repro.obs import load_trace, trace_summary
+from repro.obs.export import load_trace
+from repro.obs.summary import trace_summary
 from repro.resilience.registry import build_strategy
+from repro.scenarios.fleet import fleet_jobs
+from repro.service.wire import session_result_digest
 from repro.sim import runner
 from repro.sim.pipeline import SimulationConfig
 from repro.sim.runner import JobSpec, run_grid

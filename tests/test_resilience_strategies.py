@@ -7,14 +7,12 @@ import pytest
 
 from repro.codec.encoder import Encoder
 from repro.codec.types import FrameType, MacroblockMode
-from repro.resilience import (
-    AIRStrategy,
-    GOPStrategy,
-    NoResilience,
-    PBPAIRStrategy,
-    PGOPStrategy,
-    build_strategy,
-)
+from repro.resilience.air import AIRStrategy
+from repro.resilience.gop import GOPStrategy
+from repro.resilience.none import NoResilience
+from repro.resilience.pbpair_strategy import PBPAIRStrategy
+from repro.resilience.pgop import PGOPStrategy
+from repro.resilience.registry import build_strategy
 
 from tests.conftest import small_config, small_sequence
 

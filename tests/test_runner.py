@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from repro.codec.types import CodecConfig
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.service.wire import session_result_digest
 from repro.sim.pipeline import SimulationConfig
 from repro.sim.runner import (
@@ -110,6 +110,19 @@ class TestJobSpec:
             scheme="PBPAIR", pbpair_kwargs={"plr": 0.2, "intra_th": 0.8}
         )
         assert a.content_hash() == b.content_hash()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(scheme="NOPE"),
+            dict(scheme="PBPAIR", pbpair_kwargs={"no_such_knob": 1}),
+            dict(granularity="bit"),
+        ],
+        ids=["unknown-scheme", "unknown-pbpair-kwarg", "bad-granularity"],
+    )
+    def test_specs_that_cannot_run_are_refused(self, overrides):
+        with pytest.raises((ValueError, TypeError)):
+            tiny_job(**overrides)
 
     def test_picklable(self):
         spec = tiny_job(scheme="PBPAIR", pbpair_kwargs={"intra_th": 0.9})
@@ -499,7 +512,7 @@ class TestGridManifest:
             [tiny_job()], runner_options(jobs=1, manifest_path=manifest_file)
         )
         record = json.loads(manifest_file.read_text())
-        record["schema"] = 99
+        record["schema_version"] = 99
         manifest_file.write_text(json.dumps(record))
         with pytest.raises(ValueError, match="manifest schema"):
             load_manifest(manifest_file)

@@ -17,24 +17,20 @@ from hypothesis import given, strategies as st
 from repro.network.channel import Channel
 from repro.network.loss import ScriptedLoss
 from repro.network.packet import Packet
-from repro.scenarios import (
-    FLEET_SCHEMES,
+from repro.scenarios.channel import ScenarioChannel, segment_seed
+from repro.scenarios.fleet import FLEET_SCHEMES, fleet_jobs, recovery_summary, run_fleet
+from repro.scenarios.pack import (
+    SCENARIO_SCHEMA_VERSION,
     LossSpec,
     ResilienceSpec,
-    ScenarioChannel,
     ScenarioFormatError,
     ScenarioPack,
     ScenarioSegment,
     available_packs,
-    fleet_jobs,
     load_pack,
     parse_scenario,
-    recovery_summary,
-    run_fleet,
-    segment_seed,
     write_pack,
 )
-from repro.scenarios.pack import SCENARIO_SCHEMA_VERSION
 from repro.sim.pipeline import SimulationConfig, simulate
 from repro.sim.runner import JobSpec, RunnerOptions, run_grid, run_job
 from repro.resilience.registry import build_strategy

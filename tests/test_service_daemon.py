@@ -9,18 +9,11 @@ import time
 import pytest
 
 from repro.codec.rate import RateControlConfig
-from repro.faults import FaultPlan, FaultSpec
-from repro.scenarios import load_pack
-from repro.service import (
-    JobSubmit,
-    ServiceBusy,
-    ServiceClient,
-    ServiceClientError,
-    ServiceConfig,
-    load_service_manifest,
-    session_result_digest,
-    start_daemon,
-)
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.scenarios.pack import load_pack
+from repro.service.client import ServiceBusy, ServiceClient, ServiceClientError
+from repro.service.daemon import ServiceConfig, start_daemon
+from repro.service.wire import JobSubmit, load_service_manifest, session_result_digest
 from repro.sim.pipeline import SimulationConfig
 from repro.sim.runner import JobSpec, RunnerOptions, run_grid
 from repro.video.synthetic import SyntheticConfig
@@ -225,6 +218,19 @@ class TestEndToEnd:
                 "POST", "/v1/jobs", {"jobs": [{"not": "a submit"}]}
             )
             assert status == 400
+            client.shutdown()
+
+    def test_unknown_scheme_is_400_and_never_queued(self, tmp_path):
+        record = JobSubmit(spec=tiny_spec()).to_json()
+        record["spec"]["scheme"] = "NOPE"
+        with start_daemon(daemon_config(tmp_path)) as handle:
+            client = ServiceClient(handle.url)
+            status, _headers, body = client._request(
+                "POST", "/v1/jobs", {"jobs": [record]}
+            )
+            assert status == 400
+            assert b"NOPE" in body
+            assert handle.daemon.queue.counts() == {}
             client.shutdown()
 
 

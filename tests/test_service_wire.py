@@ -8,7 +8,7 @@ import math
 import pytest
 
 from repro.codec.rate import RateControlConfig
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.service.wire import (
     WIRE_SCHEMA_VERSION,
     ClassSummary,
@@ -26,7 +26,7 @@ from repro.service.wire import (
     session_result_digest,
 )
 from repro.resilience.registry import build_strategy
-from repro.scenarios import load_pack
+from repro.scenarios.pack import load_pack
 from repro.sim.pipeline import SimulationConfig, simulate
 from repro.sim.runner import (
     GridManifest,
@@ -367,11 +367,11 @@ class TestServiceManifest:
 class TestGridManifestVersioning:
     """The runner manifest is read at its current schema only."""
 
-    def test_v2_writes_both_version_keys(self, tmp_path):
+    def test_v2_writes_schema_version_only(self, tmp_path):
         path = tmp_path / "m.json"
         run_grid([tiny_spec()], runner_options(manifest_path=path))
         record = json.loads(path.read_text())
-        assert record["schema"] == 2
+        assert "schema" not in record
         assert record["schema_version"] == 2
         assert load_manifest(path).n_jobs == 1
 
