@@ -19,8 +19,15 @@ not host noise.
 The serial sweep runs traced, so the record also carries its exact
 decoder work: ``fragments_decoded`` (fragments whose macroblock layer
 reached the VLD) and ``fragments_parsed`` (those actually parsed —
-the rest replayed a parse another cell of the same encoded stream
-already made).  Both are informational.
+the rest replayed a parse the stream's encoder seeded, or one another
+cell of the same encoded stream already made).  The second gated field
+is ``parse_reuse_ratio``, the share of ``fragments_decoded`` that
+replayed a known parse instead of being parsed.  The encoder seeds
+every fragment it sends and no pack damages bytes, so no delivered
+fragment is parsed: the ratio is exactly 1.0 and is also gated with
+zero tolerance.  A drop means some delivered fragments miss
+their seeds (a key drift between encoder and decoder, or a group
+whose encode stopped seeding its memo).
 
 Entry points mirror the other benchmarks: run standalone with
 ``python benchmarks/bench_scenarios.py [--out BENCH_scenarios.json]``,
@@ -101,7 +108,10 @@ def measure(
             "n_frames": n_frames,
             "replicas": replicas,
         },
-        gated={"determinism_ratio": {"tolerance": 0}},
+        gated={
+            "determinism_ratio": {"tolerance": 0},
+            "parse_reuse_ratio": {"tolerance": 0},
+        },
         cells=[cell.to_json() for cell in serial.cells],
         fleet_digest=serial.digest,
         pooled_digest=pooled.digest,
@@ -111,14 +121,19 @@ def measure(
         fragments_decoded=parsed + reused,
         fragments_parsed=parsed,
         determinism_ratio=round(matched / len(serial.cells), 3),
+        parse_reuse_ratio=round(reused / (parsed + reused), 3),
         note=(
-            "determinism_ratio is the gated field: the fraction of "
-            "(scheme, pack) cells whose content digest is identical "
-            "between a serial and a pooled sweep of the same grid.  "
-            "Every channel decision comes from structural RNG keys, so "
-            "1.0 is exact on any host and gates with zero tolerance; "
-            "the percentile tables in `cells` and the serial sweep's "
-            "fragments_decoded / fragments_parsed are informational"
+            "determinism_ratio is gated: the fraction of (scheme, pack) "
+            "cells whose content digest is identical between a serial "
+            "and a pooled sweep of the same grid.  Every channel "
+            "decision comes from structural RNG keys, so 1.0 is exact "
+            "on any host and gates with zero tolerance.  "
+            "parse_reuse_ratio is gated: the share of the serial "
+            "sweep's fragments_decoded that replayed a known parse "
+            "instead of being parsed.  The encoder seeds every fragment "
+            "it sends and no pack damages bytes, so 1.0 is exact and "
+            "gates with zero tolerance.  The percentile tables in "
+            "`cells` are informational"
         ),
     )
 
@@ -136,7 +151,8 @@ def test_scenarios_benchmark_smoke():
     assert record["cells_total"] == 4
     assert record["determinism_ratio"] == 1.0
     assert record["fleet_digest"] == record["pooled_digest"]
-    assert 0 < record["fragments_parsed"] <= record["fragments_decoded"]
+    assert record["fragments_parsed"] == 0 < record["fragments_decoded"]
+    assert record["parse_reuse_ratio"] == 1.0
     for cell in record["cells"]:
         assert 0.0 <= cell["loss_rate"] <= 1.0
         assert cell["psnr_db"]["p50"] is None or cell["psnr_db"]["p50"] > 0

@@ -85,7 +85,8 @@ class Decoder:
 
     ``parse_memo`` lets decoders of one encoded stream share their
     variable-length decode (see :class:`~repro.codec.syntax.ParseMemo`):
-    a fragment whose bytes were already parsed skips only the parse.
+    a fragment whose parse is already known, seeded by the encoder or
+    made by another decoder, skips only the parse.
     Reconstruction and every counter are unchanged, so the modelled
     decode energy still prices the parse.
     """
@@ -241,9 +242,6 @@ class Decoder:
         # Phase 1 — batch VLD; a corrupt codeword (or a macroblock that
         # cannot be predicted) truncates the salvaged prefix exactly
         # where the sequential decoder did.
-        mv_limit = (
-            2 * config.search_range if config.half_pel else config.search_range
-        )
         allow_inter = padded_ref is not None and not (
             config.chroma and padded_chroma is None
         )
@@ -256,7 +254,7 @@ class Decoder:
             blocks_per_mb,
             allow_skip=config.allow_skip,
             allow_inter=allow_inter,
-            mv_limit=mv_limit,
+            mv_limit=config.mv_limit,
             memo=memo,
         )
         tracer = get_tracer()

@@ -53,6 +53,7 @@ from repro.codec.types import (
     EncodedFrame,
     FrameEncodeStats,
     FrameType,
+    LayerSymbols,
     MacroblockDecision,
     MacroblockMode,
 )
@@ -170,7 +171,7 @@ class Encoder:
         qp_used = self.quantizer
         if not 1 <= qp_used <= 31:
             raise ValueError(f"quantizer must be in [1, 31], got {qp_used}")
-        payload, offsets, reconstruction, chroma_recon = (
+        payload, offsets, symbols, reconstruction, chroma_recon = (
             self._encode_macroblocks(frame_type, frame, modes, mvs, qp_used)
         )
 
@@ -229,6 +230,7 @@ class Encoder:
             stats=stats,
             reconstruction=reconstruction,
             mb_bit_offsets=tuple(offsets),
+            symbols=symbols,
             qp=qp_used,
             reconstruction_chroma=chroma_recon,
         )
@@ -400,6 +402,7 @@ class Encoder:
     ) -> tuple[
         bytes,
         list[int],
+        LayerSymbols,
         np.ndarray,
         Optional[tuple[np.ndarray, np.ndarray]],
     ]:
@@ -490,7 +493,7 @@ class Encoder:
                 if chroma_levels is None
                 else np.concatenate([levels, chroma_levels], axis=2)
             )
-            offsets, n_codewords = encode_macroblock_layer(
+            offsets, n_codewords, symbols = encode_macroblock_layer(
                 writer,
                 frame_type,
                 intra_grid,
@@ -503,4 +506,10 @@ class Encoder:
                 entropy_bits=writer.bit_length, vlc_codewords=n_codewords
             )
 
-        return writer.getvalue(), offsets, reconstruction, chroma_recon
+        return (
+            writer.getvalue(),
+            offsets,
+            symbols,
+            reconstruction,
+            chroma_recon,
+        )

@@ -111,15 +111,24 @@ def run_level_events(zigzagged: np.ndarray) -> List[Tuple[int, int, bool]]:
 
 def block_codewords(
     blocks: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[
+    np.ndarray,
+    np.ndarray,
+    np.ndarray,
+    np.ndarray,
+    tuple[np.ndarray, np.ndarray, np.ndarray],
+]:
     """Batched run-level coding of ``(n, 8, 8)`` level blocks.
 
-    Returns ``(values, widths, bits_per_block, codewords_per_block)``:
-    the full codeword stream for all blocks in order (coded-block flag,
-    then per event ue(run), se(level) and the LAST bit) plus each
-    block's coded size in bits and codewords — what the macroblock
-    layer needs to compute bit offsets and interleave per-macroblock
-    header fields without a second pass.
+    Returns ``(values, widths, bits_per_block, codewords_per_block,
+    events)``: the full codeword stream for all blocks in order
+    (coded-block flag, then per event ue(run), se(level) and the LAST
+    bit) plus each block's coded size in bits and codewords — what the
+    macroblock layer needs to compute bit offsets and interleave
+    per-macroblock header fields without a second pass.  ``events`` is
+    ``(block_index, zigzag_position, level)``, one entry per coded
+    coefficient, ordered by block and then by zigzag position: the
+    symbols a decoder's parse recovers.
     """
     blocks = np.asarray(blocks)
     if blocks.ndim != 3 or blocks.shape[1:] != (8, 8):
@@ -127,7 +136,7 @@ def block_codewords(
     n_blocks = blocks.shape[0]
     if n_blocks == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, empty
+        return empty, empty, empty, empty, (empty, empty, empty)
     zigzagged = blocks.reshape(n_blocks, 64)[:, zigzag_order()]
     nonzero = zigzagged != 0
     coded = nonzero.any(axis=1)
@@ -144,6 +153,7 @@ def block_codewords(
     widths = np.empty(n_codewords, dtype=np.int64)
     values[block_starts] = coded
     widths[block_starts] = 1
+    levels = zigzagged[block_index, scan_position].astype(np.int64)
 
     if n_events:
         first_of_block = np.empty(n_events, dtype=bool)
@@ -153,7 +163,6 @@ def block_codewords(
         previous_position[1:] = scan_position[:-1]
         previous_position[first_of_block] = -1
         runs = scan_position - previous_position - 1
-        levels = zigzagged[block_index, scan_position].astype(np.int64)
         last = np.empty(n_events, dtype=np.int64)
         last[-1] = 1
         last[:-1] = first_of_block[1:]
@@ -171,7 +180,13 @@ def block_codewords(
         ).ravel()
 
     bits_per_block = np.add.reduceat(widths, block_starts)
-    return values, widths, bits_per_block, 1 + 3 * events_per_block
+    return (
+        values,
+        widths,
+        bits_per_block,
+        1 + 3 * events_per_block,
+        (block_index, scan_position, levels),
+    )
 
 
 def encode_block(writer: BitWriter, levels: np.ndarray) -> None:
@@ -182,7 +197,7 @@ def encode_block(writer: BitWriter, levels: np.ndarray) -> None:
     """
     if levels.shape != (8, 8):
         raise ValueError(f"expected an 8x8 block, got {levels.shape}")
-    values, widths, _, _ = block_codewords(levels[None])
+    values, widths = block_codewords(levels[None])[:2]
     writer.write_codewords(values, widths)
 
 
@@ -198,7 +213,7 @@ def encode_blocks(writer: BitWriter, blocks: Iterable[np.ndarray]) -> None:
         if not blocks:
             return
         blocks = np.stack(blocks)
-    values, widths, _, _ = block_codewords(blocks)
+    values, widths = block_codewords(blocks)[:2]
     writer.write_codewords(values, widths)
 
 

@@ -17,7 +17,7 @@ Layout of one fragment payload::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,14 @@ from repro.codec.entropy import (
     write_se,
     write_ue,
 )
-from repro.codec.types import FrameType, MacroblockMode, EncodedMacroblock
+from repro.codec.types import (
+    CodecConfig,
+    EncodedFrame,
+    EncodedMacroblock,
+    FrameType,
+    LayerSymbols,
+    MacroblockMode,
+)
 from repro.codec.zigzag import zigzag_order
 
 #: Sanity byte opening every fragment.
@@ -151,7 +158,7 @@ def encode_macroblock_layer(
     levels: np.ndarray,
     *,
     allow_skip: bool = False,
-) -> tuple[list[int], int]:
+) -> tuple[list[int], int, LayerSymbols]:
     """Write one frame's whole macroblock layer as a single codeword batch.
 
     The per-macroblock syntax is identical to chaining
@@ -167,11 +174,15 @@ def encode_macroblock_layer(
             H.263 block order (``n`` is 4 luma-only, 6 with chroma).
 
     Returns:
-        ``(offsets, n_codewords)`` where ``offsets`` has one bit offset
-        per macroblock plus a final entry for the total bit length
-        (absolute, i.e. including whatever the writer already held) —
-        the packetizer's split points — and ``n_codewords`` counts the
-        VLC codewords emitted (observability).
+        ``(offsets, n_codewords, symbols)``.  ``offsets`` has one bit
+        offset per macroblock plus a final entry for the total bit
+        length (absolute, i.e. including whatever the writer already
+        held): the packetizer's split points.  ``n_codewords`` counts
+        the VLC codewords emitted (observability).  ``symbols`` are the
+        coded symbols in the form the decoder's parse recovers them
+        (:class:`~repro.codec.types.LayerSymbols`, taken from the same
+        coefficient pass), which :func:`seed_parse_memo` turns into
+        parses of the packetized fragments.
     """
     base = writer.bit_length
     intra_flat = np.asarray(intra, dtype=bool).reshape(-1)
@@ -193,7 +204,7 @@ def encode_macroblock_layer(
 
     # Coefficient codewords for every non-skipped macroblock, in order.
     active = ~skipped
-    block_values, block_widths, bits_per_block, cw_per_block = (
+    block_values, block_widths, bits_per_block, cw_per_block, events = (
         block_codewords(blocks[active].reshape(-1, 8, 8))
     )
     block_cw_per_mb = np.zeros(mb_count, dtype=np.int64)
@@ -271,7 +282,23 @@ def encode_macroblock_layer(
     offsets[0] = base
     np.cumsum(bits_per_mb, out=offsets[1:])
     offsets[1:] += base
-    return [int(offset) for offset in offsets], n_codewords
+
+    # The same symbols in parse form: events renumbered from the coded
+    # blocks onto the frame's block grid (skipped macroblocks code none).
+    block_index, scan_position, ev_levels = events
+    event_mb = np.flatnonzero(active)[block_index // blocks_per_mb]
+    ev_index = (
+        event_mb * blocks_per_mb + block_index % blocks_per_mb
+    ) * 64 + zigzag_order()[scan_position]
+    ev_offsets = np.zeros(mb_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(event_mb, minlength=mb_count), out=ev_offsets[1:])
+    meta = np.zeros((mb_count, 3), dtype=np.int16)
+    meta[:, 0] = intra_flat
+    meta[~intra_flat, 1:] = mvs_flat[~intra_flat]
+    symbols = LayerSymbols(
+        meta, ev_index.astype(np.int32), ev_levels, ev_offsets
+    )
+    return [int(offset) for offset in offsets], n_codewords, symbols
 
 
 def decode_macroblock(
@@ -470,11 +497,16 @@ class ParseMemo(dict):
     """Batch-VLD parses keyed by exact fragment bytes and parse arguments.
 
     The variable-length decode is a pure function of the payload bytes
-    and the arguments of :func:`decode_macroblock_layer`, so cells that
-    replay one encoded stream can share it: a fragment delivered intact
-    to many cells is parsed once.  Values are :class:`_LayerParse`
-    records, read-only; every lookup scatters fresh coefficient arrays.
-    The grid runner scopes one memo to the cells of an encode group.
+    and the arguments of :func:`decode_macroblock_layer`
+    (:func:`parse_memo_key`), so it need not run on bytes whose parse
+    is already known.  The encoder seeds the memo with every fragment
+    it packetizes (:func:`seed_parse_memo`), so an intact fragment is
+    never parsed at all; a damaged one, or one of a stream encoded
+    elsewhere (a cache), is parsed once and replayed for every other
+    decoder of the memo.  Values are :class:`_LayerParse` records,
+    read-only; every lookup scatters fresh coefficient arrays.  The
+    grid runner scopes one memo to the encode and the cells of one
+    encode group; :func:`~repro.sim.pipeline.simulate` to one run.
     """
 
 
@@ -492,6 +524,91 @@ class _LayerParse(NamedTuple):
     meta: np.ndarray
     ev_index: np.ndarray
     ev_levels: np.ndarray
+
+
+def parse_memo_key(
+    data: bytes,
+    start: int,
+    frame_type: FrameType,
+    mb_count: int,
+    blocks_per_mb: int,
+    *,
+    allow_skip: bool,
+    allow_inter: bool,
+    mv_limit: int | None,
+) -> tuple:
+    """The :class:`ParseMemo` key of one :func:`decode_macroblock_layer` call.
+
+    The exact bytes, the start bit and every argument that can change
+    the parse.  An I-frame's macroblocks are all intra, which neither
+    ``allow_inter`` nor ``mv_limit`` can reject, so both are normalised
+    out of I-frame keys: one parse serves a decoder with no reference
+    (``allow_inter=False``) and one with.
+    """
+    is_p = frame_type is FrameType.P
+    if not is_p:
+        allow_inter, mv_limit = True, None
+    return (
+        bytes(data),
+        start,
+        is_p,
+        mb_count,
+        blocks_per_mb,
+        allow_skip and is_p,
+        allow_inter,
+        mv_limit,
+    )
+
+
+def seed_parse_memo(
+    memo: ParseMemo,
+    frame: EncodedFrame,
+    payloads: Iterable[bytes],
+    config: CodecConfig,
+) -> None:
+    """Store the parse of each of ``frame``'s fragments without parsing.
+
+    ``payloads`` must be the packetizer's fragments of ``frame``.  Each
+    gets the :class:`_LayerParse` a cold :func:`decode_macroblock_layer`
+    would store under the key a :class:`~repro.codec.decoder.Decoder`
+    with a reference looks it up by, sliced from ``frame.symbols`` by
+    the fragment's macroblock span, with its bit length from
+    ``frame.mb_bit_offsets``.  A frame without ``symbols`` (bytes the
+    symbols no longer describe) gets no seeds, and a fragment with a
+    vector beyond ``config.mv_limit`` (which a cold parse would cut
+    short) is left to the decoder.
+    """
+    symbols = frame.symbols
+    if symbols is None:
+        return
+    offsets = frame.mb_bit_offsets
+    block_values = config.blocks_per_mb * 64
+    for payload in payloads:
+        reader = BitReader(payload)
+        header = read_fragment_header(reader)
+        start = reader.bits_consumed
+        first = header.first_mb
+        stop = first + header.mb_count
+        meta = symbols.meta[first:stop]
+        if np.abs(meta[:, 1:]).max(initial=0) > config.mv_limit:
+            continue
+        low, high = symbols.ev_offsets[first], symbols.ev_offsets[stop]
+        key = parse_memo_key(
+            payload,
+            start,
+            header.frame_type,
+            header.mb_count,
+            config.blocks_per_mb,
+            allow_skip=config.allow_skip,
+            allow_inter=True,
+            mv_limit=config.mv_limit,
+        )
+        memo[key] = _LayerParse(
+            start + offsets[stop] - offsets[first],
+            _compact(meta),
+            _compact(symbols.ev_index[low:high] - first * block_values),
+            _compact(symbols.ev_levels[low:high]),
+        )
 
 
 def _compact(values) -> np.ndarray:
@@ -573,15 +690,15 @@ def decode_macroblock_layer(
     is_p = frame_type is FrameType.P
     read_cod = allow_skip and is_p
     if memo is not None:
-        key = (
-            bytes(data),
+        key = parse_memo_key(
+            data,
             start,
-            is_p,
+            frame_type,
             mb_count,
             blocks_per_mb,
-            read_cod,
-            allow_inter,
-            mv_limit,
+            allow_skip=allow_skip,
+            allow_inter=allow_inter,
+            mv_limit=mv_limit,
         )
         parse = memo.get(key)
         if parse is not None:

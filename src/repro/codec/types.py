@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -112,6 +112,12 @@ class CodecConfig:
         """Transform blocks per macroblock: 4 luma (+2 chroma)."""
         return 6 if self.chroma else 4
 
+    @property
+    def mv_limit(self) -> int:
+        """Largest motion-vector component as coded (half-pel units
+        when ``half_pel``); the decoder rejects anything beyond it."""
+        return 2 * self.search_range if self.half_pel else self.search_range
+
 
 @dataclass(frozen=True)
 class MacroblockDecision:
@@ -174,13 +180,30 @@ class FrameEncodeStats:
         return (self.bits + 7) // 8
 
 
+class LayerSymbols(NamedTuple):
+    """One frame's macroblock-layer symbols in the batch VLD's parse form.
+
+    ``meta`` holds one ``(intra, mv_y, mv_x)`` row per macroblock in
+    raster order (mv ``(0, 0)`` for intra and skipped macroblocks);
+    ``ev_index`` and ``ev_levels`` list every coefficient event as
+    (raster index into the frame's flattened ``(mb_count, n, 8, 8)``
+    level array, level), ordered by block and then by zigzag position;
+    macroblock ``i``'s events are ``ev_offsets[i]:ev_offsets[i + 1]``.
+    """
+
+    meta: np.ndarray
+    ev_index: np.ndarray
+    ev_levels: np.ndarray
+    ev_offsets: np.ndarray
+
+
 @dataclass(frozen=True)
 class EncodedFrame:
     """An encoded frame: the bitstream payload plus encoder-side metadata.
 
     ``payload`` is the exact bitstream (decodable by ``Decoder``);
-    ``decisions`` and ``stats`` are encoder-side observability that never
-    travels over the network.
+    ``decisions``, ``stats`` and ``symbols`` are encoder-side metadata
+    that never travels over the network.
     """
 
     frame_index: int
@@ -200,6 +223,9 @@ class EncodedFrame:
     #: ``mb_bit_offsets[i + 1] - mb_bit_offsets[i]`` is macroblock i's
     #: coded size and the packetizer can split at macroblock boundaries.
     mb_bit_offsets: tuple[int, ...] = ()
+    #: The symbols ``payload`` codes, as the decoder's parse would
+    #: recover them (see :func:`repro.codec.syntax.seed_parse_memo`).
+    symbols: Optional[LayerSymbols] = None
 
     @property
     def size_bytes(self) -> int:

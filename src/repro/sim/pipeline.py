@@ -34,7 +34,7 @@ import numpy as np
 from repro.codec.decoder import Decoder
 from repro.codec.encoder import Encoder
 from repro.codec.rate import ClosedLoopRateController
-from repro.codec.syntax import ParseMemo
+from repro.codec.syntax import ParseMemo, seed_parse_memo
 from repro.codec.types import CodecConfig, FrameType
 from repro.concealment.base import ConcealmentStrategy
 from repro.concealment.copy import CopyConcealment
@@ -269,6 +269,7 @@ def _encode_stream(
     packetizer: Packetizer,
     rate_controller: Optional[ClosedLoopRateController],
     injector: Optional[FaultInjector],
+    parse_memo: Optional[ParseMemo],
 ) -> EncodedStream:
     """The sender loop: encode and packetize every frame.
 
@@ -277,7 +278,9 @@ def _encode_stream(
     caller — callers own the trace root and the setup cost, so the
     phases compose under one ``simulate`` span whether they run
     together or apart, with stage spans accounting for the root's
-    entire duration.
+    entire duration.  With a ``parse_memo``, every fragment packetized
+    from the encoder's unaltered bytes is seeded with its parse
+    (:func:`~repro.codec.syntax.seed_parse_memo`).
     """
     tracer = get_tracer()
     events_before = len(injector.events) if injector is not None else 0
@@ -301,10 +304,18 @@ def _encode_stream(
         if injector is not None:
             payload = injector.apply_to_payload(encoded.payload, frame.index)
             if payload is not encoded.payload:
-                encoded = replace(encoded, payload=payload)
+                # The symbols no longer describe the bytes: no seeds.
+                encoded = replace(encoded, payload=payload, symbols=None)
         with tracer.span("packetize") as packet_span:
             packets = packetizer.packetize(encoded)
             packet_span.add(packets=len(packets))
+            if parse_memo is not None:
+                seed_parse_memo(
+                    parse_memo,
+                    encoded,
+                    (packet.payload for packet in packets),
+                    encoder.config,
+                )
             frames.append(
                 StreamFrame(
                     frame_index=frame.index,
@@ -441,6 +452,7 @@ def encode_phase(
     config: Optional[SimulationConfig] = None,
     rate_controller: Optional[ClosedLoopRateController] = None,
     faults: Optional[Union[FaultPlan, FaultInjector]] = None,
+    parse_memo: Optional[ParseMemo] = None,
 ) -> EncodedStream:
     """Phase 1 of Figure 1: source -> encoder -> packetizer.
 
@@ -458,6 +470,10 @@ def encode_phase(
             act here (bytes flipped in the sender's frame buffer before
             packetization), and their events ride the returned stream's
             ``fault_events``.
+        parse_memo: optional :class:`~repro.codec.syntax.ParseMemo`
+            to seed with the parse of every intact fragment, for the
+            decoders that replay this stream.  The stream itself is
+            the same with or without it and carries no seeds.
     """
     config = config or SimulationConfig()
     _check_dimensions(sequence, config)
@@ -468,6 +484,7 @@ def encode_phase(
         Packetizer(config.codec, mtu=config.mtu),
         rate_controller,
         _as_injector(faults),
+        parse_memo,
     )
 
 
@@ -612,10 +629,12 @@ def simulate(
 
     # Construct every pipeline object before the trace root opens, so
     # the root's duration is simulation work that the stage spans fully
-    # account for (the coverage bar in tests/test_obs.py).
+    # account for (the coverage bar in tests/test_obs.py).  The encoder
+    # seeds the decoder's parse memo with every fragment it sends.
+    parse_memo = ParseMemo()
     encoder = Encoder(config.codec, strategy)
     packetizer = Packetizer(config.codec, mtu=config.mtu)
-    decoder = Decoder(config.codec)
+    decoder = Decoder(config.codec, parse_memo=parse_memo)
     depacketizer = Depacketizer()
     channel = _build_channel(loss_model, scenario, scenario_seed)
     energy_model = EnergyModel(config.device)
@@ -623,7 +642,13 @@ def simulate(
 
     with tracer.span("simulate") as run_span:
         stream = _encode_stream(
-            sequence, strategy, encoder, packetizer, rate_controller, injector
+            sequence,
+            strategy,
+            encoder,
+            packetizer,
+            rate_controller,
+            injector,
+            parse_memo,
         )
         run_span.add(frames=stream.n_frames)
         tracer.metrics.gauge("sim.frames", stream.n_frames)

@@ -912,9 +912,10 @@ def run_job(
     ``encode_reused`` trace event marking the skipped work.  Encode-stage
     faults are part of that key and act inside the encode, so cells
     with equal encode sub-plans share their corrupted stream too.  A
-    ``parse_memo`` shared with the other cells of the stream lets the
-    decoder skip re-parsing fragment bytes they already parsed; it is
-    used only on the shared-stream path and never changes the result.
+    ``parse_memo`` shared with the other cells of the stream is seeded
+    by the encode, when this cell runs it, and lets the decoder skip
+    parsing fragment bytes whose parse is already known; it is used
+    only on the shared-stream path and never changes the result.
     """
     sequence = _sequence_for(spec.sequence, spec.n_frames, spec.synthetic)
     strategy = build_strategy(spec.scheme, **_strategy_kwargs_for(spec))
@@ -953,6 +954,7 @@ def run_job(
                 config=spec.config,
                 rate_controller=build_rate_controller(spec.rate),
                 faults=spec.faults,
+                parse_memo=parse_memo,
             ),
         )
         if reused and tracer.enabled:
@@ -1075,14 +1077,14 @@ def _parse_memo_scopes(
 
     ``keys`` holds each cell's :func:`encode_content_hash` (``None``:
     stream sharing is off).  Cells with one key replay one stream, so they
-    share one :class:`~repro.codec.syntax.ParseMemo`.  A memo exists
-    only for a key two or more cells of this loop share, and is dropped
-    once the group's last cell has run.  Both grid loops (the serial
-    one and each pooled chunk) run their cells through this walk.
+    share one :class:`~repro.codec.syntax.ParseMemo`, which the group's
+    encode (if it runs here) seeds with every fragment's parse.  Every
+    group gets a memo when sharing is on; it is dropped once the group's
+    last cell has run.  Both grid loops (the serial one and each pooled
+    chunk) run their cells through this walk.
     """
     for group in _stream_groups(keys):
-        shared = len(group) > 1 and keys[group[0]] is not None
-        memo = ParseMemo() if shared else None
+        memo = ParseMemo() if keys[group[0]] is not None else None
         for position in group:
             yield position, memo
 

@@ -2,16 +2,20 @@
 
 The decoder's variable-length decode is a pure function of the fragment
 bytes, so cells of a grid that replay one encoded stream share one
-:class:`~repro.codec.syntax.ParseMemo`.  These tests pin the three
+:class:`~repro.codec.syntax.ParseMemo`, and the encode that made the
+stream seeds it with every fragment's parse.  These tests pin the
 things that sharing rests on:
 
 * the batch VLD equals the sequential per-macroblock reference on
   corrupted real payloads, with no memo, a cold memo and a warm memo —
   same salvaged macroblocks, same bit accounting, same exception;
+* every seed equals the parse a cold decode stores under the same key,
+  and no seed is stored for bytes an encode-stage fault altered;
 * a grid gives identical results and decoder counters with stream
   sharing (and so parse reuse) on and off, serially and pooled;
-* the runner creates memos only for encode keys several cells share,
-  and none survives :func:`~repro.sim.runner.run_grid`.
+* the runner gives every encode group its own memo, seeded before the
+  group's first decode, and none survives
+  :func:`~repro.sim.runner.run_grid`.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from repro.resilience.registry import build_strategy
 from repro.scenarios.fleet import fleet_jobs
 from repro.service.wire import session_result_digest
 from repro.sim import runner
-from repro.sim.pipeline import SimulationConfig
+from repro.sim.pipeline import SimulationConfig, encode_phase
 from repro.sim.runner import JobSpec, run_grid
 from repro.video.synthetic import SyntheticConfig
 
@@ -79,10 +83,6 @@ def real_payloads(config_index: int) -> tuple[bytes, ...]:
     return tuple(payloads)
 
 
-def _mv_limit(config) -> int:
-    return 2 * config.search_range if config.half_pel else config.search_range
-
-
 def _sequential(payload: bytes, config, allow_inter: bool):
     """Reference: one macroblock at a time, validating after each parse."""
     reader = BitReader(payload)
@@ -90,7 +90,7 @@ def _sequential(payload: bytes, config, allow_inter: bool):
     read_mb = (
         decode_macroblock_skippable if config.allow_skip else decode_macroblock
     )
-    limit = _mv_limit(config)
+    limit = config.mv_limit
     salvaged = []
     consumed = reader.bits_consumed
     for _ in range(header.mb_count):
@@ -117,7 +117,7 @@ def _batch(payload: bytes, config, allow_inter: bool, memo=None):
         config.blocks_per_mb,
         allow_skip=config.allow_skip,
         allow_inter=allow_inter,
-        mv_limit=_mv_limit(config),
+        mv_limit=config.mv_limit,
         memo=memo,
     )
     return salvaged, reader.bits_consumed
@@ -215,6 +215,85 @@ class TestBatchVldAgainstSequential:
 
 
 # ---------------------------------------------------------------------------
+# Encoder seeds
+# ---------------------------------------------------------------------------
+
+SEED_SCHEMES = ("NO", "AIR-4", "GOP-3", "PBPAIR")
+
+
+def _cold_parses(stream, config) -> ParseMemo:
+    """Every fragment of ``stream`` parsed cold, keyed as a decoder keys it.
+
+    Frame 0 is parsed like a decoder with no reference parses it
+    (``allow_inter=False``), every later frame with a reference.
+    """
+    memo = ParseMemo()
+    for position, frame in enumerate(stream.frames):
+        for packet in frame.packets:
+            _batch(packet.payload, config, position > 0, memo)
+    return memo
+
+
+class TestEncoderSeeds:
+    @given(
+        config_index=st.integers(0, len(CONFIGS) - 1),
+        scheme=st.sampled_from(SEED_SCHEMES),
+        clip_seed=st.integers(0, 2**16),
+        n_frames=st.integers(1, 5),
+        mtu=st.integers(64, 600),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_seed_equals_the_cold_parse(
+        self, config_index, scheme, clip_seed, n_frames, mtu
+    ):
+        config = CONFIGS[config_index]
+        sequence = small_sequence(
+            n_frames=n_frames, seed=clip_seed, chroma=config.chroma
+        )
+        seeds = ParseMemo()
+        stream = encode_phase(
+            sequence,
+            build_strategy(scheme),
+            config=SimulationConfig(codec=config, mtu=mtu),
+            parse_memo=seeds,
+        )
+        cold = _cold_parses(stream, config)
+        assert len(seeds) == sum(len(f.packets) for f in stream.frames)
+        assert seeds.keys() == cold.keys()
+        for key, parse in cold.items():
+            seed = seeds[key]
+            assert seed.end == parse.end
+            for got, want in zip(seed[1:], parse[1:]):
+                assert got.dtype == want.dtype
+                assert not got.flags.writeable
+                np.testing.assert_array_equal(got, want)
+
+    def test_no_seed_for_bytes_an_encode_fault_altered(self):
+        plan = FaultPlan(
+            faults=(
+                FaultSpec(kind="encode_byteflip", probability=1.0, frames=(2,)),
+            ),
+            seed=3,
+        )
+        seeds = ParseMemo()
+        stream = encode_phase(
+            small_sequence(n_frames=4),
+            build_strategy("AIR-4"),
+            config=SimulationConfig(codec=CONFIGS[1], mtu=96),
+            faults=plan,
+            parse_memo=seeds,
+        )
+        assert [event.frame_index for event in stream.fault_events] == [2]
+        seeded = {key[0] for key in seeds}
+        for frame in stream.frames:
+            payloads = {packet.payload for packet in frame.packets}
+            if frame.frame_index == 2:
+                assert not payloads & seeded
+            else:
+                assert payloads <= seeded
+
+
+# ---------------------------------------------------------------------------
 # Grid level
 # ---------------------------------------------------------------------------
 
@@ -307,7 +386,15 @@ def memo_spy(monkeypatch):
 
 
 class TestMemoScope:
-    def test_distinct_encode_keys_create_no_memo(self, memo_spy):
+    def test_each_encode_key_gets_a_seeded_memo(self, memo_spy, monkeypatch):
+        seeded_at_decode: list[int] = []
+        transmit = runner.transmit_phase
+
+        def spy(*args, parse_memo=None, **kwargs):
+            seeded_at_decode.append(len(parse_memo))
+            return transmit(*args, parse_memo=parse_memo, **kwargs)
+
+        monkeypatch.setattr(runner, "transmit_phase", spy)
         grid = [
             JobSpec(
                 scheme=scheme,
@@ -320,9 +407,13 @@ class TestMemoScope:
         ]
         outcomes = run_grid(grid, runner_options(jobs=1))
         assert all(outcome.ok for outcome in outcomes)
-        # All keys distinct: the grid's own order, and no memo at all.
+        # All keys distinct: the grid's own order, one memo per cell,
+        # each seeded by its cell's encode before the decode began.
         assert [spec for spec, _ in memo_spy] == grid
-        assert [memo for _, memo in memo_spy] == [None] * 3
+        memos = [memo for _, memo in memo_spy]
+        assert all(isinstance(memo, ParseMemo) for memo in memos)
+        assert len({id(memo) for memo in memos}) == 3
+        assert len(seeded_at_decode) == 3 and all(seeded_at_decode)
 
     def test_group_shares_one_memo_and_none_outlives_the_grid(
         self, memo_spy
@@ -337,13 +428,10 @@ class TestMemoScope:
         assert keys == sorted(keys, key=first_seen.index)
         memos = {}
         for key, (_, memo) in zip(keys, memo_spy):
-            if keys.count(key) > 1:
-                assert isinstance(memo, ParseMemo)
-                assert memos.setdefault(key, memo) is memo
-            else:
-                assert memo is None
+            assert isinstance(memo, ParseMemo)
+            assert memos.setdefault(key, memo) is memo
         assert len({id(memo) for memo in memos.values()}) == len(memos) > 1
-        assert all(memo for memo in memos.values())  # each parsed something
+        assert all(memo for memo in memos.values())  # each was seeded
         refs = [weakref.ref(memo) for memo in memos.values()]
         del memos, memo
         memo_spy.clear()
@@ -370,9 +458,26 @@ class TestMemoScope:
 
 
 def test_trace_counts_parsed_and_reused_fragments(tmp_path):
-    grid = fleet_grid()[:4]  # bursty-wifi: NO x2, GOP-3 x2
-    run_grid(grid, runner_options(jobs=1, trace_dir=tmp_path))
-    trace = load_trace(tmp_path / "trace.jsonl")
+    grid = fleet_grid()
+    clean = grid[:4]  # bursty-wifi: NO x2, GOP-3 x2
+    outcomes = run_grid(
+        clean, runner_options(jobs=1, trace_dir=tmp_path / "clean")
+    )
+    trace = load_trace(tmp_path / "clean" / "trace.jsonl")
+    counters = trace.metrics.snapshot()["counters"]
+    # Every fragment a clean grid delivers replays its encoder seed.
+    decoded = sum(
+        frame.packets_sent - frame.packets_lost
+        for outcome in outcomes
+        for frame in outcome.result.frames
+    )
+    assert counters.get("decoder.fragments_parsed", 0) == 0
+    assert counters["decoder.fragments_reused"] == decoded > 0
+    # Damaged fragments miss the seeds and are parsed for real.
+    run_grid(
+        grid[-1:], runner_options(jobs=1, trace_dir=tmp_path / "corrupted")
+    )
+    trace = load_trace(tmp_path / "corrupted" / "trace.jsonl")
     counters = trace.metrics.snapshot()["counters"]
     assert counters["decoder.fragments_parsed"] > 0
     assert counters["decoder.fragments_reused"] > 0
