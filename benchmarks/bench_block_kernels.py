@@ -12,6 +12,18 @@ combined speedup regresses.
 Outputs are checked for exact equality before anything is timed, so a
 kernel that drifts from its reference can never report a "speedup".
 
+The record also counts how the decoder batches those kernels on a fixed
+lossy foreman decode (the same whatever ``--frames`` says), as two
+exact ratios gated at tolerance 0:
+
+* ``decoder_frames_per_kernel_call`` — frames with any salvaged
+  macroblock per decoder ``dequantize_blocks`` call (and per
+  ``inverse_dct_blocks`` call, asserted equal): 1.0 when every frame
+  takes one dequantization and one IDCT;
+* ``idct_skip_ratio`` — the share of the IDCT blocks billed to the
+  paper's decoder that the batch never executes, because they hold no
+  coefficient.
+
 Two entry points:
 
 * ``python benchmarks/bench_block_kernels.py [--frames N] [--runs R]
@@ -24,12 +36,21 @@ from __future__ import annotations
 
 import argparse
 import statistics
+import sys
 import time
+from collections import Counter
 
 import numpy as np
 
 from repro.api import (
+    CodecConfig,
+    Decoder,
     DiamondSearchMotionEstimator,
+    Encoder,
+    OperationCounters,
+    Packetizer,
+    Tracer,
+    build_strategy,
     dequantize_blocks,
     dequantize_scalar,
     diamond_search_scalar,
@@ -38,6 +59,7 @@ from repro.api import (
     forward_dct_scalar,
     quantize_blocks,
     quantize_scalar,
+    use_tracer,
 )
 try:
     from benchmarks.perf_gate import emit, make_record
@@ -49,6 +71,10 @@ DEFAULT_RUNS = 3
 QP = 8
 SEARCH_RANGE = 15
 EARLY_EXIT_SAD = 1600
+#: The fixed decode workload behind the decoder-batching ratios.
+DECODE_FRAMES = 8
+DECODE_SCHEME = "AIR-24"
+DECODE_MTU = 256
 
 
 def _residual_blocks(frames) -> np.ndarray:
@@ -72,6 +98,72 @@ def _median_time(fn, runs: int) -> float:
         fn()
         samples.append(time.perf_counter() - start)
     return statistics.median(samples)
+
+
+def _delivered(index: int, payloads: list) -> list:
+    """A fixed loss pattern: one frame gets nothing, others lose some."""
+    if index == DECODE_FRAMES // 2:
+        return []
+    return [p for j, p in enumerate(payloads) if (index + j) % 4 != 3]
+
+
+def decoder_batching() -> dict:
+    """Decode a lossy foreman clip, counting kernel calls and IDCT blocks."""
+    config = CodecConfig()
+    encoder = Encoder(config, build_strategy(DECODE_SCHEME))
+    packetizer = Packetizer(config, mtu=DECODE_MTU)
+    frames = [
+        [p.payload for p in packetizer.packetize(encoder.encode_frame(frame))]
+        for frame in foreman_like(DECODE_FRAMES).frames
+    ]
+
+    # The decoder calls its kernels through its own module's globals;
+    # wrapping those counts every call it makes.
+    decoder_module = sys.modules[Decoder.__module__]
+    calls: Counter = Counter()
+    originals = {
+        name: getattr(decoder_module, name)
+        for name in ("dequantize_blocks", "inverse_dct_blocks")
+    }
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return wrapper
+
+    counters = OperationCounters()
+    decoder = Decoder(config, counters)
+    salvaged_frames = 0
+    try:
+        for name in originals:
+            setattr(decoder_module, name, counting(name))
+        with use_tracer(Tracer()) as tracer:
+            reference = None
+            for index, payloads in enumerate(frames):
+                result = decoder.decode_frame(
+                    _delivered(index, payloads), reference, index
+                )
+                salvaged_frames += int(result.received.any())
+                reference = result.frame
+    finally:
+        for name, original in originals.items():
+            setattr(decoder_module, name, original)
+
+    traced = tracer.metrics.snapshot()["counters"]
+    billed = int(traced["decoder.idct_blocks_billed"])
+    executed = int(traced["decoder.idct_blocks_executed"])
+    assert billed == counters.idct_blocks == counters.dequant_blocks
+    assert calls["inverse_dct_blocks"] == calls["dequantize_blocks"]
+    return {
+        "frames": DECODE_FRAMES,
+        "salvaged_frames": salvaged_frames,
+        "dequantize_calls": calls["dequantize_blocks"],
+        "idct_calls": calls["inverse_dct_blocks"],
+        "idct_blocks_billed": billed,
+        "idct_blocks_executed": executed,
+    }
 
 
 def measure(n_frames: int = DEFAULT_FRAMES, runs: int = DEFAULT_RUNS) -> dict:
@@ -132,6 +224,7 @@ def measure(n_frames: int = DEFAULT_FRAMES, runs: int = DEFAULT_RUNS) -> dict:
     }
     total_scalar = sum(scalar_s.values())
     total_batched = sum(batched_s.values())
+    decode = decoder_batching()
     return make_record(
         "block_kernels",
         workload={
@@ -143,8 +236,18 @@ def measure(n_frames: int = DEFAULT_FRAMES, runs: int = DEFAULT_RUNS) -> dict:
             "qp": QP,
             "search_range": SEARCH_RANGE,
             "early_exit_sad": EARLY_EXIT_SAD,
+            "decode": {
+                "sequence": "foreman",
+                "n_frames": DECODE_FRAMES,
+                "scheme": DECODE_SCHEME,
+                "mtu": DECODE_MTU,
+            },
         },
-        gated={"combined_block_speedup": {"tolerance": 0.25}},
+        gated={
+            "combined_block_speedup": {"tolerance": 0.25},
+            "decoder_frames_per_kernel_call": {"tolerance": 0},
+            "idct_skip_ratio": {"tolerance": 0},
+        },
         scalar_s={k: round(v, 5) for k, v in scalar_s.items()},
         batched_s={k: round(v, 5) for k, v in batched_s.items()},
         speedups={
@@ -154,6 +257,13 @@ def measure(n_frames: int = DEFAULT_FRAMES, runs: int = DEFAULT_RUNS) -> dict:
         },
         combined_block_speedup=(
             round(total_scalar / total_batched, 2) if total_batched else None
+        ),
+        decode=decode,
+        decoder_frames_per_kernel_call=round(
+            decode["salvaged_frames"] / decode["dequantize_calls"], 4
+        ),
+        idct_skip_ratio=round(
+            1 - decode["idct_blocks_executed"] / decode["idct_blocks_billed"], 4
         ),
     )
 
@@ -187,6 +297,10 @@ def test_block_kernel_record_structure():
         assert set(record[section]) == {"dct", "quant", "sad"}
     assert record["combined_block_speedup"] > 0
     assert record["workload"]["blocks"] > 0
+    decode = record["decode"]
+    assert decode["salvaged_frames"] == decode["frames"] - 1
+    assert record["decoder_frames_per_kernel_call"] == 1.0
+    assert 0 < record["idct_skip_ratio"] < 1
 
 
 if __name__ == "__main__":

@@ -157,7 +157,10 @@ def forward_dct(blocks: np.ndarray, fixed_point: bool = True) -> np.ndarray:
 def inverse_dct(coefficients: np.ndarray, fixed_point: bool = True) -> np.ndarray:
     """Inverse DCT, dispatching on arithmetic variant."""
     if fixed_point:
-        return inverse_dct_int(np.rint(coefficients).astype(np.int64))
+        coefficients = np.asarray(coefficients)
+        if not np.issubdtype(coefficients.dtype, np.integer):
+            coefficients = np.rint(coefficients)
+        return inverse_dct_int(coefficients)
     return inverse_dct_float(coefficients)
 
 

@@ -14,6 +14,17 @@ A corrupt or truncated fragment raises no exception to the caller: the
 decoder salvages every macroblock up to the failure point and marks the
 rest as lost — mirroring how VLC desynchronization destroys the tail of
 a real packet.
+
+A frame decodes in two phases.  Phase 1 runs per fragment: header,
+variable-length decode (memo-aware) and the salvage bookkeeping, with
+any error contained at the fragment boundary.  Phase 2 runs once per
+frame over every salvaged macroblock: one dequantization and one
+inverse transform of the *coded* blocks only (an uncoded block's
+residual is exactly zero, so an uncoded inter block is its prediction
+and an uncoded intra block is zero), one prediction gather and one
+canvas write.  The operation counters still bill the paper's decoder,
+which dequantizes and transforms every block of every salvaged
+macroblock.
 """
 
 from __future__ import annotations
@@ -32,8 +43,7 @@ from repro.codec.syntax import (
     read_fragment_header,
 )
 from repro.codec.types import CodecConfig, FrameType, MacroblockMode
-from repro.codec.blocks import blocks_to_macroblocks, chroma_vector
-from repro.codec.halfpel import fetch_block_half
+from repro.codec.blocks import blocks_to_macroblocks
 from repro.energy.counters import OperationCounters
 from repro.obs.tracer import get_tracer
 
@@ -81,7 +91,11 @@ class Decoder:
     Decoding work (VLD bits, dequantization, IDCT, motion compensation)
     is tallied into :attr:`counters` so receive-side energy can be
     priced with the same device profiles as the encoder — handhelds
-    spend battery on both directions of a video call.
+    spend battery on both directions of a video call.  The counters
+    price every block of every salvaged macroblock, as the paper's
+    decoder does; with tracing on, ``decoder.idct_blocks_billed`` and
+    ``decoder.idct_blocks_executed`` set that against the coded blocks
+    actually transformed.
 
     ``parse_memo`` lets decoders of one encoded stream share their
     variable-length decode (see :class:`~repro.codec.syntax.ParseMemo`):
@@ -111,7 +125,8 @@ class Decoder:
         """Decode whatever fragments of a frame survived the channel.
 
         Args:
-            fragments: surviving fragment payloads, any order.
+            fragments: surviving fragment payloads, any order; when two
+                cover the same macroblock, the later one wins.
             reference: previous decoder-side frame (after concealment),
                 or None at sequence start.
             expected_index: frame index to report when no fragment
@@ -149,36 +164,23 @@ class Decoder:
         mvs_pixels = np.zeros((mb_rows, mb_cols, 2), dtype=np.int64)
         frame_index = expected_index
         frame_type = FrameType.P
-        mv_divisor = 2 if config.half_pel else 1
-
-        # Pad the prediction references once per frame; every fragment
-        # predicts from the same planes.
-        pad = config.search_range + (2 if config.half_pel else 0)
-        padded_ref = (
-            np.pad(reference.astype(np.int64), pad, mode="edge")
-            if reference is not None
-            else None
+        # Inter macroblocks need every plane they predict from.
+        allow_inter = reference is not None and not (
+            config.chroma and reference_chroma is None
         )
-        padded_chroma = None
-        if config.chroma and reference_chroma is not None:
-            padded_chroma = tuple(
-                np.pad(plane.astype(np.int64), 8, mode="edge")
-                for plane in reference_chroma
-            )
 
+        # Phase 1 — per fragment: header, VLD and salvage bookkeeping.
+        salvaged: list[tuple[int, int, object]] = []
         damaged = 0
         for fragment_position, payload in enumerate(fragments):
             # Fragment-level resync: *nothing* a fragment contains may
             # abort the frame.  Expected corruption (bad magic, VLC
-            # desync) is handled inside _decode_fragment; this guard
+            # desync) is handled inside _parse_fragment; this guard
             # additionally contains any unexpected decode error at the
             # fragment boundary — the damaged region is concealed and
             # the remaining fragments still decode.
             try:
-                header, decoded = self._decode_fragment(
-                    payload, padded_ref, pad, canvas, padded_chroma,
-                    chroma_canvases,
-                )
+                header, parse = self._parse_fragment(payload, allow_inter)
             except Exception as error:  # noqa: BLE001 - containment contract
                 damaged += 1
                 tracer = get_tracer()
@@ -193,17 +195,25 @@ class Decoder:
             if header is None:
                 damaged += 1  # unreadable header: the whole fragment is lost
                 continue
-            if len(decoded) < header.mb_count:
+            if len(parse.meta) < header.mb_count:
                 damaged += 1  # VLC desync truncated the salvaged prefix
             frame_index = header.frame_index
             frame_type = header.frame_type
-            for mb_index, mode, mv in decoded:
-                row, col = divmod(mb_index, mb_cols)
-                if row < mb_rows:
-                    received[row, col] = True
-                    modes[row, col] = mode
-                    mvs_pixels[row, col, 0] = int(mv[0] / mv_divisor)
-                    mvs_pixels[row, col, 1] = int(mv[1] / mv_divisor)
+            if len(parse.meta):
+                salvaged.append((header.first_mb, header.qp, parse))
+
+        # Phase 2 — once per frame, over every salvaged macroblock.
+        if salvaged:
+            self._reconstruct(
+                salvaged,
+                reference,
+                reference_chroma,
+                canvas,
+                chroma_canvases,
+                received,
+                modes,
+                mvs_pixels,
+            )
 
         return DecodeResult(
             frame_index=frame_index,
@@ -216,42 +226,30 @@ class Decoder:
             damaged_fragments=damaged,
         )
 
-    def _decode_fragment(
-        self,
-        payload: bytes,
-        padded_ref: Optional[np.ndarray],
-        pad: int,
-        canvas: np.ndarray,
-        padded_chroma: Optional[tuple[np.ndarray, np.ndarray]] = None,
-        chroma_canvases: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    ):
-        """Decode one fragment onto the canvases; salvage on corruption.
+    def _parse_fragment(self, payload: bytes, allow_inter: bool):
+        """Header and batch VLD of one fragment; salvage on corruption.
 
-        Returns ``(header_or_None, [(mb_index, mode, mv), ...])``.
+        Returns ``(header, parse)``, or ``(None, None)`` when the header
+        is unreadable or claims macroblocks beyond the frame.  A corrupt
+        codeword (or a macroblock that cannot be predicted) truncates
+        the parse's salvaged prefix exactly where the sequential
+        decoder stopped.
         """
         config = self.config
         reader = BitReader(payload)
         try:
             header = read_fragment_header(reader)
         except BitstreamError:
-            return None, []
+            return None, None
         if header.first_mb + header.mb_count > config.mb_count:
-            return None, []
-
-        blocks_per_mb = config.blocks_per_mb
-        # Phase 1 — batch VLD; a corrupt codeword (or a macroblock that
-        # cannot be predicted) truncates the salvaged prefix exactly
-        # where the sequential decoder did.
-        allow_inter = padded_ref is not None and not (
-            config.chroma and padded_chroma is None
-        )
+            return None, None
         memo = self.parse_memo
         stored = len(memo) if memo is not None else 0
-        embs = decode_macroblock_layer(
+        parse = decode_macroblock_layer(
             reader,
             header.frame_type,
             header.mb_count,
-            blocks_per_mb,
+            config.blocks_per_mb,
             allow_skip=config.allow_skip,
             allow_inter=allow_inter,
             mv_limit=config.mv_limit,
@@ -266,141 +264,190 @@ class Decoder:
                 if reused
                 else "decoder.fragments_parsed"
             )
-        parsed = [
-            (header.first_mb + offset, emb) for offset, emb in enumerate(embs)
-        ]
         self.counters.entropy_bits += reader.bits_consumed
-        if not parsed:
-            return header, []
+        return header, parse
 
-        # Phase 2 — batch dequantization and inverse transform across
-        # every salvaged macroblock, then per-macroblock prediction.
-        luma_mbs = self._reconstruct_luma_batch(parsed, header, padded_ref, pad)
-        chroma_mbs = (
-            self._reconstruct_chroma_batch(parsed, header, padded_chroma)
-            if config.chroma
-            else None
+    def _reconstruct(
+        self,
+        salvaged: list,
+        reference: Optional[np.ndarray],
+        reference_chroma: Optional[tuple[np.ndarray, np.ndarray]],
+        canvas: np.ndarray,
+        chroma_canvases: Optional[tuple[np.ndarray, np.ndarray]],
+        received: np.ndarray,
+        modes: np.ndarray,
+        mvs_pixels: np.ndarray,
+    ) -> None:
+        """Phase 2: place every salvaged macroblock of the frame at once.
+
+        ``salvaged`` holds ``(first_mb, qp, parse)`` per fragment in
+        delivery order.  The macroblocks are numbered by *slot*, their
+        position in the concatenation of the fragments' parses.
+        """
+        config = self.config
+        mb_cols = config.mb_cols
+        blocks_per_mb = config.blocks_per_mb
+        counts = np.array([len(parse.meta) for _, _, parse in salvaged])
+        slot_base = np.cumsum(counts) - counts
+        n_slots = int(counts.sum())
+        meta = np.concatenate(
+            [parse.meta for _, _, parse in salvaged]
+        ).astype(np.int64)
+        intra = meta[:, 0] != 0
+        qp = np.repeat([qp for _, qp, _ in salvaged], counts)
+        mb_index = np.repeat(
+            [first for first, _, _ in salvaged] - slot_base, counts
+        ) + np.arange(n_slots)
+
+        # The paper's decoder dequantizes and transforms every block of
+        # every salvaged macroblock, duplicates included.
+        n_inter = n_slots - int(np.count_nonzero(intra))
+        billed = blocks_per_mb * n_slots
+        self.counters.mode_decisions += n_slots
+        self.counters.mc_blocks += n_inter
+        self.counters.dequant_blocks += billed
+        self.counters.idct_blocks += billed
+
+        # The last delivered copy of each macroblock wins: ``slots[k]``
+        # is the slot written to the frame's k-th placed macroblock.
+        _, last = np.unique(mb_index[::-1], return_index=True)
+        slots = n_slots - 1 - last
+        placed = np.full(n_slots, -1)
+        placed[slots] = np.arange(slots.size)
+        rows, cols = np.divmod(mb_index[slots], mb_cols)
+
+        # Coefficient events, renumbered onto the placed macroblocks'
+        # blocks; a superseded duplicate's events are dropped.
+        values_per_mb = blocks_per_mb * 64
+        ev_index = np.concatenate(
+            [parse.ev_index for _, _, parse in salvaged]
+        ).astype(np.int64) + np.repeat(
+            slot_base * values_per_mb,
+            [len(parse.ev_index) for _, _, parse in salvaged],
         )
-
-        decoded: list[tuple[int, MacroblockMode, tuple[int, int]]] = []
-        for position, (mb_index, emb) in enumerate(parsed):
-            row, col = divmod(mb_index, config.mb_cols)
-            canvas[row * 16 : (row + 1) * 16, col * 16 : (col + 1) * 16] = (
-                luma_mbs[position]
+        ev_levels = np.concatenate([parse.ev_levels for _, _, parse in salvaged])
+        ev_placed = placed[ev_index // values_per_mb]
+        if slots.size < n_slots:
+            keep = ev_placed >= 0
+            ev_index, ev_levels, ev_placed = (
+                ev_index[keep], ev_levels[keep], ev_placed[keep]
             )
-            if chroma_mbs is not None:
-                assert chroma_canvases is not None
-                for plane, block in zip(chroma_canvases, chroma_mbs[position]):
-                    plane[row * 8 : (row + 1) * 8, col * 8 : (col + 1) * 8] = (
-                        block
+        ev_index = ev_placed * values_per_mb + ev_index % values_per_mb
+
+        # One dequantization and one IDCT, over the coded blocks only.
+        coded, ev_block = np.unique(ev_index // 64, return_inverse=True)
+        levels = np.zeros((coded.size, 64), dtype=np.int64)
+        levels[ev_block, ev_index % 64] = ev_levels
+        coded_slot = slots[coded // blocks_per_mb]
+        transformed = inverse_dct_blocks(
+            dequantize_blocks(
+                levels.reshape(-1, 8, 8), intra[coded_slot], qp[coded_slot]
+            ),
+            config.use_fixed_point_dct,
+        )
+        # Uncoded blocks keep an exact-zero residual, in the transform's
+        # own dtype: the float path stays float until it is clipped.
+        residual = np.zeros(
+            (slots.size * blocks_per_mb, 8, 8), dtype=transformed.dtype
+        )
+        residual[coded] = transformed
+        residual = residual.reshape(slots.size, blocks_per_mb, 8, 8)
+
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.metrics.inc("decoder.idct_blocks_billed", billed)
+            tracer.metrics.inc("decoder.idct_blocks_executed", coded.size)
+
+        # Prediction: zero for intra, one motion-compensated gather for
+        # the inter macroblocks of each plane.
+        mv = meta[slots, 1:]
+        inter = ~intra[slots]
+        luma = blocks_to_macroblocks(residual[:, :4])
+        if inter.any():
+            luma[inter] += self._predict_luma(
+                reference, rows[inter], cols[inter], mv[inter]
+            )
+        _write_macroblocks(canvas, 16, rows, cols, luma)
+
+        # Half-pel vectors in whole pixels, truncated toward zero.
+        mv_pixels = np.sign(mv) * (np.abs(mv) // 2) if config.half_pel else mv
+        if chroma_canvases is not None:
+            chroma = residual[:, 4:6]
+            if inter.any():
+                assert reference_chroma is not None
+                # chroma_vector: halve, rounding half away from zero.
+                chroma_mv = mv_pixels[inter]
+                chroma_mv = np.sign(chroma_mv) * ((np.abs(chroma_mv) + 1) // 2)
+                for component, plane in enumerate(reference_chroma):
+                    chroma[inter, component] += _gather(
+                        plane,
+                        rows[inter] * 8 + chroma_mv[:, 0],
+                        cols[inter] * 8 + chroma_mv[:, 1],
+                        8,
                     )
-            decoded.append((mb_index, emb.mode, emb.mv))
-            self.counters.mode_decisions += 1
-            if emb.mode is MacroblockMode.INTER:
-                self.counters.mc_blocks += 1
-        self.counters.dequant_blocks += blocks_per_mb * len(parsed)
-        self.counters.idct_blocks += blocks_per_mb * len(parsed)
-        return header, decoded
+            for component, plane in enumerate(chroma_canvases):
+                _write_macroblocks(plane, 8, rows, cols, chroma[:, component])
 
-    def _dequantize_batch(
-        self, coefficients: np.ndarray, intra_flags: np.ndarray, qp: int
-    ) -> np.ndarray:
-        """Dequantize a ``(k, n, 8, 8)`` batch in one mixed-mode pass."""
-        return dequantize_blocks(coefficients, intra_flags[:, None], qp)
+        received[rows, cols] = True
+        modes[rows, cols] = _MODES[intra[slots].astype(np.intp)]
+        mvs_pixels[rows, cols] = mv_pixels
 
-    def _reconstruct_luma_batch(
+    def _predict_luma(
         self,
-        parsed: list,
-        header,
-        padded_ref: Optional[np.ndarray],
-        pad: int,
+        reference: Optional[np.ndarray],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        mv: np.ndarray,
     ) -> np.ndarray:
-        """Dequantize/IDCT every salvaged macroblock at once, then predict."""
-        config = self.config
-        coefficients = np.stack([emb.coefficients[:4] for _, emb in parsed])
-        intra_flags = np.array(
-            [emb.mode is MacroblockMode.INTRA for _, emb in parsed]
-        )
-        dequantized = self._dequantize_batch(
-            coefficients, intra_flags, header.qp
-        )
-        blocks = inverse_dct_blocks(
-            dequantized.reshape(-1, 8, 8), config.use_fixed_point_dct
-        )
-        mb_pixels = blocks_to_macroblocks(blocks.reshape(len(parsed), 4, 8, 8))
+        """Every inter macroblock's 16x16 prediction, gathered at once.
 
-        out = np.empty((len(parsed), 16, 16), dtype=np.uint8)
-        if intra_flags.any():
-            out[intra_flags] = np.clip(mb_pixels[intra_flags], 0, 255)
-        inter_positions = np.flatnonzero(~intra_flags)
-        if inter_positions.size == 0:
-            return out
-        assert padded_ref is not None
-        if config.half_pel:
-            for position in inter_positions:
-                mb_index, emb = parsed[position]
-                row, col = divmod(mb_index, config.mb_cols)
-                prediction = fetch_block_half(
-                    padded_ref, pad, row * 16, col * 16, emb.mv
-                )
-                out[position] = np.clip(
-                    mb_pixels[position] + prediction, 0, 255
-                )
-        else:
-            # Full-pel prediction for every inter macroblock in one
-            # gather off the padded reference's 16x16 window view.
-            windows = np.lib.stride_tricks.sliding_window_view(
-                padded_ref, (16, 16)
-            )
-            ys = np.empty(inter_positions.size, dtype=np.int64)
-            xs = np.empty(inter_positions.size, dtype=np.int64)
-            for slot, position in enumerate(inter_positions):
-                mb_index, emb = parsed[position]
-                row, col = divmod(mb_index, config.mb_cols)
-                ys[slot] = row * 16 + pad + emb.mv[0]
-                xs[slot] = col * 16 + pad + emb.mv[1]
-            out[inter_positions] = np.clip(
-                mb_pixels[inter_positions] + windows[ys, xs], 0, 255
-            )
-        return out
+        Full-pel vectors gather the displaced block directly; half-pel
+        vectors average the up to four blocks around the half-pel point
+        with H.263's rounding, ``(a + b + c + d + 2) >> 2``, which is
+        the one- and two-tap average when a fractional part is zero.
+        """
+        assert reference is not None
+        top, left = rows * 16, cols * 16
+        if not self.config.half_pel:
+            return _gather(reference, top + mv[:, 0], left + mv[:, 1], 16)
+        top, left = top + (mv[:, 0] >> 1), left + (mv[:, 1] >> 1)
+        fy, fx = mv[:, 0] & 1, mv[:, 1] & 1
+        reference = reference.astype(np.int64)
+        return (
+            _gather(reference, top, left, 16)
+            + _gather(reference, top, left + fx, 16)
+            + _gather(reference, top + fy, left, 16)
+            + _gather(reference, top + fy, left + fx, 16)
+            + 2
+        ) >> 2
 
-    def _reconstruct_chroma_batch(
-        self,
-        parsed: list,
-        header,
-        padded_chroma: Optional[tuple[np.ndarray, np.ndarray]],
-    ) -> np.ndarray:
-        """Chroma twin of :meth:`_reconstruct_luma_batch` (Cb then Cr)."""
-        config = self.config
-        coefficients = np.stack([emb.coefficients[4:6] for _, emb in parsed])
-        intra_flags = np.array(
-            [emb.mode is MacroblockMode.INTRA for _, emb in parsed]
-        )
-        dequantized = self._dequantize_batch(
-            coefficients, intra_flags, header.qp
-        )
-        blocks = inverse_dct_blocks(
-            dequantized.reshape(-1, 8, 8), config.use_fixed_point_dct
-        ).reshape(len(parsed), 2, 8, 8)
 
-        out = np.empty((len(parsed), 2, 8, 8), dtype=np.uint8)
-        for position, (mb_index, emb) in enumerate(parsed):
-            if emb.mode is MacroblockMode.INTRA:
-                out[position] = np.clip(blocks[position], 0, 255)
-                continue
-            assert padded_chroma is not None
-            if config.half_pel:
-                cdy = chroma_vector(int(np.fix(emb.mv[0] / 2.0)))
-                cdx = chroma_vector(int(np.fix(emb.mv[1] / 2.0)))
-            else:
-                cdy = chroma_vector(emb.mv[0])
-                cdx = chroma_vector(emb.mv[1])
-            row, col = divmod(mb_index, config.mb_cols)
-            y = row * 8 + 8 + cdy
-            x = col * 8 + 8 + cdx
-            for component, padded in enumerate(padded_chroma):
-                prediction = padded[y : y + 8, x : x + 8]
-                out[position, component] = np.clip(
-                    blocks[position, component] + prediction, 0, 255
-                )
-        return out
+def _gather(
+    plane: np.ndarray, top: np.ndarray, left: np.ndarray, size: int
+) -> np.ndarray:
+    """``(n, size, size)`` blocks of ``plane`` at ``(top, left)``.
+
+    Coordinates outside the plane clamp to its border, which is what an
+    edge-padded reference holds there.
+    """
+    offsets = np.arange(size)
+    ys = np.clip(top[:, None] + offsets, 0, plane.shape[0] - 1)
+    xs = np.clip(left[:, None] + offsets, 0, plane.shape[1] - 1)
+    return plane[ys[:, :, None], xs[:, None, :]]
+
+
+#: Macroblock modes indexed by the intra flag.
+_MODES = np.array([MacroblockMode.INTER, MacroblockMode.INTRA], dtype=object)
+
+
+def _write_macroblocks(
+    plane: np.ndarray,
+    size: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    pixels: np.ndarray,
+) -> None:
+    """Clip ``(n, size, size)`` pixels to 8 bits and write them in place."""
+    height, width = plane.shape
+    grid = plane.reshape(height // size, size, width // size, size).swapaxes(1, 2)
+    grid[rows, cols] = np.clip(pixels, 0, 255)

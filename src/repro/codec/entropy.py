@@ -27,7 +27,7 @@ implementation — locked by the golden-bitstream regression tests.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable
 
 import numpy as np
 
@@ -79,34 +79,6 @@ def se_codewords(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized se(v) via the H.264 signed mapping."""
     values = np.asarray(values, dtype=np.int64)
     return ue_codewords(np.where(values > 0, 2 * values - 1, -2 * values))
-
-
-def write_ue_array(writer: BitWriter, values: np.ndarray) -> None:
-    """Write a batch of unsigned Exp-Golomb codewords in one pack."""
-    writer.write_codewords(*ue_codewords(values))
-
-
-def write_se_array(writer: BitWriter, values: np.ndarray) -> None:
-    """Write a batch of signed Exp-Golomb codewords in one pack."""
-    writer.write_codewords(*se_codewords(values))
-
-
-def run_level_events(zigzagged: np.ndarray) -> List[Tuple[int, int, bool]]:
-    """Convert a zigzag-scanned coefficient vector to (run, level, last).
-
-    ``run`` counts the zeros preceding each nonzero ``level``; ``last``
-    marks the final nonzero coefficient of the block.
-    """
-    nonzero_positions = np.flatnonzero(zigzagged)
-    events: List[Tuple[int, int, bool]] = []
-    previous = -1
-    for order, position in enumerate(nonzero_positions):
-        run = int(position - previous - 1)
-        level = int(zigzagged[position])
-        last = order == len(nonzero_positions) - 1
-        events.append((run, level, last))
-        previous = int(position)
-    return events
 
 
 def block_codewords(
@@ -199,11 +171,6 @@ def encode_block(writer: BitWriter, levels: np.ndarray) -> None:
         raise ValueError(f"expected an 8x8 block, got {levels.shape}")
     values, widths = block_codewords(levels[None])[:2]
     writer.write_codewords(values, widths)
-
-
-def decode_block(reader: BitReader) -> np.ndarray:
-    """Decode one 8x8 block of quantized levels (inverse of encode_block)."""
-    return decode_blocks(reader, 1)[0]
 
 
 def encode_blocks(writer: BitWriter, blocks: Iterable[np.ndarray]) -> None:

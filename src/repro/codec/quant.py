@@ -32,8 +32,9 @@ LEVEL_MIN, LEVEL_MAX = -127, 127
 INTRA_DC_STEP = 8
 
 
-def _check_qp(qp: int) -> None:
-    if not 1 <= qp <= 31:
+def _check_qp(qp) -> None:
+    values = np.asarray(qp)
+    if values.size and not (values.min() >= 1 and values.max() <= 31):
         raise ValueError(f"QP must be in [1, 31], got {qp}")
 
 
@@ -72,23 +73,27 @@ def quantize_blocks(
     return levels
 
 
-def dequantize_blocks(levels: np.ndarray, intra, qp: int) -> np.ndarray:
+def dequantize_blocks(levels: np.ndarray, intra, qp) -> np.ndarray:
     """Reconstruct a mixed intra/inter stack of quantized levels.
 
     Inverse of :func:`quantize_blocks` up to quantization error:
     ``|rec| = QP (2|level| + 1)`` for nonzero levels, oddified for even
     QP, clamped to the 12-bit coefficient range; the intra DC term is
-    rebuilt with its fixed step.
+    rebuilt with its fixed step.  ``qp`` is one QP for the whole stack
+    or, like ``intra``, one per block (a decoder batching fragments
+    that each carry their own QP).
     """
     _check_qp(qp)
     levels = np.asarray(levels, dtype=np.int64)
-    intra = _block_mask(intra, levels.shape[:-2])
-    magnitude = np.abs(levels)
-    reconstructed = qp * (2 * magnitude + 1)
-    if qp % 2 == 0:
-        reconstructed -= 1
-    reconstructed = np.where(magnitude == 0, 0, reconstructed)
-    reconstructed = np.sign(levels) * reconstructed
+    lead = levels.shape[:-2]
+    intra = _block_mask(intra, lead)
+    qp = np.asarray(qp, dtype=np.int64)
+    if qp.ndim:
+        qp = np.broadcast_to(qp, lead)[..., None, None]
+    # sign() zeroes the zero levels, which reconstruct to 0.
+    reconstructed = np.sign(levels) * (
+        qp * (2 * np.abs(levels) + 1) - (1 - qp % 2)
+    )
     reconstructed[..., 0, 0] = np.where(
         intra, levels[..., 0, 0] * INTRA_DC_STEP, reconstructed[..., 0, 0]
     )

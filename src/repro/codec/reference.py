@@ -6,16 +6,25 @@ transform call, whole search rounds per SAD reduction.  This module keeps
 the obvious one-block-at-a-time formulation of the same arithmetic —
 a Python loop over blocks (or macroblocks), each processed alone.
 
+It also keeps the scalar twins of the entropy layer and of the whole
+decoder: :func:`run_level_events` and :func:`decode_block` re-derive one
+block's run-level symbols, and :func:`decode_frame_scalar` decodes a
+frame one fragment, one macroblock and one block at a time, as the
+paper's decoder does.
+
 It exists for two reasons:
 
 * **Differential oracle.**  ``tests/test_block_kernels.py`` checks the
   batched kernels against these functions over random stacks and full
   synthetic sequences: identical coefficients, identical motion vectors
-  and identical operation counts.  The reference deliberately re-derives
-  its own fixed-point basis from :func:`repro.codec.dct.dct_basis` and
-  re-implements the rounding shift, so a bug in the production fast
-  paths (e.g. the float64-exact BLAS route) cannot hide in a shared
-  helper.
+  and identical operation counts.  The reference deliberately
+  re-derives its own fixed-point basis from
+  :func:`repro.codec.dct.dct_basis` and re-implements the rounding
+  shift, so a bug in the production fast paths (e.g. the float64-exact
+  BLAS route) cannot hide in a shared helper.
+  ``tests/test_decoder_oracle.py`` checks the frame-batched decoder
+  against :func:`decode_frame_scalar` under fragment loss, reordering,
+  duplication and damage.
 * **Benchmark baseline.**  ``benchmarks/bench_block_kernels.py`` times
   these loops as the "before" of the batched kernels; the ratio is what
   ``BENCH_blocks.json`` records and the CI perf gate guards.
@@ -27,12 +36,16 @@ tests can compare them against what the batched kernels *did* record.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.codec.blocks import MB
+from repro.codec.bitstream import BitReader, BitstreamError
+from repro.codec.blocks import MB, chroma_vector
 from repro.codec.dct import FIXED_POINT_BITS, dct_basis
+from repro.codec.decoder import DecodeResult
+from repro.codec.entropy import decode_blocks
+from repro.codec.halfpel import fetch_block_half
 from repro.codec.motion import MECostFunction, MotionField
 from repro.codec.quant import (
     COEFF_MAX,
@@ -40,6 +53,13 @@ from repro.codec.quant import (
     INTRA_DC_STEP,
     LEVEL_MAX,
 )
+from repro.codec.syntax import (
+    decode_macroblock,
+    decode_macroblock_skippable,
+    read_fragment_header,
+)
+from repro.codec.types import CodecConfig, FrameType, MacroblockMode
+from repro.energy.counters import OperationCounters
 
 _LARGE_DIAMOND = (
     (-2, 0), (-1, -1), (-1, 1), (0, -2), (0, 2), (1, -1), (1, 1), (2, 0),
@@ -353,3 +373,168 @@ def three_step_search_scalar(
             evaluated += evals
 
     return MotionField(mvs, sads, evaluated, per_mb)
+
+
+def run_level_events(zigzagged: np.ndarray) -> List[Tuple[int, int, bool]]:
+    """Convert a zigzag-scanned coefficient vector to (run, level, last).
+
+    ``run`` counts the zeros preceding each nonzero ``level``; ``last``
+    marks the final nonzero coefficient of the block.
+    """
+    nonzero_positions = np.flatnonzero(zigzagged)
+    events: List[Tuple[int, int, bool]] = []
+    previous = -1
+    for order, position in enumerate(nonzero_positions):
+        run = int(position - previous - 1)
+        level = int(zigzagged[position])
+        last = order == len(nonzero_positions) - 1
+        events.append((run, level, last))
+        previous = int(position)
+    return events
+
+
+def decode_block(reader: BitReader) -> np.ndarray:
+    """Decode one 8x8 block of quantized levels (inverse of encode_block)."""
+    return decode_blocks(reader, 1)[0]
+
+
+def decode_frame_scalar(
+    config: CodecConfig,
+    fragments: Iterable[bytes],
+    reference: Optional[np.ndarray],
+    expected_index: int = 0,
+    reference_chroma: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    counters: Optional[OperationCounters] = None,
+) -> DecodeResult:
+    """Cold per-fragment decode of one frame, one block at a time.
+
+    The twin of :meth:`repro.codec.decoder.Decoder.decode_frame` with
+    no batching and no memo: each fragment is read macroblock by
+    macroblock with the sequential syntax readers, every block of every
+    salvaged macroblock is dequantized and inverse-transformed alone
+    (coded or not), and each macroblock is predicted and written onto
+    the canvas before the next, so a later fragment overwrites an
+    earlier one.  Salvage follows the decoder's contract: a macroblock
+    that fails to parse, or an inter macroblock with no reference or a
+    vector beyond ``config.mv_limit``, ends the fragment's prefix, and a
+    fragment that raises anything else contributes nothing.  Work is
+    billed into ``counters`` as the decoder bills it.
+    """
+    counters = counters if counters is not None else OperationCounters()
+    if reference is None:
+        canvas = np.full((config.height, config.width), 128, dtype=np.uint8)
+    else:
+        canvas = reference.copy()
+    planes = None
+    if config.chroma:
+        half = (config.height // 2, config.width // 2)
+        if reference_chroma is None:
+            planes = tuple(np.full(half, 128, dtype=np.uint8) for _ in range(2))
+        else:
+            planes = tuple(plane.copy() for plane in reference_chroma)
+    received = np.zeros((config.mb_rows, config.mb_cols), dtype=bool)
+    modes = np.full((config.mb_rows, config.mb_cols), None, dtype=object)
+    mvs_pixels = np.zeros((config.mb_rows, config.mb_cols, 2), dtype=np.int64)
+    frame_index, frame_type, damaged = expected_index, FrameType.P, 0
+
+    allow_inter = reference is not None and not (
+        config.chroma and reference_chroma is None
+    )
+    pad = config.search_range + (2 if config.half_pel else 0)
+    padded = (
+        np.pad(reference.astype(np.int64), pad, mode="edge")
+        if reference is not None
+        else None
+    )
+    padded_chroma = (
+        [np.pad(plane.astype(np.int64), 8, mode="edge") for plane in reference_chroma]
+        if config.chroma and reference_chroma is not None
+        else None
+    )
+    read_mb = (
+        decode_macroblock_skippable if config.allow_skip else decode_macroblock
+    )
+    fixed = config.use_fixed_point_dct
+
+    for payload in fragments:
+        reader = BitReader(payload)
+        try:
+            header = read_fragment_header(reader)
+            if header.first_mb + header.mb_count > config.mb_count:
+                damaged += 1
+                continue
+            salvaged = []
+            consumed = reader.bits_consumed
+            for _ in range(header.mb_count):
+                try:
+                    emb = read_mb(reader, header.frame_type, config.blocks_per_mb)
+                except BitstreamError:
+                    break
+                consumed = reader.bits_consumed
+                if emb.mode is MacroblockMode.INTER and (
+                    not allow_inter
+                    or max(abs(emb.mv[0]), abs(emb.mv[1])) > config.mv_limit
+                ):
+                    break
+                salvaged.append(emb)
+        except Exception:  # noqa: BLE001 - the decoder's containment contract
+            damaged += 1
+            continue
+        counters.entropy_bits += consumed
+        if len(salvaged) < header.mb_count:
+            damaged += 1
+        frame_index, frame_type = header.frame_index, header.frame_type
+
+        for offset, emb in enumerate(salvaged):
+            row, col = divmod(header.first_mb + offset, config.mb_cols)
+            intra = emb.mode is MacroblockMode.INTRA
+            residual = [
+                inverse_dct_block(dequantize_block(block, intra, header.qp), fixed)
+                for block in emb.coefficients
+            ]
+            luma = np.block([residual[0:2], residual[2:4]])
+            if not intra:
+                if config.half_pel:
+                    luma = luma + fetch_block_half(
+                        padded, pad, row * MB, col * MB, emb.mv
+                    )
+                else:
+                    y = row * MB + pad + emb.mv[0]
+                    x = col * MB + pad + emb.mv[1]
+                    luma = luma + padded[y : y + MB, x : x + MB]
+            canvas[row * MB : (row + 1) * MB, col * MB : (col + 1) * MB] = (
+                np.clip(luma, 0, 255)
+            )
+            if planes is not None:
+                if config.half_pel:
+                    chroma_mv = [int(np.fix(v / 2.0)) for v in emb.mv]
+                else:
+                    chroma_mv = list(emb.mv)
+                cdy, cdx = (chroma_vector(v) for v in chroma_mv)
+                for component, plane in enumerate(planes):
+                    block = residual[4 + component]
+                    if not intra:
+                        y, x = row * 8 + 8 + cdy, col * 8 + 8 + cdx
+                        block = block + padded_chroma[component][y : y + 8, x : x + 8]
+                    plane[row * 8 : (row + 1) * 8, col * 8 : (col + 1) * 8] = (
+                        np.clip(block, 0, 255)
+                    )
+            divisor = 2 if config.half_pel else 1
+            received[row, col] = True
+            modes[row, col] = emb.mode
+            mvs_pixels[row, col] = [int(v / divisor) for v in emb.mv]
+            counters.mode_decisions += 1
+            counters.mc_blocks += 0 if intra else 1
+            counters.dequant_blocks += config.blocks_per_mb
+            counters.idct_blocks += config.blocks_per_mb
+
+    return DecodeResult(
+        frame_index=frame_index,
+        frame_type=frame_type,
+        frame=canvas,
+        received=received,
+        modes=modes,
+        mvs_pixels=mvs_pixels,
+        chroma=planes,
+        damaged_fragments=damaged,
+    )

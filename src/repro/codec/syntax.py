@@ -504,14 +504,14 @@ class ParseMemo(dict):
     never parsed at all; a damaged one, or one of a stream encoded
     elsewhere (a cache), is parsed once and replayed for every other
     decoder of the memo.  Values are :class:`_LayerParse` records,
-    read-only; every lookup scatters fresh coefficient arrays.  The
+    read-only, which every lookup returns as they are.  The
     grid runner scopes one memo to the encode and the cells of one
     encode group; :func:`~repro.sim.pipeline.simulate` to one run.
     """
 
 
 class _LayerParse(NamedTuple):
-    """One fragment's batch-VLD outcome, before the coefficient scatter.
+    """One fragment's batch-VLD outcome, as coefficient events.
 
     ``end`` is the bit position the reader is left at; ``meta`` holds
     one ``(intra, mv_y, mv_x)`` row per salvaged macroblock; ``ev_index``
@@ -629,28 +629,6 @@ def _compact(values) -> np.ndarray:
     return array
 
 
-def _scatter_macroblocks(
-    meta: list, ev_index, ev_levels, blocks_per_mb: int
-) -> list[EncodedMacroblock]:
-    """Fresh :class:`EncodedMacroblock` objects from a parse's events.
-
-    ``ev_levels`` outside int32 raise :class:`OverflowError` here (the
-    coefficient dtype), after the reader has moved.
-    """
-    count = len(meta)
-    coefficients = np.zeros(count * blocks_per_mb * 64, dtype=np.int32)
-    if len(ev_levels):
-        coefficients[ev_index] = ev_levels
-    coefficients = coefficients.reshape(count, blocks_per_mb, 8, 8)
-    intra_mode, inter_mode = MacroblockMode.INTRA, MacroblockMode.INTER
-    return [
-        EncodedMacroblock(
-            intra_mode if intra else inter_mode, (mv_y, mv_x), block
-        )
-        for (intra, mv_y, mv_x), block in zip(meta, coefficients)
-    ]
-
-
 def decode_macroblock_layer(
     reader: BitReader,
     frame_type: FrameType,
@@ -661,14 +639,16 @@ def decode_macroblock_layer(
     allow_inter: bool = True,
     mv_limit: int | None = None,
     memo: ParseMemo | None = None,
-) -> list[EncodedMacroblock]:
+) -> _LayerParse:
     """Batch VLD of up to ``mb_count`` macroblocks (the decoder fast path).
 
     Bit-identical to looping :func:`decode_macroblock` (or the skippable
     variant), but the grammar runs over a precomputed 64-bit word index
     of the payload with plain integer arithmetic — no per-codeword
-    method dispatch — and all coefficient events scatter into the
-    output arrays in one batch per fragment.
+    method dispatch.  The salvaged macroblocks come back as one
+    :class:`_LayerParse` (mode and vector rows plus coefficient events,
+    never scattered into per-macroblock arrays), which the decoder
+    batches with the other fragments of the frame.
 
     Decoding stops at the first corrupt codeword, or — when the
     validation arguments say so — at the first macroblock that cannot
@@ -678,10 +658,12 @@ def decode_macroblock_layer(
     macroblock whose bits were consumed, matching the sequential
     decoder's salvage semantics and bit accounting.
 
-    With a ``memo``, a parse of the same bytes from the same bit
-    position with the same arguments is replayed instead of re-run; the
-    result (macroblocks, reader position, exceptions) is the same
-    either way, and the returned arrays are always fresh.
+    A level beyond the int32 coefficient range raises
+    :class:`OverflowError` after the reader has moved, and nothing is
+    stored.  With a ``memo``, a parse of the same bytes from the same
+    bit position with the same arguments is replayed instead of re-run;
+    the result (parse, reader position, exceptions) is the same either
+    way, and a replay returns the stored read-only record itself.
     """
     if blocks_per_mb not in (4, 6):
         raise ValueError(f"blocks_per_mb must be 4 or 6, got {blocks_per_mb}")
@@ -703,10 +685,7 @@ def decode_macroblock_layer(
         parse = memo.get(key)
         if parse is not None:
             reader.skip_bits(parse.end - start)
-            return _scatter_macroblocks(
-                parse.meta.tolist(), parse.ev_index, parse.ev_levels,
-                blocks_per_mb,
-            )
+            return parse
     total = len(data) * 8
     words = build_word_index(data)
     p = start
@@ -775,16 +754,14 @@ def decode_macroblock_layer(
         if ev_levels
         else ()
     )
-    # The scatter takes the plain list, so a level beyond int32 raises
-    # where it always did, and nothing reaches the memo.
-    macroblocks = _scatter_macroblocks(
-        meta, ev_index, ev_levels, blocks_per_mb
-    )
+    levels = _compact(ev_levels)
+    if levels.dtype == np.int64:
+        # Wider than the int32 coefficients the decoder reconstructs.
+        raise OverflowError("coefficient level beyond the int32 range")
+    parse = _LayerParse(p, _compact(meta), _compact(ev_index), levels)
     if memo is not None:
-        memo[key] = _LayerParse(
-            p, _compact(meta), _compact(ev_index), _compact(ev_levels)
-        )
-    return macroblocks
+        memo[key] = parse
+    return parse
 
 
 def decode_macroblock_skippable(

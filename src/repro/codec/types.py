@@ -150,7 +150,12 @@ class MacroblockDecision:
 
 @dataclass(frozen=True)
 class EncodedMacroblock:
-    """Decoded-side view of one macroblock's syntax elements."""
+    """One macroblock's syntax elements, as the scalar readers return them.
+
+    The sequential :func:`~repro.codec.syntax.decode_macroblock` and
+    the reference decoder use it; the frame-batched decoder keeps a
+    fragment's parse as arrays instead.
+    """
 
     mode: MacroblockMode
     mv: tuple[int, int]

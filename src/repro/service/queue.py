@@ -590,7 +590,10 @@ class JobQueue:
         ``quarantined`` when the budget is spent.  A claim whose record
         is still ``pending`` — its claimant died between the claim and
         the record write — is removed and the job becomes claimable
-        again.  Returns the affected job ids.
+        again.  So is a claim file that holds no readable claim (its
+        claimant died between the ``O_EXCL`` create and the payload
+        write), one lease after the file's mtime.  Returns the affected
+        job ids.
         """
         now = self.clock()
         released = []
@@ -598,7 +601,14 @@ class JobQueue:
             for path in sorted(self.claims_dir.glob("*.claim")):
                 job_id = path.stem
                 claim = self._read_claim(job_id)
-                if claim is None or claim.get("expires_at", 0) > now:
+                if claim is not None:
+                    expires_at = claim.get("expires_at", 0)
+                else:
+                    try:
+                        expires_at = path.stat().st_mtime + self.lease_s
+                    except OSError:
+                        continue  # released while we looked
+                if expires_at > now:
                     continue
                 try:
                     record = self._read_record(job_id)

@@ -110,7 +110,7 @@ def _sequential(payload: bytes, config, allow_inter: bool):
 def _batch(payload: bytes, config, allow_inter: bool, memo=None):
     reader = BitReader(payload)
     header = read_fragment_header(reader)
-    salvaged = decode_macroblock_layer(
+    parse = decode_macroblock_layer(
         reader,
         header.frame_type,
         header.mb_count,
@@ -120,7 +120,23 @@ def _batch(payload: bytes, config, allow_inter: bool, memo=None):
         mv_limit=config.mv_limit,
         memo=memo,
     )
-    return salvaged, reader.bits_consumed
+    return parse, reader.bits_consumed
+
+
+def _macroblocks(parse, blocks_per_mb: int) -> list:
+    """``(mode, mv, coefficients)`` per salvaged macroblock of a parse."""
+    count = len(parse.meta)
+    coefficients = np.zeros(count * blocks_per_mb * 64, dtype=np.int32)
+    coefficients[parse.ev_index] = parse.ev_levels
+    coefficients = coefficients.reshape(count, blocks_per_mb, 8, 8)
+    return [
+        (
+            MacroblockMode.INTRA if intra else MacroblockMode.INTER,
+            (int(mv_y), int(mv_x)),
+            block,
+        )
+        for (intra, mv_y, mv_x), block in zip(parse.meta, coefficients)
+    ]
 
 
 def _outcome(decode, *args, **kwargs):
@@ -136,14 +152,19 @@ def _assert_same(outcome, expected):
         assert outcome is expected
         return
     assert not isinstance(outcome, type), outcome
-    (mbs, bits), (want_mbs, want_bits) = outcome, expected
+    (parse, bits), (want_mbs, want_bits) = outcome, expected
     assert bits == want_bits
-    assert len(mbs) == len(want_mbs)
-    for got, want in zip(mbs, want_mbs):
-        assert got.mode is want.mode
-        assert got.mv == want.mv
-        assert got.coefficients.dtype == want.coefficients.dtype
-        np.testing.assert_array_equal(got.coefficients, want.coefficients)
+    assert parse.end == bits
+    for array in parse[1:]:
+        assert not array.flags.writeable
+    assert len(parse.meta) == len(want_mbs)
+    if not want_mbs:
+        return
+    mbs = _macroblocks(parse, want_mbs[0].coefficients.shape[0])
+    for (mode, mv, coefficients), want in zip(mbs, want_mbs):
+        assert mode is want.mode
+        assert mv == want.mv
+        np.testing.assert_array_equal(coefficients, want.coefficients)
 
 
 class TestBatchVldAgainstSequential:
@@ -184,14 +205,9 @@ class TestBatchVldAgainstSequential:
         )
         if isinstance(expected, type):
             return
-        # Warm results are fresh: writing to them reaches neither the
-        # cold result nor the next replay.
-        for got, earlier in zip(warm[0], cold[0]):
-            assert not np.shares_memory(got.coefficients, earlier.coefficients)
-            got.coefficients[...] += 1
-        _assert_same(
-            _outcome(_batch, payload, config, allow_inter, memo), expected
-        )
+        # A replay is the stored record itself, read-only (checked by
+        # _assert_same), so no caller can alter what the next one gets.
+        assert warm[0] is cold[0]
 
     def test_overflowing_level_raises_and_is_not_stored(self):
         # One coded intra block whose single level does not fit int32.

@@ -9,6 +9,7 @@ failing is quarantined instead of looping forever.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -190,6 +191,27 @@ class TestStaleClaims:
         again = queue.claim("w2")
         assert again.job_id == record.job_id
         assert again.attempts == 2
+
+    def test_unwritten_claim_expires_a_lease_after_its_mtime(
+        self, queue, clock
+    ):
+        # A claimant killed between the O_EXCL create and the payload
+        # write leaves an empty claim file and a pending record.
+        record = queue.submit(tiny_submit())
+        path = queue.claims_dir / f"{record.job_id}.claim"
+        path.touch()
+        os.utime(path, (clock(), clock()))
+        assert queue.claim("w1") is None
+        clock.advance(29.0)
+        assert queue.release_stale() == []
+        assert path.exists()
+        clock.advance(2.0)
+        assert queue.release_stale() == [record.job_id]
+        assert not path.exists()
+        requeued = queue.get(record.job_id)
+        assert requeued.state == "pending"
+        assert requeued.fail_count == 0
+        assert queue.claim("w2").job_id == record.job_id
 
     def test_heartbeat_keeps_lease_alive(self, queue, clock):
         record = queue.submit(tiny_submit())
