@@ -24,6 +24,10 @@ exact ratios gated at tolerance 0:
   paper's decoder that the batch never executes, because they hold no
   coefficient.
 
+The encode of that clip gives a third, ``encoder_idct_skip_ratio``:
+the share of the IDCT blocks billed to the paper's encoder that its
+reconstruction never executes, because every level is zero.
+
 Two entry points:
 
 * ``python benchmarks/bench_block_kernels.py [--frames N] [--runs R]
@@ -108,14 +112,20 @@ def _delivered(index: int, payloads: list) -> list:
 
 
 def decoder_batching() -> dict:
-    """Decode a lossy foreman clip, counting kernel calls and IDCT blocks."""
+    """Encode and decode a lossy foreman clip, counting IDCT blocks and
+    the decoder's kernel calls."""
     config = CodecConfig()
-    encoder = Encoder(config, build_strategy(DECODE_SCHEME))
+    encoder_counters = OperationCounters()
+    encoder = Encoder(config, build_strategy(DECODE_SCHEME), encoder_counters)
     packetizer = Packetizer(config, mtu=DECODE_MTU)
-    frames = [
-        [p.payload for p in packetizer.packetize(encoder.encode_frame(frame))]
-        for frame in foreman_like(DECODE_FRAMES).frames
-    ]
+    with use_tracer(Tracer()) as encode_tracer:
+        frames = [
+            [p.payload for p in packetizer.packetize(encoder.encode_frame(frame))]
+            for frame in foreman_like(DECODE_FRAMES).frames
+        ]
+    encoded = encode_tracer.metrics.snapshot()["counters"]
+    encoder_billed = int(encoded["encoder.idct_blocks_billed"])
+    assert encoder_billed == encoder_counters.idct_blocks
 
     # The decoder calls its kernels through its own module's globals;
     # wrapping those counts every call it makes.
@@ -163,6 +173,10 @@ def decoder_batching() -> dict:
         "idct_calls": calls["inverse_dct_blocks"],
         "idct_blocks_billed": billed,
         "idct_blocks_executed": executed,
+        "encoder_idct_blocks_billed": encoder_billed,
+        "encoder_idct_blocks_executed": int(
+            encoded["encoder.idct_blocks_executed"]
+        ),
     }
 
 
@@ -247,6 +261,7 @@ def measure(n_frames: int = DEFAULT_FRAMES, runs: int = DEFAULT_RUNS) -> dict:
             "combined_block_speedup": {"tolerance": 0.25},
             "decoder_frames_per_kernel_call": {"tolerance": 0},
             "idct_skip_ratio": {"tolerance": 0},
+            "encoder_idct_skip_ratio": {"tolerance": 0},
         },
         scalar_s={k: round(v, 5) for k, v in scalar_s.items()},
         batched_s={k: round(v, 5) for k, v in batched_s.items()},
@@ -264,6 +279,12 @@ def measure(n_frames: int = DEFAULT_FRAMES, runs: int = DEFAULT_RUNS) -> dict:
         ),
         idct_skip_ratio=round(
             1 - decode["idct_blocks_executed"] / decode["idct_blocks_billed"], 4
+        ),
+        encoder_idct_skip_ratio=round(
+            1
+            - decode["encoder_idct_blocks_executed"]
+            / decode["encoder_idct_blocks_billed"],
+            4,
         ),
     )
 
@@ -301,6 +322,7 @@ def test_block_kernel_record_structure():
     assert decode["salvaged_frames"] == decode["frames"] - 1
     assert record["decoder_frames_per_kernel_call"] == 1.0
     assert 0 < record["idct_skip_ratio"] < 1
+    assert 0 < record["encoder_idct_skip_ratio"] < 1
 
 
 if __name__ == "__main__":

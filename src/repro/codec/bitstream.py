@@ -12,9 +12,9 @@ calls for 8 QCIF frames).  The substrate is now word-level but
 
 * :class:`BitWriter` accumulates MSB-first into an unbounded integer and
   flushes full bytes in bulk via ``int.to_bytes``; whole codeword
-  batches arrive as ``(value, width)`` arrays, are expanded to a bit
-  vector in numpy (:func:`pack_codeword_bits`) and packed eight at a
-  time with ``np.packbits``.
+  batches arrive as ``(value, width)`` arrays and are OR-ed straight
+  into 64-bit words in numpy (:meth:`BitWriter.write_codewords`), one
+  ``np.bitwise_or.reduceat`` per batch.
 * :class:`BitReader` refills a 64-bit window from the byte string and
   serves ``read_bits``/``read_unary``/``read_exp_golomb`` by shifting
   that window, using a precomputed 256-entry leading-zero table to scan
@@ -41,28 +41,6 @@ _LEADING_ZEROS_8 = tuple(8 - value.bit_length() for value in range(256))
 
 class BitstreamError(Exception):
     """Raised when a bitstream is exhausted or structurally invalid."""
-
-
-def pack_codeword_bits(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Expand ``(value, width)`` codeword pairs into one MSB-first bit vector.
-
-    The workhorse of the batched VLC encoder: a whole macroblock layer's
-    codewords (coded-block flags, Exp-Golomb run/level pairs, LAST bits)
-    become a single ``uint8`` 0/1 array, ready for ``np.packbits``.
-    Values must be non-negative and fit their widths; widths must be
-    positive (zero-width codewords carry no bits and must be filtered
-    out by the caller).
-    """
-    values = np.asarray(values, dtype=np.int64)
-    widths = np.asarray(widths, dtype=np.int64)
-    if values.size == 0:
-        return np.empty(0, dtype=np.uint8)
-    total = int(widths.sum())
-    ends = np.cumsum(widths)
-    owner = np.repeat(np.arange(values.size), widths)
-    position = np.arange(total) - (ends - widths)[owner]
-    shift = widths[owner] - 1 - position
-    return ((values[owner] >> shift) & 1).astype(np.uint8)
 
 
 class BitWriter:
@@ -119,40 +97,48 @@ class BitWriter:
             raise ValueError("unary value must be >= 0")
         self.write_bits(1, int(value) + 1)
 
-    def write_bit_array(self, bits: np.ndarray) -> None:
-        """Append a ``uint8`` 0/1 array of bits in one batched operation."""
-        bits = np.ascontiguousarray(bits, dtype=np.uint8)
-        count = bits.size
-        if count == 0:
-            return
-        self._flush_full_bytes()
-        if self._pending_bits:
-            # Prepend the sub-byte remainder so packbits sees one stream.
-            pending = self._pending
-            lead = np.array(
-                [
-                    (pending >> (self._pending_bits - 1 - index)) & 1
-                    for index in range(self._pending_bits)
-                ],
-                dtype=np.uint8,
-            )
-            bits = np.concatenate([lead, bits])
-            self._pending = 0
-            self._pending_bits = 0
-        tail = bits.size & 7
-        body = bits[: bits.size - tail]
-        if body.size:
-            self._buffer += np.packbits(body).tobytes()
-        pending = 0
-        for bit in bits[bits.size - tail :]:
-            pending = (pending << 1) | int(bit)
-        self._pending = pending
-        self._pending_bits = tail
-        self._total_bits += count
-
     def write_codewords(self, values: np.ndarray, widths: np.ndarray) -> None:
-        """Append a batch of ``(value, width)`` codewords MSB-first."""
-        self.write_bit_array(pack_codeword_bits(values, widths))
+        """Append a batch of ``(value, width)`` codewords MSB-first.
+
+        The codewords are OR-ed straight into 64-bit big-endian words.
+        Each is shifted into place in the word its first bit falls in
+        and one ``np.bitwise_or.reduceat`` merges every word's share; a
+        codeword that crosses into the next word (at most one per word
+        boundary) leaves its low bits there with one more OR.  Widths
+        must lie in ``[1, 64]`` and values must fit them.
+        """
+        widths = np.asarray(widths, dtype=np.int64)
+        if widths.size == 0:
+            return
+        values = np.asarray(values).astype(np.uint64, copy=False)
+        self._flush_full_bytes()
+        lead = self._pending_bits  # at most 7 bits precede the batch
+        ends = np.cumsum(widths) + lead
+        total = int(ends[-1])
+        word = (ends - widths) >> 6
+        # Each codeword's end, counted from its own word's first bit.
+        end_in_word = ends - (word << 6)
+        placed = values << np.maximum(64 - end_in_word, 0).astype(np.uint64)
+        spill = np.flatnonzero(end_in_word > 64)
+        over = (end_in_word[spill] - 64).astype(np.uint64)
+        placed[spill] = values[spill] >> over
+        # Every word up to the last codeword's first holds a codeword
+        # start (no codeword is wider than a word), so each of those
+        # words' first codeword opens one reduceat segment.
+        first = np.searchsorted(word, np.arange(word[-1] + 1))
+        words = np.zeros((total + 63) >> 6, dtype=np.uint64)
+        words[: first.size] = np.bitwise_or.reduceat(placed, first)
+        words[word[spill] + 1] |= values[spill] << (64 - over)
+        if lead:
+            words[0] |= np.uint64(self._pending << (64 - lead))
+        data = words.astype(">u8").tobytes()
+        n_bytes = total >> 3
+        self._buffer += data[:n_bytes]
+        self._pending_bits = total & 7
+        self._pending = (
+            data[n_bytes] >> (8 - self._pending_bits) if self._pending_bits else 0
+        )
+        self._total_bits += total - lead
 
     def getvalue(self) -> bytes:
         """Return the stream padded with zero bits to a byte boundary."""

@@ -1,8 +1,8 @@
 """Reshaping helpers between frames, 16x16 macroblocks and 8x8 blocks.
 
-All routines are pure reshape/transpose operations so the whole frame can
-be processed as one numpy batch; nothing here copies per macroblock in a
-Python loop.
+All routines are reshape/transpose operations or one fancy-index gather,
+so the whole frame is processed as one numpy batch; nothing here copies
+per macroblock in a Python loop.
 """
 
 from __future__ import annotations
@@ -85,6 +85,22 @@ def blocks_to_plane(blocks: np.ndarray) -> np.ndarray:
     """Inverse of :func:`plane_to_blocks`."""
     rows, cols = blocks.shape[:2]
     return blocks.transpose(0, 2, 1, 3).reshape(rows * BLK, cols * BLK).copy()
+
+
+def gather_blocks(
+    plane: np.ndarray, top: np.ndarray, left: np.ndarray, size: int
+) -> np.ndarray:
+    """``(n, size, size)`` blocks of ``plane`` at ``(top, left)``.
+
+    Coordinates outside the plane clamp to its border, which is what an
+    edge-padded reference holds there.
+    """
+    offsets = np.arange(size)
+    ys = np.maximum(top[:, None] + offsets, 0)
+    xs = np.maximum(left[:, None] + offsets, 0)
+    np.minimum(ys, plane.shape[0] - 1, out=ys)
+    np.minimum(xs, plane.shape[1] - 1, out=xs)
+    return plane[ys[:, :, None], xs[:, None, :]]
 
 
 def chroma_vector(component: int) -> int:

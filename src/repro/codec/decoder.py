@@ -43,7 +43,7 @@ from repro.codec.syntax import (
     read_fragment_header,
 )
 from repro.codec.types import CodecConfig, FrameType, MacroblockMode
-from repro.codec.blocks import blocks_to_macroblocks
+from repro.codec.blocks import blocks_to_macroblocks, gather_blocks
 from repro.energy.counters import OperationCounters
 from repro.obs.tracer import get_tracer
 
@@ -379,7 +379,7 @@ class Decoder:
                 chroma_mv = mv_pixels[inter]
                 chroma_mv = np.sign(chroma_mv) * ((np.abs(chroma_mv) + 1) // 2)
                 for component, plane in enumerate(reference_chroma):
-                    chroma[inter, component] += _gather(
+                    chroma[inter, component] += gather_blocks(
                         plane,
                         rows[inter] * 8 + chroma_mv[:, 0],
                         cols[inter] * 8 + chroma_mv[:, 1],
@@ -409,31 +409,17 @@ class Decoder:
         assert reference is not None
         top, left = rows * 16, cols * 16
         if not self.config.half_pel:
-            return _gather(reference, top + mv[:, 0], left + mv[:, 1], 16)
+            return gather_blocks(reference, top + mv[:, 0], left + mv[:, 1], 16)
         top, left = top + (mv[:, 0] >> 1), left + (mv[:, 1] >> 1)
         fy, fx = mv[:, 0] & 1, mv[:, 1] & 1
         reference = reference.astype(np.int64)
         return (
-            _gather(reference, top, left, 16)
-            + _gather(reference, top, left + fx, 16)
-            + _gather(reference, top + fy, left, 16)
-            + _gather(reference, top + fy, left + fx, 16)
+            gather_blocks(reference, top, left, 16)
+            + gather_blocks(reference, top, left + fx, 16)
+            + gather_blocks(reference, top + fy, left, 16)
+            + gather_blocks(reference, top + fy, left + fx, 16)
             + 2
         ) >> 2
-
-
-def _gather(
-    plane: np.ndarray, top: np.ndarray, left: np.ndarray, size: int
-) -> np.ndarray:
-    """``(n, size, size)`` blocks of ``plane`` at ``(top, left)``.
-
-    Coordinates outside the plane clamp to its border, which is what an
-    edge-padded reference holds there.
-    """
-    offsets = np.arange(size)
-    ys = np.clip(top[:, None] + offsets, 0, plane.shape[0] - 1)
-    xs = np.clip(left[:, None] + offsets, 0, plane.shape[1] - 1)
-    return plane[ys[:, :, None], xs[:, None, :]]
 
 
 #: Macroblock modes indexed by the intra flag.
@@ -450,4 +436,4 @@ def _write_macroblocks(
     """Clip ``(n, size, size)`` pixels to 8 bits and write them in place."""
     height, width = plane.shape
     grid = plane.reshape(height // size, size, width // size, size).swapaxes(1, 2)
-    grid[rows, cols] = np.clip(pixels, 0, 255)
+    grid[rows, cols] = np.minimum(np.maximum(pixels, 0), 255)

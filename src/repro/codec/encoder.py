@@ -49,12 +49,13 @@ from repro.codec.motion import (
 from repro.codec.quant import dequantize_blocks, quantize_blocks
 from repro.codec.syntax import encode_macroblock_layer
 from repro.codec.types import (
+    FORCED_BY,
     CodecConfig,
     EncodedFrame,
+    FrameDecisions,
     FrameEncodeStats,
     FrameType,
     LayerSymbols,
-    MacroblockDecision,
     MacroblockMode,
 )
 from repro.energy.counters import OperationCounters
@@ -143,7 +144,7 @@ class Encoder:
                 "carries no chroma planes"
             )
         current = frame.pixels
-        mb_rows, mb_cols = config.mb_rows, config.mb_cols
+        grid = (config.mb_rows, config.mb_cols)
         mb_count = config.mb_count
         self.counters.mode_decisions += mb_count
 
@@ -152,57 +153,39 @@ class Encoder:
             frame_type = FrameType.I  # nothing to predict from
 
         if frame_type is FrameType.I:
-            modes = np.full((mb_rows, mb_cols), MacroblockMode.INTRA, dtype=object)
-            mvs = np.zeros((mb_rows, mb_cols, 2), dtype=np.int64)
-            sads = np.zeros((mb_rows, mb_cols), dtype=np.int64)
-            sad_self_map = np.zeros((mb_rows, mb_cols), dtype=np.int64)
-            forced_by = np.full((mb_rows, mb_cols), "i-frame", dtype=object)
-            me_skipped = np.ones((mb_rows, mb_cols), dtype=bool)
+            intra = np.ones(grid, dtype=bool)
+            mvs = np.zeros(grid + (2,), dtype=np.int64)
+            sads = np.zeros(grid, dtype=np.int64)
+            sad_self_map = np.zeros(grid, dtype=np.int64)
+            forced_by = np.full(grid, FORCED_BY.index("i-frame"), dtype=np.int8)
+            me_skipped = np.ones(grid, dtype=bool)
         else:
             (
-                modes,
+                intra,
                 mvs,
                 sads,
                 sad_self_map,
                 forced_by,
                 me_skipped,
-            ) = self._decide_p_frame(frame.index, current, mb_rows, mb_cols)
+            ) = self._decide_p_frame(frame.index, current, *grid)
 
         qp_used = self.quantizer
         if not 1 <= qp_used <= 31:
             raise ValueError(f"quantizer must be in [1, 31], got {qp_used}")
         payload, offsets, symbols, reconstruction, chroma_recon = (
-            self._encode_macroblocks(frame_type, frame, modes, mvs, qp_used)
+            self._encode_macroblocks(frame_type, frame, intra, mvs, qp_used)
         )
-
-        decisions = tuple(
-            MacroblockDecision(
-                mode=mode,
-                mv=(mv[0], mv[1]),
-                sad_mv=sad_mv,
-                sad_self=sad_self,
-                me_skipped=skipped,
-                forced_by=forced,
-            )
-            for mode, mv, sad_mv, sad_self, skipped, forced in zip(
-                modes.ravel().tolist(),
-                mvs.reshape(-1, 2).tolist(),
-                sads.ravel().tolist(),
-                sad_self_map.ravel().tolist(),
-                me_skipped.ravel().tolist(),
-                forced_by.ravel().tolist(),
-            )
-        )
+        modes = np.where(intra, MacroblockMode.INTRA, MacroblockMode.INTER)
 
         bits = offsets[-1]
-        intra = int(np.sum(modes == MacroblockMode.INTRA))
+        n_intra = int(np.count_nonzero(intra))
         stats = FrameEncodeStats(
             frame_index=frame.index,
             frame_type=frame_type,
             bits=bits,
-            intra_mbs=intra,
-            inter_mbs=mb_count - intra,
-            me_skipped_mbs=int(me_skipped.sum()),
+            intra_mbs=n_intra,
+            inter_mbs=mb_count - n_intra,
+            me_skipped_mbs=int(np.count_nonzero(me_skipped)),
             psnr_reconstructed=_psnr(current, reconstruction),
         )
 
@@ -226,7 +209,9 @@ class Encoder:
             frame_index=frame.index,
             frame_type=frame_type,
             payload=payload,
-            decisions=decisions,
+            decisions=FrameDecisions(
+                modes, mvs, sads, sad_self_map, me_skipped, forced_by
+            ),
             stats=stats,
             reconstruction=reconstruction,
             mb_bit_offsets=tuple(offsets),
@@ -307,96 +292,25 @@ class Encoder:
         if post_mask.shape != (mb_rows, mb_cols):
             raise ValueError("strategy post-ME mask has wrong shape")
         post_mask = post_mask & ~intra_mask
-
         final_intra = intra_mask | post_mask
-        modes = np.where(
-            final_intra,
-            np.full((mb_rows, mb_cols), MacroblockMode.INTRA, dtype=object),
-            np.full((mb_rows, mb_cols), MacroblockMode.INTER, dtype=object),
-        )
 
-        forced_by = np.full((mb_rows, mb_cols), None, dtype=object)
-        forced_by[pre_mask] = "pre-me"
-        forced_by[sad_test] = "sad-test"
-        forced_by[post_mask] = self.strategy.post_label
+        forced_by = np.zeros((mb_rows, mb_cols), dtype=np.int8)
+        forced_by[pre_mask] = FORCED_BY.index("pre-me")
+        forced_by[sad_test] = FORCED_BY.index("sad-test")
+        forced_by[post_mask] = FORCED_BY.index(self.strategy.post_label)
 
         mvs = motion.mvs.copy()
         mvs[final_intra] = 0
         sads = motion.sads.copy()
         sads[pre_mask] = 0
 
-        return modes, mvs, sads, sad_self_map, forced_by, pre_mask.copy()
-
-    def _quantize_blocks(
-        self, coefficients: np.ndarray, intra_grid: np.ndarray, qp: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Quantize a ``(rows, cols, n, 8, 8)`` batch by per-MB mode.
-
-        One single-pass call per direction: the per-block intra mask is
-        the MB grid broadcast across each macroblock's blocks, so mixed
-        frames never split into per-mode gather/scatter passes.
-        Returns ``(levels, reconstructed_coefficients)``.
-        """
-        intra_blocks = intra_grid[:, :, None]
-        levels = quantize_blocks(coefficients, intra_blocks, qp)
-        recon = dequantize_blocks(levels, intra_blocks, qp)
-        return levels, recon
-
-    def _encode_chroma_plane(
-        self,
-        plane: np.ndarray,
-        previous_plane: Optional[np.ndarray],
-        intra_grid: np.ndarray,
-        mvs: np.ndarray,
-        qp: int,
-        n_inter: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Transform/quantize one 4:2:0 chroma plane.
-
-        Returns ``(levels, reconstruction)`` where levels are
-        ``(rows, cols, 1, 8, 8)`` and reconstruction is the plane.
-        """
-        config = self.config
-        mb_rows, mb_cols = config.mb_rows, config.mb_cols
-        if n_inter and previous_plane is not None:
-            prediction = motion_compensate_chroma(previous_plane, mvs)
-        else:
-            prediction = np.zeros_like(plane)
-        plane_i = plane.astype(np.int64)
-        intra_px = np.repeat(np.repeat(intra_grid, 8, axis=0), 8, axis=1)
-        residual = np.where(
-            intra_px, plane_i, plane_i - prediction.astype(np.int64)
-        )
-        blocks = plane_to_blocks(residual).reshape(-1, 8, 8)
-        coefficients = forward_dct_blocks(blocks, config.use_fixed_point_dct)
-        self.counters.dct_blocks += blocks.shape[0]
-        coefficients = coefficients.reshape(mb_rows, mb_cols, 1, 8, 8)
-        levels, recon_coeffs = self._quantize_blocks(coefficients, intra_grid, qp)
-        self.counters.quant_blocks += mb_rows * mb_cols
-        self.counters.dequant_blocks += mb_rows * mb_cols
-        decoded = inverse_dct_blocks(
-            recon_coeffs.reshape(-1, 8, 8), config.use_fixed_point_dct
-        )
-        self.counters.idct_blocks += mb_rows * mb_cols
-        get_tracer().count(
-            dct_blocks=blocks.shape[0],
-            quant_blocks=mb_rows * mb_cols,
-            dequant_blocks=mb_rows * mb_cols,
-            idct_blocks=mb_rows * mb_cols,
-        )
-        decoded_plane = blocks_to_plane(decoded.reshape(mb_rows, mb_cols, 8, 8))
-        reconstruction = np.where(
-            intra_px,
-            decoded_plane,
-            decoded_plane + prediction.astype(np.int64),
-        )
-        return levels, np.clip(reconstruction, 0, 255).astype(np.uint8)
+        return final_intra, mvs, sads, sad_self_map, forced_by, pre_mask.copy()
 
     def _encode_macroblocks(
         self,
         frame_type: FrameType,
         frame: Frame,
-        modes: np.ndarray,
+        intra: np.ndarray,
         mvs: np.ndarray,
         qp: int,
     ) -> tuple[
@@ -406,99 +320,103 @@ class Encoder:
         np.ndarray,
         Optional[tuple[np.ndarray, np.ndarray]],
     ]:
-        """Transform, quantize, entropy-code and reconstruct one frame."""
+        """Transform, quantize, entropy-code and reconstruct one frame.
+
+        Luma and chroma travel as one ``(mb_rows, mb_cols, n, 8, 8)``
+        block grid in H.263 block order: one forward DCT and one
+        quantization over every block, then one dequantization and one
+        inverse DCT over the *coded* blocks only.  A block whose levels
+        are all zero dequantizes and transforms to exact zeros, so it
+        reconstructs to its prediction without either kernel.  The
+        counters still bill every block, as the paper's encoder does.
+        """
         config = self.config
-        current = frame.pixels
-        mb_rows, mb_cols = config.mb_rows, config.mb_cols
-        intra_grid = modes == MacroblockMode.INTRA
-        n_inter = int((~intra_grid).sum())
+        n_inter = intra.size - int(np.count_nonzero(intra))
         tracer = get_tracer()
 
         with tracer.span("quantize") as quant_span:
+            planes = [frame.pixels]
+            if config.chroma:
+                planes += [frame.cb, frame.cr]
+            residual = _to_blocks(planes)
             if n_inter:
-                if config.half_pel:
-                    prediction = motion_compensate_half(
-                        self._previous_reconstruction, mvs
-                    )
-                else:
-                    prediction = motion_compensate(
-                        self._previous_reconstruction, mvs
-                    )
+                compensate = (
+                    motion_compensate_half if config.half_pel else motion_compensate
+                )
+                predictions = [compensate(self._previous_reconstruction, mvs)]
+                if config.chroma:
+                    chroma_mvs = halfpel_to_pixels(mvs) if config.half_pel else mvs
+                    predictions += [
+                        motion_compensate_chroma(plane, chroma_mvs)
+                        for plane in self._previous_chroma
+                    ]
+                predicted = _to_blocks(predictions)
+                predicted[intra] = 0  # intra macroblocks predict from nothing
+                residual -= predicted
                 self.counters.mc_blocks += n_inter
                 quant_span.add(mc_blocks=n_inter)
-            else:
-                prediction = np.zeros_like(current)
+            grid_shape = residual.shape
+            n_blocks = residual.size // 64
 
-            current_i = current.astype(np.int64)
-            residual = np.where(
-                np.repeat(np.repeat(intra_grid, 16, axis=0), 16, axis=1),
-                current_i,
-                current_i - prediction.astype(np.int64),
-            )
-
-            # Batch transform: (rows, cols, 4, 8, 8) -> flat block batch.
-            mb_pixels = frame_to_macroblocks(residual)
-            block_batch = macroblocks_to_blocks(mb_pixels).reshape(-1, 8, 8)
             coefficients = forward_dct_blocks(
-                block_batch, config.use_fixed_point_dct
+                residual.reshape(n_blocks, 8, 8), config.use_fixed_point_dct
             )
-            self.counters.dct_blocks += block_batch.shape[0]
+            levels = quantize_blocks(
+                coefficients.reshape(grid_shape), intra[:, :, None], qp
+            )
 
-            coefficients = coefficients.reshape(mb_rows, mb_cols, 4, 8, 8)
-            levels, recon_coeffs = self._quantize_blocks(
-                coefficients, intra_grid, qp
+            # One dequantization and one IDCT, over the coded blocks only.
+            block_levels = levels.reshape(n_blocks, 8, 8)
+            coded = np.flatnonzero(block_levels.any(axis=(1, 2)))
+            block_intra = np.repeat(intra.ravel(), grid_shape[2])
+            transformed = inverse_dct_blocks(
+                dequantize_blocks(block_levels[coded], block_intra[coded], qp),
+                config.use_fixed_point_dct,
             )
-            self.counters.quant_blocks += 4 * mb_rows * mb_cols
-            self.counters.dequant_blocks += 4 * mb_rows * mb_cols
-
-            decoded_blocks = inverse_dct_blocks(
-                recon_coeffs.reshape(-1, 8, 8), config.use_fixed_point_dct
+            # Uncoded blocks keep an exact-zero residual, in the
+            # transform's own dtype: the float path stays float until
+            # it is clipped.
+            decoded = np.zeros((n_blocks, 8, 8), dtype=transformed.dtype)
+            decoded[coded] = transformed
+            decoded = decoded.reshape(grid_shape)
+            if n_inter:
+                decoded += predicted
+            np.maximum(decoded, 0, out=decoded)
+            np.minimum(decoded, 255, out=decoded)
+            decoded = decoded.astype(np.uint8)
+            reconstruction = macroblocks_to_frame(
+                blocks_to_macroblocks(decoded[:, :, :4])
             )
-            self.counters.idct_blocks += 4 * mb_rows * mb_cols
-            decoded_mbs = blocks_to_macroblocks(
-                decoded_blocks.reshape(mb_rows, mb_cols, 4, 8, 8)
-            )
-            decoded_frame = macroblocks_to_frame(decoded_mbs)
-            reconstruction = np.where(
-                np.repeat(np.repeat(intra_grid, 16, axis=0), 16, axis=1),
-                decoded_frame,
-                decoded_frame + prediction.astype(np.int64),
-            )
-            reconstruction = np.clip(reconstruction, 0, 255).astype(np.uint8)
-
             chroma_recon: Optional[tuple[np.ndarray, np.ndarray]] = None
-            chroma_levels = None
             if config.chroma:
-                previous = self._previous_chroma or (None, None)
-                chroma_mvs = halfpel_to_pixels(mvs) if config.half_pel else mvs
-                cb_levels, cb_recon = self._encode_chroma_plane(
-                    frame.cb, previous[0], intra_grid, chroma_mvs, qp, n_inter
+                chroma_recon = (
+                    blocks_to_plane(decoded[:, :, 4]),
+                    blocks_to_plane(decoded[:, :, 5]),
                 )
-                cr_levels, cr_recon = self._encode_chroma_plane(
-                    frame.cr, previous[1], intra_grid, chroma_mvs, qp, n_inter
-                )
-                chroma_levels = np.concatenate([cb_levels, cr_levels], axis=2)
-                chroma_recon = (cb_recon, cr_recon)
+
+            counters = self.counters
+            counters.dct_blocks += n_blocks
+            counters.quant_blocks += n_blocks
+            counters.dequant_blocks += n_blocks
+            counters.idct_blocks += n_blocks
             quant_span.add(
-                dct_blocks=block_batch.shape[0],
-                quant_blocks=4 * mb_rows * mb_cols,
-                dequant_blocks=4 * mb_rows * mb_cols,
-                idct_blocks=4 * mb_rows * mb_cols,
+                dct_blocks=n_blocks,
+                quant_blocks=n_blocks,
+                dequant_blocks=n_blocks,
+                idct_blocks=n_blocks,
             )
+            if tracer.enabled:
+                tracer.metrics.inc("encoder.idct_blocks_billed", n_blocks)
+                tracer.metrics.inc("encoder.idct_blocks_executed", coded.size)
 
         with tracer.span("entropy_code") as entropy_span:
             writer = BitWriter()
-            all_levels = (
-                levels
-                if chroma_levels is None
-                else np.concatenate([levels, chroma_levels], axis=2)
-            )
             offsets, n_codewords, symbols = encode_macroblock_layer(
                 writer,
                 frame_type,
-                intra_grid,
+                intra,
                 mvs,
-                all_levels,
+                levels,
                 allow_skip=config.allow_skip,
             )
             self.counters.entropy_bits += writer.bit_length
@@ -513,3 +431,15 @@ class Encoder:
             reconstruction,
             chroma_recon,
         )
+
+
+def _to_blocks(planes: list[np.ndarray]) -> np.ndarray:
+    """A frame's planes as one int64 ``(mb_rows, mb_cols, n, 8, 8)`` grid.
+
+    ``planes`` is the luma plane, then Cb and Cr for 4:2:0 chroma, so
+    each macroblock's blocks follow H.263 order: Y Y Y Y (Cb Cr).
+    """
+    luma, *chroma = planes
+    blocks = [macroblocks_to_blocks(frame_to_macroblocks(luma))]
+    blocks += [plane_to_blocks(plane)[:, :, None] for plane in chroma]
+    return np.concatenate(blocks, axis=2, dtype=np.int64)

@@ -34,11 +34,6 @@ import numpy as np
 from repro.codec.bitstream import BitReader, BitWriter, BitstreamError
 from repro.codec.zigzag import zigzag_order, inverse_zigzag_order
 
-#: Powers of two used to take exact integer bit lengths of int64 batches
-#: (``np.searchsorted`` beats float ``log2``, which rounds near 2**53).
-_POW2 = 2 ** np.arange(63, dtype=np.int64)
-
-
 def write_ue(writer: BitWriter, value: int) -> None:
     """Write an unsigned Exp-Golomb codeword."""
     if value < 0:
@@ -67,11 +62,15 @@ def read_se(reader: BitReader) -> int:
 
 
 def ue_codewords(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ue(v): ``(codeword value, codeword width)`` per input."""
+    """Vectorized ue(v): ``(codeword value, codeword width)`` per input.
+
+    ``np.frexp``'s exponent is the exact bit length of every integer it
+    can hold exactly, i.e. of every value below 2**53.
+    """
     augmented = np.asarray(values, dtype=np.int64) + 1
     if augmented.size and int(augmented.min()) < 1:
         raise ValueError("ue(v) requires values >= 0")
-    n_bits = np.searchsorted(_POW2, augmented, side="right")
+    n_bits = np.frexp(augmented)[1].astype(np.int64)
     return augmented, 2 * n_bits - 1
 
 

@@ -9,7 +9,7 @@ codecs' coding gain on smooth motion comes from.
 This module is enabled with ``CodecConfig(half_pel=True)``.  Motion
 vector *units* then change from integer pixels to half-pixels
 everywhere they are coded or compensated (``EncodedMacroblock.mv``,
-``MacroblockDecision.mv``, the bitstream); strategy feedback stays in
+``FrameDecisions.mv``, the bitstream); strategy feedback stays in
 pixel units (``repro.core.correctness`` reasons about macroblock
 overlap, a pixel-domain notion).
 

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.codec.blocks import BLK, MB, chroma_vector
+from repro.codec.blocks import BLK, MB, gather_blocks
 from repro.obs.tracer import get_tracer
 
 #: Cost-function signature: arrays broadcastable to a common shape; must
@@ -116,7 +116,10 @@ def candidate_sads(
     One advanced-indexing gather plus one absolute-difference reduction
     scores the entire round; returns int64 SADs shaped like ``dy``.
 
-    The gather already copies, so the difference and absolute value are
+    The searches pass int16 pixels, which hold every difference of two
+    8-bit pixels and its absolute value, so the gather moves a quarter
+    of the bytes of an int64 one; the sums are taken in int64.  The
+    gather already copies, so the difference and absolute value are
     computed in place inside that copy: allocating two further
     round-sized temporaries per call makes the allocator the bottleneck
     on whole-round ``(n_offsets, k, 16, 16)`` stacks.
@@ -124,7 +127,41 @@ def candidate_sads(
     candidates = windows[origin_y + dy, origin_x + dx]
     np.subtract(current_mbs, candidates, out=candidates)
     np.abs(candidates, out=candidates)
-    return candidates.sum(axis=(-2, -1))
+    return candidates.sum(axis=(-2, -1), dtype=np.int64)
+
+
+def _search_operands(
+    current: np.ndarray,
+    reference: np.ndarray,
+    srange: int,
+    rows_idx: np.ndarray,
+    cols_idx: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """int16 operands of :func:`candidate_sads` for the searched blocks.
+
+    Returns ``(current_mbs, windows, origins_y, origins_x)``: the
+    searched macroblocks of ``current`` gathered in one reshape and
+    fancy index, the 16x16 window view of the edge-padded reference,
+    and the macroblocks' origins in the padded frame.
+    """
+    height, width = current.shape
+    current_mbs = current.astype(np.int16).reshape(
+        height // MB, MB, width // MB, MB
+    ).transpose(0, 2, 1, 3)[rows_idx, cols_idx]
+    padded = np.pad(reference.astype(np.int16), srange, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (MB, MB))
+    return current_mbs, windows, rows_idx * MB + srange, cols_idx * MB + srange
+
+
+def _clamp(values: np.ndarray, limit: int) -> np.ndarray:
+    """Clamp a freshly computed integer array to ``[-limit, limit]``.
+
+    In place, and without ``np.clip``, which builds two ``np.iinfo``
+    objects per call on integer arrays (numpy 2); the searches clamp
+    thousands of small candidate arrays per frame.
+    """
+    np.maximum(values, -limit, out=values)
+    return np.minimum(values, limit, out=values)
 
 
 class MotionEstimator(abc.ABC):
@@ -257,17 +294,9 @@ class ThreeStepMotionEstimator(MotionEstimator):
                 mvs, sads, 0, np.zeros((mb_rows, mb_cols), dtype=np.int64)
             )
 
-        padded = np.pad(reference.astype(np.int64), srange, mode="edge")
-        current_i = current.astype(np.int64)
-        current_mbs = np.stack(
-            [
-                current_i[r * MB : (r + 1) * MB, c * MB : (c + 1) * MB]
-                for r, c in zip(rows_idx, cols_idx)
-            ]
+        current_mbs, windows, origins_y, origins_x = _search_operands(
+            current, reference, srange, rows_idx, cols_idx
         )
-        origins_y = rows_idx * MB + srange
-        origins_x = cols_idx * MB + srange
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (MB, MB))
 
         center_dy = np.zeros(rows_idx.size, dtype=np.int64)
         center_dx = np.zeros(rows_idx.size, dtype=np.int64)
@@ -295,8 +324,8 @@ class ThreeStepMotionEstimator(MotionEstimator):
                 ],
                 dtype=np.int64,
             )
-            dy = np.clip(center_dy + offsets[:, :1], -srange, srange)
-            dx = np.clip(center_dx + offsets[:, 1:], -srange, srange)
+            dy = _clamp(center_dy + offsets[:, :1], srange)
+            dx = _clamp(center_dx + offsets[:, 1:], srange)
             sad = candidate_sads(
                 current_mbs, windows, origins_y, origins_x, dy, dx
             )
@@ -379,17 +408,9 @@ class DiamondSearchMotionEstimator(MotionEstimator):
                 mvs, sads, 0, np.zeros((mb_rows, mb_cols), dtype=np.int64)
             )
 
-        padded = np.pad(reference.astype(np.int64), srange, mode="edge")
-        current_i = current.astype(np.int64)
-        current_mbs = np.stack(
-            [
-                current_i[r * MB : (r + 1) * MB, c * MB : (c + 1) * MB]
-                for r, c in zip(rows_idx, cols_idx)
-            ]
+        current_mbs, windows, origins_y, origins_x = _search_operands(
+            current, reference, srange, rows_idx, cols_idx
         )
-        origins_y = rows_idx * MB + srange
-        origins_x = cols_idx * MB + srange
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (MB, MB))
 
         def score(
             sel: np.ndarray, sad: np.ndarray, dy: np.ndarray, dx: np.ndarray
@@ -424,8 +445,8 @@ class DiamondSearchMotionEstimator(MotionEstimator):
             bit.
             """
             n_off = offsets.shape[0]
-            dy = np.clip(best_dy[sel] + offsets[:, :1], -srange, srange)
-            dx = np.clip(best_dx[sel] + offsets[:, 1:], -srange, srange)
+            dy = _clamp(best_dy[sel] + offsets[:, :1], srange)
+            dx = _clamp(best_dx[sel] + offsets[:, 1:], srange)
             sad = candidate_sads(
                 current_mbs[sel], windows, origins_y[sel], origins_x[sel],
                 dy, dx,
@@ -449,8 +470,8 @@ class DiamondSearchMotionEstimator(MotionEstimator):
             idx, ptr = idx[live], ptr[live]
             while idx.size:
                 off = offsets[ptr]
-                dy_c = np.clip(best_dy[idx] + off[:, 0], -srange, srange)
-                dx_c = np.clip(best_dx[idx] + off[:, 1], -srange, srange)
+                dy_c = _clamp(best_dy[idx] + off[:, 0], srange)
+                dx_c = _clamp(best_dx[idx] + off[:, 1], srange)
                 sad_c = candidate_sads(
                     current_mbs[idx], windows,
                     origins_y[idx], origins_x[idx], dy_c, dx_c,
@@ -518,29 +539,17 @@ def build_motion_estimator(
 def motion_compensate_chroma(
     reference_plane: np.ndarray, mvs: np.ndarray
 ) -> np.ndarray:
-    """4:2:0 chroma prediction: one 8x8 fetch per macroblock.
+    """4:2:0 chroma prediction: one 8x8 block per macroblock.
 
-    ``mvs`` is the *luma* motion field; each component is halved with
-    :func:`repro.codec.blocks.chroma_vector` (round half away from
+    ``mvs`` is the *luma* motion field; each component is halved as
+    :func:`repro.codec.blocks.chroma_vector` does (round half away from
     zero), the same mapping the decoder applies.
     """
     height, width = reference_plane.shape
-    mb_rows, mb_cols = height // BLK, width // BLK
-    if mvs.shape != (mb_rows, mb_cols, 2):
+    if mvs.shape != (height // BLK, width // BLK, 2):
         raise ValueError(f"motion field shape {mvs.shape} mismatches plane")
-    pad = 8
-    padded = np.pad(reference_plane, pad, mode="edge")
-    prediction = np.empty_like(reference_plane)
-    for row in range(mb_rows):
-        for col in range(mb_cols):
-            cdy = chroma_vector(int(mvs[row, col, 0]))
-            cdx = chroma_vector(int(mvs[row, col, 1]))
-            y = row * BLK + pad + cdy
-            x = col * BLK + pad + cdx
-            prediction[row * BLK : (row + 1) * BLK, col * BLK : (col + 1) * BLK] = (
-                padded[y : y + BLK, x : x + BLK]
-            )
-    return prediction
+    chroma_mvs = np.sign(mvs) * ((np.abs(mvs) + 1) // 2)
+    return _compensate(reference_plane, chroma_mvs, BLK)
 
 
 def motion_compensate(reference: np.ndarray, mvs: np.ndarray) -> np.ndarray:
@@ -550,19 +559,24 @@ def motion_compensate(reference: np.ndarray, mvs: np.ndarray) -> np.ndarray:
     references use edge padding, matching the estimators.
     """
     height, width = reference.shape
-    mb_rows, mb_cols = height // MB, width // MB
-    if mvs.shape != (mb_rows, mb_cols, 2):
+    if mvs.shape != (height // MB, width // MB, 2):
         raise ValueError(f"motion field shape {mvs.shape} mismatches frame")
-    max_mag = int(np.abs(mvs).max()) if mvs.size else 0
-    pad = max(max_mag, 1)
-    padded = np.pad(reference, pad, mode="edge")
-    prediction = np.empty_like(reference)
-    for row in range(mb_rows):
-        for col in range(mb_cols):
-            dy, dx = int(mvs[row, col, 0]), int(mvs[row, col, 1])
-            y = row * MB + pad + dy
-            x = col * MB + pad + dx
-            prediction[row * MB : (row + 1) * MB, col * MB : (col + 1) * MB] = (
-                padded[y : y + MB, x : x + MB]
-            )
-    return prediction
+    return _compensate(reference, mvs, MB)
+
+
+def _compensate(plane: np.ndarray, mvs: np.ndarray, size: int) -> np.ndarray:
+    """The plane of ``size``-square blocks displaced by ``mvs``, in one
+    gather."""
+    height, width = plane.shape
+    rows, cols = np.indices((height // size, width // size))
+    blocks = gather_blocks(
+        plane,
+        (rows * size + mvs[..., 0]).ravel(),
+        (cols * size + mvs[..., 1]).ravel(),
+        size,
+    )
+    return (
+        blocks.reshape(height // size, width // size, size, size)
+        .transpose(0, 2, 1, 3)
+        .reshape(height, width)
+    )

@@ -56,7 +56,11 @@ def quantize_blocks(
     as an unsigned byte).
     """
     _check_qp(qp)
-    coefficients = np.clip(np.asarray(coefficients), COEFF_MIN, COEFF_MAX)
+    # np.minimum/np.maximum, not np.clip: on integer arrays numpy 2's
+    # clip builds two np.iinfo objects per call.
+    coefficients = np.minimum(
+        np.maximum(np.asarray(coefficients), COEFF_MIN), COEFF_MAX
+    )
     intra = _block_mask(intra, coefficients.shape[:-2])
     magnitude = np.abs(coefficients.astype(np.int64))
     step = 2 * qp
@@ -64,12 +68,12 @@ def quantize_blocks(
     # a per-block offset keeps the whole stack in one reduction.
     dead_zone = np.where(intra[..., None, None], 0, qp // 2)
     levels = np.maximum(magnitude - dead_zone, 0) // step
-    levels = np.clip(levels, 0, LEVEL_MAX)
+    np.minimum(levels, LEVEL_MAX, out=levels)
     levels = (np.sign(coefficients) * levels).astype(np.int32)
     dc = np.rint(coefficients[..., 0, 0] / INTRA_DC_STEP).astype(np.int32)
-    levels[..., 0, 0] = np.where(
-        intra, np.clip(dc, 1, 254), levels[..., 0, 0]
-    )
+    np.maximum(dc, 1, out=dc)
+    np.minimum(dc, 254, out=dc)
+    levels[..., 0, 0] = np.where(intra, dc, levels[..., 0, 0])
     return levels
 
 
@@ -97,7 +101,9 @@ def dequantize_blocks(levels: np.ndarray, intra, qp) -> np.ndarray:
     reconstructed[..., 0, 0] = np.where(
         intra, levels[..., 0, 0] * INTRA_DC_STEP, reconstructed[..., 0, 0]
     )
-    return np.clip(reconstructed, COEFF_MIN, COEFF_MAX).astype(np.int32)
+    np.maximum(reconstructed, COEFF_MIN, out=reconstructed)
+    np.minimum(reconstructed, COEFF_MAX, out=reconstructed)
+    return reconstructed.astype(np.int32)
 
 
 def quantize(coefficients: np.ndarray, qp: int, intra: bool) -> np.ndarray:

@@ -119,33 +119,53 @@ class CodecConfig:
         return 2 * self.search_range if self.half_pel else self.search_range
 
 
+#: Labels of the :attr:`FrameDecisions.forced_by` codes: the rule that
+#: forced a macroblock to intra mode, or None (code 0) for a natural
+#: inter decision.  ``"strategy-post"``, ``"air"`` and ``"stride-back"``
+#: are the post-ME labels of the resilience strategies.
+FORCED_BY = (
+    None,
+    "i-frame",
+    "pre-me",
+    "sad-test",
+    "strategy-post",
+    "air",
+    "stride-back",
+)
+
+
 @dataclass(frozen=True)
-class MacroblockDecision:
-    """Final per-macroblock coding decision made by the encoder.
+class FrameDecisions:
+    """The encoder's per-macroblock decisions for one frame, as grids.
+
+    Every field is an ``(mb_rows, mb_cols)`` array in raster layout
+    (``mv`` adds a trailing axis of 2).
 
     Attributes:
-        mode: intra or inter.
-        mv: motion vector ``(dy, dx)`` as coded — integer-pel units, or
-            half-pel units when the codec runs with ``half_pel``;
-            ``(0, 0)`` for intra.
-        sad_mv: SAD of the chosen reference block (inter only; 0 for
-            intra decided before ME).
-        sad_self: deviation of the macroblock from its own mean (the
+        mode: object grid of :class:`MacroblockMode`.
+        mv: int64 motion vectors ``(dy, dx)`` as coded — integer-pel
+            units, or half-pel units when the codec runs with
+            ``half_pel``; ``(0, 0)`` for intra.
+        sad_mv: SAD of the chosen reference block (0 for intra decided
+            before ME).
+        sad_self: deviation of each macroblock from its own mean (the
             paper's ``SAD_self``), used in the inter/intra test.
-        me_skipped: True when the resilience strategy forced intra mode
+        me_skipped: True where the resilience strategy forced intra mode
             *before* motion estimation, i.e. no search was performed —
             this is PBPAIR's energy lever.
-        forced_by: name of the strategy rule that forced intra mode
-            (``"pre-me"``, ``"air"``, ``"stride-back"``, ``"sad-test"``,
-            ``"i-frame"``) or None for a natural inter decision.
+        forced_by: int8 codes into :data:`FORCED_BY`.
     """
 
-    mode: MacroblockMode
-    mv: tuple[int, int] = (0, 0)
-    sad_mv: int = 0
-    sad_self: int = 0
-    me_skipped: bool = False
-    forced_by: Optional[str] = None
+    mode: np.ndarray
+    mv: np.ndarray
+    sad_mv: np.ndarray
+    sad_self: np.ndarray
+    me_skipped: np.ndarray
+    forced_by: np.ndarray
+
+    def forced(self, label: Optional[str]) -> np.ndarray:
+        """Bool grid of the macroblocks whose ``forced_by`` is ``label``."""
+        return self.forced_by == FORCED_BY.index(label)
 
 
 @dataclass(frozen=True)
@@ -214,7 +234,7 @@ class EncodedFrame:
     frame_index: int
     frame_type: FrameType
     payload: bytes
-    decisions: tuple[MacroblockDecision, ...]
+    decisions: FrameDecisions
     stats: FrameEncodeStats
     reconstruction: np.ndarray  # encoder-side reconstructed luma (uint8)
     #: Quantizer the frame was coded with (rate control may vary it per

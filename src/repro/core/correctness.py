@@ -60,7 +60,7 @@ def similarity_from_sad(
     if scale <= 0:
         raise ValueError("similarity scale must be positive")
     mad = np.asarray(colocated_sad, dtype=np.float64) / mb_pixels
-    return np.clip(1.0 - mad / scale, 0.0, 1.0)
+    return np.minimum(np.maximum(1.0 - mad / scale, 0.0), 1.0)
 
 
 def approximate_sigma(plr: float, k: int) -> float:
@@ -175,4 +175,5 @@ class CorrectnessMatrix:
         self._sigma = (1.0 - plr) * chain + plr * similarity * self._sigma
         # Floating-point guard: the convex combination of values in
         # [0, 1] stays in [0, 1], but keep it exact for comparisons.
-        np.clip(self._sigma, 0.0, 1.0, out=self._sigma)
+        np.maximum(self._sigma, 0.0, out=self._sigma)
+        np.minimum(self._sigma, 1.0, out=self._sigma)

@@ -113,7 +113,8 @@ class ResilienceStrategy(abc.ABC):
 
     ``name`` identifies the scheme in reports; ``post_label`` is the
     reason recorded on macroblocks the scheme forces to intra after ME
-    (shows up in :class:`repro.codec.types.MacroblockDecision.forced_by`).
+    (one of :data:`repro.codec.types.FORCED_BY`, coded in
+    :attr:`repro.codec.types.FrameDecisions.forced_by`).
     """
 
     name: str = "base"

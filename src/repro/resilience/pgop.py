@@ -83,7 +83,9 @@ class PGOPStrategy(ResilienceStrategy):
         dx_sign = np.sign(mvs[:, :, 1]).astype(np.int64)
         # A reference block (|dx| < 16) overlaps its own column and the
         # neighbour toward the horizontal displacement sign.
-        neighbour = np.clip(own_col + dx_sign, 0, context.mb_cols - 1)
+        neighbour = np.minimum(
+            np.maximum(own_col + dx_sign, 0), context.mb_cols - 1
+        )
         in_clean = clean_before[own_col]
         refs_dirty = ~clean_before[neighbour]
         return in_clean & refs_dirty & ~context.intra_mask

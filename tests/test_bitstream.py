@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -12,6 +13,7 @@ from repro.codec.bitstream import (
     BitstreamError,
     append_bit_slice,
 )
+from repro.codec.entropy import ue_codewords
 
 
 class TestBitWriter:
@@ -142,6 +144,49 @@ class TestRoundTrip:
         reader = BitReader(writer.getvalue())
         for width, value in pairs:
             assert reader.read_bits(width) == value
+
+
+class TestCodewordPacker:
+    """``write_codewords`` against one ``write_bits`` call per codeword."""
+
+    @given(
+        lead=st.integers(0, 7),
+        prefix_bytes=st.integers(0, 2),
+        data=st.data(),
+    )
+    def test_matches_bit_serial_writes(self, lead, prefix_bytes, data):
+        widths = data.draw(st.lists(st.integers(1, 64), max_size=40))
+        values = [data.draw(st.integers(0, (1 << w) - 1)) for w in widths]
+        head_width = 8 * prefix_bytes + lead
+        head = data.draw(st.integers(0, (1 << head_width) - 1))
+        packed, serial = BitWriter(), BitWriter()
+        for writer in (packed, serial):
+            writer.write_bits(head, head_width)
+        packed.write_codewords(
+            np.array(values, dtype=np.uint64), np.array(widths, dtype=np.int64)
+        )
+        for value, width in zip(values, widths):
+            serial.write_bits(value, width)
+        assert packed.bit_length == serial.bit_length
+        assert packed.getvalue() == serial.getvalue()
+        # The pending tail carries on into later writes.
+        for writer in (packed, serial):
+            writer.write_bits(0b101, 3)
+        assert packed.getvalue() == serial.getvalue()
+
+    def test_empty_batch_writes_nothing(self):
+        writer = BitWriter()
+        writer.write_bits(0b1011, 4)
+        writer.write_codewords(np.empty(0, np.int64), np.empty(0, np.int64))
+        assert writer.bit_length == 4
+        assert writer.getvalue() == bytes([0b10110000])
+
+    def test_ue_widths_are_exact_at_power_of_two_edges(self):
+        values = sorted(
+            {v for k in range(53) for v in (2**k - 2, 2**k - 1, 2**k) if v >= 0}
+        )
+        _, widths = ue_codewords(np.array(values, dtype=np.int64))
+        assert widths.tolist() == [2 * (v + 1).bit_length() - 1 for v in values]
 
 
 class TestAppendBitSlice:

@@ -58,13 +58,7 @@ class TestLosslessRoundTrip:
         encoded = encoder.encode_sequence(sequence)
         decoded = _decode_all(codec_config, encoded)
         for ef, dr in zip(encoded, decoded):
-            decoder_modes = [
-                dr.modes[r, c]
-                for r in range(codec_config.mb_rows)
-                for c in range(codec_config.mb_cols)
-            ]
-            encoder_modes = [d.mode for d in ef.decisions]
-            assert decoder_modes == encoder_modes
+            assert dr.modes.tolist() == ef.decisions.mode.tolist()
 
     def test_small_mtu_fragmentation_is_transparent(self, sequence, codec_config):
         encoder = Encoder(codec_config, NoResilience())
@@ -92,7 +86,11 @@ class TestEncoderInvariants:
             assert ef.stats.intra_mbs + ef.stats.inter_mbs == codec_config.mb_count
             assert ef.stats.bits == ef.mb_bit_offsets[-1]
             assert len(ef.payload) == (ef.stats.bits + 7) // 8
-            assert len(ef.decisions) == codec_config.mb_count
+            grid = (codec_config.mb_rows, codec_config.mb_cols)
+            decisions = ef.decisions
+            for field in ("mode", "sad_mv", "sad_self", "me_skipped", "forced_by"):
+                assert getattr(decisions, field).shape == grid
+            assert decisions.mv.shape == grid + (2,)
             assert len(ef.mb_bit_offsets) == codec_config.mb_count + 1
 
     def test_offsets_monotone(self, sequence, codec_config):

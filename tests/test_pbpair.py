@@ -170,10 +170,7 @@ class TestStrategyAdapter:
         encoder = Encoder(config, strategy)
         encoded = encoder.encode_sequence(sequence)
         pre_me = sum(
-            1
-            for ef in encoded[1:]
-            for d in ef.decisions
-            if d.forced_by == "pre-me"
+            int(ef.decisions.forced("pre-me").sum()) for ef in encoded[1:]
         )
         assert pre_me > 0
         assert strategy.controller is not None
@@ -184,10 +181,9 @@ class TestStrategyAdapter:
         strategy = PBPAIRStrategy(PBPAIRConfig(intra_th=0.9, plr=0.3))
         encoder = Encoder(config, strategy)
         for ef in encoder.encode_sequence(sequence)[1:]:
-            for d in ef.decisions:
-                if d.forced_by == "pre-me":
-                    assert d.me_skipped
-                    assert d.mv == (0, 0)
+            pre_me = ef.decisions.forced("pre-me")
+            assert ef.decisions.me_skipped[pre_me].all()
+            assert not ef.decisions.mv[pre_me].any()
 
     def test_zero_penalty_disables_cost_function(self):
         strategy = PBPAIRStrategy(PBPAIRConfig(loss_penalty_per_pixel=0.0))
@@ -263,8 +259,7 @@ class TestRefreshCap:
         # Never above the cap (plus any SAD-test intras), and the total
         # budget is still being spent steadily.
         pre_me = [
-            sum(1 for d in ef.decisions if d.forced_by == "pre-me")
-            for ef in encoded[1:]
+            int(ef.decisions.forced("pre-me").sum()) for ef in encoded[1:]
         ]
         assert max(pre_me) <= 2
         assert sum(pre_me) >= 10

@@ -29,9 +29,8 @@ class TestNoResilience:
         encoder = Encoder(config, NoResilience())
         encoded = encoder.encode_sequence(small_sequence(n_frames=5))
         for ef in encoded[1:]:
-            assert all(
-                d.forced_by in (None, "sad-test") for d in ef.decisions
-            )
+            decisions = ef.decisions
+            assert (decisions.forced(None) | decisions.forced("sad-test")).all()
 
 
 class TestGOP:
@@ -57,8 +56,8 @@ class TestAIR:
         encoder = Encoder(config, strategy)
         encoded = encoder.encode_sequence(small_sequence(n_frames=6))
         for ef in encoded[1:]:
-            air_forced = sum(1 for d in ef.decisions if d.forced_by == "air")
-            sad_forced = sum(1 for d in ef.decisions if d.forced_by == "sad-test")
+            air_forced = int(ef.decisions.forced("air").sum())
+            sad_forced = int(ef.decisions.forced("sad-test").sum())
             assert air_forced == min(3, config.mb_count - sad_forced)
 
     def test_never_skips_me(self):
@@ -76,14 +75,13 @@ class TestAIR:
         encoder = Encoder(config, strategy)
         encoded = encoder.encode_sequence(small_sequence(n_frames=6))
         for ef in encoded[1:]:
-            forced_sads = [d.sad_mv for d in ef.decisions if d.forced_by == "air"]
-            natural_inter = [
-                d.sad_mv
-                for d in ef.decisions
-                if d.mode is MacroblockMode.INTER
+            decisions = ef.decisions
+            forced_sads = decisions.sad_mv[decisions.forced("air")]
+            natural_inter = decisions.sad_mv[
+                decisions.mode == MacroblockMode.INTER
             ]
-            if forced_sads and natural_inter:
-                assert min(forced_sads) >= max(natural_inter) - 1
+            if forced_sads.size and natural_inter.size:
+                assert forced_sads.min() >= natural_inter.max() - 1
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -100,12 +98,8 @@ class TestPGOP:
         for frame in sequence:
             ef = encoder.encode_frame(frame)
             if ef.frame_type is FrameType.P:
-                cols = {
-                    i % config.mb_cols
-                    for i, d in enumerate(ef.decisions)
-                    if d.forced_by == "pre-me"
-                }
-                refreshed_columns.append(sorted(cols))
+                _, cols = np.nonzero(ef.decisions.forced("pre-me"))
+                refreshed_columns.append(sorted(set(cols.tolist())))
         # Columns 0..3 in order, then the sweep restarts.
         assert refreshed_columns[:4] == [[0], [1], [2], [3]]
         assert refreshed_columns[4] == [0]
@@ -117,12 +111,8 @@ class TestPGOP:
         sequence = small_sequence(n_frames=4)
         encoder.encode_frame(sequence[0])
         ef = encoder.encode_frame(sequence[1])
-        cols = {
-            i % config.mb_cols
-            for i, d in enumerate(ef.decisions)
-            if d.forced_by == "pre-me"
-        }
-        assert cols == {0, 1, 2}
+        _, cols = np.nonzero(ef.decisions.forced("pre-me"))
+        assert set(cols.tolist()) == {0, 1, 2}
 
     def test_refresh_columns_skip_me(self):
         config = small_config()
@@ -164,9 +154,7 @@ class TestPGOP:
         stride_backs = 0
         for frame in sequence:
             ef = encoder.encode_frame(frame)
-            stride_backs += sum(
-                1 for d in ef.decisions if d.forced_by == "stride-back"
-            )
+            stride_backs += int(ef.decisions.forced("stride-back").sum())
         assert stride_backs > 0
 
     def test_reset(self):
@@ -237,9 +225,7 @@ class TestAIRCyclic:
             ef = encoder.encode_frame(frame)
             if ef.frame_type is FrameType.P:
                 refreshed.update(
-                    i
-                    for i, d in enumerate(ef.decisions)
-                    if d.forced_by == "air"
+                    np.flatnonzero(ef.decisions.forced("air")).tolist()
                 )
         # 4 per frame x 3+ P-frames covers all 12 macroblock positions
         # (minus any that happened to be intra already).
