@@ -1,36 +1,58 @@
-"""Entropy/bitstream hot-path throughput: before/after record.
+"""Entropy/bitstream hot-path throughput: word-level against bit-serial.
 
 The word-level VLC kernels (batched Exp-Golomb in the writer, word-
 indexed zero-run scanning in the reader, event-array macroblock layer)
-replaced the original bit-at-a-time substrate.  This benchmark measures
-the combined encode+decode+packetize wall time on the same workload as
-``bench_encoder_throughput`` and emits a JSON record comparing against
-the committed bit-serial baseline, so the perf trajectory is tracked
-per PR (the committed record lives in ``BENCH_entropy.json``).
+replaced the original bit-at-a-time substrate.  This benchmark times
+the combined encode+decode wall time on the same workload as
+``bench_encoder_throughput`` against a bit-serial baseline measured in
+the same run, from the codec's own oracles:
+
+* the writer: the same encoder with every codeword appended by one
+  ``BitWriter.write_bits`` call instead of the batched
+  ``write_codewords``;
+* the reader: :func:`repro.codec.reference.decode_frame_scalar`, the
+  cold per-fragment, per-macroblock, per-block decoder.  It is the
+  fully scalar decoder, block kernels included (one dequantization,
+  IDCT and prediction per block), so the decode side of the ratio
+  measures the batched block kernels as well as the word-level VLC
+  reader: it is not an entropy-only speedup.
+
+The two sides alternate within each run, so host speed and load cancel
+out of the gated ratio ``combined_encode_decode_speedup``.  The baseline
+must reproduce the word-level bytes and frames exactly, or the record
+is not written.
 
 Two entry points:
 
 * ``python benchmarks/bench_entropy_report.py [--out BENCH_entropy.json]``
   runs the measurement standalone and writes/prints the JSON.
 * Under pytest the module contributes a smoke check that the measured
-  record is well-formed and the codec round-trips; absolute wall-time
-  assertions are deliberately absent (CI containers vary widely).
+  record is well-formed and that the word-level path beats the
+  bit-serial one; absolute wall-time assertions are deliberately
+  absent (CI containers vary widely).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import statistics
 import time
+from unittest import mock
+
+import numpy as np
 
 from repro.api import (
+    BitWriter,
     CodecConfig,
     Decoder,
     Encoder,
     Packetizer,
+    decode_frame_scalar,
     foreman_like,
     make_strategy,
 )
+
 try:
     from benchmarks.perf_gate import emit, make_record
 except ImportError:  # standalone: python benchmarks/bench_entropy_report.py
@@ -38,64 +60,109 @@ except ImportError:  # standalone: python benchmarks/bench_entropy_report.py
 
 N_FRAMES = 12
 
-#: Median wall times of the bit-serial VLC implementation on the same
-#: workload (QCIF foreman-like, 12 frames, NO scheme), recorded just
-#: before the word-level kernel swap.  The per-host "after" numbers in
-#: ``BENCH_entropy.json`` were measured on the same machine in the same
-#: session; CI re-measures "after" on its own hardware, so only the
-#: speedup ratio is comparable across hosts, not the absolute times.
-BIT_SERIAL_BASELINE = {
-    "encode_s": 0.1928,
-    "decode_s": 0.1632,
-    "packetize_s": 0.0837,
-}
+
+def _write_codewords_bit_serial(writer, values, widths) -> None:
+    """``BitWriter.write_codewords`` as one ``write_bits`` per codeword."""
+    for value, width in zip(np.asarray(values).tolist(), np.asarray(widths).tolist()):
+        writer.write_bits(value, width)
+
+
+def _encode(clip, config: CodecConfig, bit_serial: bool):
+    encoder = Encoder(config, make_strategy("NO"))
+    with (
+        mock.patch.object(
+            BitWriter, "write_codewords", _write_codewords_bit_serial
+        )
+        if bit_serial
+        else contextlib.nullcontext()
+    ):
+        start = time.perf_counter()
+        encoded = encoder.encode_sequence(clip)
+        return encoded, time.perf_counter() - start
+
+
+def _decode(config: CodecConfig, packets, bit_serial: bool):
+    decoder = Decoder(config)
+    frames = []
+    reference = None
+    start = time.perf_counter()
+    for index, frame_packets in enumerate(packets):
+        fragments = [packet.payload for packet in frame_packets]
+        if bit_serial:
+            result = decode_frame_scalar(
+                config, fragments, reference, expected_index=index
+            )
+        else:
+            result = decoder.decode_frame(
+                fragments, reference, expected_index=index
+            )
+        reference = result.frame
+        frames.append(result.frame)
+    return frames, time.perf_counter() - start
 
 
 def measure(n_frames: int = N_FRAMES, runs: int = 5) -> dict:
-    """Median encode/decode/packetize wall time over ``runs`` repeats."""
+    """Median wall times of both sides over ``runs`` alternating repeats."""
     clip = foreman_like(n_frames=n_frames)
     config = CodecConfig()
+    times: dict[str, list[float]] = {
+        name: []
+        for name in (
+            "word_encode_s", "word_decode_s", "packetize_s",
+            "serial_encode_s", "serial_decode_s",
+        )
+    }
+    # One untimed pass of both sides first: the first call of each
+    # kernel pays one-time costs that would land on whichever side ran
+    # first.
+    for bit_serial in (False, True):
+        warm, _ = _encode(clip[:2], config, bit_serial)
+        _decode(config, [Packetizer(config).packetize(f) for f in warm], bit_serial)
+    for _ in range(runs):
+        encoded, elapsed = _encode(clip, config, bit_serial=False)
+        times["word_encode_s"].append(elapsed)
+        serial, elapsed = _encode(clip, config, bit_serial=True)
+        times["serial_encode_s"].append(elapsed)
+        if [f.payload for f in serial] != [f.payload for f in encoded]:
+            raise AssertionError("the bit-serial writer changed the stream")
 
-    def one_run() -> tuple[float, float, float]:
-        encoder = Encoder(config, make_strategy("NO"))
-        t0 = time.perf_counter()
-        encoded = encoder.encode_sequence(clip)
-        t1 = time.perf_counter()
         packetizer = Packetizer(config)
-        packets = [packetizer.packetize(ef) for ef in encoded]
-        t2 = time.perf_counter()
-        decoder = Decoder(config)
-        reference = None
-        for ef, pkts in zip(encoded, packets):
-            result = decoder.decode_frame(
-                [p.payload for p in pkts],
-                reference,
-                expected_index=ef.frame_index,
-            )
-            reference = result.frame
-        t3 = time.perf_counter()
-        return t1 - t0, t3 - t2, t2 - t1
+        start = time.perf_counter()
+        packets = [packetizer.packetize(frame) for frame in encoded]
+        times["packetize_s"].append(time.perf_counter() - start)
 
-    samples = [one_run() for _ in range(runs)]
-    encode_s = statistics.median(s[0] for s in samples)
-    decode_s = statistics.median(s[1] for s in samples)
-    packetize_s = statistics.median(s[2] for s in samples)
+        decoded, elapsed = _decode(config, packets, bit_serial=False)
+        times["word_decode_s"].append(elapsed)
+        scalar, elapsed = _decode(config, packets, bit_serial=True)
+        times["serial_decode_s"].append(elapsed)
+        for got, want in zip(scalar, decoded):
+            np.testing.assert_array_equal(got, want)
+
+    median = {name: statistics.median(values) for name, values in times.items()}
+    after = {
+        "encode_s": round(median["word_encode_s"], 4),
+        "decode_s": round(median["word_decode_s"], 4),
+        "packetize_s": round(median["packetize_s"], 4),
+        "encode_fps": round(n_frames / median["word_encode_s"], 1),
+        "decode_fps": round(n_frames / median["word_decode_s"], 1),
+    }
+    before = {
+        "encode_s": round(median["serial_encode_s"], 4),
+        "decode_s": round(median["serial_decode_s"], 4),
+    }
+    combined_before = median["serial_encode_s"] + median["serial_decode_s"]
+    combined_after = median["word_encode_s"] + median["word_decode_s"]
     return {
-        "frames": n_frames,
-        "runs": runs,
-        "encode_s": round(encode_s, 4),
-        "decode_s": round(decode_s, 4),
-        "packetize_s": round(packetize_s, 4),
-        "encode_fps": round(n_frames / encode_s, 1),
-        "decode_fps": round(n_frames / decode_s, 1),
+        "before_bit_serial": before,
+        "after_word_level": after,
+        "combined_encode_decode_speedup": round(
+            combined_before / combined_after, 2
+        ),
     }
 
 
 def build_report(n_frames: int = N_FRAMES, runs: int = 5) -> dict:
-    after = measure(n_frames=n_frames, runs=runs)
-    before = BIT_SERIAL_BASELINE
-    combined_before = before["encode_s"] + before["decode_s"]
-    combined_after = after["encode_s"] + after["decode_s"]
+    measured = measure(n_frames=n_frames, runs=runs)
     return make_record(
         "entropy_hot_path",
         workload={
@@ -105,44 +172,33 @@ def build_report(n_frames: int = N_FRAMES, runs: int = 5) -> dict:
             "resolution": "176x144",
         },
         gated={"combined_encode_decode_speedup": {"tolerance": 0.25}},
-        before_bit_serial=before,
-        after_word_level=after,
-        combined_encode_decode_speedup=round(
-            combined_before / combined_after, 2
-        ),
-        packetize_speedup=round(
-            before["packetize_s"] / max(after["packetize_s"], 1e-6), 1
+        runs=runs,
+        before_bit_serial=measured["before_bit_serial"],
+        after_word_level=measured["after_word_level"],
+        combined_encode_decode_speedup=measured[
+            "combined_encode_decode_speedup"
+        ],
+        note=(
+            "combined_encode_decode_speedup is gated: the bit-serial "
+            "encode+decode time over the word-level one, both measured "
+            "in the same run, alternating.  The bit-serial writer "
+            "appends each codeword with one BitWriter.write_bits call; "
+            "the decode baseline is reference.decode_frame_scalar, the "
+            "fully scalar decoder including its per-block "
+            "dequantization, IDCT and prediction, so the ratio is not "
+            "an entropy-only speedup.  Both reproduce the word-level "
+            "bytes and frames exactly"
         ),
     )
 
 
 def test_entropy_report_smoke():
-    """The record is well-formed and the kernels actually sped things up.
-
-    The only hard bound asserted is a loose sanity factor (the word-
-    level path must not be *slower* than the recorded bit-serial
-    baseline scaled by 2x) so the test survives slow CI machines while
-    still catching a reversion to per-bit Python loops.
-    """
+    """The record is well-formed and the word-level path is the faster."""
     report = build_report(n_frames=4, runs=1)
     after = report["after_word_level"]
     assert after["encode_s"] > 0 and after["decode_s"] > 0
-    per_frame_budget = (
-        2.0
-        * (
-            BIT_SERIAL_BASELINE["encode_s"]
-            + BIT_SERIAL_BASELINE["decode_s"]
-            + BIT_SERIAL_BASELINE["packetize_s"]
-        )
-        / N_FRAMES
-    )
-    per_frame = (
-        after["encode_s"] + after["decode_s"] + after["packetize_s"]
-    ) / after["frames"]
-    assert per_frame < per_frame_budget, (
-        f"entropy hot path regressed: {per_frame:.4f}s/frame vs "
-        f"budget {per_frame_budget:.4f}s/frame"
-    )
+    assert report["before_bit_serial"]["encode_s"] > 0
+    assert report["combined_encode_decode_speedup"] > 1.0
 
 
 def main(argv=None) -> int:

@@ -29,6 +29,17 @@ zero tolerance.  A drop means some delivered fragments miss
 their seeds (a key drift between encoder and decoder, or a group
 whose encode stopped seeding its memo).
 
+The serial trace also counts the frames the decoder never ran:
+``frames_replayed`` (frames a cell replayed from its encode group's
+lossless prefix because it and an earlier cell of the group received
+every fragment intact up to that frame) and ``decodes_per_frame`` (the
+executed decodes per cell frame).  Both are exact for a given
+workload; ``frames_replayed`` is gated at zero tolerance (the CI gate
+therefore re-measures the committed workload, not a reduced one), and
+``decodes_per_frame``, which is ``1 - frames_replayed / cell_frames``
+with ``cell_frames`` fixed by the workload, is informational.
+``fragments_decoded`` counts only the fragments of decoded frames.
+
 Entry points mirror the other benchmarks: run standalone with
 ``python benchmarks/bench_scenarios.py [--out BENCH_scenarios.json]``,
 or under pytest for the structural smoke check.
@@ -84,6 +95,9 @@ def measure(
     counters = trace.metrics.snapshot()["counters"]
     parsed = int(counters.get("decoder.fragments_parsed", 0))
     reused = int(counters.get("decoder.fragments_reused", 0))
+    replayed = int(counters.get("decoder.frames_replayed", 0))
+    # Every cell frame opens one decode_frame span, replayed or not.
+    cell_frames = sum(1 for span in trace.spans if span.name == "decode_frame")
     pooled = run_fleet(
         **kwargs, options=RunnerOptions(jobs=2, use_cache=False)
     )
@@ -111,6 +125,7 @@ def measure(
         gated={
             "determinism_ratio": {"tolerance": 0},
             "parse_reuse_ratio": {"tolerance": 0},
+            "frames_replayed": {"tolerance": 0},
         },
         cells=[cell.to_json() for cell in serial.cells],
         fleet_digest=serial.digest,
@@ -122,6 +137,9 @@ def measure(
         fragments_parsed=parsed,
         determinism_ratio=round(matched / len(serial.cells), 3),
         parse_reuse_ratio=round(reused / (parsed + reused), 3),
+        cell_frames=cell_frames,
+        frames_replayed=replayed,
+        decodes_per_frame=round((cell_frames - replayed) / cell_frames, 4),
         note=(
             "determinism_ratio is gated: the fraction of (scheme, pack) "
             "cells whose content digest is identical between a serial "
@@ -132,8 +150,11 @@ def measure(
             "sweep's fragments_decoded that replayed a known parse "
             "instead of being parsed.  The encoder seeds every fragment "
             "it sends and no pack damages bytes, so 1.0 is exact and "
-            "gates with zero tolerance.  The percentile tables in "
-            "`cells` are informational"
+            "gates with zero tolerance.  frames_replayed is gated: the "
+            "exact count of the serial sweep's frames replayed from an "
+            "encode group's lossless prefix, for this workload.  "
+            "decodes_per_frame (executed decodes per cell frame) and "
+            "the percentile tables in `cells` are informational"
         ),
     )
 
@@ -153,6 +174,11 @@ def test_scenarios_benchmark_smoke():
     assert record["fleet_digest"] == record["pooled_digest"]
     assert record["fragments_parsed"] == 0 < record["fragments_decoded"]
     assert record["parse_reuse_ratio"] == 1.0
+    assert record["cell_frames"] == 4 * 6
+    assert 0 < record["frames_replayed"] < record["cell_frames"]
+    assert record["decodes_per_frame"] == round(
+        1 - record["frames_replayed"] / record["cell_frames"], 4
+    )
     for cell in record["cells"]:
         assert 0.0 <= cell["loss_rate"] <= 1.0
         assert cell["psnr_db"]["p50"] is None or cell["psnr_db"]["p50"] > 0

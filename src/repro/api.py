@@ -68,6 +68,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Union
 
+from repro.codec.bitstream import BitWriter
 from repro.codec.dct import forward_dct_blocks, inverse_dct_blocks
 from repro.codec.decoder import Decoder, DecodeResult
 from repro.codec.encoder import Encoder
@@ -85,6 +86,7 @@ from repro.codec.rate import (
     build_rate_controller,
 )
 from repro.codec.reference import (
+    decode_frame_scalar,
     dequantize_scalar,
     diamond_search_scalar,
     forward_dct_scalar,
@@ -411,6 +413,8 @@ __all__ = [
     "dequantize_scalar",
     "diamond_search_scalar",
     "three_step_search_scalar",
+    "decode_frame_scalar",
+    "BitWriter",
     # harness types
     "SimulationConfig",
     "SimulationResult",

@@ -243,6 +243,92 @@ class SimulationResult:
         return times
 
 
+class LosslessPrefix:
+    """Decoded states of the frames an encode group delivered intact.
+
+    After frame ``k`` the decoder's state depends only on the stream and
+    on the fragments delivered for frames ``0..k``.  A cell whose frames
+    ``0..k`` each delivered exactly the sent fragments, in order, is
+    therefore in the same state as every other such cell of its encode
+    group: same planes, damage count and metrics, and the same decoder
+    :class:`~repro.energy.counters.OperationCounters` delta per frame.
+    The store holds frames ``0..length-1`` of that one shared prefix.
+
+    Each plane lives in one uint8 array ``n_frames`` deep, allocated at
+    the first :meth:`store`, so a group holds at most one state per
+    frame and never keeps a decoder's own arrays.  The metrics depend
+    on the bad-pixel threshold and the planes on the concealment scheme
+    (which repairs encode-stage damage), so the store serves only cells
+    with the ``tag`` of the cell that first wrote it.
+    """
+
+    __slots__ = ("length", "tag", "_planes", "_frames")
+
+    def __init__(self) -> None:
+        self.length = 0
+        self.tag: Optional[tuple] = None
+        self._planes: tuple[np.ndarray, ...] = ()
+        self._frames: list[tuple[float, int, int, OperationCounters]] = []
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of plane storage allocated (0 until the first store)."""
+        return sum(plane.nbytes for plane in self._planes)
+
+    def serves(self, tag: tuple) -> bool:
+        return self.tag is None or self.tag == tag
+
+    def frame(self, index: int):
+        """``(planes, psnr, bad_pixels, damaged, counters)`` of a frame."""
+        planes = tuple(plane[index] for plane in self._planes)
+        return (planes, *self._frames[index])
+
+    def store(
+        self,
+        n_frames: int,
+        tag: tuple,
+        planes: tuple[np.ndarray, ...],
+        psnr_db: float,
+        bad_pixels: int,
+        damaged: int,
+        counters: OperationCounters,
+    ) -> None:
+        """Append the next prefix frame (frame number :attr:`length`)."""
+        if not self._planes:
+            self.tag = tag
+            self._planes = tuple(
+                np.empty((n_frames,) + plane.shape, dtype=np.uint8)
+                for plane in planes
+            )
+        for buffer, plane in zip(self._planes, planes):
+            buffer[self.length] = plane
+        self._frames.append((psnr_db, bad_pixels, damaged, counters))
+        self.length += 1
+
+
+@dataclass(eq=False)
+class GroupScope:
+    """What the cells replaying one encoded stream share while they run.
+
+    The grid runner (:mod:`repro.sim.runner`) makes one scope per encode
+    group and runs the group's cells back to back under it.
+
+    Attributes:
+        key: the group's encode key, under which the stream is cached.
+        parse_memo: the group's :class:`~repro.codec.syntax.ParseMemo`,
+            seeded by the group's encode when it runs in this scope.
+        prefix: the group's :class:`LosslessPrefix`.
+        stores: whether the running cell may write ``prefix``.  Every
+            cell but the group's last does, so a one-cell group never
+            allocates the store.
+    """
+
+    key: str
+    parse_memo: ParseMemo = field(default_factory=ParseMemo)
+    prefix: LosslessPrefix = field(default_factory=LosslessPrefix)
+    stores: bool = False
+
+
 def _as_injector(
     faults: Optional[Union[FaultPlan, FaultInjector]],
 ) -> Optional[FaultInjector]:
@@ -355,6 +441,7 @@ def _transmit_stream(
     concealment: ConcealmentStrategy,
     bit_errors: Optional[BitErrorChannel],
     injector: Optional[FaultInjector],
+    group: Optional[GroupScope] = None,
 ) -> SimulationResult:
     """The receiver loop: channel, decode, conceal, measure, report.
 
@@ -362,6 +449,19 @@ def _transmit_stream(
     its constructed pipeline objects from the caller; the ``report``
     span wrapping result construction stays a direct child of whatever
     root the caller holds, keeping stage coverage honest.
+
+    With a ``group`` scope, each frame of this cell's lossless prefix
+    (every frame so far delivered exactly the sent fragments, in order,
+    after the channel, bit errors and channel and decoder-input faults)
+    that the group's :class:`LosslessPrefix` holds is *replayed*: its
+    planes, damage count and metrics are restored and its decoder
+    counter delta is added, so the decode is billed though it is not
+    executed.  The channel and the faults still run on every frame.  A
+    frame the store lacks decodes as usual, and the cell appends it
+    when ``group.stores`` allows.  The store keeps one uint8 array per
+    plane, ``n_frames`` deep, so a group holds at most one decoded
+    state per frame.  Results and counters are identical with or
+    without a scope.
     """
     tracer = get_tracer()
     events_before = len(injector.events) if injector is not None else 0
@@ -369,15 +469,25 @@ def _transmit_stream(
     records: list[FrameRecord] = []
     decoder_reference: Optional[np.ndarray] = None
     decoder_chroma: Optional[tuple[np.ndarray, np.ndarray]] = None
+    tag = (config.bad_pixel_threshold, type(concealment))
+    prefix = group.prefix if group is not None else None
+    # A cell replays from a store that holds frames or that it may fill.
+    if prefix is not None and not (
+        prefix.serves(tag) and (prefix.length or group.stores)
+    ):
+        prefix = None
+    intact = prefix is not None
+    stores = intact and group.stores
 
-    for frame, sent in zip(sequence, stream.frames):
+    for position, (frame, sent) in enumerate(zip(sequence, stream.frames)):
         with tracer.span("channel"):
             delivered = channel.transmit(list(sent.packets))
             if bit_errors is not None:
                 delivered = bit_errors.corrupt(delivered)
             if injector is not None:
                 delivered = injector.apply_to_packets(delivered, frame.index)
-        with tracer.span("decode_frame"):
+        storing = False
+        with tracer.span("decode_frame") as decode_span:
             fragments = depacketizer.group_by_frame(
                 delivered, frame.index + 1
             )[frame.index]
@@ -385,26 +495,52 @@ def _transmit_stream(
                 fragments = injector.apply_to_fragments(
                     fragments, frame.index
                 )
-            result = decoder.decode_frame(
-                fragments,
-                decoder_reference,
-                expected_index=frame.index,
-                reference_chroma=decoder_chroma,
-            )
-        with tracer.span("conceal"):
-            repaired = concealment.conceal(
-                result.frame,
-                result.received,
-                decoder_reference,
-                mvs_pixels=result.mvs_pixels,
-                modes=result.modes,
-            )
-        decoder_reference = repaired
-        # Lost chroma macroblocks already hold the reference copy (the
-        # paper's copy concealment); spatial repair is luma-only.
-        decoder_chroma = result.chroma
+            if intact:
+                # Past the store's end only a cell that extends it needs
+                # to keep checking.
+                intact = (stores or position < prefix.length) and (
+                    fragments == [packet.payload for packet in sent.packets]
+                )
+            replayed = intact and position < prefix.length
+            if replayed:
+                planes, psnr_db, bad, damaged, delta = prefix.frame(position)
+                decoder.counters.add(delta)
+                decode_span.add(replayed=1, fragments=len(fragments))
+                tracer.metrics.inc("decoder.frames_replayed")
+            else:
+                storing = intact  # the frame right after the store's end
+                if storing:
+                    before = decoder.counters.copy()
+                result = decoder.decode_frame(
+                    fragments,
+                    decoder_reference,
+                    expected_index=frame.index,
+                    reference_chroma=decoder_chroma,
+                )
+        if replayed:
+            decoder_reference = planes[0]
+            decoder_chroma = planes[1:] or None
+        else:
+            with tracer.span("conceal"):
+                repaired = concealment.conceal(
+                    result.frame,
+                    result.received,
+                    decoder_reference,
+                    mvs_pixels=result.mvs_pixels,
+                    modes=result.modes,
+                )
+            decoder_reference = repaired
+            # Lost chroma macroblocks already hold the reference copy (the
+            # paper's copy concealment); spatial repair is luma-only.
+            decoder_chroma = result.chroma
+            damaged = result.damaged_fragments
 
         with tracer.span("metrics"):
+            if not replayed:
+                psnr_db = psnr(frame.pixels, repaired)
+                bad = bad_pixel_count(
+                    frame.pixels, repaired, config.bad_pixel_threshold
+                )
             records.append(
                 FrameRecord(
                     frame_index=frame.index,
@@ -418,13 +554,21 @@ def _transmit_stream(
                     # negative.
                     packets_lost=max(len(sent.packets) - len(delivered), 0),
                     psnr_encoder=sent.psnr_reconstructed,
-                    psnr_decoder=psnr(frame.pixels, repaired),
-                    bad_pixels=bad_pixel_count(
-                        frame.pixels, repaired, config.bad_pixel_threshold
-                    ),
-                    damaged_fragments=result.damaged_fragments,
+                    psnr_decoder=psnr_db,
+                    bad_pixels=bad,
+                    damaged_fragments=damaged,
                 )
             )
+            if storing:
+                prefix.store(
+                    stream.n_frames,
+                    tag,
+                    (repaired,) + (decoder_chroma or ()),
+                    psnr_db,
+                    bad,
+                    damaged,
+                    decoder.counters.diff(before),
+                )
 
     with tracer.span("report"):
         return SimulationResult(
@@ -523,7 +667,7 @@ def transmit_phase(
     faults: Optional[Union[FaultPlan, FaultInjector]] = None,
     scenario=None,
     scenario_seed: int = 0,
-    parse_memo: Optional[ParseMemo] = None,
+    group: Optional[GroupScope] = None,
 ) -> SimulationResult:
     """Phase 2 of Figure 1: channel -> depacketize -> decode -> metrics.
 
@@ -553,8 +697,11 @@ def transmit_phase(
             caps, FEC/retransmission wrappers).
         scenario_seed: channel seed for the scenario's loss models
             (each segment derives its own stream structurally from it).
-        parse_memo: optional :class:`~repro.codec.syntax.ParseMemo`
-            shared with other replays of the same stream; results are
+        group: optional :class:`GroupScope` shared with the other
+            replays of the same stream: its parse memo spares the VLD,
+            and its lossless prefix spares the decode of every frame
+            another cell already decoded from the same delivered bytes
+            (see :func:`_transmit_stream`).  Results and counters are
             identical with or without it.
     """
     config = config or SimulationConfig()
@@ -568,13 +715,17 @@ def transmit_phase(
         stream,
         sequence,
         config,
-        Decoder(config.codec, parse_memo=parse_memo),
+        Decoder(
+            config.codec,
+            parse_memo=group.parse_memo if group is not None else None,
+        ),
         Depacketizer(),
         _build_channel(loss_model, scenario, scenario_seed),
         EnergyModel(config.device),
         concealment if concealment is not None else CopyConcealment(),
         bit_errors,
         _as_injector(faults),
+        group,
     )
 
 

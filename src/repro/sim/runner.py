@@ -59,7 +59,6 @@ from typing import (
 
 from repro.atomic import write_atomic
 from repro.codec.rate import RateControlConfig, build_rate_controller
-from repro.codec.syntax import ParseMemo
 from repro.faults.inject import FaultInjector, InjectedWorkerCrash
 from repro.faults.plan import FaultPlan, encode_subplan
 from repro.network.loss import UniformLoss
@@ -69,6 +68,7 @@ from repro.resilience.registry import build_strategy
 from repro.scenarios.pack import ScenarioPack
 from repro.sim.pipeline import (
     EncodedStream,
+    GroupScope,
     SimulationConfig,
     SimulationResult,
     encode_phase,
@@ -111,6 +111,10 @@ DEFAULT_CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
 # ---------------------------------------------------------------------------
 
 
+#: Types :func:`_canonical` passes through unchanged, matched exactly.
+_PRIMITIVES = frozenset((bool, int, float, str, type(None)))
+
+
 def _canonical(value: Any) -> Any:
     """Reduce a value to JSON-serializable primitives, deterministically.
 
@@ -118,7 +122,14 @@ def _canonical(value: Any) -> Any:
     configs of different types never collide), mappings are
     key-sorted, and tuples/sets become lists.  Floats pass through:
     ``json`` renders them with ``repr``, which round-trips exactly.
+    Exact primitives and plain dicts, the bulk of every key, take the
+    first two checks; subclasses fall through to the general ones.
     """
+    kind = type(value)
+    if kind in _PRIMITIVES:
+        return value
+    if kind is dict:
+        return {str(k): _canonical(v) for k, v in sorted(value.items())}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         tagged = {"__class__": type(value).__name__}
         for f in dataclasses.fields(value):
@@ -898,7 +909,7 @@ def _sequence_for(
 def run_job(
     spec: JobSpec,
     stream_cache: Optional[EncodedStreamCache] = None,
-    parse_memo: Optional[ParseMemo] = None,
+    group: Optional[GroupScope] = None,
 ) -> SimulationResult:
     """Execute one grid cell from scratch, deterministically.
 
@@ -911,11 +922,19 @@ def run_job(
     full pipeline and opening the same ``simulate`` trace root, with an
     ``encode_reused`` trace event marking the skipped work.  Encode-stage
     faults are part of that key and act inside the encode, so cells
-    with equal encode sub-plans share their corrupted stream too.  A
-    ``parse_memo`` shared with the other cells of the stream is seeded
-    by the encode, when this cell runs it, and lets the decoder skip
-    parsing fragment bytes whose parse is already known; it is used
-    only on the shared-stream path and never changes the result.
+    with equal encode sub-plans share their corrupted stream too.
+
+    A ``group`` is the :class:`~repro.sim.pipeline.GroupScope` of the
+    cells that replay the stream; it is used only on the shared-stream
+    path and never changes the result or any counter.  Its ``key`` is
+    the cell's encode key, computed once by the runner.  Its parse memo
+    is seeded by the encode, when this cell runs it, so the decoder
+    skips parsing fragment bytes whose parse is already known.  Its
+    lossless prefix lets the cell replay, instead of decode, every
+    frame that it and an earlier cell of the group both received
+    intact from the first frame on; the replayed decodes are still
+    billed to the cell's decoder counters (``decodes_per_frame`` in
+    the benchmarks counts the executed ones).
     """
     sequence = _sequence_for(spec.sequence, spec.n_frames, spec.synthetic)
     strategy = build_strategy(spec.scheme, **_strategy_kwargs_for(spec))
@@ -940,7 +959,7 @@ def run_job(
             faults=spec.faults,
             **channel_kwargs,
         )
-    key = encode_content_hash(spec)
+    key = group.key if group is not None else encode_content_hash(spec)
     tracer = get_tracer()
     with tracer.span("simulate") as run_span:
         stream, reused = stream_cache.get_or_encode(
@@ -954,7 +973,7 @@ def run_job(
                 config=spec.config,
                 rate_controller=build_rate_controller(spec.rate),
                 faults=spec.faults,
-                parse_memo=parse_memo,
+                parse_memo=group.parse_memo if group is not None else None,
             ),
         )
         if reused and tracer.enabled:
@@ -973,7 +992,7 @@ def run_job(
             loss_model=loss_model,
             config=spec.config,
             faults=spec.faults,
-            parse_memo=parse_memo,
+            group=group,
             **channel_kwargs,
         )
 
@@ -992,7 +1011,7 @@ def _job_trace_id(spec: JobSpec) -> str:
 
 
 def _raise_worker_faults(
-    spec: JobSpec, attempt: int, allow_process_exit: bool
+    spec: JobSpec, attempt: int, allow_process_exit: bool, content_hash: str
 ) -> None:
     """Fire the runner-stage faults a plan aims at this worker attempt.
 
@@ -1001,12 +1020,12 @@ def _raise_worker_faults(
     ``worker_exit`` kills the whole process with :func:`os._exit` when
     ``allow_process_exit`` says a pool can absorb it (pooled workers),
     and degrades to the soft crash serially — the parent process must
-    survive its own fault plan.
+    survive its own fault plan.  ``content_hash`` is the spec's.
     """
     if spec.faults is None or not spec.faults:
         return
     injector = FaultInjector(spec.faults)
-    for fault in injector.worker_faults(spec.content_hash(), attempt):
+    for fault in injector.worker_faults(content_hash, attempt):
         if fault.kind == "worker_hang":
             time.sleep(fault.hang_seconds)
         elif fault.kind == "worker_exit" and allow_process_exit:
@@ -1023,7 +1042,8 @@ def _execute_job(
     attempt: int,
     allow_process_exit: bool,
     stream_cache: Optional[EncodedStreamCache],
-    parse_memo: Optional[ParseMemo] = None,
+    group: Optional[GroupScope],
+    content_hash: str,
 ) -> tuple[bool, object, float]:
     """Run one cell attempt: never raises*, returns a picklable outcome.
 
@@ -1038,20 +1058,23 @@ def _execute_job(
     parent merges the per-job files after the grid completes.  Tracing
     is observation-only: the returned result is bit-identical either
     way.
+
+    ``content_hash`` is the spec's :meth:`JobSpec.content_hash`, which
+    the parent computes once per grid.
     """
     start = time.perf_counter()
     try:
-        _raise_worker_faults(spec, attempt, allow_process_exit)
+        _raise_worker_faults(spec, attempt, allow_process_exit, content_hash)
         if trace_dir is not None:
             tracer = Tracer(trace_id=_job_trace_id(spec))
             with use_tracer(tracer):
-                result = run_job(spec, stream_cache, parse_memo)
+                result = run_job(spec, stream_cache, group)
             write_trace(
-                Path(trace_dir) / f"job-{spec.content_hash()[:16]}.jsonl",
+                Path(trace_dir) / f"job-{content_hash[:16]}.jsonl",
                 tracer,
             )
         else:
-            result = run_job(spec, stream_cache, parse_memo)
+            result = run_job(spec, stream_cache, group)
         return True, result, time.perf_counter() - start
     except Exception as error:  # noqa: BLE001 - error capture is the contract
         payload = (
@@ -1070,23 +1093,29 @@ def _stream_groups(keys: Sequence[Optional[str]]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _parse_memo_scopes(
+def _group_scopes(
     keys: Sequence[Optional[str]],
-) -> Iterator[tuple[int, Optional[ParseMemo]]]:
-    """Walk a loop's cells group by group, each with its group's memo.
+) -> Iterator[tuple[int, Optional[GroupScope]]]:
+    """Walk a loop's cells group by group, each with its group's scope.
 
     ``keys`` holds each cell's :func:`encode_content_hash` (``None``:
-    stream sharing is off).  Cells with one key replay one stream, so they
-    share one :class:`~repro.codec.syntax.ParseMemo`, which the group's
-    encode (if it runs here) seeds with every fragment's parse.  Every
-    group gets a memo when sharing is on; it is dropped once the group's
-    last cell has run.  Both grid loops (the serial one and each pooled
-    chunk) run their cells through this walk.
+    stream sharing is off, and no cell gets a scope).  Cells with one
+    key replay one stream, so they share one
+    :class:`~repro.sim.pipeline.GroupScope`: the key, one
+    :class:`~repro.codec.syntax.ParseMemo` (which the group's encode, if
+    it runs here, seeds with every fragment's parse) and one
+    :class:`~repro.sim.pipeline.LosslessPrefix`.  Every cell but the
+    group's last may write the prefix store.  The scope is dropped once
+    the group's last cell has run.  Both grid loops (the serial one and
+    each pooled chunk) run their cells through this walk.
     """
     for group in _stream_groups(keys):
-        memo = ParseMemo() if keys[group[0]] is not None else None
+        key = keys[group[0]]
+        scope = GroupScope(key) if key is not None else None
         for position in group:
-            yield position, memo
+            if scope is not None:
+                scope.stores = position != group[-1]
+            yield position, scope
 
 
 @lru_cache(maxsize=4)
@@ -1113,13 +1142,16 @@ def _worker_stream_cache(directory: Optional[str]) -> EncodedStreamCache:
 
 
 def _execute_chunk(
-    cells: Sequence[tuple[JobSpec, int]],
+    cells: Sequence[tuple[JobSpec, int, str, Optional[str]]],
     trace_dir: Optional[str],
     cache_dir: Optional[str],
     stream_dir: Optional[str],
-    share_streams: bool,
 ) -> list[tuple[bool, object, float]]:
-    """The pool's worker entry: run a chunk of ``(spec, attempt)`` cells.
+    """The pool's worker entry: run a chunk of cells.
+
+    A cell is ``(spec, attempt, content_hash, encode_key)``; the parent
+    hashes each spec once per grid and hands both keys down
+    (``encode_key`` is ``None`` when stream sharing is off).
 
     One pool round-trip carries the whole chunk (pickle deduplicates
     the shared config objects across its specs), and the worker writes
@@ -1127,24 +1159,25 @@ def _execute_chunk(
     latency nor the cache writes serialize on the parent.  The worker
     looks encoded streams up by content hash in its per-process stream
     cache rooted at ``stream_dir`` instead of receiving pickled
-    megabytes from the parent, and cells of one stream share a parse
-    memo (:func:`_parse_memo_scopes`).  Outcomes are per cell,
+    megabytes from the parent, and cells of one stream share a group
+    scope (:func:`_group_scopes`).  Outcomes are per cell,
     order-aligned, never raising.
     """
     cache = _worker_cache(cache_dir) if cache_dir is not None else None
-    stream_cache = _worker_stream_cache(stream_dir) if share_streams else None
-    keys = [
-        encode_content_hash(spec) if share_streams else None
-        for spec, _ in cells
-    ]
+    keys = [encode_key for _, _, _, encode_key in cells]
+    stream_cache = (
+        _worker_stream_cache(stream_dir)
+        if any(key is not None for key in keys)
+        else None
+    )
     outcomes: list = [None] * len(cells)
-    for position, parse_memo in _parse_memo_scopes(keys):
-        spec, attempt = cells[position]
+    for position, scope in _group_scopes(keys):
+        spec, attempt, content_hash, _ = cells[position]
         ok, payload, elapsed = _execute_job(
-            spec, trace_dir, attempt, True, stream_cache, parse_memo
+            spec, trace_dir, attempt, True, stream_cache, scope, content_hash
         )
         if ok and cache is not None:
-            cache.put(spec.content_hash(), payload)
+            cache.put(content_hash, payload)
         outcomes[position] = (ok, payload, elapsed)
     return outcomes
 
@@ -1180,7 +1213,7 @@ def _outcome(
 
 
 def _poison_cache_entries(
-    spec: JobSpec, cache: Optional[ResultCache]
+    spec: JobSpec, cache: Optional[ResultCache], key: str
 ) -> list[str]:
     """Fire a plan's poison-cache faults against one job's cache entry.
 
@@ -1188,10 +1221,10 @@ def _poison_cache_entries(
     entries as misses and deletes them, so the job recomputes — this
     fault *proves* that recovery path).  Returns injection labels for
     the job's outcome; nothing fires when there is no entry to rot.
+    ``key`` is the spec's content hash.
     """
     if cache is None or spec.faults is None or not spec.faults:
         return []
-    key = spec.content_hash()
     injector = FaultInjector(spec.faults)
     labels = []
     for fault in injector.poison_cache_faults(key):
@@ -1207,7 +1240,7 @@ def _poison_cache_entries(
     return labels
 
 
-def _attempt_labels(spec: JobSpec, attempt: int) -> list[str]:
+def _attempt_labels(spec: JobSpec, attempt: int, content_hash: str) -> list[str]:
     """Parent-side labels for worker faults firing in one attempt.
 
     A crashed worker cannot send its own fault events back, so the
@@ -1219,7 +1252,7 @@ def _attempt_labels(spec: JobSpec, attempt: int) -> list[str]:
     injector = FaultInjector(spec.faults)
     return [
         f"{fault.kind}@{attempt}"
-        for fault in injector.worker_faults(spec.content_hash(), attempt)
+        for fault in injector.worker_faults(content_hash, attempt)
     ]
 
 
@@ -1289,12 +1322,16 @@ def run_grid(
         trace_path.mkdir(parents=True, exist_ok=True)
         trace_dir = str(trace_path)
 
+    # Each spec is hashed once per grid; every later use takes its key
+    # from here.
+    hashes = [spec.content_hash() for spec in specs]
+
     pending: list[int] = []
     labels: dict[int, list[str]] = {}
     for index, spec in enumerate(specs):
-        labels[index] = _poison_cache_entries(spec, cache)
+        labels[index] = _poison_cache_entries(spec, cache, hashes[index])
         if cache is not None:
-            hit = cache.get(spec.content_hash())
+            hit = cache.get(hashes[index])
             if hit is not None:
                 outcomes[index] = JobResult(
                     spec=spec,
@@ -1309,7 +1346,7 @@ def run_grid(
     # Cells replaying one encoded stream run back to back, groups in
     # order of first occurrence (outcomes key on the original index):
     # a worker's stream cache then serves a whole group, and its cells
-    # share one parse memo.  A grid of distinct keys keeps its order.
+    # share one group scope.  A grid of distinct keys keeps its order.
     keys = [
         encode_content_hash(specs[index]) if stream_cache is not None else None
         for index in pending
@@ -1323,7 +1360,7 @@ def run_grid(
 
     def note_attempt(index: int) -> None:
         labels[index].extend(
-            _attempt_labels(specs[index], attempts[index])
+            _attempt_labels(specs[index], attempts[index], hashes[index])
         )
 
     def finish(index: int, ok: bool, payload: object, elapsed: float) -> None:
@@ -1345,7 +1382,7 @@ def run_grid(
     def should_retry(index: int, ok: bool) -> bool:
         if ok or attempts[index] >= max_attempts:
             return False
-        time.sleep(retry_delay(attempts[index], specs[index].content_hash()))
+        time.sleep(retry_delay(attempts[index], hashes[index]))
         attempts[index] += 1
         note_attempt(index)
         return True
@@ -1359,7 +1396,7 @@ def run_grid(
         return results
 
     def run_serial() -> list[Union[JobResult, JobFailure]]:
-        for position, parse_memo in _parse_memo_scopes(keys):
+        for position, scope in _group_scopes(keys):
             index = pending[position]
             note_attempt(index)
             while True:
@@ -1369,13 +1406,14 @@ def run_grid(
                     attempts[index],
                     False,
                     stream_cache,
-                    parse_memo,
+                    scope,
+                    hashes[index],
                 )
                 if not should_retry(index, ok):
                     break
             finish(index, ok, payload, elapsed)
             if ok and cache is not None:
-                cache.put(specs[index].content_hash(), payload)
+                cache.put(hashes[index], payload)
         return collect()
 
     if workers <= 1:
@@ -1406,14 +1444,18 @@ def run_grid(
         else None
     )
 
+    encode_keys = dict(zip(pending, keys))
+
     def submit(chunk: list[int]) -> tuple[list[int], concurrent.futures.Future]:
         future = executor.submit(
             _execute_chunk,
-            [(specs[index], attempts[index]) for index in chunk],
+            [
+                (specs[index], attempts[index], hashes[index], encode_keys[index])
+                for index in chunk
+            ],
             trace_dir,
             cache_dir,
             stream_dir,
-            stream_cache is not None,
         )
         return chunk, future
 

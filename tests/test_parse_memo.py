@@ -13,8 +13,8 @@ things that sharing rests on:
   and no seed is stored for bytes an encode-stage fault altered;
 * a grid gives identical results and decoder counters with stream
   sharing (and so parse reuse) on and off, serially and pooled;
-* the runner gives every encode group its own memo, seeded before the
-  group's first decode, and none survives
+* the runner gives every encode group its own scope and memo, seeded
+  before the group's first decode, and none survives
   :func:`~repro.sim.runner.run_grid`.
 """
 
@@ -393,9 +393,9 @@ def memo_spy(monkeypatch):
     seen: list = []
     original = runner.run_job
 
-    def spy(spec, stream_cache=None, parse_memo=None):
-        seen.append((spec, parse_memo))
-        return original(spec, stream_cache, parse_memo)
+    def spy(spec, stream_cache=None, group=None):
+        seen.append((spec, group.parse_memo if group is not None else None))
+        return original(spec, stream_cache, group)
 
     monkeypatch.setattr(runner, "run_job", spy)
     return seen
@@ -406,9 +406,9 @@ class TestMemoScope:
         seeded_at_decode: list[int] = []
         transmit = runner.transmit_phase
 
-        def spy(*args, parse_memo=None, **kwargs):
-            seeded_at_decode.append(len(parse_memo))
-            return transmit(*args, parse_memo=parse_memo, **kwargs)
+        def spy(*args, group=None, **kwargs):
+            seeded_at_decode.append(len(group.parse_memo))
+            return transmit(*args, group=group, **kwargs)
 
         monkeypatch.setattr(runner, "transmit_phase", spy)
         grid = [
@@ -460,8 +460,11 @@ class TestMemoScope:
 
     def test_pooled_chunk_groups_cells_in_the_worker(self, memo_spy):
         grid = fleet_grid()[:12]
-        cells = [(spec, 1) for spec in grid]
-        outcomes = runner._execute_chunk(cells, None, None, None, True)
+        cells = [
+            (spec, 1, spec.content_hash(), runner.encode_content_hash(spec))
+            for spec in grid
+        ]
+        outcomes = runner._execute_chunk(cells, None, None, None)
         assert all(ok for ok, _, _ in outcomes)
         # Outcomes stay aligned with the chunk's own order.
         digests = [session_result_digest(result) for _, result, _ in outcomes]
@@ -481,14 +484,23 @@ def test_trace_counts_parsed_and_reused_fragments(tmp_path):
     )
     trace = load_trace(tmp_path / "clean" / "trace.jsonl")
     counters = trace.metrics.snapshot()["counters"]
-    # Every fragment a clean grid delivers replays its encoder seed.
+    # Every fragment a clean grid delivers either replays its encoder
+    # seed or belongs to a frame replayed from the group's lossless
+    # prefix, which skips the decoder altogether.
     decoded = sum(
         frame.packets_sent - frame.packets_lost
         for outcome in outcomes
         for frame in outcome.result.frames
     )
+    replayed = [
+        span for span in trace.spans
+        if span.name == "decode_frame" and span.counters.get("replayed")
+    ]
+    assert counters["decoder.frames_replayed"] == len(replayed) > 0
     assert counters.get("decoder.fragments_parsed", 0) == 0
-    assert counters["decoder.fragments_reused"] == decoded > 0
+    assert counters["decoder.fragments_reused"] + sum(
+        span.counters["fragments"] for span in replayed
+    ) == decoded > 0
     # Damaged fragments miss the seeds and are parsed for real.
     run_grid(
         grid[-1:], runner_options(jobs=1, trace_dir=tmp_path / "corrupted")

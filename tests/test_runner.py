@@ -7,8 +7,10 @@ import pickle
 
 import pytest
 
+from repro.codec.rate import RateControlConfig
 from repro.codec.types import CodecConfig
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.scenarios.pack import load_pack
 from repro.service.wire import session_result_digest
 from repro.sim.pipeline import SimulationConfig
 from repro.sim.runner import (
@@ -21,6 +23,7 @@ from repro.sim.runner import (
     ResultCache,
     RunnerOptions,
     build_grid,
+    encode_content_hash,
     grid_manifest,
     load_manifest,
     retry_delay,
@@ -82,6 +85,91 @@ class TestStableHash:
     def test_unhashable_type_rejected(self):
         with pytest.raises(TypeError):
             stable_hash({"oops": object()})
+
+
+#: Result-cache and stream-cache keys of representative specs, as the
+#: on-disk caches have them.  A change here orphans every cached entry
+#: of that kind, so it must come with a schema-version bump.
+PINNED_KEYS = {
+    "plain": (
+        "0e84f6da7e3b6aed06681da4b143c7b1939d4c8c67ef59e701363ddb990ff61e",
+        "f1eea5dbe5ec3696ebbdde25bd4aa8a565a716d70d9fccd9bd940f664e524116",
+    ),
+    "pbpair_kwargs": (
+        "48ea9e0142a238a03de902394006b7ef4ee431fee8bbde2c5e0bb566339f8f4b",
+        "56dc873eb5146b56648d1c9ad375132b20828dbf4f590fc3e4ed5edd6e01eb70",
+    ),
+    "scenario": (
+        "c08a0ef0a8d971ef3d2da782c8815dee7a816d8a15496f6e86fdfc9fc4178c99",
+        "88bc401e26276ad145274a03da893fb8f442771c2c83ba0d541ee512361f4906",
+    ),
+    "faults": (
+        "cfddd93181a0c064fdeb5f7039cd2406a8986b7f8d8247df06b8306cdd5ebca2",
+        "2552c955fbccabfb55626adacf613ddc53b8fc4b4cd9c3377c64e39d0da632f2",
+    ),
+    "synthetic": (
+        "5957e6a45cb1b6137222400e24918b15a879bad51da49e1b7ad5b1191d0b4995",
+        "8891ab2df0eedbd1ab41e46461c2e0838eb7798c5f14fbb8e2bd76cc2ffb767b",
+    ),
+    "rate": (
+        "c27f4550fdc5c7cb4aba3409671bfebf0e8031d762ae516b2590a1beae84fdb5",
+        "cab70773236defaac1d211205523a991034763947c770865fe28581f75590115",
+    ),
+}
+
+
+def pinned_specs() -> dict[str, JobSpec]:
+    return {
+        "plain": JobSpec(scheme="NO", n_frames=4),
+        "pbpair_kwargs": JobSpec(
+            scheme="PBPAIR",
+            plr=0.2,
+            channel_seed=3,
+            n_frames=4,
+            pbpair_kwargs={"intra_th": 0.9, "max_refresh_per_frame": 5},
+        ),
+        "scenario": JobSpec(
+            scheme="GOP-3",
+            sequence="akiyo",
+            n_frames=4,
+            channel_seed=1,
+            scenario=load_pack("bursty-wifi"),
+        ),
+        "faults": JobSpec(
+            scheme="AIR-24",
+            n_frames=4,
+            faults=FaultPlan(
+                faults=(
+                    FaultSpec(kind="byteflip", probability=0.5, amount=2),
+                    FaultSpec(
+                        kind="encode_byteflip", probability=1.0, frames=(2,)
+                    ),
+                ),
+                seed=5,
+            ),
+        ),
+        "synthetic": JobSpec(
+            scheme="PGOP-3",
+            sequence="tiny",
+            synthetic=dataclasses.replace(TINY_CLIP, n_frames=6),
+            config=SimulationConfig(codec=small_config(), mtu=96),
+        ),
+        "rate": JobSpec(
+            scheme="NO",
+            sequence="akiyo",
+            n_frames=4,
+            rate=RateControlConfig(target_kbps=60.0),
+        ),
+    }
+
+
+class TestPinnedCacheKeys:
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_cache_keys_do_not_move(self, name):
+        spec = pinned_specs()[name]
+        assert (spec.content_hash(), encode_content_hash(spec)) == PINNED_KEYS[
+            name
+        ]
 
 
 class TestJobSpec:
@@ -263,6 +351,19 @@ class TestRunGrid:
         assert cache.hits == 2
         for a, b in zip(first, second):
             assert a.result.frames == b.result.frames
+
+    def test_each_spec_is_hashed_once_per_grid(self, tmp_path, monkeypatch):
+        hashed = []
+        content_hash = JobSpec.content_hash
+
+        def counting(spec):
+            hashed.append(spec)
+            return content_hash(spec)
+
+        monkeypatch.setattr(JobSpec, "content_hash", counting)
+        cache = ResultCache(tmp_path)
+        run_grid(self.GRID, runner_options(jobs=1), cache=cache)
+        assert len(hashed) == len(self.GRID)
 
     def test_cache_only_covers_matching_specs(self, tmp_path):
         cache = ResultCache(tmp_path)
