@@ -18,9 +18,17 @@ the same run, from the codec's own oracles:
   reader: it is not an entropy-only speedup.
 
 The two sides alternate within each run, so host speed and load cancel
-out of the gated ratio ``combined_encode_decode_speedup``.  The baseline
-must reproduce the word-level bytes and frames exactly, or the record
-is not written.
+out of the ratio ``combined_encode_decode_speedup``; it is recorded,
+not gated, because it still spreads with the host (3.30–4.67 over seven
+runs of one 2-vCPU VM).  The baseline must reproduce the word-level
+bytes and frames exactly, or the record is not written.
+
+The gate is an exact count instead: ``codewords_per_writer_call``, the
+VLC codewords the encoder's macroblock layer emits over the whole clip
+per ``BitWriter`` call it makes there (``write_bits`` plus
+``write_codewords``).  The word-level writer packs a frame's layer in
+one call; a writer that falls back to one ``write_bits`` per codeword
+drops the ratio to about 1, on any host.
 
 Two entry points:
 
@@ -48,9 +56,11 @@ from repro.api import (
     Decoder,
     Encoder,
     Packetizer,
+    Tracer,
     decode_frame_scalar,
     foreman_like,
     make_strategy,
+    use_tracer,
 )
 
 try:
@@ -99,6 +109,39 @@ def _decode(config: CodecConfig, packets, bit_serial: bool):
         reference = result.frame
         frames.append(result.frame)
     return frames, time.perf_counter() - start
+
+
+def count_writer_calls(n_frames: int = N_FRAMES) -> dict:
+    """VLC codewords and ``BitWriter`` calls of the encoder's macroblock
+    layer (its ``entropy_code`` spans) over one word-level encode of
+    the clip: exact and host-independent."""
+    tracer = Tracer()
+
+    def counted(method):
+        def wrapper(self, *args):
+            tracer.count(writer_calls=1)  # lands on the innermost span
+            return method(self, *args)
+
+        return wrapper
+
+    with (
+        use_tracer(tracer),
+        mock.patch.object(BitWriter, "write_bits", counted(BitWriter.write_bits)),
+        mock.patch.object(
+            BitWriter, "write_codewords", counted(BitWriter.write_codewords)
+        ),
+    ):
+        Encoder(CodecConfig(), make_strategy("NO")).encode_sequence(
+            foreman_like(n_frames=n_frames)
+        )
+    layer = [r.counters for r in tracer.records if r.name == "entropy_code"]
+    return {
+        name: int(sum(counters.get(key, 0) for counters in layer))
+        for name, key in (
+            ("codewords", "vlc_codewords"),
+            ("writer_calls", "writer_calls"),
+        )
+    }
 
 
 def measure(n_frames: int = N_FRAMES, runs: int = 5) -> dict:
@@ -163,6 +206,7 @@ def measure(n_frames: int = N_FRAMES, runs: int = 5) -> dict:
 
 def build_report(n_frames: int = N_FRAMES, runs: int = 5) -> dict:
     measured = measure(n_frames=n_frames, runs=runs)
+    counts = count_writer_calls(n_frames=n_frames)
     return make_record(
         "entropy_hot_path",
         workload={
@@ -171,20 +215,28 @@ def build_report(n_frames: int = N_FRAMES, runs: int = 5) -> dict:
             "scheme": "NO",
             "resolution": "176x144",
         },
-        gated={"combined_encode_decode_speedup": {"tolerance": 0.25}},
+        gated={"codewords_per_writer_call": {"tolerance": 0}},
         runs=runs,
+        macroblock_layer=counts,
+        codewords_per_writer_call=round(
+            counts["codewords"] / counts["writer_calls"], 3
+        ),
         before_bit_serial=measured["before_bit_serial"],
         after_word_level=measured["after_word_level"],
         combined_encode_decode_speedup=measured[
             "combined_encode_decode_speedup"
         ],
         note=(
-            "combined_encode_decode_speedup is gated: the bit-serial "
-            "encode+decode time over the word-level one, both measured "
-            "in the same run, alternating.  The bit-serial writer "
-            "appends each codeword with one BitWriter.write_bits call; "
-            "the decode baseline is reference.decode_frame_scalar, the "
-            "fully scalar decoder including its per-block "
+            "codewords_per_writer_call is gated exactly: the VLC "
+            "codewords the encoder's macroblock layer emits over the "
+            "clip per BitWriter call (write_bits plus write_codewords) "
+            "it makes there, a count that is the same on every host.  "
+            "combined_encode_decode_speedup is recorded, not gated: the "
+            "bit-serial encode+decode time over the word-level one, "
+            "both measured in the same run, alternating.  The bit-serial "
+            "writer appends each codeword with one BitWriter.write_bits "
+            "call; the decode baseline is reference.decode_frame_scalar, "
+            "the fully scalar decoder including its per-block "
             "dequantization, IDCT and prediction, so the ratio is not "
             "an entropy-only speedup.  Both reproduce the word-level "
             "bytes and frames exactly"
@@ -199,6 +251,9 @@ def test_entropy_report_smoke():
     assert after["encode_s"] > 0 and after["decode_s"] > 0
     assert report["before_bit_serial"]["encode_s"] > 0
     assert report["combined_encode_decode_speedup"] > 1.0
+    layer = report["macroblock_layer"]
+    assert layer["writer_calls"] == 4  # one write_codewords per frame
+    assert report["codewords_per_writer_call"] > 100
 
 
 def main(argv=None) -> int:

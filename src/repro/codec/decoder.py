@@ -44,6 +44,7 @@ from repro.codec.syntax import (
 )
 from repro.codec.types import CodecConfig, FrameType, MacroblockMode
 from repro.codec.blocks import blocks_to_macroblocks, gather_blocks
+from repro.codec.halfpel import predict_half
 from repro.energy.counters import OperationCounters
 from repro.obs.tracer import get_tracer
 
@@ -402,24 +403,14 @@ class Decoder:
         """Every inter macroblock's 16x16 prediction, gathered at once.
 
         Full-pel vectors gather the displaced block directly; half-pel
-        vectors average the up to four blocks around the half-pel point
-        with H.263's rounding, ``(a + b + c + d + 2) >> 2``, which is
-        the one- and two-tap average when a fractional part is zero.
+        vectors go through :func:`~repro.codec.halfpel.predict_half`,
+        the encoder's kernel too.
         """
         assert reference is not None
         top, left = rows * 16, cols * 16
         if not self.config.half_pel:
             return gather_blocks(reference, top + mv[:, 0], left + mv[:, 1], 16)
-        top, left = top + (mv[:, 0] >> 1), left + (mv[:, 1] >> 1)
-        fy, fx = mv[:, 0] & 1, mv[:, 1] & 1
-        reference = reference.astype(np.int64)
-        return (
-            gather_blocks(reference, top, left, 16)
-            + gather_blocks(reference, top, left + fx, 16)
-            + gather_blocks(reference, top + fy, left, 16)
-            + gather_blocks(reference, top + fy, left + fx, 16)
-            + 2
-        ) >> 2
+        return predict_half(reference, top, left, mv)
 
 
 #: Macroblock modes indexed by the intra flag.

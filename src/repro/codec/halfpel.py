@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.codec.blocks import MB
+from repro.codec.blocks import MB, gather_blocks
 
 
 def halfpel_to_pixels(mvs_half: np.ndarray) -> np.ndarray:
@@ -74,6 +74,29 @@ def fetch_block_half(
     return _average_window(window, fy, fx)
 
 
+def predict_half(
+    reference: np.ndarray, top: np.ndarray, left: np.ndarray, mv: np.ndarray
+) -> np.ndarray:
+    """The ``(n, 16, 16)`` int16 predictions of the macroblocks at pixel
+    ``(top, left)`` displaced by the half-pel vectors ``mv`` (``(n, 2)``).
+
+    One 17x17 window per macroblock is gathered, and its four 16x16
+    sub-windows are averaged as ``(a + b + c + d + 2) >> 2``.  Where a
+    fractional part is zero the shifted window is the unshifted one, so
+    the same sum gives the two-tap ``(a + b + 1) >> 1`` and the plain
+    pixel.  Coordinates past the frame clamp to its border, as edge
+    padding does.
+    """
+    fy = (mv[:, 0] & 1).astype(bool)[:, None, None]
+    fx = (mv[:, 1] & 1).astype(bool)[:, None, None]
+    window = gather_blocks(
+        reference, top + (mv[:, 0] >> 1), left + (mv[:, 1] >> 1), MB + 1
+    ).astype(np.int16)
+    pairs = window[:, :, :MB] + np.where(fx, window[:, :, 1:], window[:, :, :MB])
+    quads = pairs[:, :MB] + np.where(fy, pairs[:, 1:], pairs[:, :MB])
+    return (quads + 2) >> 2
+
+
 def motion_compensate_half(
     reference: np.ndarray, mvs_half: np.ndarray
 ) -> np.ndarray:
@@ -82,22 +105,18 @@ def motion_compensate_half(
     mb_rows, mb_cols = height // MB, width // MB
     if mvs_half.shape != (mb_rows, mb_cols, 2):
         raise ValueError(f"motion field shape {mvs_half.shape} mismatches frame")
-    pad = int(np.abs(mvs_half).max() // 2 + 2) if mvs_half.size else 2
-    padded = np.pad(reference.astype(np.int64), pad, mode="edge")
-    prediction = np.empty((height, width), dtype=np.int64)
-    for row in range(mb_rows):
-        for col in range(mb_cols):
-            block = fetch_block_half(
-                padded,
-                pad,
-                row * MB,
-                col * MB,
-                (int(mvs_half[row, col, 0]), int(mvs_half[row, col, 1])),
-            )
-            prediction[row * MB : (row + 1) * MB, col * MB : (col + 1) * MB] = (
-                block
-            )
-    return prediction
+    rows, cols = np.indices((mb_rows, mb_cols))
+    blocks = predict_half(
+        reference,
+        rows.ravel() * MB,
+        cols.ravel() * MB,
+        np.asarray(mvs_half, dtype=np.int64).reshape(-1, 2),
+    )
+    return (
+        blocks.reshape(mb_rows, mb_cols, MB, MB)
+        .transpose(0, 2, 1, 3)
+        .reshape(height, width)
+    )
 
 
 def refine_half_pel(

@@ -24,7 +24,8 @@ Routes (all under the versioned ``/v1`` prefix)::
     GET  /v1/summary       FleetSummary percentiles per session class
     GET  /v1/manifest      ServiceManifest (every submission accounted)
     GET  /v1/metrics       obs MetricsRegistry snapshot, plus the
-                           queue's service.queue.records_read
+                           queue's service.queue.records_read and
+                           service.queue.file_ops.<op> counters
     POST /v1/drain         stop accepting, finish the backlog
     POST /v1/shutdown      drain bypass: write the manifest and exit
 
@@ -454,9 +455,10 @@ class EncodeDaemon:
             return 200, {}, _json_bytes(self.manifest().to_json())
         if path == "/v1/metrics" and method == "GET":
             snapshot = self.metrics.snapshot()
-            snapshot["counters"]["service.queue.records_read"] = (
-                self.queue.records_read
-            )
+            counters = snapshot["counters"]
+            counters["service.queue.records_read"] = self.queue.records_read
+            for op, count in self.queue.file_ops.items():
+                counters[f"service.queue.file_ops.{op}"] = count
             return (
                 200,
                 {},

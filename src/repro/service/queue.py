@@ -1,22 +1,21 @@
 """Persistent on-disk job queue with CAS claims and lease recovery.
 
-The durability story of the streaming session service: every job the
-daemon accepts becomes a JSON file under ``<dir>/jobs/`` the moment the
-submit call returns, and every lifecycle transition rewrites that file
-atomically (tempfile + rename, the :class:`~repro.sim.runner.ResultCache`
-discipline).  Kill the daemon at any point and reopen the directory:
-nothing submitted is lost, running jobs fall back to ``pending`` when
-their leases expire, and terminal jobs stay terminal.
+The durability story of the streaming session service.  A queue
+directory holds three things:
 
-Claiming is *compare-and-swap*, not locking: a worker claims job ``J``
-by creating ``<dir>/claims/J.claim`` with ``O_CREAT | O_EXCL`` — the
-filesystem guarantees exactly one creator wins, however many workers
-(threads *or* processes) race for the same job.  The claim file carries
-the owner and a lease deadline; a worker that crashes or hangs simply
-stops renewing its lease, and :meth:`JobQueue.release_stale` (the
-reaper) returns the job to ``pending`` — or to ``quarantined`` once its
-fail count exhausts the budget, so a poison job cannot churn the fleet
-forever.
+* ``jobs/<id>.json`` — the job's :class:`JobSubmit` plus its ``seq``
+  and ``submitted_at``, written once when ``submit`` is called and never
+  rewritten.  It is created with ``O_CREAT | O_EXCL``, so the create is
+  also the duplicate-id check.
+* ``claims/<id>.claim`` — the claim: its ``O_CREAT | O_EXCL`` create is
+  the compare-and-swap (exactly one creator wins, however many threads
+  or processes race).  It carries the owner and a lease deadline; a
+  worker that crashes or hangs stops renewing it, and the reaper
+  (:meth:`JobQueue.release_stale`) returns the job to ``pending``, or
+  to ``quarantined`` once its fail count exhausts the budget.
+* ``journal.jsonl`` — the only mutable state.  After a format header,
+  every transition (submit, claim, complete, requeue, quarantine,
+  lease expiry) appends one line carrying the job's full status.
 
 States and transitions::
 
@@ -33,20 +32,24 @@ wall clock, so equal-timestamp submissions still claim in FIFO order).
 
 Backpressure: ``submit`` raises :class:`QueueFull` once the pending
 backlog reaches ``max_pending``; the daemon maps that to HTTP 429 with
-a ``Retry-After`` derived from the recent drain rate.
+a ``Retry-After`` derived from the lease.
 
-Every transition also lands in ``<dir>/journal.jsonl`` — an append-only
-JSONL stream (schema-versioned header line first) whose events carry
-the job's absolute state.  It is the queue's cross-process index: a
-:class:`JobQueue` keeps each job's state, the per-state counts and the
-claim index in memory, updates them itself on its own transitions, and
-learns every other process's transitions by tailing the journal from
-the byte offset it last read (:func:`read_journal` with a
-:class:`JournalCursor`).  So counting and claiming cost O(new
-transitions), not a read of every job record ever submitted; the
-records are scanned in full only when a queue opens, when the tail
-meets a line it cannot decode, and for :meth:`JobQueue.statuses`.  The
-same reader rebuilds each job's latest state offline, without the
+A :class:`JobQueue` keeps the fold of the journal in memory: each job's
+latest status, the per-state counts and the sorted claim index.  It
+updates the fold on its own transitions and learns every other
+process's by tailing the journal from the byte offset it last read,
+so ``get``, ``statuses``, ``counts``, ``depth`` and claiming read
+memory.  Opening
+a queue replays the journal and then lists ``jobs/`` for submit files
+that have no journal line (a submitter killed between its create and
+its append).  A job's submit file is read only to learn the spec of a
+job this process did not submit, once, when it claims it.
+
+The ordering rule: ``complete``, ``fail`` and the reaper append their
+journal line *before* unlinking the claim file.  So a claimant whose
+CAS wins finds, on its next journal tail, every transition that ended
+the previous claim, and a stale fold never runs a finished job again.
+The same reader rebuilds each job's latest state offline, without the
 daemon running (``repro status --journal``).
 """
 
@@ -58,8 +61,9 @@ import os
 import threading
 import time
 import uuid
+import weakref
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Union
 
@@ -76,6 +80,11 @@ from repro.service.wire import (
 
 #: File name of the append-only transition journal inside a queue dir.
 JOURNAL_NAME = "journal.jsonl"
+
+#: The journal header's layout marker.  The first layout
+#: (``repro-service-journal``) kept a rewritten record per job beside
+#: the journal; queues in it are refused, not migrated.
+JOURNAL_FORMAT = "repro-service-journal/2"
 
 
 class QueueFull(RuntimeError):
@@ -96,13 +105,19 @@ class ClaimLost(RuntimeError):
 
 @dataclass(frozen=True)
 class JobRecord:
-    """One job's durable state (the content of ``jobs/<id>.json``)."""
+    """One job's status, as one journal line carries it.
+
+    ``submit`` rides along only on the records :meth:`JobQueue.submit`
+    and :meth:`JobQueue.claim_batch` return; it is not part of the
+    status, so it takes no part in equality.
+    """
 
     job_id: str
-    submit: JobSubmit
     state: str = "pending"
     seq: int = 0
-    version: int = 0
+    priority: int = 0
+    session_class: str = "standard"
+    content_hash: str = ""
     attempts: int = 0
     fail_count: int = 0
     owner: Optional[str] = None
@@ -110,6 +125,7 @@ class JobRecord:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     error: Optional[str] = None
+    submit: Optional[JobSubmit] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.state not in JOB_STATES:
@@ -122,78 +138,42 @@ class JobRecord:
         return self.state in TERMINAL_STATES
 
     @property
-    def priority(self) -> int:
-        return self.submit.priority
-
-    @property
     def claim_key(self) -> tuple[int, int, str]:
         """Sort key of the claim order: priority first, then FIFO."""
         return (-self.priority, self.seq, self.job_id)
 
     def status(self) -> JobStatus:
         """The wire-format snapshot of this record."""
-        return JobStatus(
-            job_id=self.job_id,
-            state=self.state,
-            priority=self.submit.priority,
-            session_class=self.submit.session_class,
-            content_hash=self.submit.spec.content_hash(),
-            attempts=self.attempts,
-            fail_count=self.fail_count,
-            owner=self.owner,
-            submitted_at=self.submitted_at,
-            started_at=self.started_at,
-            finished_at=self.finished_at,
-            error=self.error,
-            from_cache=self.state == "cached",
-        )
+        status = self.to_json()
+        del status["seq"]
+        return JobStatus(**status, from_cache=self.state == "cached")
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": WIRE_SCHEMA_VERSION,
-            "job_id": self.job_id,
-            "submit": self.submit.to_json(),
-            "state": self.state,
-            "seq": self.seq,
-            "version": self.version,
-            "attempts": self.attempts,
-            "fail_count": self.fail_count,
-            "owner": self.owner,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "error": self.error,
-        }
+        return {name: getattr(self, name) for name in _STATUS_FIELDS}
 
     @classmethod
     def from_json(cls, record: Mapping[str, Any]) -> "JobRecord":
-        check_schema(record, "JobRecord")
-        return cls(
-            job_id=record["job_id"],
-            submit=JobSubmit.from_json(record["submit"]),
-            state=record["state"],
-            seq=int(record.get("seq", 0)),
-            version=int(record.get("version", 0)),
-            attempts=int(record.get("attempts", 0)),
-            fail_count=int(record.get("fail_count", 0)),
-            owner=record.get("owner"),
-            submitted_at=float(record.get("submitted_at", 0.0)),
-            started_at=record.get("started_at"),
-            finished_at=record.get("finished_at"),
-            error=record.get("error"),
-        )
+        return cls(**{name: record[name] for name in _STATUS_FIELDS})
+
+
+#: What a journal line carries: every JobRecord field but the submit.
+_STATUS_FIELDS = tuple(f.name for f in fields(JobRecord) if f.name != "submit")
 
 
 class JobQueue:
     """The persistent queue; see the module docstring for the protocol.
 
-    Thread-safe within a process (one lock around every in-memory
-    update and transition) and safe across processes for the
-    operations that race in practice — claims (O_EXCL), record writes
-    (atomic rename) and journal appends (``O_APPEND``).
+    Thread-safe within a process (one lock around the fold and every
+    transition) and safe across processes for the operations that race
+    in practice: submit files and claims (``O_EXCL``) and journal
+    appends (``O_APPEND``).
 
-    ``records_read`` counts job-record reads, the cost the in-memory
-    index exists to avoid; ``clock`` is injectable so lease-expiry
+    ``file_ops`` counts the queue's file operations at their one helper
+    each: ``create``, ``append``, ``read``, ``unlink`` and ``replace``
+    on the submit/claim/complete/fail path, and the same names prefixed
+    ``heartbeat.`` or ``reaper.`` for lease upkeep, whose count depends
+    on wall time.  ``records_read`` counts submit-file reads, the cost
+    the fold exists to avoid.  ``clock`` is injectable so lease-expiry
     tests do not sleep.
     """
 
@@ -221,27 +201,74 @@ class JobQueue:
         self.max_fails = max_fails
         self.clock = clock
         self.records_read = 0
+        self.file_ops: Counter = Counter()
+        self._scope = ""
         self._lock = threading.Lock()
         self._journal_path = self.directory / JOURNAL_NAME
-        if not self._journal_path.exists():
-            self._append_journal(
-                {
-                    "type": "header",
-                    "schema_version": WIRE_SCHEMA_VERSION,
-                    "format": "repro-service-journal",
-                }
-            )
-        # In-memory state, set by this instance's own transitions and
-        # by _sync() replaying other processes' before each count or
-        # claim: _states (job id -> state), _counts (per-state totals),
-        # _keys (job id -> claim_key) and _pending_index, the sorted
-        # claim keys of pending jobs.  A job whose claim CAS was lost
-        # leaves the index but stays pending; its next journal event,
-        # or the reaper removing an orphan claim, re-indexes it.
+        flags = os.O_WRONLY | os.O_APPEND
+        try:
+            fd = os.open(self._journal_path, flags | os.O_CREAT | os.O_EXCL, 0o644)
+        except FileExistsError:
+            fd = os.open(self._journal_path, flags)
+        else:
+            header = {"schema_version": WIRE_SCHEMA_VERSION, "format": JOURNAL_FORMAT}
+            os.write(fd, _line({"type": "header", **header}))
+        self._journal_fd = fd
+        weakref.finalize(self, os.close, fd)
+        # The fold: _jobs (job id -> latest JobRecord, no submit),
+        # _counts (per-state totals) and _pending_index, the sorted claim
+        # keys of pending jobs.  _submits keeps the JobSubmit of each
+        # pending job this instance submitted, until it is claimed.  A
+        # job whose claim CAS was lost leaves the index but stays
+        # pending; its next journal event, or the reaper removing an
+        # orphan claim, re-indexes it.
         self._seq = 0
-        self._resync()
+        self._submits: dict[str, JobSubmit] = {}
+        self._sync(rebuild=True)
 
-    # -- storage primitives -------------------------------------------------
+    # -- file operations, each counted at its one helper --------------------
+
+    def _count(self, op: str) -> None:
+        self.file_ops[self._scope + op] += 1
+
+    def _create(self, path: Path, payload: bytes) -> bool:
+        """Create ``path`` holding ``payload``; False when it exists."""
+        self._count("create")
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+        except FileExistsError:
+            return False
+        try:
+            os.write(fd, payload)
+        finally:
+            os.close(fd)
+        return True
+
+    def _append(self, record: JobRecord, event: str) -> None:
+        """Append one transition line; the journal is the only state."""
+        self._count("append")
+        line = _line(
+            {"type": "event", "event": event, **record.to_json(), "ts": self.clock()}
+        )
+        os.write(self._journal_fd, line)
+        # Nothing between the offset and this line: skip re-reading it.
+        end = os.lseek(self._journal_fd, 0, os.SEEK_CUR)
+        if end - len(line) == self._offset:
+            self._offset = end
+
+    def _read(self, path: Path) -> bytes:
+        self._count("read")
+        return path.read_bytes()
+
+    def _unlink(self, path: Path) -> None:
+        self._count("unlink")
+        path.unlink(missing_ok=True)
+
+    def _replace(self, path: Path, payload: bytes) -> None:
+        self._count("replace")
+        write_atomic(path, lambda handle: handle.write(payload))
+
+    # -- storage ------------------------------------------------------------
 
     def _job_path(self, job_id: str) -> Path:
         return self.jobs_dir / f"{job_id}.json"
@@ -249,106 +276,70 @@ class JobQueue:
     def _claim_path(self, job_id: str) -> Path:
         return self.claims_dir / f"{job_id}.claim"
 
-    def _write_record(self, record: JobRecord) -> None:
-        data = json.dumps(record.to_json(), separators=(",", ":")) + "\n"
-        write_atomic(
-            self._job_path(record.job_id),
-            lambda handle: handle.write(data.encode("utf-8")),
-        )
-
     def _read_record(self, job_id: str) -> JobRecord:
+        """A job's submit file, as its pending record with the submit."""
         self.records_read += 1
         path = self._job_path(job_id)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = json.loads(self._read(path))
+            check_schema(data, "job submit file")
+            submit = JobSubmit.from_json(data["submit"])
+            return JobRecord(
+                job_id=job_id,
+                seq=int(data["seq"]),
+                priority=submit.priority,
+                session_class=submit.session_class,
+                content_hash=submit.spec.content_hash(),
+                submitted_at=float(data["submitted_at"]),
+                submit=submit,
+            )
         except FileNotFoundError:
             raise KeyError(f"no such job: {job_id}") from None
-        try:
-            return JobRecord.from_json(json.loads(text))
-        except (json.JSONDecodeError, WireFormatError, KeyError) as error:
+        except (ValueError, WireFormatError, KeyError, TypeError) as error:
             raise WireFormatError(
-                f"corrupt job record {path}: {error}"
+                f"corrupt job submit file {path}: {error}"
             ) from error
-
-    def _append_journal(self, record: Mapping[str, Any]) -> None:
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        with open(self._journal_path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-
-    def _journal_transition(self, record: JobRecord, event: str) -> None:
-        self._append_journal(
-            {
-                "type": "event",
-                "event": event,
-                "job_id": record.job_id,
-                "state": record.state,
-                "session_class": record.submit.session_class,
-                "priority": record.submit.priority,
-                "attempts": record.attempts,
-                "fail_count": record.fail_count,
-                "owner": record.owner,
-                "ts": self.clock(),
-            }
-        )
-
-    # -- CAS primitives -----------------------------------------------------
-
-    def _try_claim_file(
-        self, job_id: str, owner: str, expires_at: float
-    ) -> bool:
-        """The compare-and-swap: exactly one O_EXCL creator wins."""
-        payload = json.dumps(
-            {"owner": owner, "expires_at": expires_at},
-            separators=(",", ":"),
-        )
-        try:
-            fd = os.open(
-                self._claim_path(job_id),
-                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                0o644,
-            )
-        except FileExistsError:
-            return False
-        try:
-            os.write(fd, payload.encode("utf-8"))
-        finally:
-            os.close(fd)
-        return True
 
     def _read_claim(self, job_id: str) -> Optional[dict]:
         try:
-            return json.loads(
-                self._claim_path(job_id).read_text(encoding="utf-8")
-            )
-        except (OSError, json.JSONDecodeError):
+            return json.loads(self._read(self._claim_path(job_id)))
+        except (OSError, ValueError):
             return None
 
     def _owns_claim(self, job_id: str, owner: str) -> bool:
         claim = self._read_claim(job_id)
         return claim is not None and claim.get("owner") == owner
 
-    def _release_claim(self, job_id: str) -> None:
-        self._claim_path(job_id).unlink(missing_ok=True)
+    def _claim_payload(self, owner: str, expires_at: float) -> bytes:
+        return json.dumps(
+            {"owner": owner, "expires_at": expires_at}, separators=(",", ":")
+        ).encode("utf-8")
 
-    # -- in-memory state ----------------------------------------------------
+    # -- the fold -----------------------------------------------------------
 
-    def _track(self, record: JobRecord) -> None:
-        """Account one of this instance's own transitions in memory."""
-        self._keys.setdefault(record.job_id, record.claim_key)
-        self._set_state(record.job_id, record.state)
+    def _transition(self, record: JobRecord, event: str) -> JobRecord:
+        """One of this instance's transitions: journal line, then fold."""
+        self._append(record, event)
+        self._apply(record)
+        return record
 
-    def _set_state(self, job_id: str, state: str) -> None:
-        """Move ``job_id`` to ``state`` in the counts and claim index."""
-        previous = self._states.get(job_id)
+    def _apply(self, record: JobRecord) -> None:
+        """Fold one job's latest status into memory."""
+        job_id, state = record.job_id, record.state
+        previous = self._jobs.get(job_id)
         if previous is not None:
-            self._counts[previous] -= 1
-            if not self._counts[previous]:
-                del self._counts[previous]
-        self._states[job_id] = state
+            left = self._counts[previous.state] - 1
+            if left:
+                self._counts[previous.state] = left
+            else:
+                del self._counts[previous.state]
+        self._jobs[job_id] = record
         self._counts[state] = self._counts.get(state, 0) + 1
-        key = self._keys.get(job_id)
-        if key is None:
-            return
+        if record.seq >= self._seq:
+            self._seq = record.seq + 1
+        if state != "pending":
+            self._submits.pop(job_id, None)
+        key = record.claim_key
         index = self._pending_index
         position = bisect.bisect_left(index, key)
         indexed = index[position : position + 1] == [key]
@@ -357,56 +348,60 @@ class JobQueue:
         elif state != "pending" and indexed:
             del index[position]
 
-    def _resync(self) -> None:
-        """Rebuild the in-memory state from one full scan of the records.
+    def _sync(self, rebuild: bool = False) -> None:
+        """Fold in the journal lines appended since the last read.
 
-        The journal offset is taken *before* the scan: a transition
-        that lands in between is then both scanned and replayed, and
-        replaying an absolute state is harmless, where one missed would
-        stay missed.  Starting at the file's end skips whatever
-        unterminated line a killed writer left there.
+        Each line carries an absolute status and only a job's latest
+        line in the new chunk is applied, so replaying this instance's
+        own lines changes nothing.  Only newline-terminated lines are
+        read: an unterminated final line waits for the rest of its
+        bytes.  A ``rebuild``, or a journal shorter than the offset
+        already read, starts from an empty fold.  A rebuild, and a chunk
+        holding a line that is not an event (a killed writer's torn
+        line with another process's line merged onto it), then list
+        ``jobs/`` for submit files that have no journal line.
         """
-        try:
-            offset = self._journal_path.stat().st_size
-        except FileNotFoundError:
-            offset = 0
-        records = self._records()
-        self._cursor = JournalCursor(offset)
-        self._states = {r.job_id: r.state for r in records}
-        self._keys = {r.job_id: r.claim_key for r in records}
-        self._counts = dict(Counter(self._states.values()))
-        self._pending_index = sorted(
-            r.claim_key for r in records if r.state == "pending"
+        size = os.stat(self._journal_path).st_size
+        if rebuild or size < self._offset:
+            self._jobs: dict[str, JobRecord] = {}
+            self._counts: dict[str, int] = {}
+            self._pending_index: list[tuple[int, int, str]] = []
+            self._offset = 0
+            rebuild = True
+        elif size == self._offset:
+            return  # nothing appended: the idle dispatcher's case
+        with open(self._journal_path, "rb") as handle:
+            handle.seek(self._offset)
+            data = handle.read()
+        data = data[: data.rfind(b"\n") + 1]
+        self._offset += len(data)
+        latest, garbage = _fold_lines(
+            self._journal_path, data.decode("utf-8", "replace"), lenient=True
         )
-        self._seq = max([self._seq, *(r.seq + 1 for r in records)])
-
-    def _sync(self) -> None:
-        """Apply the transitions other processes journaled since last time.
-
-        Only each job's latest event in the new chunk counts, and it
-        carries an absolute state, so replaying this instance's own
-        lines changes nothing.  A job first seen in the pending state
-        costs one record read for its claim key.  A line that cannot be
-        decoded, or a journal that shrank, falls back to a full resync.
-        """
-        try:
-            if self._journal_path.stat().st_size == self._cursor.offset:
-                return  # nothing appended: the idle dispatcher's case
-            events, _ = read_journal(self._journal_path, self._cursor)
-        except (WireFormatError, FileNotFoundError):
-            self._resync()
+        for event in latest.values():
+            try:
+                self._apply(JobRecord.from_json(event))
+            except (KeyError, TypeError, ValueError):
+                garbage = True  # an event line with missing or bad fields
+        if not (rebuild or garbage):
             return
-        for event in events:
-            job_id, state = event["job_id"], event["state"]
-            if state == "pending" and job_id not in self._keys:
-                try:
-                    record = self._read_record(job_id)
-                except (KeyError, WireFormatError):
-                    pass  # counted, not claimable until a resync
-                else:
-                    self._keys[job_id] = record.claim_key
-                    self._seq = max(self._seq, record.seq + 1)
-            self._set_state(job_id, state)
+        for name in os.listdir(self.jobs_dir):
+            job_id, suffix = os.path.splitext(name)
+            if suffix != ".json" or job_id in self._jobs:
+                continue
+            try:
+                record = self._read_record(job_id)
+            except (KeyError, WireFormatError):
+                continue  # mid-create, or garbage: never acknowledged
+            self._apply(replace(record, submit=None))
+            self._submits[job_id] = record.submit
+
+    def _current(self, job_id: str) -> JobRecord:
+        self._sync()
+        try:
+            return self._jobs[job_id]
+        except KeyError:
+            raise KeyError(f"no such job: {job_id}") from None
 
     # -- public API ---------------------------------------------------------
 
@@ -428,18 +423,26 @@ class JobQueue:
                 )
             record = JobRecord(
                 job_id=job_id or uuid.uuid4().hex[:16],
-                submit=submit,
-                state="pending",
                 seq=self._seq,
+                priority=submit.priority,
+                session_class=submit.session_class,
+                content_hash=submit.spec.content_hash(),
                 submitted_at=now,
             )
-            if self._job_path(record.job_id).exists():
+            payload = _line(
+                {
+                    "schema_version": WIRE_SCHEMA_VERSION,
+                    "job_id": record.job_id,
+                    "seq": record.seq,
+                    "submitted_at": now,
+                    "submit": submit.to_json(),
+                }
+            )
+            if not self._create(self._job_path(record.job_id), payload):
                 raise ValueError(f"duplicate job_id: {record.job_id}")
-            self._seq += 1
-            self._write_record(record)
-            self._track(record)
-            self._journal_transition(record, "submitted")
-            return record
+            self._submits[record.job_id] = submit
+            self._transition(record, "submitted")
+            return replace(record, submit=submit)
 
     def claim(self, owner: str) -> Optional[JobRecord]:
         """Claim the best pending job for ``owner``, or None when idle."""
@@ -450,69 +453,70 @@ class JobQueue:
         """Claim up to ``limit`` pending jobs, highest-priority first.
 
         Races for each candidate via the O_EXCL claim file; a CAS win
-        *is* the claim.  A job whose record turns out not-pending after
-        the CAS (another process transitioned it meanwhile) releases
-        the claim and moves on — the claim file arbitrates, the record
-        confirms.  One sorted-index pass claims the whole batch, so a
-        daemon draining thousands of sessions does not re-scan the
-        directory per claim.
+        *is* the claim.  After the wins, one more journal tail confirms
+        each job is still pending: whatever ended a previous claim was
+        journaled before that claim file went away.  A job found
+        otherwise releases the claim.  One sorted-index pass claims the
+        whole batch, so a daemon draining thousands of sessions does
+        not re-scan anything per claim.
         """
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         now = self.clock()
         claimed: list[JobRecord] = []
-        seen: list[JobRecord] = []
         with self._lock:
             self._sync()
+            payload = self._claim_payload(owner, now + self.lease_s)
+            won = []
             tried = 0
             for key in self._pending_index:
-                if len(claimed) >= limit:
+                if len(won) >= limit:
                     break
                 tried += 1
-                job_id = key[2]
-                if not self._try_claim_file(job_id, owner, now + self.lease_s):
-                    continue  # raced and lost: drop the entry
-                try:
-                    current = self._read_record(job_id)
-                except (KeyError, WireFormatError):
-                    self._release_claim(job_id)
-                    continue
-                if current.state != "pending":
-                    self._release_claim(job_id)
-                    seen.append(current)
+                if self._create(self._claim_path(key[2]), payload):
+                    won.append(key[2])
+            del self._pending_index[:tried]  # lost CAS races drop out too
+            if won:
+                self._sync()
+            for job_id in won:
+                current = self._jobs.get(job_id)
+                pending = current is not None and current.state == "pending"
+                submit = self._submits.get(job_id)
+                if pending and submit is None:
+                    try:
+                        submit = self._read_record(job_id).submit
+                    except (KeyError, WireFormatError):
+                        pass
+                if not pending or submit is None:
+                    self._unlink(self._claim_path(job_id))
                     continue
                 running = replace(
                     current,
                     state="running",
-                    version=current.version + 1,
                     attempts=current.attempts + 1,
                     owner=owner,
                     started_at=now,
                     error=None,
                 )
-                self._write_record(running)
-                self._journal_transition(running, "claimed")
-                claimed.append(running)
-            del self._pending_index[:tried]
-            for record in (*seen, *claimed):
-                self._track(record)
+                self._transition(running, "claimed")
+                claimed.append(replace(running, submit=submit))
         return claimed
 
     def heartbeat(self, job_id: str, owner: str) -> bool:
         """Extend ``owner``'s lease; False when the claim is gone."""
         now = self.clock()
         with self._lock:
-            if not self._owns_claim(job_id, owner):
-                return False
-            data = json.dumps(
-                {"owner": owner, "expires_at": now + self.lease_s},
-                separators=(",", ":"),
-            )
-            write_atomic(
-                self._claim_path(job_id),
-                lambda handle: handle.write(data.encode("utf-8")),
-            )
-            return True
+            self._scope = "heartbeat."
+            try:
+                if not self._owns_claim(job_id, owner):
+                    return False
+                self._replace(
+                    self._claim_path(job_id),
+                    self._claim_payload(owner, now + self.lease_s),
+                )
+                return True
+            finally:
+                self._scope = ""
 
     def complete(
         self, job_id: str, owner: str, *, from_cache: bool = False
@@ -522,35 +526,36 @@ class JobQueue:
         nothing, execute-at-least-once is the queue's contract)."""
         now = self.clock()
         with self._lock:
-            record = self._read_record(job_id)
-            if not self._owns_claim(job_id, owner) or record.owner != owner:
-                raise ClaimLost(
-                    f"claim on {job_id} no longer held by {owner}"
-                )
-            done = replace(
-                record,
-                state="cached" if from_cache else "ok",
-                version=record.version + 1,
-                finished_at=now,
+            record = self._claimed(job_id, owner)
+            done = self._transition(
+                replace(
+                    record,
+                    state="cached" if from_cache else "ok",
+                    finished_at=now,
+                ),
+                "completed",
             )
-            self._write_record(done)
-            self._release_claim(job_id)
-            self._track(done)
-            self._journal_transition(done, "completed")
+            self._unlink(self._claim_path(job_id))
             return done
 
     def fail(self, job_id: str, owner: str, error: str) -> JobRecord:
         """Report a claimed job's failure: requeue or quarantine."""
         now = self.clock()
         with self._lock:
-            record = self._read_record(job_id)
-            if not self._owns_claim(job_id, owner) or record.owner != owner:
-                raise ClaimLost(
-                    f"claim on {job_id} no longer held by {owner}"
-                )
-            failed = self._fail_locked(record, error, now)
-            self._release_claim(job_id)
+            failed = self._fail_locked(self._claimed(job_id, owner), error, now)
+            self._unlink(self._claim_path(job_id))
             return failed
+
+    def _claimed(self, job_id: str, owner: str) -> JobRecord:
+        """``job_id``'s record while ``owner`` holds its claim."""
+        record = self._current(job_id)
+        if (
+            record.state != "running"
+            or record.owner != owner
+            or not self._owns_claim(job_id, owner)
+        ):
+            raise ClaimLost(f"claim on {job_id} no longer held by {owner}")
+        return record
 
     def _fail_locked(
         self, record: JobRecord, error: str, now: float
@@ -560,36 +565,29 @@ class JobQueue:
             failed = replace(
                 record,
                 state="quarantined",
-                version=record.version + 1,
                 fail_count=fail_count,
                 finished_at=now,
                 error=error,
             )
-            event = "quarantined"
-        else:
-            failed = replace(
-                record,
-                state="pending",
-                version=record.version + 1,
-                fail_count=fail_count,
-                owner=None,
-                started_at=None,
-                error=error,
-            )
-            event = "requeued"
-        self._write_record(failed)
-        self._track(failed)
-        self._journal_transition(failed, event)
-        return failed
+            return self._transition(failed, "quarantined")
+        requeued = replace(
+            record,
+            state="pending",
+            fail_count=fail_count,
+            owner=None,
+            started_at=None,
+            error=error,
+        )
+        return self._transition(requeued, "requeued")
 
     def release_stale(self) -> list[str]:
         """The reaper: release every claim whose lease expired.
 
         A worker that hung or died without reporting stops renewing its
         lease; its job goes back to ``pending`` (fail count +1) or to
-        ``quarantined`` when the budget is spent.  A claim whose record
-        is still ``pending`` — its claimant died between the claim and
-        the record write — is removed and the job becomes claimable
+        ``quarantined`` when the budget is spent.  A claim on a job
+        that is still ``pending`` — its claimant died between the claim
+        and its journal line — is removed and the job becomes claimable
         again.  So is a claim file that holds no readable claim (its
         claimant died between the ``O_EXCL`` create and the payload
         write), one lease after the file's mtime.  Returns the affected
@@ -598,54 +596,49 @@ class JobQueue:
         now = self.clock()
         released = []
         with self._lock:
-            for path in sorted(self.claims_dir.glob("*.claim")):
-                job_id = path.stem
-                claim = self._read_claim(job_id)
-                if claim is not None:
-                    expires_at = claim.get("expires_at", 0)
-                else:
-                    try:
-                        expires_at = path.stat().st_mtime + self.lease_s
-                    except OSError:
-                        continue  # released while we looked
-                if expires_at > now:
-                    continue
-                try:
-                    record = self._read_record(job_id)
-                except (KeyError, WireFormatError):
-                    self._release_claim(job_id)
-                    continue
-                if record.state == "running":
-                    self._fail_locked(
-                        record,
-                        f"lease expired (worker {record.owner} silent "
-                        f"for > {self.lease_s:g}s)",
-                        now,
-                    )
-                self._release_claim(job_id)
-                if record.state == "pending":
-                    self._track(record)
-                released.append(job_id)
+            self._scope = "reaper."
+            try:
+                self._sync()
+                for path in sorted(self.claims_dir.glob("*.claim")):
+                    job_id = path.stem
+                    claim = self._read_claim(job_id)
+                    if claim is not None:
+                        expires_at = claim.get("expires_at", 0)
+                    else:
+                        try:
+                            expires_at = path.stat().st_mtime + self.lease_s
+                        except OSError:
+                            continue  # released while we looked
+                    if expires_at > now:
+                        continue
+                    record = self._jobs.get(job_id)
+                    if record is not None and record.state == "running":
+                        self._fail_locked(
+                            record,
+                            f"lease expired (worker {record.owner} silent "
+                            f"for > {self.lease_s:g}s)",
+                            now,
+                        )
+                    self._unlink(path)
+                    if record is not None and record.state == "pending":
+                        self._apply(record)  # back into the claim index
+                    released.append(job_id)
+            finally:
+                self._scope = ""
         return released
 
     # -- introspection ------------------------------------------------------
 
-    def _records(self) -> list[JobRecord]:
-        records = []
-        for path in self.jobs_dir.glob("*.json"):
-            try:
-                records.append(self._read_record(path.stem))
-            except (KeyError, WireFormatError):
-                continue  # a submit mid-rename; the next scan sees it
-        records.sort(key=lambda r: (r.seq, r.job_id))
-        return records
-
     def get(self, job_id: str) -> JobRecord:
-        return self._read_record(job_id)
+        with self._lock:
+            return self._current(job_id)
 
     def statuses(self) -> list[JobStatus]:
         """Wire-format snapshots of every job, in submission order."""
-        return [record.status() for record in self._records()]
+        with self._lock:
+            self._sync()
+            records = sorted(self._jobs.values(), key=lambda r: (r.seq, r.job_id))
+        return [record.status() for record in records]
 
     def counts(self) -> dict[str, int]:
         """Jobs per state; states with no jobs are absent."""
@@ -665,17 +658,58 @@ class JobQueue:
         return self.depth() == 0
 
 
-@dataclass
-class JournalCursor:
-    """Where a resumed :func:`read_journal` starts: the byte offset just
-    past the last complete line already read."""
-
-    offset: int = 0
+def _line(record: Mapping[str, Any]) -> bytes:
+    return (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def read_journal(
-    path: Union[str, Path], cursor: Optional[JournalCursor] = None
-) -> tuple[list[dict], Optional[int]]:
+def _fold_lines(
+    path: Path, text: str, *, lenient: bool = False
+) -> tuple[dict[str, dict], Optional[int]]:
+    """Each job's latest event among a journal's lines, in first-seen
+    order, and the number of the last line that is not an event.
+
+    A header naming another layout raises :class:`WireFormatError`.  So
+    does any other line that is not an event, unless ``lenient``, or
+    unless it is a final line that holds no complete JSON record.
+    """
+    lines = text.splitlines()
+    latest: dict[str, dict] = {}
+    bad: Optional[int] = None
+    for index, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            problem = "is not a journal event"
+        except json.JSONDecodeError as error:
+            record, problem = None, f"is bad JSON ({error})"
+        if not isinstance(record, dict):
+            pass
+        elif record.get("type") == "header":
+            layout = record.get("format", JOURNAL_FORMAT)
+            if layout != JOURNAL_FORMAT:
+                raise WireFormatError(
+                    f"queue journal {path} is in the {layout!r} layout; "
+                    f"this version reads only {JOURNAL_FORMAT!r} (one "
+                    "immutable submit file per job): drain the queue with "
+                    "the version that wrote it, or use a new queue directory"
+                )
+            continue
+        elif record.get("type") == "event" and "job_id" in record:
+            if record.get("state") in JOB_STATES:
+                latest[record["job_id"]] = record
+                continue
+            problem = f"has unknown state {record.get('state')!r}"
+        torn = record is None and index == len(lines)
+        if not (lenient or torn):
+            raise WireFormatError(
+                f"not a journal file: {path}: line {index} {problem}"
+            )
+        bad = index
+    return latest, bad
+
+
+def read_journal(path: Union[str, Path]) -> tuple[list[dict], Optional[int]]:
     """Each job's latest event in a queue journal, in first-seen order.
 
     Returns ``(events, torn_line)``.  ``torn_line`` is the number of a
@@ -683,65 +717,18 @@ def read_journal(
     mid-append, and every line before it is still good — or ``None``.
     Raises :class:`FileNotFoundError` or :class:`IsADirectoryError`
     for a path that is not a file, and :class:`WireFormatError` for an
-    empty file, a file that is not a journal, or one that holds no job
-    events.
-
-    With a ``cursor`` the read resumes: it starts at ``cursor.offset``,
-    takes only newline-terminated lines — an unterminated final line is
-    left for the next read, so ``torn_line`` is always ``None`` — and
-    advances the cursor past them.  A resumed read may find no events;
-    it raises :class:`WireFormatError` for any line it cannot decode,
-    and when the file is shorter than the offset already read.
+    empty file, a file that is not a journal, a journal in another
+    layout, or one that holds no job events.
     """
     path = Path(path)
-    start = 0 if cursor is None else cursor.offset
-    with open(path, "rb") as handle:
-        if handle.seek(0, os.SEEK_END) < start:
-            raise WireFormatError(
-                f"journal file {path} is shorter than the {start} bytes "
-                "already read from it"
-            )
-        handle.seek(start)
-        data = handle.read()
-    if cursor is not None:
-        data = data[: data.rfind(b"\n") + 1]
-    elif not data.strip():
+    data = path.read_bytes()
+    if not data.strip():
         raise WireFormatError(
             f"journal file {path} is empty; has the daemon accepted "
             "any jobs yet?"
         )
-    lines = data.decode("utf-8").splitlines()
-    latest: dict[str, dict] = {}
-    torn_line: Optional[int] = None
-    for index, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            if cursor is None and index == len(lines):
-                torn_line = index
-                continue
-            raise WireFormatError(
-                f"not a journal file: {path}: bad JSON on line "
-                f"{index}: {error}"
-            )
-        if record.get("type") == "header":
-            continue
-        if record.get("type") != "event" or "job_id" not in record:
-            raise WireFormatError(
-                f"not a journal file: {path}: line {index} is not a "
-                "journal event"
-            )
-        if record.get("state") not in JOB_STATES:
-            raise WireFormatError(
-                f"journal file {path} line {index} has unknown state "
-                f"{record.get('state')!r}"
-            )
-        latest[record["job_id"]] = record
-    if cursor is not None:
-        cursor.offset += len(data)
-    elif not latest:
+    latest, torn_line = _fold_lines(path, data.decode("utf-8"))
+    if not latest:
         raise WireFormatError(
             f"journal file {path} holds no job events; has the daemon "
             "accepted any jobs yet?"

@@ -258,7 +258,7 @@ class TestStatusCommandErrors:
         path = tmp_path / "journal.jsonl"
         path.write_text(
             '{"type":"header","schema_version":1,'
-            '"format":"repro-service-journal"}\n'
+            '"format":"repro-service-journal/2"}\n'
         )
         with pytest.raises(SystemExit) as excinfo:
             main(["status", "--journal", str(path)])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.codec.decoder import Decoder
 from repro.codec.encoder import Encoder
@@ -88,6 +90,69 @@ class TestFetchAndCompensate:
         half = motion_compensate_half(reference, 2 * mvs_px)
         integer = motion_compensate(reference, mvs_px)
         np.testing.assert_array_equal(half, integer.astype(np.int64))
+
+
+def _per_macroblock_half(reference: np.ndarray, mvs_half: np.ndarray):
+    """``motion_compensate_half`` as one ``fetch_block_half`` per
+    macroblock over an edge-padded copy of the reference."""
+    mb_rows, mb_cols, _ = mvs_half.shape
+    pad = int(np.abs(mvs_half).max()) // 2 + 2
+    padded = np.pad(reference.astype(np.int64), pad, mode="edge")
+    prediction = np.empty(reference.shape, dtype=np.int64)
+    for row in range(mb_rows):
+        for col in range(mb_cols):
+            prediction[row * 16 : (row + 1) * 16, col * 16 : (col + 1) * 16] = (
+                fetch_block_half(
+                    padded, pad, row * 16, col * 16, tuple(mvs_half[row, col])
+                )
+            )
+    return prediction
+
+
+#: The widest half-pel vector component the codec codes.
+MV_LIMIT = CodecConfig(half_pel=True).mv_limit
+
+
+class TestBatchedCompensation:
+    """The one-gather half-pel prediction equals a per-macroblock
+    ``fetch_block_half`` loop over padded references."""
+
+    @settings(max_examples=60)
+    @given(
+        mb_rows=st.integers(1, 3),
+        mb_cols=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_matches_per_macroblock_fetch(self, mb_rows, mb_cols, seed, data):
+        reference = (
+            np.random.default_rng(seed)
+            .integers(0, 256, (16 * mb_rows, 16 * mb_cols))
+            .astype(np.uint8)
+        )
+        mvs = data.draw(
+            arrays(
+                np.int64,
+                (mb_rows, mb_cols, 2),
+                elements=st.integers(-MV_LIMIT, MV_LIMIT),
+            )
+        )
+        np.testing.assert_array_equal(
+            motion_compensate_half(reference, mvs),
+            _per_macroblock_half(reference, mvs),
+        )
+
+    @pytest.mark.parametrize("dy", [-MV_LIMIT, -MV_LIMIT + 1, MV_LIMIT - 1, MV_LIMIT])
+    @pytest.mark.parametrize("dx", [-MV_LIMIT, -MV_LIMIT + 1, MV_LIMIT - 1, MV_LIMIT])
+    def test_vectors_past_every_frame_edge(self, rng, dy, dx):
+        # Every macroblock of a 3x4 grid points up to 15 px off the
+        # frame, so each edge and corner is crossed at full and half pel.
+        reference = rng.integers(0, 256, (48, 64)).astype(np.uint8)
+        mvs = np.broadcast_to(np.array([dy, dx]), (3, 4, 2)).copy()
+        np.testing.assert_array_equal(
+            motion_compensate_half(reference, mvs),
+            _per_macroblock_half(reference, mvs),
+        )
 
 
 class TestRefinement:

@@ -195,16 +195,23 @@ class TestEndToEnd:
 
     def test_metrics_count_queue_record_reads(self, tmp_path):
         """Health answers from the queue's in-memory counts, and the
-        queue's record reads are reported as a metric."""
+        queue's record reads and file operations are reported as
+        metrics."""
         with start_daemon(daemon_config(tmp_path)) as handle:
             client = ServiceClient(handle.url)
             job_ids = client.submit(
                 [JobSubmit(spec=tiny_spec(seed=i)) for i in range(3)]
             )
             client.wait(job_ids, timeout=WAIT_S)
-            reads = client.metrics()["counters"]["service.queue.records_read"]
+            counters = client.metrics()["counters"]
+            reads = counters["service.queue.records_read"]
             assert reads == handle.daemon.queue.records_read
-            assert reads >= 2 * len(job_ids)  # a claim and a completion each
+            assert reads == 0  # the daemon submitted every job itself
+            n = len(job_ids)
+            assert {
+                op: counters[f"service.queue.file_ops.{op}"]
+                for op in ("create", "append", "read", "unlink")
+            } == {"create": 2 * n, "append": 3 * n, "read": n, "unlink": n}
             for _ in range(5):
                 assert client.health()["drained"]
             after = client.metrics()["counters"]["service.queue.records_read"]

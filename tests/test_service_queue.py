@@ -397,16 +397,57 @@ class TestPersistence:
         queue = JobQueue(tmp_path / "q", clock=clock)
         queue.submit(tiny_submit(seed=1))
         (tmp_path / "q" / "jobs" / "garbage.json").write_text("{not json")
-        assert len(queue.statuses()) == 1
-        assert queue.counts().get("pending", 0) == 1
+        # Opening lists jobs/ for submit files without a journal line.
+        reopened = JobQueue(tmp_path / "q", clock=clock)
+        assert len(reopened.statuses()) == 1
+        assert reopened.counts().get("pending", 0) == 1
+
+    def test_submit_file_without_journal_line_is_pending_after_reopen(
+        self, tmp_path, clock, monkeypatch
+    ):
+        """A submitter killed between its exclusive create and its
+        journal append: the job was never acknowledged, but its submit
+        file is whole, so the next queue to open finds it pending."""
+        directory = tmp_path / "q"
+        queue = JobQueue(directory, clock=clock)
+        first = queue.submit(tiny_submit(seed=1))
+
+        def killed(record, event):
+            raise KeyboardInterrupt("killed before the append")
+
+        monkeypatch.setattr(queue, "_append", killed)
+        with pytest.raises(KeyboardInterrupt):
+            queue.submit(tiny_submit(seed=2, priority=5), job_id="orphan")
+        assert (directory / "jobs" / "orphan.json").exists()
+        assert [e["job_id"] for e in read_journal(directory / "journal.jsonl")[0]] == [
+            first.job_id
+        ]
+
+        reopened = JobQueue(directory, clock=clock)
+        assert reopened.counts() == {"pending": 2}
+        orphan = reopened.get("orphan")
+        assert (orphan.state, orphan.priority) == ("pending", 5)
+        assert orphan.seq > first.seq
+        claimed = reopened.claim("w1")
+        assert claimed.job_id == "orphan"
+        assert claimed.submit == tiny_submit(seed=2, priority=5)
+        assert reopened.records_read == 1  # read once, at the listing
+
+    def test_old_layout_is_refused_by_name(self, tmp_path):
+        directory = tmp_path / "q"
+        directory.mkdir()
+        (directory / "journal.jsonl").write_text(
+            '{"type":"header","schema_version":3,'
+            '"format":"repro-service-journal"}\n'
+        )
+        with pytest.raises(WireFormatError, match="'repro-service-journal' layout"):
+            JobQueue(directory)
 
 
 def scanned_counts(queue: JobQueue) -> dict[str, int]:
-    """Jobs per state from a full scan of the records on disk."""
-    counts: dict[str, int] = {}
-    for status in queue.statuses():
-        counts[status.state] = counts.get(status.state, 0) + 1
-    return counts
+    """Jobs per state as a fresh queue on the same directory sees them:
+    a full replay of the journal plus the listing of ``jobs/``."""
+    return JobQueue(queue.directory, clock=queue.clock).counts()
 
 
 class TestCrossProcessIndex:
@@ -487,6 +528,8 @@ class TestCrossProcessIndex:
     def test_undecodable_journal_line_resyncs_from_records(
         self, tmp_path, clock
     ):
+        """The garbage line swallows the submit line merged onto it;
+        the resync's listing of ``jobs/`` still finds that job."""
         directory = tmp_path / "q"
         a = JobQueue(directory, clock=clock)
         b = JobQueue(directory, clock=clock)
@@ -517,22 +560,79 @@ class TestCrossProcessIndex:
         # What a reader racing the append sees: half of b's line.
         path.write_bytes(data[: -len(line)] + line[:20])
 
-        def no_resync():
-            raise AssertionError("a torn final line forced a resync")
+        def no_listing(job_id):
+            raise AssertionError("a torn final line forced a listing of jobs/")
 
-        monkeypatch.setattr(a, "_resync", no_resync)
+        monkeypatch.setattr(a, "_read_record", no_listing)
         assert a.counts() == {}
         with path.open("ab") as handle:
             handle.write(line[20:])
         assert a.counts() == {"pending": 1}
+        monkeypatch.undo()  # the claim reads b's submit file for the spec
         assert a.claim("a").job_id == job.job_id
+
+    def test_stale_fold_never_runs_a_completed_job(self, tmp_path, clock):
+        """Handle a's fold still says pending when b completes the job
+        and a wins the claim CAS on the file b just unlinked.  b
+        journaled the completion before the unlink, so a's tail after
+        the CAS finds it: a gives the claim back and runs nothing."""
+        directory = tmp_path / "q"
+        a = JobQueue(directory, clock=clock)
+        b = JobQueue(directory, clock=clock)
+        job = b.submit(tiny_submit())
+        assert a.counts() == {"pending": 1}
+        original = a._create
+
+        def race_then_create(path, payload):
+            if path.parent == a.claims_dir:
+                b.complete(b.claim("b").job_id, "b")  # lands after a's sync
+            return original(path, payload)
+
+        a._create = race_then_create
+        assert a.claim("a") is None
+        assert not (directory / "claims" / f"{job.job_id}.claim").exists()
+        assert a.counts() == b.counts() == {"ok": 1}
+        assert a.get(job.job_id).owner == "b"
+        assert a.records_read == 0  # the completed job's spec never read
+
+
+    @pytest.mark.parametrize("report", ["complete", "fail"])
+    @pytest.mark.parametrize("killed_at", ["_append", "_unlink"])
+    def test_report_killed_mid_way_leaves_no_job_running_unclaimed(
+        self, queue, clock, monkeypatch, report, killed_at
+    ):
+        """complete and fail append their journal line, then unlink the
+        claim.  Killed before either, the job is never left running
+        without a claim file: a reopened queue's reaper finishes the
+        job's accounting one lease later."""
+        record = queue.submit(tiny_submit())
+        queue.claim("w1")
+
+        def killed(*args):
+            raise KeyboardInterrupt(f"killed at {killed_at}")
+
+        monkeypatch.setattr(queue, killed_at, killed)
+        with pytest.raises(KeyboardInterrupt):
+            if report == "complete":
+                queue.complete(record.job_id, "w1")
+            else:
+                queue.fail(record.job_id, "w1", "boom")
+        reopened = JobQueue(queue.directory, clock=clock)
+        clock.advance(31.0)
+        assert reopened.release_stale() == [record.job_id]
+        assert not list(reopened.claims_dir.iterdir())
+        state = reopened.get(record.job_id).state
+        assert state == ("ok" if (report, killed_at) == ("complete", "_unlink")
+                         else "pending")
+        assert JobQueue(queue.directory, clock=clock).counts() == {state: 1}
 
 
 class TestRecordReads:
     def test_counting_reads_no_records(self, tmp_path, clock, monkeypatch):
-        """Counts come from memory: a job's record is read once to
-        confirm its claim and once to complete it, however often the
-        queue is asked how deep it is."""
+        """Counts, claims and completions come from memory: no submit
+        file is read, however often the queue is asked how deep it is,
+        and each session costs two exclusive creates, three journal
+        appends, one claim read and one claim unlink."""
         reads: list[str] = []
         original = JobQueue._read_record
 
@@ -552,8 +652,14 @@ class TestRecordReads:
         for job in queue.claim_batch("w1", n_jobs):
             queue.complete(job.job_id, "w1")
         assert queue.drained()
-        assert len(reads) == 2 * n_jobs
-        assert queue.records_read == 2 * n_jobs
+        assert reads == []
+        assert queue.records_read == 0
+        assert queue.file_ops == {
+            "create": 2 * n_jobs,
+            "append": 3 * n_jobs,
+            "read": n_jobs,
+            "unlink": n_jobs,
+        }
 
 
 class TestValidation:
