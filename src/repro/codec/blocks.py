@@ -103,14 +103,6 @@ def gather_blocks(
     return plane[ys[:, :, None], xs[:, None, :]]
 
 
-def chroma_vector(component: int) -> int:
-    """Map a luma motion-vector component to 4:2:0 chroma (divide by
-    two, rounding half away from zero) — used identically by encoder
-    and decoder so their predictions match exactly."""
-    magnitude = (abs(int(component)) + 1) // 2
-    return magnitude if component >= 0 else -magnitude
-
-
 def sad_self(frame: np.ndarray) -> np.ndarray:
     """The paper's ``SAD_self`` for every macroblock of a frame.
 

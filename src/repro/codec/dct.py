@@ -147,41 +147,31 @@ def inverse_dct_int(coefficients: np.ndarray) -> np.ndarray:
     return stage2
 
 
-def forward_dct(blocks: np.ndarray, fixed_point: bool = True) -> np.ndarray:
-    """Forward DCT, dispatching on arithmetic variant."""
-    if fixed_point:
-        return forward_dct_int(np.rint(blocks).astype(np.int64))
-    return forward_dct_float(blocks)
-
-
-def inverse_dct(coefficients: np.ndarray, fixed_point: bool = True) -> np.ndarray:
-    """Inverse DCT, dispatching on arithmetic variant."""
-    if fixed_point:
-        coefficients = np.asarray(coefficients)
-        if not np.issubdtype(coefficients.dtype, np.integer):
-            coefficients = np.rint(coefficients)
-        return inverse_dct_int(coefficients)
-    return inverse_dct_float(coefficients)
-
-
 def forward_dct_blocks(
     blocks: np.ndarray, fixed_point: bool = True
 ) -> np.ndarray:
     """Forward-transform a whole ``(n, 8, 8)`` stack in one call.
 
-    The canonical batched entry point: the encoder gathers every
-    residual block of a frame (luma and chroma) into one stack and
-    transforms it with two matrix multiplications against the
-    precomputed basis (``C @ X @ C.T`` over the stacked axis) — no
-    per-block Python loop anywhere on the hot path.  Bit-identical to
-    transforming each block alone (the batch axis only changes the
-    matmul shape, never the per-element arithmetic).
+    The one entry point, dispatching on the arithmetic variant: the
+    encoder gathers every residual block of a frame (luma and chroma)
+    into one stack and transforms it with two matrix multiplications
+    against the precomputed basis (``C @ X @ C.T`` over the stacked
+    axis) — no per-block Python loop anywhere on the hot path.
+    Bit-identical to transforming each block alone (the batch axis only
+    changes the matmul shape, never the per-element arithmetic).
     """
-    return forward_dct(blocks, fixed_point)
+    if fixed_point:
+        return forward_dct_int(np.rint(blocks).astype(np.int64))
+    return forward_dct_float(blocks)
 
 
 def inverse_dct_blocks(
     coefficients: np.ndarray, fixed_point: bool = True
 ) -> np.ndarray:
     """Inverse-transform a whole ``(n, 8, 8)`` stack in one call."""
-    return inverse_dct(coefficients, fixed_point)
+    if fixed_point:
+        coefficients = np.asarray(coefficients)
+        if not np.issubdtype(coefficients.dtype, np.integer):
+            coefficients = np.rint(coefficients)
+        return inverse_dct_int(coefficients)
+    return inverse_dct_float(coefficients)

@@ -21,10 +21,11 @@ any error contained at the fragment boundary.  Phase 2 runs once per
 frame over every salvaged macroblock: one dequantization and one
 inverse transform of the *coded* blocks only (an uncoded block's
 residual is exactly zero, so an uncoded inter block is its prediction
-and an uncoded intra block is zero), one prediction gather and one
-canvas write.  The operation counters still bill the paper's decoder,
-which dequantizes and transforms every block of every salvaged
-macroblock.
+and an uncoded intra block is zero), then the encoder's own
+prediction and reconstruction kernels (:func:`repro.codec.recon.predict`
+and :func:`~repro.codec.recon.reconstruct`) and one canvas write per
+plane.  The operation counters still bill the paper's decoder, which
+dequantizes and transforms every block of every salvaged macroblock.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from repro.codec.syntax import (
     read_fragment_header,
 )
 from repro.codec.types import CodecConfig, FrameType, MacroblockMode
-from repro.codec.blocks import blocks_to_macroblocks, gather_blocks
-from repro.codec.halfpel import predict_half
+from repro.codec.blocks import blocks_to_macroblocks
+from repro.codec.halfpel import halfpel_to_pixels
+from repro.codec.recon import predict, reconstruct
 from repro.energy.counters import OperationCounters
 from repro.obs.tracer import get_tracer
 
@@ -346,71 +348,38 @@ class Decoder:
             ),
             config.use_fixed_point_dct,
         )
-        # Uncoded blocks keep an exact-zero residual, in the transform's
-        # own dtype: the float path stays float until it is clipped.
-        residual = np.zeros(
-            (slots.size * blocks_per_mb, 8, 8), dtype=transformed.dtype
-        )
-        residual[coded] = transformed
-        residual = residual.reshape(slots.size, blocks_per_mb, 8, 8)
 
         tracer = get_tracer()
         if tracer.enabled:
             tracer.metrics.inc("decoder.idct_blocks_billed", billed)
             tracer.metrics.inc("decoder.idct_blocks_executed", coded.size)
 
-        # Prediction: zero for intra, one motion-compensated gather for
-        # the inter macroblocks of each plane.
+        # The encoder's prediction and reconstruction, on the placed
+        # macroblocks.
         mv = meta[slots, 1:]
         inter = ~intra[slots]
-        luma = blocks_to_macroblocks(residual[:, :4])
+        prediction = None
         if inter.any():
-            luma[inter] += self._predict_luma(
-                reference, rows[inter], cols[inter], mv[inter]
+            prediction = predict(
+                reference,
+                reference_chroma if config.chroma else None,
+                rows[inter],
+                cols[inter],
+                mv[inter],
+                config.half_pel,
             )
+        decoded = reconstruct(
+            transformed, coded, (slots.size, blocks_per_mb), inter, prediction
+        )
+        luma = blocks_to_macroblocks(decoded[:, :4])
         _write_macroblocks(canvas, 16, rows, cols, luma)
-
-        # Half-pel vectors in whole pixels, truncated toward zero.
-        mv_pixels = np.sign(mv) * (np.abs(mv) // 2) if config.half_pel else mv
         if chroma_canvases is not None:
-            chroma = residual[:, 4:6]
-            if inter.any():
-                assert reference_chroma is not None
-                # chroma_vector: halve, rounding half away from zero.
-                chroma_mv = mv_pixels[inter]
-                chroma_mv = np.sign(chroma_mv) * ((np.abs(chroma_mv) + 1) // 2)
-                for component, plane in enumerate(reference_chroma):
-                    chroma[inter, component] += gather_blocks(
-                        plane,
-                        rows[inter] * 8 + chroma_mv[:, 0],
-                        cols[inter] * 8 + chroma_mv[:, 1],
-                        8,
-                    )
             for component, plane in enumerate(chroma_canvases):
-                _write_macroblocks(plane, 8, rows, cols, chroma[:, component])
+                _write_macroblocks(plane, 8, rows, cols, decoded[:, 4 + component])
 
         received[rows, cols] = True
         modes[rows, cols] = _MODES[intra[slots].astype(np.intp)]
-        mvs_pixels[rows, cols] = mv_pixels
-
-    def _predict_luma(
-        self,
-        reference: Optional[np.ndarray],
-        rows: np.ndarray,
-        cols: np.ndarray,
-        mv: np.ndarray,
-    ) -> np.ndarray:
-        """Every inter macroblock's 16x16 prediction, gathered at once.
-
-        Full-pel vectors gather the displaced block directly; half-pel
-        vectors go through :func:`~repro.codec.halfpel.predict_half`,
-        the encoder's kernel too.
-        """
-        assert reference is not None
-        top, left = rows * 16, cols * 16
-        if not self.config.half_pel:
-            return gather_blocks(reference, top + mv[:, 0], left + mv[:, 1], 16)
-        return predict_half(reference, top, left, mv)
+        mvs_pixels[rows, cols] = halfpel_to_pixels(mv) if config.half_pel else mv
 
 
 #: Macroblock modes indexed by the intra flag.
@@ -424,7 +393,7 @@ def _write_macroblocks(
     cols: np.ndarray,
     pixels: np.ndarray,
 ) -> None:
-    """Clip ``(n, size, size)`` pixels to 8 bits and write them in place."""
+    """Write ``(n, size, size)`` pixels at grid ``(rows, cols)`` in place."""
     height, width = plane.shape
     grid = plane.reshape(height // size, size, width // size, size).swapaxes(1, 2)
-    grid[rows, cols] = np.minimum(np.maximum(pixels, 0), 255)
+    grid[rows, cols] = pixels

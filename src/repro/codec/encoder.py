@@ -35,18 +35,10 @@ from repro.codec.blocks import (
     sad_self,
 )
 from repro.codec.dct import forward_dct_blocks, inverse_dct_blocks
-from repro.codec.halfpel import (
-    halfpel_to_pixels,
-    motion_compensate_half,
-    refine_half_pel,
-)
-from repro.codec.motion import (
-    MotionField,
-    build_motion_estimator,
-    motion_compensate,
-    motion_compensate_chroma,
-)
+from repro.codec.halfpel import halfpel_to_pixels, refine_half_pel
+from repro.codec.motion import MotionField, build_motion_estimator
 from repro.codec.quant import dequantize_blocks, quantize_blocks
+from repro.codec.recon import predict, reconstruct
 from repro.codec.syntax import encode_macroblock_layer
 from repro.codec.types import (
     FORCED_BY,
@@ -323,12 +315,15 @@ class Encoder:
         """Transform, quantize, entropy-code and reconstruct one frame.
 
         Luma and chroma travel as one ``(mb_rows, mb_cols, n, 8, 8)``
-        block grid in H.263 block order: one forward DCT and one
-        quantization over every block, then one dequantization and one
-        inverse DCT over the *coded* blocks only.  A block whose levels
-        are all zero dequantizes and transforms to exact zeros, so it
-        reconstructs to its prediction without either kernel.  The
-        counters still bill every block, as the paper's encoder does.
+        block grid in H.263 block order.  Only the inter macroblocks are
+        predicted (:func:`~repro.codec.recon.predict`, the decoder's
+        kernel too).  One forward DCT and one quantization cover every
+        block, then one dequantization and one inverse DCT the *coded*
+        blocks only: a block whose levels are all zero dequantizes and
+        transforms to exact zeros, so
+        :func:`~repro.codec.recon.reconstruct` leaves it at its
+        prediction without either kernel.  The counters still bill every
+        block, as the paper's encoder does.
         """
         config = self.config
         n_inter = intra.size - int(np.count_nonzero(intra))
@@ -339,20 +334,19 @@ class Encoder:
             if config.chroma:
                 planes += [frame.cb, frame.cr]
             residual = _to_blocks(planes)
+            prediction = None
             if n_inter:
-                compensate = (
-                    motion_compensate_half if config.half_pel else motion_compensate
+                # Raster order, as the mask indexing below takes them.
+                rows, cols = np.nonzero(~intra)
+                prediction = predict(
+                    self._previous_reconstruction,
+                    self._previous_chroma,
+                    rows,
+                    cols,
+                    mvs[rows, cols],
+                    config.half_pel,
                 )
-                predictions = [compensate(self._previous_reconstruction, mvs)]
-                if config.chroma:
-                    chroma_mvs = halfpel_to_pixels(mvs) if config.half_pel else mvs
-                    predictions += [
-                        motion_compensate_chroma(plane, chroma_mvs)
-                        for plane in self._previous_chroma
-                    ]
-                predicted = _to_blocks(predictions)
-                predicted[intra] = 0  # intra macroblocks predict from nothing
-                residual -= predicted
+                residual[~intra] -= prediction
                 self.counters.mc_blocks += n_inter
                 quant_span.add(mc_blocks=n_inter)
             grid_shape = residual.shape
@@ -373,17 +367,13 @@ class Encoder:
                 dequantize_blocks(block_levels[coded], block_intra[coded], qp),
                 config.use_fixed_point_dct,
             )
-            # Uncoded blocks keep an exact-zero residual, in the
-            # transform's own dtype: the float path stays float until
-            # it is clipped.
-            decoded = np.zeros((n_blocks, 8, 8), dtype=transformed.dtype)
-            decoded[coded] = transformed
-            decoded = decoded.reshape(grid_shape)
-            if n_inter:
-                decoded += predicted
-            np.maximum(decoded, 0, out=decoded)
-            np.minimum(decoded, 255, out=decoded)
-            decoded = decoded.astype(np.uint8)
+            decoded = reconstruct(
+                transformed,
+                coded,
+                (intra.size, grid_shape[2]),
+                ~intra.ravel(),
+                prediction,
+            ).reshape(grid_shape)
             reconstruction = macroblocks_to_frame(
                 blocks_to_macroblocks(decoded[:, :, :4])
             )

@@ -18,21 +18,21 @@ order to know where the next one starts).  Its fast path is the batch
 VLD in :func:`repro.codec.syntax.decode_macroblock_layer`, which walks
 the 64-bit windows of :func:`~repro.codec.bitstream.build_word_index`
 with plain integer arithmetic and scatters each fragment's coefficient
-events in one batch.  :func:`decode_blocks` here, which rides the
-reader's word-buffered Exp-Golomb path, serves the sequential
-per-macroblock decoder that the batch VLD must match.  Both
-directions are bit-identical to the original bit-serial
+events in one batch.  The per-block codec that the batch paths must
+match (:func:`~repro.codec.reference.encode_blocks`,
+:func:`~repro.codec.reference.decode_blocks`) lives with the other
+scalar oracles in :mod:`repro.codec.reference`.  Both directions are
+bit-identical to the original bit-serial
 implementation — locked by the golden-bitstream regression tests.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.codec.bitstream import BitReader, BitWriter, BitstreamError
-from repro.codec.zigzag import zigzag_order, inverse_zigzag_order
+from repro.codec.bitstream import BitReader, BitWriter
+from repro.codec.zigzag import zigzag_order
+
 
 def write_ue(writer: BitWriter, value: int) -> None:
     """Write an unsigned Exp-Golomb codeword."""
@@ -46,19 +46,6 @@ def write_ue(writer: BitWriter, value: int) -> None:
 def read_ue(reader: BitReader) -> int:
     """Read an unsigned Exp-Golomb codeword."""
     return reader.read_exp_golomb()
-
-
-def write_se(writer: BitWriter, value: int) -> None:
-    """Write a signed Exp-Golomb codeword (H.264 mapping)."""
-    mapped = 2 * value - 1 if value > 0 else -2 * value
-    write_ue(writer, mapped)
-
-
-def read_se(reader: BitReader) -> int:
-    """Read a signed Exp-Golomb codeword."""
-    mapped = reader.read_exp_golomb()
-    magnitude = (mapped + 1) // 2
-    return magnitude if mapped % 2 else -magnitude
 
 
 def ue_codewords(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,64 +145,3 @@ def block_codewords(
         1 + 3 * events_per_block,
         (block_index, scan_position, levels),
     )
-
-
-def encode_block(writer: BitWriter, levels: np.ndarray) -> None:
-    """Entropy-code one 8x8 block of quantized levels.
-
-    Syntax: a coded-block flag, then (run, level, last) events — run as
-    ue(v), level as se(v) (never zero), last as one bit.
-    """
-    if levels.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 block, got {levels.shape}")
-    values, widths = block_codewords(levels[None])[:2]
-    writer.write_codewords(values, widths)
-
-
-def encode_blocks(writer: BitWriter, blocks: Iterable[np.ndarray]) -> None:
-    """Entropy-code a sequence of 8x8 blocks as one codeword batch."""
-    if not isinstance(blocks, np.ndarray):
-        blocks = list(blocks)
-        if not blocks:
-            return
-        blocks = np.stack(blocks)
-    values, widths = block_codewords(blocks)[:2]
-    writer.write_codewords(values, widths)
-
-
-def decode_blocks(reader: BitReader, count: int) -> np.ndarray:
-    """Decode ``count`` 8x8 blocks into a ``(count, 8, 8)`` array.
-
-    The VLC scan is sequential; the decoded (block, position, level)
-    triples are scattered into the coefficient array in one batch at
-    the end.
-    """
-    blocks: list[int] = []
-    positions: list[int] = []
-    levels: list[int] = []
-    for block in range(count):
-        if reader.read_bit() == 0:
-            continue  # block entirely zero
-        position = -1
-        while True:
-            run = reader.read_exp_golomb()
-            mapped = reader.read_exp_golomb()
-            if mapped == 0:
-                raise BitstreamError("run-level event with zero level")
-            magnitude = (mapped + 1) // 2
-            level = magnitude if mapped & 1 else -magnitude
-            last = reader.read_bit()
-            position += run + 1
-            if position >= 64:
-                raise BitstreamError(
-                    f"run-level overrun: position {position} >= 64"
-                )
-            blocks.append(block)
-            positions.append(position)
-            levels.append(level)
-            if last:
-                break
-    out = np.zeros((count, 64), dtype=np.int32)
-    if levels:
-        out[blocks, positions] = levels
-    return out[:, inverse_zigzag_order()].reshape(count, 8, 8)

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.codec.blocks import BLK, MB, gather_blocks
+from repro.codec.blocks import MB
 from repro.obs.tracer import get_tracer
 
 #: Cost-function signature: arrays broadcastable to a common shape; must
@@ -535,48 +535,3 @@ def build_motion_estimator(
         return DiamondSearchMotionEstimator(search_range, early_exit_sad)
     raise ValueError(f"unknown motion search kind {kind!r}")
 
-
-def motion_compensate_chroma(
-    reference_plane: np.ndarray, mvs: np.ndarray
-) -> np.ndarray:
-    """4:2:0 chroma prediction: one 8x8 block per macroblock.
-
-    ``mvs`` is the *luma* motion field; each component is halved as
-    :func:`repro.codec.blocks.chroma_vector` does (round half away from
-    zero), the same mapping the decoder applies.
-    """
-    height, width = reference_plane.shape
-    if mvs.shape != (height // BLK, width // BLK, 2):
-        raise ValueError(f"motion field shape {mvs.shape} mismatches plane")
-    chroma_mvs = np.sign(mvs) * ((np.abs(mvs) + 1) // 2)
-    return _compensate(reference_plane, chroma_mvs, BLK)
-
-
-def motion_compensate(reference: np.ndarray, mvs: np.ndarray) -> np.ndarray:
-    """Build the per-macroblock motion-compensated prediction frame.
-
-    ``mvs`` is an ``(mb_rows, mb_cols, 2)`` integer field; out-of-frame
-    references use edge padding, matching the estimators.
-    """
-    height, width = reference.shape
-    if mvs.shape != (height // MB, width // MB, 2):
-        raise ValueError(f"motion field shape {mvs.shape} mismatches frame")
-    return _compensate(reference, mvs, MB)
-
-
-def _compensate(plane: np.ndarray, mvs: np.ndarray, size: int) -> np.ndarray:
-    """The plane of ``size``-square blocks displaced by ``mvs``, in one
-    gather."""
-    height, width = plane.shape
-    rows, cols = np.indices((height // size, width // size))
-    blocks = gather_blocks(
-        plane,
-        (rows * size + mvs[..., 0]).ravel(),
-        (cols * size + mvs[..., 1]).ravel(),
-        size,
-    )
-    return (
-        blocks.reshape(height // size, width // size, size, size)
-        .transpose(0, 2, 1, 3)
-        .reshape(height, width)
-    )

@@ -6,18 +6,12 @@ dead zone for inter blocks, and reconstructs mid-rise:
 value odd — the standard's oddification).  The intra DC coefficient is
 special-cased with a fixed step of 8, as in the standard.
 
-Two call shapes are supported:
-
-* :func:`quantize` / :func:`dequantize` take a uniform coding mode for
-  the whole batch — the historical interface, kept for callers that
-  already grouped their blocks by mode.
-* :func:`quantize_blocks` / :func:`dequantize_blocks` take a *per-block*
-  intra mask and process a mixed intra/inter ``(..., 8, 8)`` stack in a
-  single vectorized pass (the dead zone and the DC special case are
-  selected per block with ``np.where``), which is how the encoder and
-  decoder feed a whole frame at once without boolean-mask gather/scatter
-  round trips.  Both paths compute the same per-element arithmetic, so
-  they are bit-identical.
+:func:`quantize_blocks` / :func:`dequantize_blocks` take a *per-block*
+intra flag (or one flag for the whole batch) and process a mixed
+intra/inter ``(..., 8, 8)`` stack in a single vectorized pass (the dead
+zone and the DC special case are selected per block with
+``np.where``), which is how the encoder and decoder feed a whole frame
+at once without boolean-mask gather/scatter round trips.
 """
 
 from __future__ import annotations
@@ -105,12 +99,3 @@ def dequantize_blocks(levels: np.ndarray, intra, qp) -> np.ndarray:
     np.minimum(reconstructed, COEFF_MAX, out=reconstructed)
     return reconstructed.astype(np.int32)
 
-
-def quantize(coefficients: np.ndarray, qp: int, intra: bool) -> np.ndarray:
-    """Quantize a batch of 8x8 blocks that share one coding mode."""
-    return quantize_blocks(coefficients, bool(intra), qp)
-
-
-def dequantize(levels: np.ndarray, qp: int, intra: bool) -> np.ndarray:
-    """Reconstruct DCT coefficients from same-mode quantized levels."""
-    return dequantize_blocks(levels, bool(intra), qp)

@@ -1,17 +1,35 @@
 """Scalar per-block reference implementations of the codec kernels.
 
-The production kernels in :mod:`repro.codec.dct`, :mod:`repro.codec.quant`
-and :mod:`repro.codec.motion` are batched: whole ``(n, 8, 8)`` stacks per
-transform call, whole search rounds per SAD reduction.  This module keeps
-the obvious one-block-at-a-time formulation of the same arithmetic —
-a Python loop over blocks (or macroblocks), each processed alone.
+The production kernels in :mod:`repro.codec.dct`, :mod:`repro.codec.quant`,
+:mod:`repro.codec.motion` and :mod:`repro.codec.recon` are batched:
+whole ``(n, 8, 8)`` stacks per transform call, whole search rounds per
+SAD reduction, one gather per frame for prediction.  This module keeps
+the obvious one-block-at-a-time formulation of the same arithmetic — a
+Python loop over blocks (or macroblocks), each processed alone.
 
-It also keeps the scalar twins of the entropy layer and of the whole
-decoder: :func:`run_level_events` and :func:`decode_block` re-derive one
-block's run-level symbols, and :func:`decode_frame_scalar` decodes a
-frame one fragment, one macroblock and one block at a time, as the
-paper's decoder does.
+It also keeps the scalar twins of the entropy layer, the bitstream
+syntax and the whole decoder:
 
+* the per-macroblock syntax (:func:`encode_macroblock`,
+  :func:`decode_macroblock` and their COD-bit ``_skippable`` variants,
+  returning :class:`EncodedMacroblock`), the per-block run-level codec
+  (:func:`encode_block`, :func:`encode_blocks`, :func:`decode_blocks`,
+  :func:`decode_block`, :func:`run_level_events`) and the signed
+  Exp-Golomb helpers :func:`write_se` / :func:`read_se`.  Production
+  writes and parses a whole macroblock layer in one batch
+  (:mod:`repro.codec.syntax`), so these sequential forms only serve as
+  its oracle; the unsigned :func:`~repro.codec.entropy.write_ue` /
+  :func:`~repro.codec.entropy.read_ue` stay in production for the
+  fragment header;
+* the per-macroblock prediction (:func:`predict_macroblock_scalar`,
+  built on an edge-padded reference, :func:`fetch_block_half` and
+  :func:`chroma_vector`), the oracle of
+  :func:`repro.codec.recon.predict`;
+* :func:`decode_frame_scalar`, which decodes a frame one fragment, one
+  macroblock and one block at a time, as the paper's decoder does.
+
+Production code never imports this module (``tests/test_import_hygiene.py``
+checks it); only :mod:`repro.api`, the tests and the benchmarks do.
 It exists for two reasons:
 
 * **Differential oracle.**  ``tests/test_block_kernels.py`` checks the
@@ -24,7 +42,8 @@ It exists for two reasons:
   BLAS route) cannot hide in a shared helper.
   ``tests/test_decoder_oracle.py`` checks the frame-batched decoder
   against :func:`decode_frame_scalar` under fragment loss, reordering,
-  duplication and damage.
+  duplication and damage, and ``tests/test_encoder_oracle.py`` the
+  encoder's reconstruction.
 * **Benchmark baseline.**  ``benchmarks/bench_block_kernels.py`` times
   these loops as the "before" of the batched kernels; the ratio is what
   ``BENCH_blocks.json`` records and the CI perf gate guards.
@@ -36,16 +55,16 @@ tests can compare them against what the batched kernels *did* record.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.codec.bitstream import BitReader, BitstreamError
-from repro.codec.blocks import MB, chroma_vector
+from repro.codec.bitstream import BitReader, BitWriter, BitstreamError
+from repro.codec.blocks import BLK, MB
 from repro.codec.dct import FIXED_POINT_BITS, dct_basis
 from repro.codec.decoder import DecodeResult
-from repro.codec.entropy import decode_blocks
-from repro.codec.halfpel import fetch_block_half
+from repro.codec.entropy import block_codewords, write_ue
 from repro.codec.motion import MECostFunction, MotionField
 from repro.codec.quant import (
     COEFF_MAX,
@@ -53,12 +72,9 @@ from repro.codec.quant import (
     INTRA_DC_STEP,
     LEVEL_MAX,
 )
-from repro.codec.syntax import (
-    decode_macroblock,
-    decode_macroblock_skippable,
-    read_fragment_header,
-)
+from repro.codec.syntax import read_fragment_header
 from repro.codec.types import CodecConfig, FrameType, MacroblockMode
+from repro.codec.zigzag import inverse_zigzag_order
 from repro.energy.counters import OperationCounters
 
 _LARGE_DIAMOND = (
@@ -393,9 +409,279 @@ def run_level_events(zigzagged: np.ndarray) -> List[Tuple[int, int, bool]]:
     return events
 
 
+def write_se(writer: BitWriter, value: int) -> None:
+    """Write a signed Exp-Golomb codeword (H.264 mapping)."""
+    mapped = 2 * value - 1 if value > 0 else -2 * value
+    write_ue(writer, mapped)
+
+
+def read_se(reader: BitReader) -> int:
+    """Read a signed Exp-Golomb codeword."""
+    mapped = reader.read_exp_golomb()
+    magnitude = (mapped + 1) // 2
+    return magnitude if mapped % 2 else -magnitude
+
+
+def encode_block(writer: BitWriter, levels: np.ndarray) -> None:
+    """Entropy-code one 8x8 block of quantized levels.
+
+    Syntax: a coded-block flag, then (run, level, last) events — run as
+    ue(v), level as se(v) (never zero), last as one bit.
+    """
+    if levels.shape != (8, 8):
+        raise ValueError(f"expected an 8x8 block, got {levels.shape}")
+    values, widths = block_codewords(levels[None])[:2]
+    writer.write_codewords(values, widths)
+
+
+def encode_blocks(writer: BitWriter, blocks: Iterable[np.ndarray]) -> None:
+    """Entropy-code a sequence of 8x8 blocks as one codeword batch."""
+    if not isinstance(blocks, np.ndarray):
+        blocks = list(blocks)
+        if not blocks:
+            return
+        blocks = np.stack(blocks)
+    values, widths = block_codewords(blocks)[:2]
+    writer.write_codewords(values, widths)
+
+
+def decode_blocks(reader: BitReader, count: int) -> np.ndarray:
+    """Decode ``count`` 8x8 blocks into a ``(count, 8, 8)`` array.
+
+    The VLC scan is sequential; the decoded (block, position, level)
+    triples are scattered into the coefficient array in one batch at
+    the end.
+    """
+    blocks: list[int] = []
+    positions: list[int] = []
+    levels: list[int] = []
+    for block in range(count):
+        if reader.read_bit() == 0:
+            continue  # block entirely zero
+        position = -1
+        while True:
+            run = reader.read_exp_golomb()
+            mapped = reader.read_exp_golomb()
+            if mapped == 0:
+                raise BitstreamError("run-level event with zero level")
+            magnitude = (mapped + 1) // 2
+            level = magnitude if mapped & 1 else -magnitude
+            last = reader.read_bit()
+            position += run + 1
+            if position >= 64:
+                raise BitstreamError(
+                    f"run-level overrun: position {position} >= 64"
+                )
+            blocks.append(block)
+            positions.append(position)
+            levels.append(level)
+            if last:
+                break
+    out = np.zeros((count, 64), dtype=np.int32)
+    if levels:
+        out[blocks, positions] = levels
+    return out[:, inverse_zigzag_order()].reshape(count, 8, 8)
+
+
 def decode_block(reader: BitReader) -> np.ndarray:
     """Decode one 8x8 block of quantized levels (inverse of encode_block)."""
     return decode_blocks(reader, 1)[0]
+
+
+@dataclass(frozen=True)
+class EncodedMacroblock:
+    """One macroblock's syntax elements, as the scalar readers return them.
+
+    The sequential :func:`decode_macroblock` and the reference decoder
+    use it; the frame-batched decoder keeps a fragment's parse as arrays
+    instead.
+    """
+
+    mode: MacroblockMode
+    mv: tuple[int, int]
+    coefficients: np.ndarray  # (4 or 6, 8, 8) int32 quantized levels
+
+
+def encode_macroblock(
+    writer: BitWriter,
+    frame_type: FrameType,
+    mode: MacroblockMode,
+    mv: tuple[int, int],
+    blocks: np.ndarray,
+) -> None:
+    """Write one macroblock's syntax elements.
+
+    ``blocks`` is the macroblock's quantized level array: ``(4, 8, 8)``
+    luma-only or ``(6, 8, 8)`` with 4:2:0 chroma (Y Y Y Y Cb Cr, the
+    H.263 block order).  I-frames carry no mode bit (every macroblock
+    is intra) and no motion vector; P-frame inter macroblocks carry the
+    motion vector as two signed Exp-Golomb codes.
+    """
+    if frame_type is FrameType.I and mode is not MacroblockMode.INTRA:
+        raise ValueError("I-frames may only contain intra macroblocks")
+    if frame_type is FrameType.P:
+        writer.write_bit(1 if mode is MacroblockMode.INTRA else 0)
+        if mode is MacroblockMode.INTER:
+            write_se(writer, mv[0])
+            write_se(writer, mv[1])
+    encode_blocks(writer, blocks)
+
+
+def encode_macroblock_skippable(
+    writer: BitWriter,
+    frame_type: FrameType,
+    mode: MacroblockMode,
+    mv: tuple[int, int],
+    blocks: np.ndarray,
+) -> None:
+    """Macroblock syntax with H.263's COD bit (``allow_skip`` codecs).
+
+    P-frame macroblocks lead with one bit: 1 = skipped (zero motion,
+    zero residual, nothing else coded), 0 = coded, followed by the
+    plain macroblock syntax.  I-frames never skip.
+    """
+    if frame_type is FrameType.P:
+        skippable = (
+            mode is MacroblockMode.INTER
+            and mv == (0, 0)
+            and not blocks.any()
+        )
+        writer.write_bit(1 if skippable else 0)
+        if skippable:
+            return
+    encode_macroblock(writer, frame_type, mode, mv, blocks)
+
+
+def decode_macroblock(
+    reader: BitReader, frame_type: FrameType, blocks_per_mb: int = 4
+) -> EncodedMacroblock:
+    """Read one macroblock's syntax elements (inverse of encode).
+
+    ``blocks_per_mb`` is 4 for luma-only streams, 6 with 4:2:0 chroma;
+    it comes from the codec configuration shared out of band (like the
+    picture dimensions).
+    """
+    if blocks_per_mb not in (4, 6):
+        raise ValueError(f"blocks_per_mb must be 4 or 6, got {blocks_per_mb}")
+    if frame_type is FrameType.I:
+        mode = MacroblockMode.INTRA
+        mv = (0, 0)
+    else:
+        mode = MacroblockMode.INTRA if reader.read_bit() else MacroblockMode.INTER
+        if mode is MacroblockMode.INTER:
+            mv = (read_se(reader), read_se(reader))
+        else:
+            mv = (0, 0)
+    coefficients = decode_blocks(reader, blocks_per_mb)
+    return EncodedMacroblock(mode=mode, mv=mv, coefficients=coefficients)
+
+
+def decode_macroblock_skippable(
+    reader: BitReader, frame_type: FrameType, blocks_per_mb: int = 4
+) -> EncodedMacroblock:
+    """Inverse of :func:`encode_macroblock_skippable`.
+
+    A skipped macroblock comes back as INTER with zero motion and an
+    all-zero coefficient array — semantically identical to decoding a
+    fully coded-but-empty macroblock, just one bit on the wire.
+    """
+    if frame_type is FrameType.P and reader.read_bit():
+        return EncodedMacroblock(
+            mode=MacroblockMode.INTER,
+            mv=(0, 0),
+            coefficients=np.zeros((blocks_per_mb, 8, 8), dtype=np.int32),
+        )
+    return decode_macroblock(reader, frame_type, blocks_per_mb)
+
+
+def _average_window(window: np.ndarray, fy: int, fx: int) -> np.ndarray:
+    """H.263 bilinear from a ``(..., 16+fy, 16+fx)`` integer window."""
+    if fy == 0 and fx == 0:
+        return window
+    if fy == 0:
+        return (window[..., :, :-1] + window[..., :, 1:] + 1) >> 1
+    if fx == 0:
+        return (window[..., :-1, :] + window[..., 1:, :] + 1) >> 1
+    return (
+        window[..., :-1, :-1]
+        + window[..., :-1, 1:]
+        + window[..., 1:, :-1]
+        + window[..., 1:, 1:]
+        + 2
+    ) >> 2
+
+
+def fetch_block_half(
+    padded: np.ndarray, pad: int, origin_y: int, origin_x: int, mv: tuple[int, int]
+) -> np.ndarray:
+    """Fetch one 16x16 prediction at a half-pel vector.
+
+    ``padded`` is the edge-padded int64 reference; ``origin_y/x`` are the
+    macroblock's pixel origin in the unpadded frame; ``mv`` is
+    ``(dy, dx)`` in half-pel units.
+    """
+    iy, fy = divmod(int(mv[0]), 2)
+    ix, fx = divmod(int(mv[1]), 2)
+    y = origin_y + pad + iy
+    x = origin_x + pad + ix
+    window = padded[y : y + MB + fy, x : x + MB + fx]
+    return _average_window(window, fy, fx)
+
+
+def chroma_vector(component: int) -> int:
+    """Map a luma motion-vector component to 4:2:0 chroma (divide by
+    two, rounding half away from zero)."""
+    magnitude = (abs(int(component)) + 1) // 2
+    return magnitude if component >= 0 else -magnitude
+
+
+def pad_references(
+    reference: np.ndarray,
+    reference_chroma: Optional[tuple[np.ndarray, np.ndarray]],
+    pad: int,
+) -> tuple[np.ndarray, Optional[list[np.ndarray]]]:
+    """Edge-padded int64 copies of the reference planes, ``pad`` pixels
+    on every side, for :func:`predict_macroblock_scalar`."""
+    padded = np.pad(reference.astype(np.int64), pad, mode="edge")
+    if reference_chroma is None:
+        return padded, None
+    return padded, [
+        np.pad(plane.astype(np.int64), pad, mode="edge")
+        for plane in reference_chroma
+    ]
+
+
+def predict_macroblock_scalar(
+    padded: np.ndarray,
+    padded_chroma: Optional[list[np.ndarray]],
+    pad: int,
+    row: int,
+    col: int,
+    mv: tuple[int, int],
+    half_pel: bool,
+) -> np.ndarray:
+    """One inter macroblock's ``(blocks_per_mb, 8, 8)`` int64 prediction.
+
+    The scalar twin of :func:`repro.codec.recon.predict`: the luma is a
+    slice of the padded reference (or :func:`fetch_block_half` at half
+    pel), and the chroma a slice at the whole-pixel luma vector (half
+    pel truncated toward zero) mapped by :func:`chroma_vector`.  ``pad``
+    must cover the vector (plus one for a half-pel window).
+    """
+    if half_pel:
+        luma = fetch_block_half(padded, pad, row * MB, col * MB, mv)
+        pixel_mv = [int(np.fix(v / 2.0)) for v in mv]
+    else:
+        y = row * MB + pad + mv[0]
+        x = col * MB + pad + mv[1]
+        luma = padded[y : y + MB, x : x + MB]
+        pixel_mv = list(mv)
+    blocks = [luma[:BLK, :BLK], luma[:BLK, BLK:], luma[BLK:, :BLK], luma[BLK:, BLK:]]
+    if padded_chroma is not None:
+        cdy, cdx = (chroma_vector(v) for v in pixel_mv)
+        y, x = row * BLK + pad + cdy, col * BLK + pad + cdx
+        blocks += [plane[y : y + BLK, x : x + BLK] for plane in padded_chroma]
+    return np.stack(blocks).astype(np.int64)
 
 
 def decode_frame_scalar(
@@ -440,17 +726,12 @@ def decode_frame_scalar(
     allow_inter = reference is not None and not (
         config.chroma and reference_chroma is None
     )
-    pad = config.search_range + (2 if config.half_pel else 0)
-    padded = (
-        np.pad(reference.astype(np.int64), pad, mode="edge")
-        if reference is not None
-        else None
-    )
-    padded_chroma = (
-        [np.pad(plane.astype(np.int64), 8, mode="edge") for plane in reference_chroma]
-        if config.chroma and reference_chroma is not None
-        else None
-    )
+    # Wide enough for any vector within mv_limit, half-pel window too.
+    pad = config.search_range + 2
+    if allow_inter:
+        padded, padded_chroma = pad_references(
+            reference, reference_chroma if config.chroma else None, pad
+        )
     read_mb = (
         decode_macroblock_skippable if config.allow_skip else decode_macroblock
     )
@@ -488,36 +769,24 @@ def decode_frame_scalar(
         for offset, emb in enumerate(salvaged):
             row, col = divmod(header.first_mb + offset, config.mb_cols)
             intra = emb.mode is MacroblockMode.INTRA
-            residual = [
-                inverse_dct_block(dequantize_block(block, intra, header.qp), fixed)
-                for block in emb.coefficients
-            ]
-            luma = np.block([residual[0:2], residual[2:4]])
+            pixels = np.stack(
+                [
+                    inverse_dct_block(dequantize_block(block, intra, header.qp), fixed)
+                    for block in emb.coefficients
+                ]
+            )
             if not intra:
-                if config.half_pel:
-                    luma = luma + fetch_block_half(
-                        padded, pad, row * MB, col * MB, emb.mv
-                    )
-                else:
-                    y = row * MB + pad + emb.mv[0]
-                    x = col * MB + pad + emb.mv[1]
-                    luma = luma + padded[y : y + MB, x : x + MB]
+                pixels = pixels + predict_macroblock_scalar(
+                    padded, padded_chroma, pad, row, col, emb.mv, config.half_pel
+                )
+            pixels = np.clip(pixels, 0, 255)
             canvas[row * MB : (row + 1) * MB, col * MB : (col + 1) * MB] = (
-                np.clip(luma, 0, 255)
+                np.block([[pixels[0], pixels[1]], [pixels[2], pixels[3]]])
             )
             if planes is not None:
-                if config.half_pel:
-                    chroma_mv = [int(np.fix(v / 2.0)) for v in emb.mv]
-                else:
-                    chroma_mv = list(emb.mv)
-                cdy, cdx = (chroma_vector(v) for v in chroma_mv)
                 for component, plane in enumerate(planes):
-                    block = residual[4 + component]
-                    if not intra:
-                        y, x = row * 8 + 8 + cdy, col * 8 + 8 + cdx
-                        block = block + padded_chroma[component][y : y + 8, x : x + 8]
-                    plane[row * 8 : (row + 1) * 8, col * 8 : (col + 1) * 8] = (
-                        np.clip(block, 0, 255)
+                    plane[row * BLK : (row + 1) * BLK, col * BLK : (col + 1) * BLK] = (
+                        pixels[4 + component]
                     )
             divisor = 2 if config.half_pel else 1
             received[row, col] = True

@@ -29,22 +29,11 @@ from repro.codec.bitstream import (
 )
 from repro.codec.entropy import (
     block_codewords,
-    decode_blocks,
-    encode_blocks,
-    read_se,
     read_ue,
     se_codewords,
-    write_se,
     write_ue,
 )
-from repro.codec.types import (
-    CodecConfig,
-    EncodedFrame,
-    EncodedMacroblock,
-    FrameType,
-    LayerSymbols,
-    MacroblockMode,
-)
+from repro.codec.types import CodecConfig, EncodedFrame, FrameType, LayerSymbols
 from repro.codec.zigzag import zigzag_order
 
 #: Sanity byte opening every fragment.
@@ -100,56 +89,6 @@ def read_fragment_header(reader: BitReader) -> FragmentHeader:
         raise BitstreamError(f"corrupt fragment header: {error}") from error
 
 
-def encode_macroblock(
-    writer: BitWriter,
-    frame_type: FrameType,
-    mode: MacroblockMode,
-    mv: tuple[int, int],
-    blocks: np.ndarray,
-) -> None:
-    """Write one macroblock's syntax elements.
-
-    ``blocks`` is the macroblock's quantized level array: ``(4, 8, 8)``
-    luma-only or ``(6, 8, 8)`` with 4:2:0 chroma (Y Y Y Y Cb Cr, the
-    H.263 block order).  I-frames carry no mode bit (every macroblock
-    is intra) and no motion vector; P-frame inter macroblocks carry the
-    motion vector as two signed Exp-Golomb codes.
-    """
-    if frame_type is FrameType.I and mode is not MacroblockMode.INTRA:
-        raise ValueError("I-frames may only contain intra macroblocks")
-    if frame_type is FrameType.P:
-        writer.write_bit(1 if mode is MacroblockMode.INTRA else 0)
-        if mode is MacroblockMode.INTER:
-            write_se(writer, mv[0])
-            write_se(writer, mv[1])
-    encode_blocks(writer, blocks)
-
-
-def encode_macroblock_skippable(
-    writer: BitWriter,
-    frame_type: FrameType,
-    mode: MacroblockMode,
-    mv: tuple[int, int],
-    blocks: np.ndarray,
-) -> None:
-    """Macroblock syntax with H.263's COD bit (``allow_skip`` codecs).
-
-    P-frame macroblocks lead with one bit: 1 = skipped (zero motion,
-    zero residual, nothing else coded), 0 = coded, followed by the
-    plain macroblock syntax.  I-frames never skip.
-    """
-    if frame_type is FrameType.P:
-        skippable = (
-            mode is MacroblockMode.INTER
-            and mv == (0, 0)
-            and not blocks.any()
-        )
-        writer.write_bit(1 if skippable else 0)
-        if skippable:
-            return
-    encode_macroblock(writer, frame_type, mode, mv, blocks)
-
-
 def encode_macroblock_layer(
     writer: BitWriter,
     frame_type: FrameType,
@@ -162,10 +101,11 @@ def encode_macroblock_layer(
     """Write one frame's whole macroblock layer as a single codeword batch.
 
     The per-macroblock syntax is identical to chaining
-    :func:`encode_macroblock` (or the skippable variant) over the grid
-    in raster order, but the entire frame — mode bits, motion vectors,
-    COD bits and all coefficient events — is assembled as ``(value,
-    width)`` arrays in numpy and packed by the writer in one operation.
+    :func:`repro.codec.reference.encode_macroblock` (or the skippable
+    variant) over the grid in raster order, but the entire frame — mode
+    bits, motion vectors, COD bits and all coefficient events — is
+    assembled as ``(value, width)`` arrays in numpy and packed by the
+    writer in one operation.
 
     Args:
         intra: ``(mb_rows, mb_cols)`` bool grid of intra decisions.
@@ -301,30 +241,6 @@ def encode_macroblock_layer(
     return [int(offset) for offset in offsets], n_codewords, symbols
 
 
-def decode_macroblock(
-    reader: BitReader, frame_type: FrameType, blocks_per_mb: int = 4
-) -> EncodedMacroblock:
-    """Read one macroblock's syntax elements (inverse of encode).
-
-    ``blocks_per_mb`` is 4 for luma-only streams, 6 with 4:2:0 chroma;
-    it comes from the codec configuration shared out of band (like the
-    picture dimensions).
-    """
-    if blocks_per_mb not in (4, 6):
-        raise ValueError(f"blocks_per_mb must be 4 or 6, got {blocks_per_mb}")
-    if frame_type is FrameType.I:
-        mode = MacroblockMode.INTRA
-        mv = (0, 0)
-    else:
-        mode = MacroblockMode.INTRA if reader.read_bit() else MacroblockMode.INTER
-        if mode is MacroblockMode.INTER:
-            mv = (read_se(reader), read_se(reader))
-        else:
-            mv = (0, 0)
-    coefficients = decode_blocks(reader, blocks_per_mb)
-    return EncodedMacroblock(mode=mode, mv=mv, coefficients=coefficients)
-
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -343,13 +259,15 @@ def _parse_macroblock_fast(
 ) -> tuple[int, bool, int, int]:
     """Parse one macroblock's syntax off a 64-bit word index.
 
-    Pure-integer transliteration of :func:`decode_macroblock` /
-    :func:`decode_macroblock_skippable`: raises :class:`BitstreamError`
-    at exactly the bit positions the sequential reader would, so the
-    decoder's salvage prefix is unchanged.  Coefficient events append
-    (zigzag position, level) to the shared accumulators; each coded
-    block contributes one ``(global block index, event count)`` pair so
-    the caller can scatter everything in one batch.
+    Pure-integer transliteration of the sequential readers
+    :func:`repro.codec.reference.decode_macroblock` /
+    :func:`~repro.codec.reference.decode_macroblock_skippable`: raises
+    :class:`BitstreamError` at exactly the bit positions the sequential
+    reader would, so the decoder's salvage prefix is unchanged.
+    Coefficient events append (zigzag position, level) to the shared
+    accumulators; each coded block contributes one ``(global block
+    index, event count)`` pair so the caller can scatter everything in
+    one batch.
 
     Returns ``(next_bit_position, intra, mv_y, mv_x)``.
     """
@@ -642,13 +560,13 @@ def decode_macroblock_layer(
 ) -> _LayerParse:
     """Batch VLD of up to ``mb_count`` macroblocks (the decoder fast path).
 
-    Bit-identical to looping :func:`decode_macroblock` (or the skippable
-    variant), but the grammar runs over a precomputed 64-bit word index
-    of the payload with plain integer arithmetic — no per-codeword
-    method dispatch.  The salvaged macroblocks come back as one
-    :class:`_LayerParse` (mode and vector rows plus coefficient events,
-    never scattered into per-macroblock arrays), which the decoder
-    batches with the other fragments of the frame.
+    Bit-identical to looping :func:`repro.codec.reference.decode_macroblock`
+    (or the skippable variant), but the grammar runs over a precomputed
+    64-bit word index of the payload with plain integer arithmetic — no
+    per-codeword method dispatch.  The salvaged macroblocks come back as
+    one :class:`_LayerParse` (mode and vector rows plus coefficient
+    events, never scattered into per-macroblock arrays), which the
+    decoder batches with the other fragments of the frame.
 
     Decoding stops at the first corrupt codeword, or — when the
     validation arguments say so — at the first macroblock that cannot
@@ -762,21 +680,3 @@ def decode_macroblock_layer(
     if memo is not None:
         memo[key] = parse
     return parse
-
-
-def decode_macroblock_skippable(
-    reader: BitReader, frame_type: FrameType, blocks_per_mb: int = 4
-) -> EncodedMacroblock:
-    """Inverse of :func:`encode_macroblock_skippable`.
-
-    A skipped macroblock comes back as INTER with zero motion and an
-    all-zero coefficient array — semantically identical to decoding a
-    fully coded-but-empty macroblock, just one bit on the wire.
-    """
-    if frame_type is FrameType.P and reader.read_bit():
-        return EncodedMacroblock(
-            mode=MacroblockMode.INTER,
-            mv=(0, 0),
-            coefficients=np.zeros((blocks_per_mb, 8, 8), dtype=np.int32),
-        )
-    return decode_macroblock(reader, frame_type, blocks_per_mb)

@@ -169,20 +169,6 @@ class FrameDecisions:
 
 
 @dataclass(frozen=True)
-class EncodedMacroblock:
-    """One macroblock's syntax elements, as the scalar readers return them.
-
-    The sequential :func:`~repro.codec.syntax.decode_macroblock` and
-    the reference decoder use it; the frame-batched decoder keeps a
-    fragment's parse as arrays instead.
-    """
-
-    mode: MacroblockMode
-    mv: tuple[int, int]
-    coefficients: np.ndarray  # (4 or 6, 8, 8) int32 quantized levels
-
-
-@dataclass(frozen=True)
 class FrameEncodeStats:
     """Per-frame statistics produced by the encoder.
 

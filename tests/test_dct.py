@@ -9,10 +9,10 @@ from hypothesis.extra.numpy import arrays
 
 from repro.codec.dct import (
     dct_basis,
-    forward_dct,
+    forward_dct_blocks,
     forward_dct_float,
     forward_dct_int,
-    inverse_dct,
+    inverse_dct_blocks,
     inverse_dct_float,
     inverse_dct_int,
 )
@@ -97,15 +97,15 @@ class TestDispatch:
     def test_forward_dispatch(self, rng):
         blocks = rng.integers(0, 256, size=(4, 8, 8))
         np.testing.assert_array_equal(
-            forward_dct(blocks, fixed_point=True), forward_dct_int(blocks)
+            forward_dct_blocks(blocks, fixed_point=True), forward_dct_int(blocks)
         )
         np.testing.assert_allclose(
-            forward_dct(blocks, fixed_point=False),
+            forward_dct_blocks(blocks, fixed_point=False),
             forward_dct_float(blocks.astype(np.float64)),
         )
 
     def test_inverse_dispatch(self, rng):
         coeffs = rng.integers(-500, 500, size=(4, 8, 8))
         np.testing.assert_array_equal(
-            inverse_dct(coeffs, fixed_point=True), inverse_dct_int(coeffs)
+            inverse_dct_blocks(coeffs, fixed_point=True), inverse_dct_int(coeffs)
         )

@@ -181,7 +181,7 @@ class TestDecoderRobustness:
         # read out of bounds; the decoder abandons the fragment.
         from repro.codec.bitstream import BitWriter
         from repro.codec.syntax import FragmentHeader, write_fragment_header
-        from repro.codec.entropy import write_se
+        from repro.codec.reference import write_se
 
         writer = BitWriter()
         write_fragment_header(

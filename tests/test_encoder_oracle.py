@@ -14,12 +14,15 @@ under each paper scheme, over small random clips.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.codec.bitstream import BitReader
 from repro.codec.encoder import Encoder
-from repro.codec.reference import decode_frame_scalar
-from repro.codec.syntax import decode_macroblock, decode_macroblock_skippable
+from repro.codec.reference import (
+    decode_frame_scalar,
+    decode_macroblock,
+    decode_macroblock_skippable,
+)
 from repro.codec.types import MacroblockMode
 from repro.energy.counters import OperationCounters
 from repro.network.packet import Packetizer
@@ -43,6 +46,26 @@ def _parse(encoded, config):
     ]
 
 
+# The shared kernel's dtype corners, always run: fixed-point (int64) and
+# float residuals, each under a full-pel gather and the int16 half-pel
+# prediction, with chroma and skip on.  PGOP-3 on this clip mixes intra
+# and inter macroblocks in every P-frame, at half-pel positions too.
+@example(
+    fixed=True, chroma=True, half_pel=False, skip=True,
+    search="diamond", scheme="PGOP-3", seed=7, jitter=1.5,
+)
+@example(
+    fixed=True, chroma=True, half_pel=True, skip=True,
+    search="diamond", scheme="PGOP-3", seed=7, jitter=1.5,
+)
+@example(
+    fixed=False, chroma=True, half_pel=False, skip=True,
+    search="diamond", scheme="PGOP-3", seed=7, jitter=1.5,
+)
+@example(
+    fixed=False, chroma=True, half_pel=True, skip=True,
+    search="diamond", scheme="PGOP-3", seed=7, jitter=1.5,
+)
 @given(
     fixed=st.booleans(),
     chroma=st.booleans(),

@@ -8,16 +8,16 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.codec.bitstream import BitReader, BitWriter, BitstreamError
-from repro.codec.entropy import (
+from repro.codec.entropy import read_ue, write_ue
+from repro.codec.reference import (
+    decode_block,
     decode_blocks,
     encode_block,
     encode_blocks,
     read_se,
-    read_ue,
+    run_level_events,
     write_se,
-    write_ue,
 )
-from repro.codec.reference import decode_block, run_level_events
 from repro.codec.zigzag import zigzag_order
 
 

@@ -9,12 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from repro.codec.decoder import Decoder
 from repro.codec.encoder import Encoder
-from repro.codec.halfpel import (
-    fetch_block_half,
-    halfpel_to_pixels,
-    motion_compensate_half,
-    refine_half_pel,
-)
+from repro.codec.halfpel import halfpel_to_pixels, refine_half_pel
+from repro.codec.motion import build_motion_estimator
+from repro.codec.reference import fetch_block_half
 from repro.codec.types import CodecConfig
 from repro.network.packet import Packetizer
 from repro.resilience.none import NoResilience
@@ -23,6 +20,7 @@ from repro.core.pbpair import PBPAIRConfig
 from repro.video.frame import Frame, VideoSequence
 
 from tests.conftest import SMALL_H, SMALL_W, small_config, small_sequence
+from tests.test_recon import predict_frame
 
 
 def halfpel_config(**overrides) -> CodecConfig:
@@ -79,21 +77,19 @@ class TestFetchAndCompensate:
         reference = rng.integers(0, 256, (48, 64)).astype(np.uint8)
         mvs = np.zeros((3, 4, 2), dtype=np.int64)
         np.testing.assert_array_equal(
-            motion_compensate_half(reference, mvs), reference
+            predict_frame(reference, mvs, half_pel=True)[0], reference
         )
 
     def test_motion_compensate_even_vector_matches_integer_mc(self, rng):
-        from repro.codec.motion import motion_compensate
-
         reference = rng.integers(0, 256, (48, 64)).astype(np.uint8)
         mvs_px = rng.integers(-3, 4, size=(3, 4, 2))
-        half = motion_compensate_half(reference, 2 * mvs_px)
-        integer = motion_compensate(reference, mvs_px)
+        [half] = predict_frame(reference, 2 * mvs_px, half_pel=True)
+        [integer] = predict_frame(reference, mvs_px)
         np.testing.assert_array_equal(half, integer.astype(np.int64))
 
 
 def _per_macroblock_half(reference: np.ndarray, mvs_half: np.ndarray):
-    """``motion_compensate_half`` as one ``fetch_block_half`` per
+    """The half-pel prediction frame as one ``fetch_block_half`` per
     macroblock over an edge-padded copy of the reference."""
     mb_rows, mb_cols, _ = mvs_half.shape
     pad = int(np.abs(mvs_half).max()) // 2 + 2
@@ -138,7 +134,7 @@ class TestBatchedCompensation:
             )
         )
         np.testing.assert_array_equal(
-            motion_compensate_half(reference, mvs),
+            predict_frame(reference, mvs, half_pel=True)[0],
             _per_macroblock_half(reference, mvs),
         )
 
@@ -150,7 +146,7 @@ class TestBatchedCompensation:
         reference = rng.integers(0, 256, (48, 64)).astype(np.uint8)
         mvs = np.broadcast_to(np.array([dy, dx]), (3, 4, 2)).copy()
         np.testing.assert_array_equal(
-            motion_compensate_half(reference, mvs),
+            predict_frame(reference, mvs, half_pel=True)[0],
             _per_macroblock_half(reference, mvs),
         )
 
@@ -203,6 +199,73 @@ class TestRefinement:
             np.ones(shape, dtype=bool), search_range=7,
         )
         assert np.abs(mvs_half).max() <= 14
+
+
+#: Half-pel neighbour offsets in ``refine_half_pel``'s scan order.
+NEIGHBOURS = [
+    (oy, ox) for oy in (-1, 0, 1) for ox in (-1, 0, 1) if (oy, ox) != (0, 0)
+]
+
+
+class TestRefinementSpecification:
+    """``refine_half_pel``'s choice, re-derived macroblock by macroblock
+    with ``fetch_block_half`` from an estimator's own integer field."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        search=st.sampled_from(("full", "three-step", "diamond")),
+        search_range=st.integers(1, 7),
+        texture=st.sampled_from(("smooth", "stripes")),
+        shift=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        half_shift=st.booleans(),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_choice_is_the_first_minimum_in_range(
+        self, search, search_range, texture, shift, half_shift, seed, data
+    ):
+        rng = np.random.default_rng(seed)
+        reference = _smooth(rng)
+        if texture == "stripes":
+            # Constant down each column: vertical neighbours tie.
+            reference = np.repeat(reference[:1], SMALL_H, axis=0)
+        current = np.roll(reference, shift, axis=(0, 1))
+        if half_shift:
+            current = _half_shift_x(current)
+        shape = (SMALL_H // 16, SMALL_W // 16)
+        active = data.draw(arrays(bool, shape))
+        field = build_motion_estimator(search, search_range).estimate(
+            current, reference, active=active
+        )
+        mvs_half, sads, evaluated = refine_half_pel(
+            current, reference, field.mvs, field.sads, active, search_range
+        )
+
+        assert evaluated == 8 * int(active.sum())
+        assert not mvs_half[~active].any()
+        np.testing.assert_array_equal(sads[~active], field.sads[~active])
+        pad = search_range + 2
+        padded = np.pad(reference.astype(np.int64), pad, mode="edge")
+        limit = 2 * search_range
+        for row, col in zip(*np.nonzero(active)):
+            block = current[row * 16 : (row + 1) * 16, col * 16 : (col + 1) * 16]
+
+            def sad_at(mv):
+                fetched = fetch_block_half(padded, pad, row * 16, col * 16, mv)
+                return int(np.abs(block.astype(np.int64) - fetched).sum())
+
+            dy, dx = 2 * field.mvs[row, col]
+            candidates = [(dy, dx)] + [
+                (dy + oy, dx + ox)
+                for oy, ox in NEIGHBOURS
+                if max(abs(dy + oy), abs(dx + ox)) <= limit
+            ]
+            scores = [sad_at(mv) for mv in candidates]
+            assert scores[0] == field.sads[row, col]
+            first_minimum = int(np.argmin(scores))
+            assert tuple(mvs_half[row, col]) == candidates[first_minimum]
+            assert sads[row, col] == scores[first_minimum]
+            assert sads[row, col] == sad_at(tuple(mvs_half[row, col]))
 
 
 class TestEndToEnd:

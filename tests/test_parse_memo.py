@@ -32,12 +32,11 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.codec.bitstream import BitReader, BitWriter, BitstreamError
 from repro.codec.encoder import Encoder
 from repro.codec.entropy import write_ue
+from repro.codec.reference import decode_macroblock, decode_macroblock_skippable
 from repro.codec.syntax import (
     FragmentHeader,
     ParseMemo,
-    decode_macroblock,
     decode_macroblock_layer,
-    decode_macroblock_skippable,
     read_fragment_header,
     write_fragment_header,
 )

@@ -12,8 +12,8 @@ from repro.codec.quant import (
     COEFF_MIN,
     INTRA_DC_STEP,
     LEVEL_MAX,
-    dequantize,
-    quantize,
+    dequantize_blocks,
+    quantize_blocks,
 )
 
 
@@ -25,71 +25,71 @@ class TestQuantize:
     def test_rejects_bad_qp(self):
         for qp in (0, 32, -3):
             with pytest.raises(ValueError):
-                quantize(_block(), qp, intra=False)
+                quantize_blocks(_block(), False, qp)
             with pytest.raises(ValueError):
-                dequantize(_block(), qp, intra=False)
+                dequantize_blocks(_block(), False, qp)
 
     def test_inter_dead_zone_kills_small_coeffs(self):
         qp = 8
         block = _block(qp)  # below the dead zone (< QP/2 + step)
-        levels = quantize(block, qp, intra=False)
+        levels = quantize_blocks(block, False, qp)
         assert levels[0, 1:, :].sum() == 0 and levels[0, 0, 1:].sum() == 0
 
     def test_intra_has_no_dead_zone_beyond_step(self):
         qp = 8
         block = _block(2 * qp)  # exactly one step
-        levels = quantize(block, qp, intra=True)
+        levels = quantize_blocks(block, True, qp)
         assert levels[0, 3, 3] == 1
 
     def test_sign_preserved(self, rng):
         coeffs = rng.integers(-500, 500, size=(4, 8, 8))
-        levels = quantize(coeffs, 5, intra=False)
+        levels = quantize_blocks(coeffs, False, 5)
         product = levels.astype(np.int64) * coeffs
         assert (product >= 0).all()
 
     def test_levels_clamped(self):
-        levels = quantize(_block(COEFF_MAX), 1, intra=False)
+        levels = quantize_blocks(_block(COEFF_MAX), False, 1)
         assert levels.max() <= LEVEL_MAX
 
     def test_intra_dc_special_step(self):
         block = _block(0)
         block[0, 0, 0] = 800
-        levels = quantize(block, 10, intra=True)
+        levels = quantize_blocks(block, True, 10)
         assert levels[0, 0, 0] == 800 // INTRA_DC_STEP
 
     def test_intra_dc_clamped_positive(self):
         block = _block(0)  # DC of zero would be illegal in H.263
-        levels = quantize(block, 10, intra=True)
+        levels = quantize_blocks(block, True, 10)
         assert levels[0, 0, 0] == 1
 
 
 class TestDequantize:
     def test_zero_levels_stay_zero(self):
-        out = dequantize(np.zeros((1, 8, 8), dtype=np.int32), 7, intra=False)
+        out = dequantize_blocks(np.zeros((1, 8, 8), dtype=np.int32), False, 7)
         assert (out[..., 1:, :] == 0).all()
 
     def test_h263_reconstruction_formula_odd_qp(self):
         levels = np.zeros((1, 8, 8), dtype=np.int32)
         levels[0, 2, 2] = 3
-        out = dequantize(levels, 7, intra=False)
+        out = dequantize_blocks(levels, False, 7)
         assert out[0, 2, 2] == 7 * (2 * 3 + 1)
 
     def test_h263_oddification_even_qp(self):
         levels = np.zeros((1, 8, 8), dtype=np.int32)
         levels[0, 2, 2] = 3
-        out = dequantize(levels, 8, intra=False)
+        out = dequantize_blocks(levels, False, 8)
         assert out[0, 2, 2] == 8 * (2 * 3 + 1) - 1
         assert out[0, 2, 2] % 2 == 1
 
     def test_intra_dc_reconstruction(self):
         levels = np.zeros((1, 8, 8), dtype=np.int32)
         levels[0, 0, 0] = 100
-        out = dequantize(levels, 12, intra=True)
+        out = dequantize_blocks(levels, True, 12)
         assert out[0, 0, 0] == 100 * INTRA_DC_STEP
 
     def test_output_clamped(self):
         levels = np.full((1, 8, 8), LEVEL_MAX, dtype=np.int32)
-        out = dequantize(levels, 31, intra=False)
+        out = dequantize_blocks(levels, False, 31)
         assert out.max() <= COEFF_MAX and out.min() >= COEFF_MIN
 
 
@@ -98,8 +98,8 @@ class TestRoundTripError:
     @pytest.mark.parametrize("intra", [True, False])
     def test_ac_error_bounded_by_step(self, qp, intra, rng):
         coeffs = rng.integers(-1500, 1500, size=(8, 8, 8))
-        levels = quantize(coeffs, qp, intra=intra)
-        recon = dequantize(levels, qp, intra=intra)
+        levels = quantize_blocks(coeffs, intra, qp)
+        recon = dequantize_blocks(levels, intra, qp)
         error = np.abs(recon.astype(np.int64) - coeffs)
         step = 2 * qp
         # AC positions only (DC is special-cased for intra), and only
@@ -115,8 +115,8 @@ class TestRoundTripError:
 
     def test_intra_dc_roundtrip_error(self, rng):
         coeffs = rng.integers(8, 2000, size=(10, 8, 8))
-        levels = quantize(coeffs, 10, intra=True)
-        recon = dequantize(levels, 10, intra=True)
+        levels = quantize_blocks(coeffs, True, 10)
+        recon = dequantize_blocks(levels, True, 10)
         dc_err = np.abs(recon[:, 0, 0] - coeffs[:, 0, 0])
         clamped = levels[:, 0, 0] == 254
         assert (dc_err[~clamped] <= INTRA_DC_STEP // 2).all()
@@ -127,7 +127,7 @@ class TestRoundTripError:
         st.booleans(),
     )
     def test_roundtrip_never_flips_sign(self, coeffs, qp, intra):
-        levels = quantize(coeffs, qp, intra=intra)
-        recon = dequantize(levels, qp, intra=intra)
+        levels = quantize_blocks(coeffs, intra, qp)
+        recon = dequantize_blocks(levels, intra, qp)
         ac = recon[..., 1:, 1:] * coeffs[..., 1:, 1:]
         assert (ac >= 0).all()

@@ -8,7 +8,7 @@ import pytest
 from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.decoder import Decoder
 from repro.codec.encoder import Encoder
-from repro.codec.syntax import (
+from repro.codec.reference import (
     decode_macroblock_skippable,
     encode_macroblock_skippable,
 )
@@ -85,7 +85,7 @@ class TestSkipSyntax:
             plain, FrameType.I, MacroblockMode.INTRA, (0, 0), levels
         )
         skippable_free = BitWriter()
-        from repro.codec.syntax import encode_macroblock
+        from repro.codec.reference import encode_macroblock
 
         encode_macroblock(
             skippable_free, FrameType.I, MacroblockMode.INTRA, (0, 0), levels

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from repro.codec.bitstream import BitReader, BitWriter, BitstreamError
+from repro.codec.reference import decode_macroblock, encode_macroblock
 from repro.codec.syntax import (
     FragmentHeader,
-    decode_macroblock,
-    encode_macroblock,
     read_fragment_header,
     write_fragment_header,
 )
