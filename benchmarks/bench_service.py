@@ -25,6 +25,23 @@ priorities across three schemes — and reports:
   reaper operations are recorded beside it, ungated: how many happen
   depends on wall time.
 
+The daemon runs its batches serially (``RunnerOptions(jobs=1)``, as in
+perfbench's ``service-bursts``) under one process-wide
+:class:`~repro.obs.tracer.Tracer`, so the record also carries the
+decoder work its batches did: ``parse_reuse_ratio``, the share of the
+fragments that reached the VLD which replayed a known parse, and
+``decodes_per_frame``, the executed decodes per session frame (the
+rest replayed from an encode group's lossless prefix).  The stream
+cache outlives the batches, and each encoded stream's scope is parked
+on its entry, so the memo the one encode per class seeded serves every
+later batch and the uniform frame losses damage no delivered byte:
+with one dispatcher (the default), ``parse_reuse_ratio`` is exactly
+1.0 at any fleet size and is gated with zero tolerance.  A second
+dispatcher would share the tracer, which is not thread-safe, and would
+replay a stream on a per-grid scope whenever the other holds its
+parked one.  ``decodes_per_frame`` depends on which sessions
+share a batch, which the arrival timing decides, and is informational.
+
 Entry points mirror the other benchmarks: standalone with
 ``python benchmarks/bench_service.py [--sessions N] [--out FILE]``
 (the committed ``BENCH_service.json`` uses the ≥1000-session default),
@@ -47,11 +64,13 @@ from repro.api import (
     SimulationConfig,
     SyntheticConfig,
     CodecConfig,
+    Tracer,
     encode_content_hash,
     load_service_manifest,
     run_grid,
     session_result_digest,
     start_daemon,
+    use_tracer,
 )
 try:
     from benchmarks.perf_gate import emit, make_record
@@ -135,14 +154,17 @@ def measure(
         config = ServiceConfig(
             queue_dir=tmp_path / "queue",
             port=0,
-            runner=RunnerOptions(jobs=0, cache_dir=tmp_path / "cache"),
+            runner=RunnerOptions(jobs=1, cache_dir=tmp_path / "cache"),
             service_workers=service_workers,
             batch_size=batch_size,
             max_pending=n_sessions + 1,
             poll_s=0.02,
         )
+        # The daemon's batches run in its one dispatcher thread, the
+        # only code that reports to the tracer.
+        tracer = Tracer(trace_id="service fleet")
         fleet_start = time.perf_counter()
-        with start_daemon(config) as handle:
+        with use_tracer(tracer), start_daemon(config) as handle:
             client = ServiceClient(handle.url)
             submit_start = time.perf_counter()
             job_ids = client.submit(submits, max_wait_s=600.0)
@@ -173,6 +195,13 @@ def measure(
 
         ok = sum(1 for s in done.values() if s.ok)
         completion_ratio = ok / n_sessions
+        decoder = tracer.metrics.snapshot()["counters"]
+        parsed = int(decoder.get("decoder.fragments_parsed", 0))
+        reused = int(decoder.get("decoder.fragments_reused", 0))
+        replayed = int(decoder.get("decoder.frames_replayed", 0))
+        session_frames = BENCH_CLIP.n_frames * sum(
+            cls.ok - cls.cached for cls in summary.classes
+        )
 
         # The bit-identity half: the same specs through plain batch
         # run_grid (its own caches) must reproduce every digest.
@@ -222,11 +251,13 @@ def measure(
             "plr": 0.1,
             "service_workers": service_workers,
             "batch_size": batch_size,
+            "runner_jobs": config.runner.jobs,
         },
         gated={
             "completion_ratio": {"tolerance": 0},
             "digest_match_ratio": {"tolerance": 0},
             "sessions_per_queue_file_op": {"tolerance": 0},
+            "parse_reuse_ratio": {"tolerance": 0},
         },
         counts=manifest.counts,
         classes=classes,
@@ -250,6 +281,12 @@ def measure(
         sessions_per_queue_file_op=round(
             n_sessions / sum(session_ops.values()), 3
         ),
+        fragments_decoded=parsed + reused,
+        fragments_parsed=parsed,
+        parse_reuse_ratio=round(reused / (parsed + reused), 3),
+        session_frames=session_frames,
+        frames_replayed=replayed,
+        decodes_per_frame=round((session_frames - replayed) / session_frames, 4),
         note=(
             "completion_ratio and digest_match_ratio are exact by "
             "construction (every session finishes ok; every daemon "
@@ -261,7 +298,15 @@ def measure(
             "and one claim unlink per session).  records_read counts "
             "submit-file reads and is 0 when the daemon submitted every "
             "job itself.  lease_upkeep_file_ops (heartbeats, reaper) "
-            "depend on wall time and are not gated.  Latency "
+            "depend on wall time and are not gated.  parse_reuse_ratio "
+            "is gated: the share of the daemon's fragments_decoded that "
+            "replayed a known parse.  Each class's one encode seeds the "
+            "parse memo parked with its stream, which serves every later "
+            "batch, and frame losses damage no delivered byte, so 1.0 is "
+            "exact at any fleet size and batch size.  decodes_per_frame "
+            "(executed decodes per session frame; the rest replayed "
+            "from a parked lossless prefix) depends on which sessions "
+            "share a batch, so it is informational.  Latency "
             "percentiles and sessions/s depend on the host and do not "
             "transfer."
         ),
@@ -327,6 +372,10 @@ def test_measure_smoke():
         "create": 18, "append": 27, "read": 9, "unlink": 9,
     }
     assert record["sessions_per_queue_file_op"] == round(1 / 7, 3)
+    assert record["fragments_parsed"] == 0 < record["fragments_decoded"]
+    assert record["parse_reuse_ratio"] == 1.0
+    assert record["session_frames"] == 9 * BENCH_CLIP.n_frames
+    assert 0 < record["decodes_per_frame"] <= 1
     for name, _scheme, _priority in SESSION_CLASSES:
         cls = record["classes"][name]
         assert cls["sessions"] == 3

@@ -424,8 +424,24 @@ class ParseMemo(dict):
     decoder of the memo.  Values are :class:`_LayerParse` records,
     read-only, which every lookup returns as they are.  The
     grid runner scopes one memo to the encode and the cells of one
-    encode group; :func:`~repro.sim.pipeline.simulate` to one run.
+    encode group, or parks it with the group's cached stream
+    (:meth:`retain` then bounds it); :func:`~repro.sim.pipeline.simulate`
+    scopes one to one run.
     """
+
+    def retain(self, payloads: Iterable[bytes]) -> None:
+        """Keep only the parses of ``payloads`` made with a reference.
+
+        That is at most one entry per payload: the one a decoder with a
+        reference looks the payload up by, which is also the key
+        :func:`seed_parse_memo` stores (:func:`parse_memo_key` takes
+        every other part of the key from the bytes or from the codec
+        config, which a memo's stream fixes).  Parses of damaged bytes,
+        and of P-frames decoded without a reference, are dropped.
+        """
+        sent = set(payloads)
+        for key in [key for key in self if key[0] not in sent or not key[6]]:
+            del self[key]
 
 
 class _LayerParse(NamedTuple):

@@ -310,17 +310,20 @@ class LosslessPrefix:
 class GroupScope:
     """What the cells replaying one encoded stream share while they run.
 
-    The grid runner (:mod:`repro.sim.runner`) makes one scope per encode
-    group and runs the group's cells back to back under it.
+    The grid runner (:mod:`repro.sim.runner`) runs an encode group's
+    cells back to back under one scope: a fresh one per grid, or the
+    one parked on the stream's entry in a long-lived stream cache, which
+    later grids replaying the stream take up again.
 
     Attributes:
         key: the group's encode key, under which the stream is cached.
         parse_memo: the group's :class:`~repro.codec.syntax.ParseMemo`,
             seeded by the group's encode when it runs in this scope.
         prefix: the group's :class:`LosslessPrefix`.
-        stores: whether the running cell may write ``prefix``.  Every
-            cell but the group's last does, so a one-cell group never
-            allocates the store.
+        stores: whether the running cell may write ``prefix``.  In a
+            fresh scope every cell but the group's last does, so a
+            one-cell group never allocates the store; in a parked scope
+            every cell does, since a later grid can replay it.
     """
 
     key: str

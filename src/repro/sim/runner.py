@@ -40,9 +40,11 @@ import hashlib
 import json
 import os
 import pickle
+import threading
 import time
 import traceback
 from collections import OrderedDict
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -287,8 +289,15 @@ class JobSpec:
         return self.scheme.strip().upper() == "PBPAIR"
 
     def content_hash(self) -> str:
-        """Stable cache key: every parameter that can change the result."""
-        return stable_hash(
+        """Stable cache key: every parameter that can change the result.
+
+        Computed once per spec object: the queue that accepts a job and
+        the runner that executes it share the spec, and its hash.
+        """
+        cached = self.__dict__.get("_content_hash")
+        if cached is not None:
+            return cached
+        cached = stable_hash(
             {
                 "kind": "simulate",
                 "cache_schema": CACHE_SCHEMA_VERSION,
@@ -306,6 +315,8 @@ class JobSpec:
                 "scenario": self.scenario,
             }
         )
+        object.__setattr__(self, "_content_hash", cached)
+        return cached
 
 
 @dataclass(frozen=True)
@@ -747,6 +758,13 @@ class EncodedStreamCache:
     Keys come from :func:`encode_stream_key`: the encoder is
     deterministic, so equal keys mean byte-identical streams and a
     cache hit is exactly as good as encoding again.
+
+    A memory entry can also carry its stream's parked
+    :class:`~repro.sim.pipeline.GroupScope` (:meth:`lease`), which
+    :func:`run_grid` hands to the stream's cells whenever the caller
+    passed this cache in, so a parse or a lossless-prefix frame decoded
+    in one grid serves every later one.  Evicting the entry drops its
+    scope; scopes never reach the disk tier.
     """
 
     def __init__(
@@ -757,6 +775,9 @@ class EncodedStreamCache:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._memory: OrderedDict[str, EncodedStream] = OrderedDict()
+        self._scopes: dict[str, GroupScope] = {}
+        self._lent: set[str] = set()
+        self._lock = threading.Lock()
         self.max_entries = max_entries
         self.disk: Optional[ResultCache] = (
             ResultCache(directory) if directory is not None else None
@@ -774,6 +795,47 @@ class EncodedStreamCache:
         self._memory.move_to_end(key)
         while len(self._memory) > self.max_entries:
             self._memory.popitem(last=False)
+        with self._lock:
+            # A parked scope lives as long as its stream's entry; one
+            # taken out for an encode joins the entry that encode makes.
+            for stale in self._scopes.keys() - self._memory.keys():
+                del self._scopes[stale]
+
+    @contextmanager
+    def lease(self, key: str) -> Iterator[Optional[GroupScope]]:
+        """Lend ``key``'s parked scope to one grid at a time.
+
+        Yields the scope, made on first use (before the stream is
+        cached, so that the encode seeds its memo), or None while
+        another grid holds it: two grids must never extend one lossless
+        prefix at once.  On return the parked memo keeps at most one
+        parse per fragment the stream sent
+        (:meth:`~repro.codec.syntax.ParseMemo.retain`),
+        so damaged-fragment parses do not pile up between grids.
+        """
+        with self._lock:
+            if key in self._lent:
+                scope = None
+            else:
+                self._lent.add(key)
+                scope = self._scopes.get(key)
+                if scope is None:
+                    scope = self._scopes[key] = GroupScope(key, stores=True)
+        if scope is None:
+            yield None
+            return
+        try:
+            yield scope
+        finally:
+            with self._lock:
+                self._lent.discard(key)
+                stream = self._memory.get(key)
+            if stream is not None:
+                scope.parse_memo.retain(
+                    packet.payload
+                    for frame in stream.frames
+                    for packet in frame.packets
+                )
 
     def get(self, key: str) -> Optional[EncodedStream]:
         stream = self._memory.get(key)
@@ -1095,6 +1157,7 @@ def _stream_groups(keys: Sequence[Optional[str]]) -> list[list[int]]:
 
 def _group_scopes(
     keys: Sequence[Optional[str]],
+    parked: Optional[EncodedStreamCache] = None,
 ) -> Iterator[tuple[int, Optional[GroupScope]]]:
     """Walk a loop's cells group by group, each with its group's scope.
 
@@ -1104,18 +1167,32 @@ def _group_scopes(
     :class:`~repro.sim.pipeline.GroupScope`: the key, one
     :class:`~repro.codec.syntax.ParseMemo` (which the group's encode, if
     it runs here, seeds with every fragment's parse) and one
-    :class:`~repro.sim.pipeline.LosslessPrefix`.  Every cell but the
-    group's last may write the prefix store.  The scope is dropped once
-    the group's last cell has run.  Both grid loops (the serial one and
-    each pooled chunk) run their cells through this walk.
+    :class:`~repro.sim.pipeline.LosslessPrefix`.
+
+    With a ``parked`` stream cache (one the caller keeps across grids)
+    a group takes its stream's parked scope
+    (:meth:`EncodedStreamCache.lease`), which outlives the walk and
+    which every cell may extend.  Otherwise, or while another grid
+    holds that scope, the group gets a fresh scope that every cell but
+    the group's last may extend, dropped once that cell has run.  Both
+    grid loops (the serial one and each pooled chunk) run their cells
+    through this walk; only the serial loop parks.
     """
     for group in _stream_groups(keys):
         key = keys[group[0]]
-        scope = GroupScope(key) if key is not None else None
-        for position in group:
-            if scope is not None:
-                scope.stores = position != group[-1]
-            yield position, scope
+        if key is None:
+            for position in group:
+                yield position, None
+            continue
+        lease = parked.lease(key) if parked is not None else nullcontext()
+        with lease as scope:
+            fresh = scope is None
+            if fresh:
+                scope = GroupScope(key)
+            for position in group:
+                if fresh:
+                    scope.stores = position != group[-1]
+                yield position, scope
 
 
 @lru_cache(maxsize=4)
@@ -1282,9 +1359,14 @@ def run_grid(
             service daemon across batches) share one handle and its hit
             counters.
         stream_cache: likewise, a live encoded-stream cache (the CLI
-            shares one between calibration and the grid).  Ignored
-            when ``options.share_streams`` is off.  Workers receive the
-            cache *directory*, never a pickled stream.
+            shares one between calibration and the grid, the daemon
+            one across batches).  Ignored when ``options.share_streams``
+            is off.  Workers receive the cache *directory*, never a
+            pickled stream.  The serial loop parks each encode group's
+            scope on it (:meth:`EncodedStreamCache.lease`), so a later
+            grid replaying the same stream skips the parses and the
+            lossless-prefix decodes this one made; a cache the call
+            builds itself drops each scope after the group's last cell.
 
     Returns:
         One :class:`JobResult` or :class:`JobFailure` per input spec,
@@ -1307,6 +1389,9 @@ def run_grid(
     """
     if cache is None:
         cache = options.build_cache()
+    # A caller's stream cache outlives this grid, so the serial loop
+    # parks each group's scope on it; one built here does not.
+    parked = stream_cache if options.share_streams else None
     if not options.share_streams:
         stream_cache = None
     elif stream_cache is None:
@@ -1396,7 +1481,7 @@ def run_grid(
         return results
 
     def run_serial() -> list[Union[JobResult, JobFailure]]:
-        for position, scope in _group_scopes(keys):
+        for position, scope in _group_scopes(keys, parked):
             index = pending[position]
             note_attempt(index)
             while True:

@@ -11,6 +11,7 @@ from repro.codec.blocks import (
     blocks_to_macroblocks,
     colocated_sad,
     frame_to_macroblocks,
+    gather_blocks,
     macroblocks_to_blocks,
     macroblocks_to_frame,
     sad_self,
@@ -108,3 +109,39 @@ class TestColocatedSad:
         a = rng.integers(0, 256, size=(32, 32)).astype(np.uint8)
         b = rng.integers(0, 256, size=(32, 32)).astype(np.uint8)
         np.testing.assert_array_equal(colocated_sad(a, b), colocated_sad(b, a))
+
+
+def _gather_clamped(plane, top, left, size):
+    """The clamped fancy-index form: each coordinate clamped on its own."""
+    offsets = np.arange(size)
+    ys = np.clip(top[:, None] + offsets, 0, plane.shape[0] - 1)
+    xs = np.clip(left[:, None] + offsets, 0, plane.shape[1] - 1)
+    return plane[ys[:, :, None], xs[:, None, :]]
+
+
+class TestGatherBlocks:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_clamped_fancy_index(self, data):
+        size = data.draw(st.sampled_from((8, 16, 17)))
+        height = data.draw(st.integers(1, 40))
+        width = data.draw(st.integers(1, 40))
+        plane = data.draw(
+            arrays(np.uint8, (height, width), elements=st.integers(0, 255))
+        )
+        # Corners from 3*size before the first pixel to 3*size past the
+        # last: windows inside, straddling an edge or wholly outside.
+        reach = 3 * size
+        n = data.draw(st.integers(1, 12))
+
+        def corners(dim):
+            values = st.integers(-reach - size, dim + reach)
+            drawn = data.draw(st.lists(values, min_size=n, max_size=n))
+            return np.array(drawn, dtype=np.int64)
+
+        top, left = corners(height), corners(width)
+        blocks = gather_blocks(plane, top, left, size)
+        assert blocks.shape == (n, size, size) and blocks.dtype == plane.dtype
+        np.testing.assert_array_equal(
+            blocks, _gather_clamped(plane, top, left, size)
+        )

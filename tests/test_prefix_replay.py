@@ -17,12 +17,21 @@ it.  These tests pin what that rests on:
 * a one-cell group allocates no store, and a group with several cells
   allocates one uint8 array per plane, ``n_frames`` deep;
 * cells of one group that measure bad pixels at different thresholds
-  each get their own metrics.
+  each get their own metrics;
+* on a stream cache the caller keeps across grids, a group's scope is
+  parked on its stream's entry: later grids replay what earlier ones
+  decoded, still equal to cold runs, also from concurrent threads; the
+  parked memo keeps at most one parse per sent fragment, and evicting
+  the entry frees the scope.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +42,7 @@ from repro.scenarios.pack import available_packs, load_pack
 from repro.service.wire import session_result_digest
 from repro.sim import runner
 from repro.sim.pipeline import SimulationConfig
-from repro.sim.runner import JobSpec, run_grid, run_job
+from repro.sim.runner import EncodedStreamCache, JobSpec, run_grid, run_job
 from repro.video.synthetic import SyntheticConfig
 
 from tests.conftest import SMALL_H, SMALL_W, runner_options, small_config
@@ -250,3 +259,166 @@ def test_cells_with_different_bad_pixel_thresholds_get_their_own_metrics(
     assert bad[0] == bad[1] != bad[2]
     for spec, outcome in zip(grid, outcomes):
         assert _fingerprint(outcome.result) == _fingerprint(run_job(spec))
+
+
+_COLD: dict = {}
+
+
+def _cold_fingerprint(spec):
+    """:func:`_fingerprint` of a cold :func:`run_job`, memoized by spec."""
+    key = spec.content_hash()
+    if key not in _COLD:
+        _COLD[key] = _fingerprint(run_job(spec))
+    return _COLD[key]
+
+
+class TestParkedScopes:
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        batches=st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(available_packs()),
+                    st.integers(0, 3),
+                    st.integers(0, 2),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=2,
+            max_size=3,
+        ),
+        faults=st.lists(st.sampled_from(FAULTS), max_size=2, unique=True),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_serial_grids_on_one_live_cache_equal_cold_runs(
+        self, scheme, batches, faults
+    ):
+        # Channel byteflips always ride along, so parked memos meet
+        # damaged bytes; the drawn specs add other stages' faults.
+        faults = (FAULTS[1], *(f for f in faults if f is not FAULTS[1]))
+        stream_cache = EncodedStreamCache()
+        for batch in batches:
+            grid = [
+                _spec(
+                    scheme,
+                    pack,
+                    seed,
+                    FaultPlan(faults=faults, seed=fault_seed),
+                )
+                for pack, seed, fault_seed in batch
+            ]
+            outcomes = run_grid(
+                grid, runner_options(jobs=1), stream_cache=stream_cache
+            )
+            assert all(outcome.ok for outcome in outcomes)
+            for spec, outcome in zip(grid, outcomes):
+                assert _fingerprint(outcome.result) == _cold_fingerprint(spec)
+
+    def test_a_later_grid_replays_the_parked_prefix(self, scope_spy, tmp_path):
+        stream_cache = EncodedStreamCache()
+        grids = [[_spec(plr=0.0, seed=seed)] for seed in range(2)]
+        for number, grid in enumerate(grids):
+            trace_dir = tmp_path / str(number)
+            run_grid(
+                grid,
+                runner_options(jobs=1, trace_dir=trace_dir),
+                stream_cache=stream_cache,
+            )
+        # One scope for both grids; the one-cell group stored its
+        # frames because a later grid could replay them, and did.
+        first, second = scope_spy
+        assert first is second and first.stores
+        assert first.prefix.length == CLIP.n_frames
+        assert _replayed(tmp_path / "0") == 0
+        assert _replayed(tmp_path / "1") == CLIP.n_frames
+        for grid in grids:
+            assert _cold_fingerprint(grid[0]) == _fingerprint(
+                run_grid(grid, runner_options(jobs=1))[0].result
+            )
+
+    def test_a_parked_memo_keeps_one_parse_per_sent_fragment(
+        self, scope_spy, monkeypatch
+    ):
+        sizes: list[int] = []
+        transmit = runner.transmit_phase
+
+        def spy(*args, group=None, **kwargs):
+            result = transmit(*args, group=group, **kwargs)
+            sizes.append(len(group.parse_memo))
+            return result
+
+        monkeypatch.setattr(runner, "transmit_phase", spy)
+        flips = (FaultSpec(kind="corrupt_fragment", probability=0.5, amount=2),)
+        grid = [
+            _spec(plr=0.0, seed=seed, faults=FaultPlan(faults=flips, seed=seed))
+            for seed in range(3)
+        ]
+        stream_cache = EncodedStreamCache()
+        outcomes = run_grid(
+            grid, runner_options(jobs=1), stream_cache=stream_cache
+        )
+        assert all(outcome.ok for outcome in outcomes)
+        scope = scope_spy[0]
+        stream = stream_cache.get(scope.key)
+        sent = sum(len(frame.packets) for frame in stream.frames)
+        # Damaged parses joined the memo while the grid ran; the parked
+        # memo keeps only the sent fragments' parses.
+        assert max(sizes) > sent
+        assert 0 < len(scope.parse_memo) <= sent
+
+    def test_evicting_the_entry_frees_its_scope(self, scope_spy):
+        stream_cache = EncodedStreamCache(max_entries=1)
+        run_grid([_spec("NO")], runner_options(jobs=1), stream_cache=stream_cache)
+        refs = [weakref.ref(scope_spy[0]), weakref.ref(scope_spy[0].parse_memo)]
+        scope_spy.clear()
+        gc.collect()
+        assert all(ref() is not None for ref in refs)  # parked on its entry
+        run_grid(
+            [_spec("GOP-3")], runner_options(jobs=1), stream_cache=stream_cache
+        )
+        scope_spy.clear()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_a_lent_scope_is_not_lent_twice(self):
+        stream_cache = EncodedStreamCache()
+        with stream_cache.lease("key") as scope:
+            assert scope is not None and scope.stores
+            with stream_cache.lease("key") as other:
+                assert other is None
+        with stream_cache.lease("key") as again:
+            assert again is scope
+
+    def test_concurrent_grids_on_one_cache_equal_cold_runs(self):
+        # Four dispatcher-like threads replay one stream at once, with
+        # thread switches forced often: a prefix two grids extended at
+        # once would hand some cell another cell's frames.
+        grids = [
+            [
+                _spec(plr=0.0 if cell else 0.1, seed=4 * thread + cell)
+                for cell in range(3)
+            ]
+            for thread in range(4)
+        ]
+        stream_cache = EncodedStreamCache()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(
+                        run_grid,
+                        grid,
+                        runner_options(jobs=1),
+                        stream_cache=stream_cache,
+                    )
+                    for grid in grids
+                ]
+                outcomes = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for grid, results in zip(grids, outcomes):
+            for spec, outcome in zip(grid, results):
+                assert outcome.ok
+                assert _fingerprint(outcome.result) == _cold_fingerprint(spec)

@@ -10,11 +10,13 @@ import pytest
 
 from repro.codec.rate import RateControlConfig
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.obs.tracer import Tracer, use_tracer
 from repro.scenarios.pack import load_pack
 from repro.service.client import ServiceBusy, ServiceClient, ServiceClientError
-from repro.service.daemon import ServiceConfig, start_daemon
+from repro.service.daemon import EncodeDaemon, ServiceConfig, start_daemon
 from repro.service.wire import JobSubmit, load_service_manifest, session_result_digest
 from repro.sim.pipeline import SimulationConfig
+from repro.sim import runner
 from repro.sim.runner import JobSpec, RunnerOptions, run_grid
 from repro.video.synthetic import SyntheticConfig
 
@@ -239,6 +241,60 @@ class TestEndToEnd:
             assert b"NOPE" in body
             assert handle.daemon.queue.counts() == {}
             client.shutdown()
+
+
+class TestBatchesShareWork:
+    """What one daemon batch computes, the next one reuses."""
+
+    @staticmethod
+    def run_batch(daemon, specs):
+        for spec in specs:
+            daemon.queue.submit(JobSubmit(spec=spec))
+        batch = daemon.queue.claim_batch("dispatcher-0", len(specs))
+        assert [job.submit.spec for job in batch] == specs
+        return batch, daemon._execute_batch(batch)
+
+    def test_second_batch_on_one_encode_key_parses_nothing(self, tmp_path):
+        daemon = EncodeDaemon(daemon_config(tmp_path))
+        first = [tiny_spec(seed=seed) for seed in range(3)]
+        second = [tiny_spec(seed=seed) for seed in range(3, 6)]
+        assert len({runner.encode_content_hash(s) for s in first + second}) == 1
+        self.run_batch(daemon, first)
+        tracer = Tracer(trace_id="second batch")
+        with use_tracer(tracer):
+            _, outcomes = self.run_batch(daemon, second)
+        assert all(outcome.ok and not outcome.from_cache for outcome in outcomes)
+        counters = tracer.metrics.snapshot()["counters"]
+        # Every delivered fragment replays a parked parse, or belongs to
+        # a frame replayed from the parked lossless prefix.
+        assert counters.get("decoder.fragments_parsed", 0) == 0
+        assert counters["decoder.frames_replayed"] > 0
+        batch = run_grid(second, runner_options(jobs=1))
+        assert [session_result_digest(o.result) for o in outcomes] == [
+            session_result_digest(o.result) for o in batch
+        ]
+
+    def test_each_spec_is_hashed_once(self, tmp_path, monkeypatch):
+        hashed: list[str] = []
+        stable_hash = runner.stable_hash
+
+        def spy(payload):
+            digest = stable_hash(payload)
+            if payload.get("kind") == "simulate":
+                hashed.append(digest)
+            return digest
+
+        monkeypatch.setattr(runner, "stable_hash", spy)
+        daemon = EncodeDaemon(daemon_config(tmp_path))
+        specs = [tiny_spec(seed=seed) for seed in range(2)]
+        batch, outcomes = self.run_batch(daemon, specs)
+        assert all(outcome.ok for outcome in outcomes)
+        # The queue hashed each spec on submit; the runner reused it.
+        assert hashed == [job.content_hash for job in batch]
+        for job in batch:
+            rebuilt = JobSubmit.from_json(job.submit.to_json()).spec
+            assert "_content_hash" not in rebuilt.__dict__
+            assert rebuilt.content_hash() == job.content_hash
 
 
 class TestBackpressureAndDraining:
