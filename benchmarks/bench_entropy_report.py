@@ -7,7 +7,7 @@ the combined encode+decode wall time on the same workload as
 ``bench_encoder_throughput`` against a bit-serial baseline measured in
 the same run, from the codec's own oracles:
 
-* the writer: the same encoder with every codeword appended by one
+* the writer: the same encoder with every packed entry appended by one
   ``BitWriter.write_bits`` call instead of the batched
   ``write_codewords``;
 * the reader: :func:`repro.codec.reference.decode_frame_scalar`, the
@@ -27,8 +27,12 @@ The gate is an exact count instead: ``codewords_per_writer_call``, the
 VLC codewords the encoder's macroblock layer emits over the whole clip
 per ``BitWriter`` call it makes there (``write_bits`` plus
 ``write_codewords``).  The word-level writer packs a frame's layer in
-one call; a writer that falls back to one ``write_bits`` per codeword
-drops the ratio to about 1, on any host.
+one call; a writer that falls back to one ``write_bits`` per entry
+drops the ratio to the codewords per packed entry (about 2.6), on any
+host.  ``packed_entries_per_frame``, recorded but not gated, counts
+those entries: the layer merges each coefficient event's ``ue(run)``,
+``se(level)`` and LAST bit, and each macroblock header's COD bit, mode
+bit and vector, into one entry each.
 
 Two entry points:
 
@@ -72,7 +76,7 @@ N_FRAMES = 12
 
 
 def _write_codewords_bit_serial(writer, values, widths) -> None:
-    """``BitWriter.write_codewords`` as one ``write_bits`` per codeword."""
+    """``BitWriter.write_codewords`` as one ``write_bits`` per entry."""
     for value, width in zip(np.asarray(values).tolist(), np.asarray(widths).tolist()):
         writer.write_bits(value, width)
 
@@ -112,23 +116,37 @@ def _decode(config: CodecConfig, packets, bit_serial: bool):
 
 
 def count_writer_calls(n_frames: int = N_FRAMES) -> dict:
-    """VLC codewords and ``BitWriter`` calls of the encoder's macroblock
-    layer (its ``entropy_code`` spans) over one word-level encode of
-    the clip: exact and host-independent."""
+    """VLC codewords, ``BitWriter`` calls and packed entries of the
+    encoder's macroblock layer (its ``entropy_code`` spans) over one
+    word-level encode of the clip: exact and host-independent.
+
+    ``codewords`` counts logical VLC codewords (each Exp-Golomb field
+    and each single bit), ``packed_entries`` the ``(value, width)``
+    entries the writer packs, into which the layer merges the fields
+    of one coefficient event or one macroblock header."""
     tracer = Tracer()
 
-    def counted(method):
+    def counted(method, entries):
         def wrapper(self, *args):
-            tracer.count(writer_calls=1)  # lands on the innermost span
+            # Lands on the innermost span.
+            tracer.count(writer_calls=1, packed_entries=entries(*args))
             return method(self, *args)
 
         return wrapper
 
     with (
         use_tracer(tracer),
-        mock.patch.object(BitWriter, "write_bits", counted(BitWriter.write_bits)),
         mock.patch.object(
-            BitWriter, "write_codewords", counted(BitWriter.write_codewords)
+            BitWriter,
+            "write_bits",
+            counted(BitWriter.write_bits, lambda value, width: 1),
+        ),
+        mock.patch.object(
+            BitWriter,
+            "write_codewords",
+            counted(
+                BitWriter.write_codewords, lambda values, widths: len(widths)
+            ),
         ),
     ):
         Encoder(CodecConfig(), make_strategy("NO")).encode_sequence(
@@ -140,6 +158,7 @@ def count_writer_calls(n_frames: int = N_FRAMES) -> dict:
         for name, key in (
             ("codewords", "vlc_codewords"),
             ("writer_calls", "writer_calls"),
+            ("packed_entries", "packed_entries"),
         )
     }
 
@@ -221,6 +240,7 @@ def build_report(n_frames: int = N_FRAMES, runs: int = 5) -> dict:
         codewords_per_writer_call=round(
             counts["codewords"] / counts["writer_calls"], 3
         ),
+        packed_entries_per_frame=round(counts["packed_entries"] / n_frames, 3),
         before_bit_serial=measured["before_bit_serial"],
         after_word_level=measured["after_word_level"],
         combined_encode_decode_speedup=measured[
@@ -231,10 +251,16 @@ def build_report(n_frames: int = N_FRAMES, runs: int = 5) -> dict:
             "codewords the encoder's macroblock layer emits over the "
             "clip per BitWriter call (write_bits plus write_codewords) "
             "it makes there, a count that is the same on every host.  "
+            "packed_entries_per_frame is recorded, not gated: the "
+            "(value, width) entries the writer packs per frame, fewer "
+            "than the codewords because the layer merges each "
+            "coefficient event's run, level and LAST fields, and each "
+            "macroblock header's COD, mode and vector fields, into one "
+            "entry.  "
             "combined_encode_decode_speedup is recorded, not gated: the "
             "bit-serial encode+decode time over the word-level one, "
             "both measured in the same run, alternating.  The bit-serial "
-            "writer appends each codeword with one BitWriter.write_bits "
+            "writer appends each packed entry with one BitWriter.write_bits "
             "call; the decode baseline is reference.decode_frame_scalar, "
             "the fully scalar decoder including its per-block "
             "dequantization, IDCT and prediction, so the ratio is not "
@@ -254,6 +280,8 @@ def test_entropy_report_smoke():
     layer = report["macroblock_layer"]
     assert layer["writer_calls"] == 4  # one write_codewords per frame
     assert report["codewords_per_writer_call"] > 100
+    # Merged fields: fewer packed entries than logical codewords.
+    assert layer["packed_entries"] < layer["codewords"]
 
 
 def main(argv=None) -> int:

@@ -48,8 +48,13 @@ def _int_basis() -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _int_basis_float() -> np.ndarray:
-    scaled = _int_basis().astype(np.float64)
+def _scaled_basis() -> np.ndarray:
+    """The integer basis times ``2**-13``, exact: a power-of-two scaling.
+
+    Multiplying by it folds each stage's ``>> 13`` into the matmul, so
+    only the rounding is left (:func:`_round_half_away`).
+    """
+    scaled = _int_basis() * 2.0**-FIXED_POINT_BITS
     scaled.setflags(write=False)
     return scaled
 
@@ -94,17 +99,46 @@ def _rounded_shift(values: np.ndarray, bits: int) -> np.ndarray:
     )
 
 
-def _rounded_shift_exact_float(values: np.ndarray, bits: int) -> np.ndarray:
-    """:func:`_rounded_shift` on a float64 array of exact integers.
+def _round_half_away(values: np.ndarray, scratch: np.ndarray) -> None:
+    """Round a float64 stage output half away from zero, in place.
 
-    ``|values| + half`` must stay below 2**53 so every intermediate is
-    exactly representable; then abs, add, scaling by a power of two,
-    floor and sign transfer are all exact and the result equals the
-    integer shift bit for bit.
+    A stage output is an integer times ``2**-13`` (the scaled basis
+    times integers), below ``2**40`` in magnitude on the exact path, so
+    ``values + copysign(0.5, values)`` is exact and truncating it
+    equals :func:`_rounded_shift` of the unscaled integer bit for bit.
+    ``scratch``, an array of the same shape, is overwritten.
     """
-    half = float(1 << (bits - 1))
-    scale = 2.0 ** -bits
-    return np.copysign(np.floor((np.abs(values) + half) * scale), values)
+    np.copysign(0.5, values, out=scratch)
+    values += scratch
+    np.trunc(values, out=values)
+
+
+def _exact_float_transform(
+    values: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """``round(round(left @ values) @ right)`` on the exact float path.
+
+    ``left`` and ``right`` are scaled bases (:func:`_scaled_basis`), so
+    each product is already shifted and only the rounding is left.  The
+    input's float copy is the first rounding's scratch and then takes
+    the second stage, so no other stage-sized array is allocated: at
+    QCIF each is ~200 KB, where every fresh allocation costs page
+    faults.
+    """
+    first = values.astype(np.float64)
+    second = left @ first
+    _round_half_away(second, first)
+    np.matmul(second, right, out=first)
+    _round_half_away(first, second)
+    return first.astype(np.int64)
+
+
+def _exact_in_float(values: np.ndarray) -> bool:
+    return bool(
+        values.size
+        and -_EXACT_FLOAT_LIMIT < values.min()
+        and values.max() < _EXACT_FLOAT_LIMIT
+    )
 
 
 def forward_dct_int(blocks: np.ndarray) -> np.ndarray:
@@ -113,15 +147,10 @@ def forward_dct_int(blocks: np.ndarray) -> np.ndarray:
     Computes ``(Dq @ B @ Dq.T) >> 2s`` with a rounding shift after each
     multiplication stage, where ``Dq = round(D * 2^s)``.
     """
-    blocks = _as_batch(blocks).astype(np.int64)
-    if blocks.size and int(np.abs(blocks).max()) < _EXACT_FLOAT_LIMIT:
-        basis = _int_basis_float()
-        stage1 = _rounded_shift_exact_float(
-            basis @ blocks.astype(np.float64), FIXED_POINT_BITS
-        )
-        return _rounded_shift_exact_float(
-            stage1 @ basis.T, FIXED_POINT_BITS
-        ).astype(np.int64)
+    blocks = _as_batch(np.asarray(blocks)).astype(np.int64, copy=False)
+    if _exact_in_float(blocks):
+        basis = _scaled_basis()
+        return _exact_float_transform(blocks, basis, basis.T)
     basis = _int_basis()
     stage1 = _rounded_shift(np.einsum("ij,njk->nik", basis, blocks), FIXED_POINT_BITS)
     stage2 = _rounded_shift(np.einsum("nik,lk->nil", stage1, basis), FIXED_POINT_BITS)
@@ -130,15 +159,12 @@ def forward_dct_int(blocks: np.ndarray) -> np.ndarray:
 
 def inverse_dct_int(coefficients: np.ndarray) -> np.ndarray:
     """Fixed-point inverse DCT; integer in, integer out."""
-    coefficients = _as_batch(coefficients).astype(np.int64)
-    if coefficients.size and int(np.abs(coefficients).max()) < _EXACT_FLOAT_LIMIT:
-        basis = _int_basis_float()
-        stage1 = _rounded_shift_exact_float(
-            basis.T @ coefficients.astype(np.float64), FIXED_POINT_BITS
-        )
-        return _rounded_shift_exact_float(
-            stage1 @ basis, FIXED_POINT_BITS
-        ).astype(np.int64)
+    coefficients = _as_batch(np.asarray(coefficients)).astype(
+        np.int64, copy=False
+    )
+    if _exact_in_float(coefficients):
+        basis = _scaled_basis()
+        return _exact_float_transform(coefficients, basis.T, basis)
     basis = _int_basis()
     stage1 = _rounded_shift(
         np.einsum("ji,njk->nik", basis, coefficients), FIXED_POINT_BITS
@@ -161,7 +187,10 @@ def forward_dct_blocks(
     changes the matmul shape, never the per-element arithmetic).
     """
     if fixed_point:
-        return forward_dct_int(np.rint(blocks).astype(np.int64))
+        blocks = np.asarray(blocks)
+        if not np.issubdtype(blocks.dtype, np.integer):
+            blocks = np.rint(blocks)
+        return forward_dct_int(blocks)
     return forward_dct_float(blocks)
 
 

@@ -8,13 +8,17 @@ special-cased with a fixed step of 8, as in the standard.
 
 :func:`quantize_blocks` / :func:`dequantize_blocks` take a *per-block*
 intra flag (or one flag for the whole batch) and process a mixed
-intra/inter ``(..., 8, 8)`` stack in a single vectorized pass (the dead
-zone and the DC special case are selected per block with
-``np.where``), which is how the encoder and decoder feed a whole frame
-at once without boolean-mask gather/scatter round trips.
+intra/inter ``(..., 8, 8)`` stack in a single vectorized pass, which is
+how the encoder and decoder feed a whole frame at once without
+boolean-mask gather/scatter round trips.  The quantizer maps each
+clamped coefficient through a precomputed table (one row per block
+mode) instead of dividing per coefficient; the intra DC special case is
+selected per block with ``np.where``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,17 +41,39 @@ def _block_mask(intra, lead_shape: tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(np.asarray(intra, dtype=bool), lead_shape)
 
 
+@lru_cache(maxsize=None)
+def _level_table(qp: int) -> np.ndarray:
+    """The level of every clamped coefficient: intra row, then inter row.
+
+    Intra blocks use ``level = coeff / (2 QP)``; inter blocks subtract a
+    half-step dead zone first, which suppresses small residual noise.
+    Indexed by ``coeff - COEFF_MIN`` (plus :data:`_INTER_ROW` for inter
+    blocks), a lookup replaces the per-coefficient division.
+    """
+    coefficients = np.arange(COEFF_MIN, COEFF_MAX + 1)
+    dead_zone = np.array([[0], [qp // 2]])
+    levels = np.maximum(np.abs(coefficients) - dead_zone, 0) // (2 * qp)
+    np.minimum(levels, LEVEL_MAX, out=levels)
+    table = (np.sign(coefficients) * levels).astype(np.int32).reshape(-1)
+    table.setflags(write=False)
+    return table
+
+
+#: Offset of the inter row in :func:`_level_table`.
+_INTER_ROW = COEFF_MAX - COEFF_MIN + 1
+
+
 def quantize_blocks(
     coefficients: np.ndarray, intra, qp: int
 ) -> np.ndarray:
     """Quantize a mixed intra/inter ``(..., 8, 8)`` stack in one pass.
 
     ``intra`` is a bool array broadcastable to the stack's leading axes
-    (one flag per block).  Intra blocks use ``level = coeff / (2 QP)``;
-    inter blocks subtract a half-step dead zone first, which suppresses
-    small residual noise.  The intra DC term uses the fixed step
-    :data:`INTRA_DC_STEP` and is kept strictly positive (H.263 codes it
-    as an unsigned byte).
+    (one flag per block).  Each coefficient, clamped to the 12-bit
+    range (float coefficients truncated), is looked up in its block
+    mode's row of :func:`_level_table`.  The intra DC term uses the
+    fixed step :data:`INTRA_DC_STEP` and is kept strictly positive
+    (H.263 codes it as an unsigned byte).
     """
     _check_qp(qp)
     # np.minimum/np.maximum, not np.clip: on integer arrays numpy 2's
@@ -56,17 +82,13 @@ def quantize_blocks(
         np.maximum(np.asarray(coefficients), COEFF_MIN), COEFF_MAX
     )
     intra = _block_mask(intra, coefficients.shape[:-2])
-    magnitude = np.abs(coefficients.astype(np.int64))
-    step = 2 * qp
-    # The dead zone is the only per-mode difference off the DC path, so
-    # a per-block offset keeps the whole stack in one reduction.
-    dead_zone = np.where(intra[..., None, None], 0, qp // 2)
-    levels = np.maximum(magnitude - dead_zone, 0) // step
-    np.minimum(levels, LEVEL_MAX, out=levels)
-    levels = (np.sign(coefficients) * levels).astype(np.int32)
     dc = np.rint(coefficients[..., 0, 0] / INTRA_DC_STEP).astype(np.int32)
     np.maximum(dc, 1, out=dc)
     np.minimum(dc, 254, out=dc)
+    # ``coefficients`` is this call's own copy, so it may become the index.
+    index = coefficients.astype(np.int64, copy=False)
+    index += np.where(intra, -COEFF_MIN, _INTER_ROW - COEFF_MIN)[..., None, None]
+    levels = _level_table(int(qp))[index]
     levels[..., 0, 0] = np.where(intra, dc, levels[..., 0, 0])
     return levels
 

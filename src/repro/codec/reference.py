@@ -64,7 +64,7 @@ from repro.codec.bitstream import BitReader, BitWriter, BitstreamError
 from repro.codec.blocks import BLK, MB
 from repro.codec.dct import FIXED_POINT_BITS, dct_basis
 from repro.codec.decoder import DecodeResult
-from repro.codec.entropy import block_codewords, write_ue
+from repro.codec.entropy import write_ue
 from repro.codec.motion import MECostFunction, MotionField
 from repro.codec.quant import (
     COEFF_MAX,
@@ -74,7 +74,7 @@ from repro.codec.quant import (
 )
 from repro.codec.syntax import read_fragment_header
 from repro.codec.types import CodecConfig, FrameType, MacroblockMode
-from repro.codec.zigzag import inverse_zigzag_order
+from repro.codec.zigzag import inverse_zigzag_order, zigzag_order
 from repro.energy.counters import OperationCounters
 
 _LARGE_DIAMOND = (
@@ -423,26 +423,26 @@ def read_se(reader: BitReader) -> int:
 
 
 def encode_block(writer: BitWriter, levels: np.ndarray) -> None:
-    """Entropy-code one 8x8 block of quantized levels.
+    """Entropy-code one 8x8 block of quantized levels, field by field.
 
     Syntax: a coded-block flag, then (run, level, last) events — run as
     ue(v), level as se(v) (never zero), last as one bit.
     """
+    levels = np.asarray(levels)
     if levels.shape != (8, 8):
         raise ValueError(f"expected an 8x8 block, got {levels.shape}")
-    values, widths = block_codewords(levels[None])[:2]
-    writer.write_codewords(values, widths)
+    events = run_level_events(levels.reshape(64)[zigzag_order()])
+    writer.write_bit(1 if events else 0)
+    for run, level, last in events:
+        write_ue(writer, run)
+        write_se(writer, level)
+        writer.write_bit(1 if last else 0)
 
 
 def encode_blocks(writer: BitWriter, blocks: Iterable[np.ndarray]) -> None:
-    """Entropy-code a sequence of 8x8 blocks as one codeword batch."""
-    if not isinstance(blocks, np.ndarray):
-        blocks = list(blocks)
-        if not blocks:
-            return
-        blocks = np.stack(blocks)
-    values, widths = block_codewords(blocks)[:2]
-    writer.write_codewords(values, widths)
+    """Entropy-code a sequence of 8x8 blocks, one after another."""
+    for block in blocks:
+        encode_block(writer, block)
 
 
 def decode_blocks(reader: BitReader, count: int) -> np.ndarray:

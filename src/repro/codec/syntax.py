@@ -27,14 +27,9 @@ from repro.codec.bitstream import (
     BitstreamError,
     build_word_index,
 )
-from repro.codec.entropy import (
-    block_codewords,
-    read_ue,
-    se_codewords,
-    write_ue,
-)
+from repro.codec.entropy import exp_golomb_bits, read_ue, se_codes, write_ue
 from repro.codec.types import CodecConfig, EncodedFrame, FrameType, LayerSymbols
-from repro.codec.zigzag import zigzag_order
+from repro.codec.zigzag import inverse_zigzag_order, zigzag_order
 
 #: Sanity byte opening every fragment.
 FRAGMENT_MAGIC = 0xD5
@@ -100,12 +95,17 @@ def encode_macroblock_layer(
 ) -> tuple[list[int], int, LayerSymbols]:
     """Write one frame's whole macroblock layer as a single codeword batch.
 
-    The per-macroblock syntax is identical to chaining
+    The bits are identical to chaining
     :func:`repro.codec.reference.encode_macroblock` (or the skippable
-    variant) over the grid in raster order, but the entire frame — mode
-    bits, motion vectors, COD bits and all coefficient events — is
-    assembled as ``(value, width)`` arrays in numpy and packed by the
-    writer in one operation.
+    variant) over the grid in raster order, but the frame is assembled
+    as ``(value, width)`` arrays in numpy and packed by the writer in
+    one operation.  Fields that always travel together share one
+    codeword: a P-frame macroblock's COD bit, mode bit and motion
+    vector form one header codeword, and each coefficient event's
+    ``ue(run)``, ``se(level)`` and LAST bit another.  Only quantizer
+    output reaches the layer (``|level| <= 127``, intra DC up to 254),
+    so an event codeword is at most 31 bits wide; a wider one raises
+    :class:`ValueError`.
 
     Args:
         intra: ``(mb_rows, mb_cols)`` bool grid of intra decisions.
@@ -118,8 +118,10 @@ def encode_macroblock_layer(
         offset per macroblock plus a final entry for the total bit
         length (absolute, i.e. including whatever the writer already
         held): the packetizer's split points.  ``n_codewords`` counts
-        the VLC codewords emitted (observability).  ``symbols`` are the
-        coded symbols in the form the decoder's parse recovers them
+        the logical VLC codewords (each Exp-Golomb field, mode, COD,
+        coded-block and LAST bit; observability), not the merged
+        entries the writer packs.  ``symbols`` are the coded symbols
+        in the form the decoder's parse recovers them
         (:class:`~repro.codec.types.LayerSymbols`, taken from the same
         coefficient pass), which :func:`seed_parse_memo` turns into
         parses of the packetized fragments.
@@ -127,118 +129,121 @@ def encode_macroblock_layer(
     base = writer.bit_length
     intra_flat = np.asarray(intra, dtype=bool).reshape(-1)
     mb_count = intra_flat.size
-    mvs_flat = np.asarray(mvs, dtype=np.int64).reshape(mb_count, 2)
     levels = np.asarray(levels)
     blocks_per_mb = levels.shape[2]
-    blocks = levels.reshape(mb_count, blocks_per_mb, 8, 8)
-
-    if frame_type is FrameType.I and not intra_flat.all():
+    is_p = frame_type is FrameType.P
+    if not is_p and not intra_flat.all():
         raise ValueError("I-frames may only contain intra macroblocks")
 
-    skipped = np.zeros(mb_count, dtype=bool)
-    if allow_skip and frame_type is FrameType.P:
-        residual_zero = ~blocks.reshape(mb_count, -1).any(axis=1)
-        skipped = (
-            ~intra_flat & (mvs_flat == 0).all(axis=1) & residual_zero
-        )
-
-    # Coefficient codewords for every non-skipped macroblock, in order.
-    active = ~skipped
-    block_values, block_widths, bits_per_block, cw_per_block, events = (
-        block_codewords(blocks[active].reshape(-1, 8, 8))
-    )
-    block_cw_per_mb = np.zeros(mb_count, dtype=np.int64)
-    block_cw_per_mb[active] = cw_per_block.reshape(-1, blocks_per_mb).sum(
-        axis=1
-    )
-    block_bits_per_mb = np.zeros(mb_count, dtype=np.int64)
-    block_bits_per_mb[active] = bits_per_block.reshape(
-        -1, blocks_per_mb
-    ).sum(axis=1)
-
-    # Per-macroblock header codewords (mode / COD bits, motion vectors)
-    # as an (mb_count, 4) matrix whose first ``header_count`` columns
-    # are real; the rest is masked off per macroblock.
-    header_values = np.zeros((mb_count, 4), dtype=np.int64)
-    header_widths = np.zeros((mb_count, 4), dtype=np.int64)
-    header_count = np.zeros(mb_count, dtype=np.int64)
-    if frame_type is FrameType.P:
-        inter_flat = ~intra_flat
-        mv_col = 0
-        if allow_skip:
-            header_values[:, 0] = skipped  # COD bit
-            header_widths[:, 0] = 1
-            header_values[:, 1] = intra_flat  # mode bit (coded MBs)
-            header_widths[:, 1] = 1
-            header_count = np.where(skipped, 1, np.where(inter_flat, 4, 2))
-            mv_col = 2
-        else:
-            header_values[:, 0] = intra_flat  # mode bit
-            header_widths[:, 0] = 1
-            header_count = np.where(inter_flat, 3, 1)
-            mv_col = 1
-        carries_mv = inter_flat & active
-        if carries_mv.any():
-            mv_values_0, mv_widths_0 = se_codewords(mvs_flat[:, 0])
-            mv_values_1, mv_widths_1 = se_codewords(mvs_flat[:, 1])
-            header_values[carries_mv, mv_col] = mv_values_0[carries_mv]
-            header_widths[carries_mv, mv_col] = mv_widths_0[carries_mv]
-            header_values[carries_mv, mv_col + 1] = mv_values_1[carries_mv]
-            header_widths[carries_mv, mv_col + 1] = mv_widths_1[carries_mv]
-    header_mask = np.arange(4)[None, :] < header_count[:, None]
-    header_bits_per_mb = np.where(header_mask, header_widths, 0).sum(axis=1)
-
-    # Interleave: each macroblock's header codewords, then its block
-    # codewords.  Both sub-streams are already in macroblock order, so
-    # scattering the headers into their slots leaves exactly the block
-    # positions for the coefficient stream.
-    cw_per_mb = header_count + block_cw_per_mb
-    n_codewords = int(cw_per_mb.sum())
-    values = np.empty(n_codewords, dtype=np.int64)
-    widths = np.empty(n_codewords, dtype=np.int64)
-    mb_starts = np.concatenate([[0], np.cumsum(cw_per_mb)[:-1]])
-    header_starts = np.concatenate([[0], np.cumsum(header_count)[:-1]])
-    n_header = int(header_count.sum())
-    if n_header:
-        header_positions = (
-            np.repeat(mb_starts, header_count)
-            + np.arange(n_header)
-            - np.repeat(header_starts, header_count)
-        )
-        is_header = np.zeros(n_codewords, dtype=bool)
-        is_header[header_positions] = True
-        values[header_positions] = header_values[header_mask]
-        widths[header_positions] = header_widths[header_mask]
-        values[~is_header] = block_values
-        widths[~is_header] = block_widths
-    else:
-        values[:] = block_values
-        widths[:] = block_widths
-
-    writer.write_codewords(values, widths)
-
-    bits_per_mb = header_bits_per_mb + block_bits_per_mb
-    offsets = np.empty(mb_count + 1, dtype=np.int64)
-    offsets[0] = base
-    np.cumsum(bits_per_mb, out=offsets[1:])
-    offsets[1:] += base
-
-    # The same symbols in parse form: events renumbered from the coded
-    # blocks onto the frame's block grid (skipped macroblocks code none).
-    block_index, scan_position, ev_levels = events
-    event_mb = np.flatnonzero(active)[block_index // blocks_per_mb]
-    ev_index = (
-        event_mb * blocks_per_mb + block_index % blocks_per_mb
-    ) * 64 + zigzag_order()[scan_position]
+    # Coefficient events keyed ``block * 64 + zigzag position``: a frame
+    # codes few coefficients, so sorting them is cheaper than scanning
+    # every coefficient in zigzag order.
+    flat = levels.reshape(-1)
+    ev_key = np.flatnonzero(flat != 0)
+    ev_key = (ev_key & -64) | inverse_zigzag_order()[ev_key & 63]
+    ev_key.sort()
+    block_start = ev_key & -64
+    scan_position = ev_key - block_start
+    ev_index = block_start | zigzag_order()[scan_position]
+    ev_levels = flat[ev_index].astype(np.int64)
+    n_events = ev_key.size
+    block_index = ev_key >> 6
+    event_mb = block_index // blocks_per_mb
     ev_offsets = np.zeros(mb_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(event_mb, minlength=mb_count), out=ev_offsets[1:])
+
+    # One codeword per event: ue(run) se(level) LAST.  An Exp-Golomb
+    # field is its code number plus one, in 2 * bit_length - 1 bits.
+    # run + 1 is the key's distance from the previous event's key in
+    # the block, or from one before the block's first key.
+    previous = np.empty(n_events, dtype=np.int64)
+    previous[:1] = -1
+    previous[1:] = ev_key[:-1]
+    np.maximum(previous, block_start - 1, out=previous)
+    run_code = ev_key - previous  # run + 1
+    first = run_code > scan_position  # the first event of its block
+    last = np.ones(n_events, dtype=np.int64)
+    last[:-1] = first[1:]
+    level_code = se_codes(ev_levels)
+    level_bits = exp_golomb_bits(level_code)
+    ev_widths = 2 * (exp_golomb_bits(run_code) + level_bits) - 1
+    ev_values = (run_code << 2 * level_bits) | (level_code << 1) | last
+    if n_events and ev_widths.max() > 64:
+        raise ValueError("coefficient level too wide for one codeword")
+
+    # One header codeword per P-frame macroblock: [COD] mode [mv_y mv_x].
+    # Without a vector it is a single one bit (skipped: COD; intra: the
+    # mode bit, after a zero COD bit when the codec skips).
+    skipped = np.zeros(mb_count, dtype=bool)
+    header_widths = np.zeros(mb_count, dtype=np.int64)
+    n_header_fields = 0
+    if is_p:
+        mvs_flat = np.asarray(mvs, dtype=np.int64).reshape(mb_count, 2)
+        if allow_skip:
+            skipped = (
+                ~intra_flat
+                & ~mvs_flat.any(axis=1)
+                & (ev_offsets[1:] == ev_offsets[:-1])
+            )
+        carries_mv = ~intra_flat & ~skipped
+        mv_code = se_codes(mvs_flat)
+        mv_widths = 2 * exp_golomb_bits(mv_code) - 1
+        header_values = np.where(
+            carries_mv, (mv_code[:, 0] << mv_widths[:, 1]) | mv_code[:, 1], 1
+        )
+        header_widths = (
+            np.where(carries_mv, mv_widths.sum(axis=1), 0)
+            + (1 + allow_skip)
+            - skipped
+        )
+        if header_widths.max() > 64:
+            raise ValueError("motion vector too wide for one codeword")
+        n_header_fields = (
+            (1 + allow_skip) * mb_count
+            - int(skipped.sum())
+            + 2 * int(carries_mv.sum())
+        )
+
+    # Placement: each macroblock's header, then per block its coded-block
+    # flag followed by its events (a skipped macroblock has neither).
+    # Every entry not written below is an uncoded block's zero flag.
+    mb_index = np.arange(mb_count)
+    # Per macroblock: its header and the earlier headers, less the flags
+    # the skipped macroblocks before it do not have.
+    skipped_before = np.cumsum(skipped) - skipped
+    shift = is_p * (mb_index + 1) - blocks_per_mb * skipped_before
+    n_active_blocks = blocks_per_mb * (mb_count - int(skipped.sum()))
+    n_entries = is_p * mb_count + n_active_blocks + n_events
+    values = np.zeros(n_entries, dtype=np.int64)
+    widths = np.ones(n_entries, dtype=np.int64)
+    # An event follows every earlier event, the flags of its block and
+    # of the blocks before it, and the headers up to its macroblock's.
+    ev_positions = np.arange(1, n_events + 1) + block_index + shift[event_mb]
+    values[ev_positions] = ev_values
+    widths[ev_positions] = ev_widths
+    values[ev_positions[first] - 1] = 1  # coded-block flags
+    if is_p:
+        mb_starts = shift - 1 + blocks_per_mb * mb_index + ev_offsets[:-1]
+        values[mb_starts] = header_values
+        widths[mb_starts] = header_widths
+    writer.write_codewords(values, widths)
+
+    # Bit offsets: headers and flags per macroblock, events by prefix sum.
+    offsets = np.zeros(mb_count + 1, dtype=np.int64)
+    np.cumsum(header_widths + blocks_per_mb * ~skipped, out=offsets[1:])
+    event_bits = np.zeros(n_events + 1, dtype=np.int64)
+    np.cumsum(ev_widths, out=event_bits[1:])
+    offsets += event_bits[ev_offsets] + base
+
     meta = np.zeros((mb_count, 3), dtype=np.int16)
     meta[:, 0] = intra_flat
-    meta[~intra_flat, 1:] = mvs_flat[~intra_flat]
+    if is_p:
+        meta[~intra_flat, 1:] = mvs_flat[~intra_flat]
     symbols = LayerSymbols(
         meta, ev_index.astype(np.int32), ev_levels, ev_offsets
     )
-    return [int(offset) for offset in offsets], n_codewords, symbols
+    n_codewords = n_header_fields + n_active_blocks + 3 * n_events
+    return offsets.tolist(), n_codewords, symbols
 
 
 _MASK64 = (1 << 64) - 1
@@ -497,32 +502,30 @@ def parse_memo_key(
 def seed_parse_memo(
     memo: ParseMemo,
     frame: EncodedFrame,
-    payloads: Iterable[bytes],
+    fragments: Iterable[tuple[bytes, int, int, int]],
     config: CodecConfig,
 ) -> None:
     """Store the parse of each of ``frame``'s fragments without parsing.
 
-    ``payloads`` must be the packetizer's fragments of ``frame``.  Each
-    gets the :class:`_LayerParse` a cold :func:`decode_macroblock_layer`
-    would store under the key a :class:`~repro.codec.decoder.Decoder`
-    with a reference looks it up by, sliced from ``frame.symbols`` by
-    the fragment's macroblock span, with its bit length from
-    ``frame.mb_bit_offsets``.  A frame without ``symbols`` (bytes the
-    symbols no longer describe) gets no seeds, and a fragment with a
-    vector beyond ``config.mv_limit`` (which a cold parse would cut
-    short) is left to the decoder.
+    ``fragments`` are the packetizer's cuts of ``frame``, each as
+    ``(payload, start, first_mb, mb_count)``: the bytes, the bit the
+    macroblock layer starts at and the macroblock span the header
+    names, so no header is read back.  Each gets the
+    :class:`_LayerParse` a cold :func:`decode_macroblock_layer` would
+    store under the key a :class:`~repro.codec.decoder.Decoder` with a
+    reference looks it up by, sliced from ``frame.symbols`` by the
+    span, with its bit length from ``frame.mb_bit_offsets``.  A frame
+    without ``symbols`` (bytes the symbols no longer describe) gets no
+    seeds, and a fragment with a vector beyond ``config.mv_limit``
+    (which a cold parse would cut short) is left to the decoder.
     """
     symbols = frame.symbols
     if symbols is None:
         return
     offsets = frame.mb_bit_offsets
     block_values = config.blocks_per_mb * 64
-    for payload in payloads:
-        reader = BitReader(payload)
-        header = read_fragment_header(reader)
-        start = reader.bits_consumed
-        first = header.first_mb
-        stop = first + header.mb_count
+    for payload, start, first, mb_count in fragments:
+        stop = first + mb_count
         meta = symbols.meta[first:stop]
         if np.abs(meta[:, 1:]).max(initial=0) > config.mv_limit:
             continue
@@ -530,8 +533,8 @@ def seed_parse_memo(
         key = parse_memo_key(
             payload,
             start,
-            header.frame_type,
-            header.mb_count,
+            frame.frame_type,
+            mb_count,
             config.blocks_per_mb,
             allow_skip=config.allow_skip,
             allow_inter=True,
@@ -545,6 +548,13 @@ def seed_parse_memo(
         )
 
 
+#: The dtypes :func:`_compact` picks from, narrowest first, with bounds.
+_COMPACT_DTYPES = tuple(
+    (dtype, int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+    for dtype in (np.int16, np.int32, np.int64)
+)
+
+
 def _compact(values) -> np.ndarray:
     """Integers as a read-only array of the narrowest exact dtype.
 
@@ -552,11 +562,10 @@ def _compact(values) -> np.ndarray:
     a group's memo stays small and no stored value can wrap.
     """
     array = np.asarray(values, dtype=np.int64)
-    for dtype in (np.int16, np.int32, np.int64):
-        limits = np.iinfo(dtype)
-        if not array.size or (
-            array.min() >= limits.min and array.max() <= limits.max
-        ):
+    low = int(array.min(initial=0))
+    high = int(array.max(initial=0))
+    for dtype, lowest, highest in _COMPACT_DTYPES:
+        if lowest <= low and high <= highest:
             break
     array = array.astype(dtype)
     array.flags.writeable = False

@@ -15,7 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.codec.bitstream import BitWriter, append_bit_slice
-from repro.codec.syntax import FragmentHeader, write_fragment_header
+from repro.codec.syntax import (
+    FragmentHeader,
+    ParseMemo,
+    seed_parse_memo,
+    write_fragment_header,
+)
 from repro.codec.types import CodecConfig, EncodedFrame
 
 #: Default maximum transfer unit in bytes (802.11 / Ethernet payload).
@@ -64,15 +69,24 @@ class Packetizer:
     def reset(self) -> None:
         self._sequence = 0
 
-    def packetize(self, frame: EncodedFrame) -> list[Packet]:
-        """Turn one encoded frame into one or more packets."""
+    def packetize(
+        self, frame: EncodedFrame, parse_memo: ParseMemo | None = None
+    ) -> list[Packet]:
+        """Turn one encoded frame into one or more packets.
+
+        With a ``parse_memo``, every fragment is also seeded with its
+        parse (:func:`~repro.codec.syntax.seed_parse_memo`), from the
+        span and header length this cut gave it.
+        """
         if not frame.mb_bit_offsets:
             raise ValueError("encoded frame carries no macroblock offsets")
         budget_bits = (self.mtu - TRANSPORT_HEADER_BYTES) * 8
         spans = self._split_spans(frame, budget_bits)
+        fragments = [self._fragment(frame, *span) for span in spans]
+        if parse_memo is not None:
+            seed_parse_memo(parse_memo, frame, fragments, self.config)
         packets = []
-        for fragment_index, (first_mb, mb_count) in enumerate(spans):
-            payload = self._fragment_payload(frame, first_mb, mb_count)
+        for fragment_index, (payload, *_) in enumerate(fragments):
             packets.append(
                 Packet(
                     sequence_number=self._sequence,
@@ -109,9 +123,10 @@ class Packetizer:
             first = last + 1
         return spans
 
-    def _fragment_payload(
+    def _fragment(
         self, frame: EncodedFrame, first_mb: int, mb_count: int
-    ) -> bytes:
+    ) -> tuple[bytes, int, int, int]:
+        """``(payload, layer start bit, first_mb, mb_count)`` of one cut."""
         writer = BitWriter()
         write_fragment_header(
             writer,
@@ -123,10 +138,11 @@ class Packetizer:
                 mb_count=mb_count,
             ),
         )
+        layer_start = writer.bit_length
         start = frame.mb_bit_offsets[first_mb]
         stop = frame.mb_bit_offsets[first_mb + mb_count]
         append_bit_slice(writer, frame.payload, start, stop - start)
-        return writer.getvalue()
+        return writer.getvalue(), layer_start, first_mb, mb_count
 
 
 class Depacketizer:

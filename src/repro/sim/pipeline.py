@@ -34,7 +34,7 @@ import numpy as np
 from repro.codec.decoder import Decoder
 from repro.codec.encoder import Encoder
 from repro.codec.rate import ClosedLoopRateController
-from repro.codec.syntax import ParseMemo, seed_parse_memo
+from repro.codec.syntax import ParseMemo
 from repro.codec.types import CodecConfig, FrameType
 from repro.concealment.base import ConcealmentStrategy
 from repro.concealment.copy import CopyConcealment
@@ -396,15 +396,8 @@ def _encode_stream(
                 # The symbols no longer describe the bytes: no seeds.
                 encoded = replace(encoded, payload=payload, symbols=None)
         with tracer.span("packetize") as packet_span:
-            packets = packetizer.packetize(encoded)
+            packets = packetizer.packetize(encoded, parse_memo)
             packet_span.add(packets=len(packets))
-            if parse_memo is not None:
-                seed_parse_memo(
-                    parse_memo,
-                    encoded,
-                    (packet.payload for packet in packets),
-                    encoder.config,
-                )
             frames.append(
                 StreamFrame(
                     frame_index=frame.index,

@@ -13,7 +13,7 @@ from repro.codec.bitstream import (
     BitstreamError,
     append_bit_slice,
 )
-from repro.codec.entropy import ue_codewords
+from repro.codec.entropy import exp_golomb_bits
 
 
 class TestBitWriter:
@@ -185,7 +185,7 @@ class TestCodewordPacker:
         values = sorted(
             {v for k in range(53) for v in (2**k - 2, 2**k - 1, 2**k) if v >= 0}
         )
-        _, widths = ue_codewords(np.array(values, dtype=np.int64))
+        widths = 2 * exp_golomb_bits(np.array(values, dtype=np.int64) + 1) - 1
         assert widths.tolist() == [2 * (v + 1).bit_length() - 1 for v in values]
 
 

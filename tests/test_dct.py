@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.codec import reference
 from repro.codec.dct import (
+    _EXACT_FLOAT_LIMIT,
+    FIXED_POINT_BITS,
+    _round_half_away,
     dct_basis,
     forward_dct_blocks,
     forward_dct_float,
@@ -108,4 +112,56 @@ class TestDispatch:
         coeffs = rng.integers(-500, 500, size=(4, 8, 8))
         np.testing.assert_array_equal(
             inverse_dct_blocks(coeffs, fixed_point=True), inverse_dct_int(coeffs)
+        )
+
+
+#: Stage outputs of the exact float path: products of inputs below
+#: ``_EXACT_FLOAT_LIMIT`` with the 13-bit basis, summed, stay below 2**52.
+_STAGE_LIMIT = 1 << 52
+_HALF = 1 << (FIXED_POINT_BITS - 1)
+
+
+def _stage_values():
+    """Unscaled stage outputs: anything in range, exact ties, and zero."""
+    steps = (_STAGE_LIMIT >> FIXED_POINT_BITS) - 1
+    ties = st.integers(-steps, steps)
+    return st.one_of(
+        st.integers(-_STAGE_LIMIT + 1, _STAGE_LIMIT - 1),
+        ties.map(lambda k: (k << FIXED_POINT_BITS) + _HALF),
+        ties.map(lambda k: (k << FIXED_POINT_BITS) - _HALF),
+        st.just(0),
+    )
+
+
+class TestExactFloatRounding:
+    """The in-place rounding of the exact float path, pinned to the oracle."""
+
+    @given(st.lists(_stage_values(), min_size=1, max_size=64))
+    def test_equals_the_integer_rounded_shift(self, values):
+        values = np.array(values, dtype=np.int64)
+        scaled = values.astype(np.float64) * 2.0**-FIXED_POINT_BITS
+        _round_half_away(scaled, np.empty_like(scaled))
+        np.testing.assert_array_equal(
+            scaled.astype(np.int64), reference._rounded_shift(values, FIXED_POINT_BITS)
+        )
+
+    def test_ties_round_away_from_zero(self):
+        values = np.array([_HALF, -_HALF, 3 * _HALF, -3 * _HALF, 0], dtype=np.int64)
+        scaled = values * 2.0**-FIXED_POINT_BITS
+        _round_half_away(scaled, np.empty_like(scaled))
+        assert scaled.tolist() == [1, -1, 2, -2, 0]
+
+    @given(
+        arrays(
+            np.int64,
+            (3, 8, 8),
+            elements=st.integers(-_EXACT_FLOAT_LIMIT + 1, _EXACT_FLOAT_LIMIT - 1),
+        )
+    )
+    def test_transforms_equal_the_int64_path_up_to_the_limit(self, blocks):
+        np.testing.assert_array_equal(
+            forward_dct_int(blocks), reference.forward_dct_scalar(blocks)
+        )
+        np.testing.assert_array_equal(
+            inverse_dct_int(blocks), reference.inverse_dct_scalar(blocks)
         )

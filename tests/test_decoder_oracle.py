@@ -30,7 +30,6 @@ from repro.codec.reference import decode_frame_scalar
 from repro.codec.syntax import (
     FragmentHeader,
     ParseMemo,
-    seed_parse_memo,
     write_fragment_header,
 )
 from repro.codec.types import FrameType
@@ -147,8 +146,7 @@ def test_batched_decoder_equals_the_scalar_oracle(
         config, fragments, reference, index, reference_chroma, want_counters
     )
     seeded = ParseMemo()
-    encoded, payloads = frames[0][index]
-    seed_parse_memo(seeded, encoded, payloads, config)
+    Packetizer(config, mtu=64).packetize(frames[0][index][0], seeded)
     for memo in (None, ParseMemo(), seeded):
         for _ in range(1 if memo is None else 2):  # cold, then warm
             counters = OperationCounters()
