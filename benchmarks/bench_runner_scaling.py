@@ -8,6 +8,14 @@ that — the same multi-seed grid at several worker counts, plus a fully
 cached pass — and emits a JSON record so later PRs can track scaling
 regressions (the committed baseline lives in ``BENCH_runner.json``).
 
+A separate traced pass at each worker count counts the grid's encodes
+(cells without an ``encode_reused`` trace event), so the timed passes
+stay untraced.  ``groups_per_encode`` (encode groups per encode) is 1.0
+when every encode group runs whole in one unit of work, and is gated
+exactly: a pool that splits a group encodes it once per piece.  A pool
+cuts groups only when it has fewer groups than workers, which the
+default grid (four groups) never has at up to four workers.
+
 Two entry points:
 
 * ``python benchmarks/bench_runner_scaling.py [--out BENCH_runner.json]``
@@ -33,6 +41,8 @@ from repro.api import (
     RunnerOptions,
     SimulationConfig,
     build_grid,
+    encode_content_hash,
+    load_trace,
     run_grid,
 )
 try:
@@ -65,10 +75,12 @@ def scaling_grid(
     )
 
 
-def _timed_run(jobs, workers, cache=None) -> tuple[float, list]:
+def _timed_run(jobs, workers, cache=None, trace_dir=None) -> tuple[float, list]:
     start = time.perf_counter()
     outcomes = run_grid(
-        jobs, RunnerOptions(jobs=workers, use_cache=False), cache=cache
+        jobs,
+        RunnerOptions(jobs=workers, use_cache=False, trace_dir=trace_dir),
+        cache=cache,
     )
     elapsed = time.perf_counter() - start
     failures = [o for o in outcomes if not o.ok]
@@ -78,6 +90,14 @@ def _timed_run(jobs, workers, cache=None) -> tuple[float, list]:
             f"{failures[0].error_type}: {failures[0].message}"
         )
     return elapsed, outcomes
+
+
+def count_encodes(jobs, workers: int) -> int:
+    """Encodes one traced pass over ``jobs`` at ``workers`` makes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _timed_run(jobs, workers, trace_dir=tmp)
+        events = load_trace(os.path.join(tmp, "trace.jsonl")).events
+    return len(jobs) - sum(event.name == "encode_reused" for event in events)
 
 
 def payload_sizes(jobs) -> dict:
@@ -149,6 +169,11 @@ def measure(
         _timed_run(jobs, workers=1, cache=cache)  # populate
         cached_s, _ = _timed_run(jobs, workers=1, cache=cache)
 
+    groups = len({encode_content_hash(spec) for spec in jobs})
+    encodes = {
+        str(workers): count_encodes(jobs, workers) for workers in worker_counts
+    }
+
     serial_s = timings[str(worker_counts[0])]
     cpu_count = os.cpu_count() or 1
     ceilings = {
@@ -172,7 +197,8 @@ def measure(
             "speedup_vs_serial.2": {
                 "tolerance": 0.25,
                 "ceiling": "parallel_ceiling.2",
-            }
+            },
+            "groups_per_encode.2": {"tolerance": 0},
         },
         wall_time_s=timings,
         speedup_vs_serial={
@@ -196,6 +222,11 @@ def measure(
         )),
         cached_pass_s=round(cached_s, 3),
         cache_speedup=round(serial_s / cached_s, 1) if cached_s else None,
+        encode_groups=groups,
+        encodes=encodes,
+        groups_per_encode={
+            workers: round(groups / count, 3) for workers, count in encodes.items()
+        },
     )
 
 
@@ -256,6 +287,8 @@ def test_speedup_is_clamped_at_the_parallel_ceiling():
     assert set(record["speedup_vs_serial_raw"]) == set(
         record["speedup_vs_serial"]
     )
+    assert record["encodes"] == {"1": 1, "2": 1}
+    assert record["groups_per_encode"] == {"1": 1.0, "2": 1.0}
 
 
 def test_cached_pass_returns_identical_results(tmp_path):

@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -381,20 +382,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "loss_model": UniformLoss(plr=args.plr, seed=args.seed)
         }
     trace_dir = _trace_dir(args)
-    trace_file: Optional[Path] = None
-    if trace_dir is not None:
-        tracer = Tracer(trace_id=f"{args.scheme} {video.name}")
-        with use_tracer(tracer):
-            result = simulate(
-                video,
-                strategy,
-                config=_config(args),
-                rate_controller=controller,
-                faults=faults,
-                **channel_kwargs,
-            )
-        trace_file = write_trace(trace_dir / MERGED_TRACE_NAME, tracer)
-    else:
+    tracer = (
+        Tracer(trace_id=f"{args.scheme} {video.name}")
+        if trace_dir is not None
+        else None
+    )
+    with use_tracer(tracer) if tracer is not None else nullcontext():
         result = simulate(
             video,
             strategy,
@@ -403,6 +396,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             faults=faults,
             **channel_kwargs,
         )
+    trace_file: Optional[Path] = None
+    if tracer is not None:
+        trace_file = write_trace(trace_dir / MERGED_TRACE_NAME, tracer)
     print(f"sequence         : {video.name} ({result.n_frames} frames)")
     print(f"scheme           : {result.strategy_name}")
     print(f"delivered PSNR   : {result.average_psnr_decoder:.2f} dB")

@@ -91,12 +91,6 @@ class BitWriter:
         if self._pending_bits >= _FLUSH_THRESHOLD:
             self._flush_full_bytes()
 
-    def write_unary(self, value: int) -> None:
-        """Append ``value`` zero bits followed by a one bit."""
-        if value < 0:
-            raise ValueError("unary value must be >= 0")
-        self.write_bits(1, int(value) + 1)
-
     def write_codewords(self, values: np.ndarray, widths: np.ndarray) -> None:
         """Append a batch of ``(value, width)`` codewords MSB-first.
 

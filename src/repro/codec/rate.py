@@ -246,10 +246,6 @@ class ClosedLoopRateController:
         return self._frames
 
     @property
-    def delivered_bits(self) -> int:
-        return self._delivered_bits
-
-    @property
     def delivered_kbps(self) -> float:
         """Mean delivered bitrate so far, at the configured fps."""
         if self._frames == 0:

@@ -63,10 +63,6 @@ class SigmaTrace:
         """Per-frame worst-macroblock correctness."""
         return [float(s.sigma_after.min()) for s in self.snapshots]
 
-    def refresh_counts(self) -> list[int]:
-        """Per-frame intra (refresh) macroblock counts."""
-        return [int(s.intra_mask.sum()) for s in self.snapshots]
-
     def refresh_intervals(self) -> np.ndarray:
         """Observed per-macroblock mean frames between refreshes.
 

@@ -19,11 +19,6 @@ class EnergyBreakdown:
     def total_joules(self) -> float:
         return sum(self.by_class.values())
 
-    @property
-    def motion_estimation_joules(self) -> float:
-        """Energy of SAD work — the component intra refresh eliminates."""
-        return self.by_class.get("sad_blocks", 0.0)
-
     def fraction(self, counter_name: str) -> float:
         total = self.total_joules
         if total == 0:

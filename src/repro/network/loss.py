@@ -324,10 +324,6 @@ class MarkovBurstLoss(LossModel):
         self._draws = 0
 
     @property
-    def burst_states(self) -> int:
-        return len(self.escape)
-
-    @property
     def expected_burst_length(self) -> float:
         """Mean packets erased per burst, from the chain geometry.
 

@@ -99,9 +99,6 @@ class Packetizer:
             self._sequence += 1
         return packets
 
-    def packetize_sequence(self, frames: list[EncodedFrame]) -> list[Packet]:
-        return [packet for frame in frames for packet in self.packetize(frame)]
-
     def _split_spans(
         self, frame: EncodedFrame, budget_bits: int
     ) -> list[tuple[int, int]]:

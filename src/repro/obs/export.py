@@ -50,10 +50,6 @@ class TraceData:
     trace_ids: list[str] = field(default_factory=list)
 
     @property
-    def n_spans(self) -> int:
-        return len(self.spans)
-
-    @property
     def n_events(self) -> int:
         return len(self.events)
 

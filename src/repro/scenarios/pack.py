@@ -364,11 +364,6 @@ class ScenarioPack:
         if self.fps <= 0:
             raise ScenarioFormatError(f"fps must be > 0, got {self.fps}")
 
-    @property
-    def timeline_frames(self) -> int:
-        """Frames covered by explicit (non-open-ended) segments."""
-        return sum(s.frames for s in self.segments)
-
     def nominal_loss_rate(self) -> float:
         """Frame-weighted long-run loss rate across the timeline.
 

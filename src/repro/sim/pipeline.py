@@ -193,17 +193,11 @@ class SimulationResult:
         return sum(f.damaged_fragments for f in self.frames)
 
     @property
-    def intra_mb_total(self) -> int:
-        return sum(f.intra_mbs for f in self.frames)
-
-    @property
     def intra_fraction(self) -> float:
-        mb_per_frame = None
-        total = 0
-        for f in self.frames:
-            total += f.intra_mbs
-        mb_per_frame = self.counters.mode_decisions
-        return total / mb_per_frame if mb_per_frame else 0.0
+        decisions = self.counters.mode_decisions
+        if not decisions:
+            return 0.0
+        return sum(f.intra_mbs for f in self.frames) / decisions
 
     def psnr_series(self) -> list[float]:
         """Per-frame decoder PSNR (Figure 6a's y-values)."""

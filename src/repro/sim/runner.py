@@ -21,9 +21,9 @@ embarrassingly parallel *and* cacheable — this module exploits both:
 
 Determinism: a job's outcome depends only on its spec (synthetic
 sequences, the channel and the codec are all explicitly seeded), so the
-same grid produces bit-identical results at any worker count — the
-serial loop is the ``RunnerOptions(jobs=1)`` reference, and the pooled
-loop runs the very same per-cell code in worker processes.
+same grid produces bit-identical results at any worker count: one
+driver submits encode groups to a process pool, or to an in-process
+executor for ``RunnerOptions(jobs=1)``, and both run the same chunk loop.
 
 Observability: a :class:`RunnerOptions` with ``trace_dir`` runs every
 executed cell under a per-job :class:`repro.obs.tracer.Tracer`; workers write
@@ -46,7 +46,7 @@ import traceback
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import (
     Any,
@@ -375,6 +375,10 @@ class JobFailure:
 RETRY_BACKOFF_S = 0.05
 RETRY_BACKOFF_FACTOR = 2.0
 RETRY_JITTER = 0.25
+
+#: The fewest cells in one part of an encode group that a clean pool
+#: cuts (it has fewer groups than workers); each part encodes again.
+MIN_PART_CELLS = 4
 
 
 def retry_delay(attempt: int, key: str = "") -> float:
@@ -1081,7 +1085,7 @@ def _raise_worker_faults(
     a dead one); ``worker_crash`` raises :class:`InjectedWorkerCrash`;
     ``worker_exit`` kills the whole process with :func:`os._exit` when
     ``allow_process_exit`` says a pool can absorb it (pooled workers),
-    and degrades to the soft crash serially — the parent process must
+    and degrades to the soft crash in process — the parent process must
     survive its own fault plan.  ``content_hash`` is the spec's.
     """
     if spec.faults is None or not spec.faults:
@@ -1092,7 +1096,7 @@ def _raise_worker_faults(
             time.sleep(fault.hang_seconds)
         elif fault.kind == "worker_exit" and allow_process_exit:
             os._exit(86)
-        else:  # worker_crash, or worker_exit downgraded for serial mode
+        else:  # worker_crash, or worker_exit downgraded in process
             raise InjectedWorkerCrash(
                 f"injected {fault.kind} on attempt {attempt}"
             )
@@ -1127,16 +1131,11 @@ def _execute_job(
     start = time.perf_counter()
     try:
         _raise_worker_faults(spec, attempt, allow_process_exit, content_hash)
-        if trace_dir is not None:
-            tracer = Tracer(trace_id=_job_trace_id(spec))
-            with use_tracer(tracer):
-                result = run_job(spec, stream_cache, group)
-            write_trace(
-                Path(trace_dir) / f"job-{content_hash[:16]}.jsonl",
-                tracer,
-            )
-        else:
+        tracer = Tracer(_job_trace_id(spec)) if trace_dir is not None else None
+        with use_tracer(tracer) if tracer is not None else nullcontext():
             result = run_job(spec, stream_cache, group)
+        if tracer is not None:
+            write_trace(Path(trace_dir) / f"job-{content_hash[:16]}.jsonl", tracer)
         return True, result, time.perf_counter() - start
     except Exception as error:  # noqa: BLE001 - error capture is the contract
         payload = (
@@ -1159,7 +1158,7 @@ def _group_scopes(
     keys: Sequence[Optional[str]],
     parked: Optional[EncodedStreamCache] = None,
 ) -> Iterator[tuple[int, Optional[GroupScope]]]:
-    """Walk a loop's cells group by group, each with its group's scope.
+    """Walk a chunk's cells group by group, each with its group's scope.
 
     ``keys`` holds each cell's :func:`encode_content_hash` (``None``:
     stream sharing is off, and no cell gets a scope).  Cells with one
@@ -1174,9 +1173,8 @@ def _group_scopes(
     (:meth:`EncodedStreamCache.lease`), which outlives the walk and
     which every cell may extend.  Otherwise, or while another grid
     holds that scope, the group gets a fresh scope that every cell but
-    the group's last may extend, dropped once that cell has run.  Both
-    grid loops (the serial one and each pooled chunk) run their cells
-    through this walk; only the serial loop parks.
+    the group's last may extend, dropped once that cell has run.  Every
+    chunk runs its cells through this walk; only in-process chunks park.
     """
     for group in _stream_groups(keys):
         key = keys[group[0]]
@@ -1195,98 +1193,95 @@ def _group_scopes(
                 yield position, scope
 
 
-@lru_cache(maxsize=4)
-def _worker_cache(directory: str) -> ResultCache:
-    """Per-process cache handle for chunk workers.
-
-    Each worker opens the cache directory once and reuses the handle
-    across every chunk it executes, instead of the parent serializing
-    all cache writes through its own process.
-    """
-    return ResultCache(directory)
-
-
-@lru_cache(maxsize=4)
-def _worker_stream_cache(directory: Optional[str]) -> EncodedStreamCache:
-    """Per-process encoded-stream cache handle.
-
-    Like :func:`_worker_cache` but for streams; ``None`` gives this
-    process a memory-only cache (the cells of one worker's lifetime
-    still share).  Keys are content hashes, so a long-lived handle can
-    never serve a stale stream.
-    """
-    return EncodedStreamCache(directory)
+def _cut(group: list[int], parts: int) -> list[list[int]]:
+    """``group`` in up to ``parts`` contiguous runs of ``MIN_PART_CELLS`` or more."""
+    parts = max(1, min(parts, len(group) // MIN_PART_CELLS))
+    size = len(group)
+    return [group[k * size // parts : (k + 1) * size // parts] for k in range(parts)]
 
 
 def _execute_chunk(
-    cells: Sequence[tuple[JobSpec, int, str, Optional[str]]],
     trace_dir: Optional[str],
-    cache_dir: Optional[str],
-    stream_dir: Optional[str],
+    cache: Optional[ResultCache],
+    stream_cache: Optional[EncodedStreamCache],
+    parked: Optional[EncodedStreamCache],
+    allow_process_exit: bool,
+    cells: Sequence[tuple[JobSpec, int, str, Optional[str]]],
+    retry: Optional[Callable[[int, bool], Optional[int]]] = None,
 ) -> list[tuple[bool, object, float]]:
-    """The pool's worker entry: run a chunk of cells.
+    """Run a chunk of cells: the one cell loop of every grid.
 
     A cell is ``(spec, attempt, content_hash, encode_key)``; the parent
     hashes each spec once per grid and hands both keys down
-    (``encode_key`` is ``None`` when stream sharing is off).
-
-    One pool round-trip carries the whole chunk (pickle deduplicates
-    the shared config objects across its specs), and the worker writes
-    its own successes into the result cache, so neither the dispatch
-    latency nor the cache writes serialize on the parent.  The worker
-    looks encoded streams up by content hash in its per-process stream
-    cache rooted at ``stream_dir`` instead of receiving pickled
-    megabytes from the parent, and cells of one stream share a group
-    scope (:func:`_group_scopes`).  Outcomes are per cell,
-    order-aligned, never raising.
+    (``encode_key`` is ``None`` when stream sharing is off).  Cells of
+    one stream run back to back on one group scope
+    (:func:`_group_scopes`, parking on ``parked``), and only those
+    cells look their stream up in ``stream_cache``.  Successes go
+    straight into ``cache``.  Outcomes are per cell, order-aligned and
+    never raising; ``allow_process_exit`` lets an injected
+    ``worker_exit`` take the process down (pool workers only).
+    ``retry(position, ok)`` gives a failed cell's next attempt, run at
+    once on its group's scope, or ``None``.
     """
-    cache = _worker_cache(cache_dir) if cache_dir is not None else None
     keys = [encode_key for _, _, _, encode_key in cells]
-    stream_cache = (
-        _worker_stream_cache(stream_dir)
-        if any(key is not None for key in keys)
-        else None
-    )
     outcomes: list = [None] * len(cells)
-    for position, scope in _group_scopes(keys):
+    for position, scope in _group_scopes(keys, parked):
         spec, attempt, content_hash, _ = cells[position]
-        ok, payload, elapsed = _execute_job(
-            spec, trace_dir, attempt, True, stream_cache, scope, content_hash
-        )
+        while attempt is not None:
+            ok, payload, elapsed = _execute_job(
+                spec,
+                trace_dir,
+                attempt,
+                allow_process_exit,
+                stream_cache if scope is not None else None,
+                scope,
+                content_hash,
+            )
+            attempt = retry(position, ok) if retry is not None else None
         if ok and cache is not None:
             cache.put(content_hash, payload)
         outcomes[position] = (ok, payload, elapsed)
     return outcomes
 
 
-def _outcome(
-    spec: JobSpec,
-    ok: bool,
-    payload: object,
-    elapsed: float,
-    attempts: int = 1,
-    injected: Sequence[str] = (),
-    quarantined: bool = False,
-) -> Union[JobResult, JobFailure]:
-    if ok:
-        return JobResult(
-            spec=spec,
-            result=payload,
-            wall_time_s=elapsed,
-            attempts=attempts,
-            injected_faults=tuple(injected),
-        )
-    error_type, message, tb_text = payload
-    return JobFailure(
-        spec=spec,
-        error_type=error_type,
-        message=message,
-        traceback_text=tb_text,
-        wall_time_s=elapsed,
-        attempts=attempts,
-        quarantined=quarantined,
-        injected_faults=tuple(injected),
-    )
+@lru_cache(maxsize=4)
+def _worker_caches(
+    cache_dir: Optional[Path], stream_dir: Optional[Path]
+) -> tuple[Optional[ResultCache], EncodedStreamCache]:
+    """This process's result- and stream-cache handles, opened once.
+
+    A pool worker reuses them across its chunks: it writes its own
+    successes and looks streams up by content hash, so neither cache
+    writes nor pickled streams pass through the parent.  A ``None``
+    stream directory gives a memory-only stream cache.
+    """
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    return cache, EncodedStreamCache(stream_dir)
+
+
+def _pooled_chunk(
+    cache_dir: Optional[Path],
+    stream_dir: Optional[Path],
+    trace_dir: Optional[str],
+    cells: Sequence[tuple[JobSpec, int, str, Optional[str]]],
+) -> list[tuple[bool, object, float]]:
+    """The pool's worker entry: :func:`_execute_chunk` on this process's caches."""
+    cache, stream_cache = _worker_caches(cache_dir, stream_dir)
+    return _execute_chunk(trace_dir, cache, stream_cache, None, True, cells)
+
+
+class _InProcessExecutor(concurrent.futures.Executor):
+    """An executor whose futures complete at submit time, in this process.
+
+    A chunk that raises propagates from ``submit``, as a plain call would.
+    """
+
+    def submit(
+        self, fn: Callable, /, *args: Any, **kwargs: Any
+    ) -> concurrent.futures.Future:
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
 
 
 def _poison_cache_entries(
@@ -1362,7 +1357,7 @@ def run_grid(
             shares one between calibration and the grid, the daemon
             one across batches).  Ignored when ``options.share_streams``
             is off.  Workers receive the cache *directory*, never a
-            pickled stream.  The serial loop parks each encode group's
+            pickled stream.  In-process runs park each encode group's
             scope on it (:meth:`EncodedStreamCache.lease`), so a later
             grid replaying the same stream skips the parses and the
             lossless-prefix decodes this one made; a cache the call
@@ -1379,18 +1374,22 @@ def run_grid(
     with :func:`retry_delay` backoff, and comes back as a
     *quarantined* :class:`JobFailure` once the budget is spent.  The
     timeout is best-effort: an already-running worker process is not
-    killed, and the serial loop cannot preempt a job at all.
+    killed, and an in-process run cannot preempt a job at all.
 
-    ``jobs=1`` (or a single pending cell, or a platform without a
-    working process pool) runs the serial reference loop in this
-    process.  Otherwise one pooled loop dispatches chunks of cells:
-    coarse chunks for a clean run, one cell per chunk when retries, a
-    timeout or a fault plan need to observe individual cells in flight.
+    One driver submits units of work and collects, retries, times out
+    and finishes their cells, whatever executes them.  A unit is a
+    whole encode group (the cells that replay one stream), encoded
+    once, its cells on one group scope.  A process pool cuts groups
+    (:func:`_cut`) when it has fewer groups than workers, and submits
+    single cells when retries, a timeout or a fault plan must watch
+    each cell in flight, or when streams are not shared.  ``jobs=1``,
+    one unit of work, or no usable process pool run whole groups in
+    process, at submit time, on the caller's live caches.
     """
     if cache is None:
         cache = options.build_cache()
-    # A caller's stream cache outlives this grid, so the serial loop
-    # parks each group's scope on it; one built here does not.
+    # A caller's stream cache outlives this grid, so in-process runs
+    # park each group's scope on it; one built here does not.
     parked = stream_cache if options.share_streams else None
     if not options.share_streams:
         stream_cache = None
@@ -1428,19 +1427,35 @@ def run_grid(
                 continue
         pending.append(index)
 
-    # Cells replaying one encoded stream run back to back, groups in
-    # order of first occurrence (outcomes key on the original index):
-    # a worker's stream cache then serves a whole group, and its cells
-    # share one group scope.  A grid of distinct keys keeps its order.
+    # Cells replaying one encoded stream form one group, groups in
+    # order of first occurrence (outcomes key on the original index).
     keys = [
         encode_content_hash(specs[index]) if stream_cache is not None else None
         for index in pending
     ]
-    order = [position for group in _stream_groups(keys) for position in group]
-    pending = [pending[position] for position in order]
-    keys = [keys[position] for position in order]
-
-    workers = min(options.jobs or os.cpu_count() or 1, max(len(pending), 1))
+    encode_keys = dict(zip(pending, keys))
+    groups = [
+        [pending[position] for position in group]
+        for group in _stream_groups(keys)
+    ]
+    # A pool submits single cells when retries, a timeout or a fault
+    # plan must watch each one in flight, and when streams are not
+    # shared (the one keyless group would be the whole grid); with
+    # fewer groups than workers, it cuts each group into parts.
+    per_cell = (
+        stream_cache is None
+        or max_attempts > 1
+        or timeout is not None
+        or any(specs[index].faults for index in pending)
+    )
+    workers = options.jobs or os.cpu_count() or 1
+    share = -(-workers // max(len(groups), 1))
+    units = (
+        [[index] for index in pending]
+        if per_cell
+        else [part for group in groups for part in _cut(group, share)]
+    )
+    workers = min(workers, len(units))
     attempts: dict[int, int] = {index: 1 for index in pending}
 
     def note_attempt(index: int) -> None:
@@ -1449,19 +1464,26 @@ def run_grid(
         )
 
     def finish(index: int, ok: bool, payload: object, elapsed: float) -> None:
-        quarantined = (
-            not ok
-            and max_attempts > 1
-            and attempts[index] >= max_attempts
-        )
-        outcomes[index] = _outcome(
-            specs[index],
-            ok,
-            payload,
-            elapsed,
-            attempts=attempts[index],
-            injected=labels[index],
-            quarantined=quarantined,
+        spec, attempt, injected = specs[index], attempts[index], labels[index]
+        if ok:
+            outcomes[index] = JobResult(
+                spec=spec,
+                result=payload,
+                wall_time_s=elapsed,
+                attempts=attempt,
+                injected_faults=tuple(injected),
+            )
+            return
+        error_type, message, tb_text = payload
+        outcomes[index] = JobFailure(
+            spec=spec,
+            error_type=error_type,
+            message=message,
+            traceback_text=tb_text,
+            wall_time_s=elapsed,
+            attempts=attempt,
+            quarantined=max_attempts > 1 and attempt >= max_attempts,
+            injected_faults=tuple(injected),
         )
 
     def should_retry(index: int, ok: bool) -> bool:
@@ -1472,84 +1494,47 @@ def run_grid(
         note_attempt(index)
         return True
 
-    def collect() -> list[Union[JobResult, JobFailure]]:
-        if trace_dir is not None:
-            merge_job_traces(trace_dir)
-        results = [outcomes[i] for i in range(len(specs))]
-        if options.manifest_path is not None:
-            grid_manifest(results).write(options.manifest_path)
-        return results
-
-    def run_serial() -> list[Union[JobResult, JobFailure]]:
-        for position, scope in _group_scopes(keys, parked):
-            index = pending[position]
-            note_attempt(index)
-            while True:
-                ok, payload, elapsed = _execute_job(
-                    specs[index],
-                    trace_dir,
-                    attempts[index],
-                    False,
-                    stream_cache,
-                    scope,
-                    hashes[index],
-                )
-                if not should_retry(index, ok):
-                    break
-            finish(index, ok, payload, elapsed)
-            if ok and cache is not None:
-                cache.put(hashes[index], payload)
-        return collect()
-
-    if workers <= 1:
-        return run_serial()
-
-    def make_executor() -> concurrent.futures.ProcessPoolExecutor:
-        return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-
-    try:
-        executor = make_executor()
-    except (NotImplementedError, OSError, PermissionError):
-        # No usable process pool on this platform: same results, serially.
-        return run_serial()
-
-    # One cell per chunk whenever a feature must observe cells in
-    # flight; otherwise a few coarse chunks per worker keep the pool
-    # load-balanced with one round-trip per chunk.
-    per_cell = (
-        max_attempts > 1
-        or timeout is not None
-        or any(specs[index].faults for index in pending)
-    )
-    chunk_size = 1 if per_cell else max(1, -(-len(pending) // (workers * 4)))
-    cache_dir = str(cache.directory) if cache is not None else None
-    stream_dir = (
-        str(stream_cache.directory)
-        if stream_cache is not None and stream_cache.directory is not None
-        else None
-    )
-
-    encode_keys = dict(zip(pending, keys))
+    executor = None
+    if workers > 1:
+        try:
+            executor = concurrent.futures.ProcessPoolExecutor(workers)
+        except (NotImplementedError, OSError, PermissionError):
+            pass  # no usable process pool on this platform
+    in_process = executor is None
+    if in_process:
+        executor, units = _InProcessExecutor(), groups
+        run_chunk = partial(
+            _execute_chunk, trace_dir, cache, stream_cache, parked, False
+        )
+    else:
+        run_chunk = partial(
+            _pooled_chunk,
+            cache.directory if cache is not None else None,
+            stream_cache.directory if stream_cache is not None else None,
+            trace_dir,
+        )
 
     def submit(chunk: list[int]) -> tuple[list[int], concurrent.futures.Future]:
-        future = executor.submit(
-            _execute_chunk,
-            [
-                (specs[index], attempts[index], hashes[index], encode_keys[index])
-                for index in chunk
-            ],
-            trace_dir,
-            cache_dir,
-            stream_dir,
-        )
-        return chunk, future
+        cells = [
+            (specs[index], attempts[index], hashes[index], encode_keys[index])
+            for index in chunk
+        ]
+        if not in_process:
+            return chunk, executor.submit(run_chunk, cells)
+
+        # Nothing is in flight in process: a failed cell retries at
+        # once, inside its group's scope.
+        def retry(position: int, ok: bool) -> Optional[int]:
+            index = chunk[position]
+            return attempts[index] if should_retry(index, ok) else None
+
+        return chunk, executor.submit(run_chunk, cells, retry)
 
     def submit_unfinished() -> list[tuple[list[int], concurrent.futures.Future]]:
-        unfinished = [index for index in pending if index not in outcomes]
-        return [
-            submit(unfinished[i : i + chunk_size])
-            for i in range(0, len(unfinished), chunk_size)
-        ]
+        chunks = (
+            [index for index in unit if index not in outcomes] for unit in units
+        )
+        return [submit(chunk) for chunk in chunks if chunk]
 
     try:
         for index in pending:
@@ -1587,7 +1572,7 @@ def run_grid(
                             0.0,
                         )
                 executor.shutdown(wait=False, cancel_futures=True)
-                executor = make_executor()
+                executor = concurrent.futures.ProcessPoolExecutor(workers)
                 for index in pending:
                     while (
                         index not in outcomes
@@ -1605,4 +1590,9 @@ def run_grid(
                     finish(index, ok, payload, elapsed)
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
-    return collect()
+    if trace_dir is not None:
+        merge_job_traces(trace_dir)
+    results = [outcomes[i] for i in range(len(specs))]
+    if options.manifest_path is not None:
+        grid_manifest(results).write(options.manifest_path)
+    return results

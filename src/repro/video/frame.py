@@ -92,14 +92,6 @@ class Frame:
         y, x = row * MB_SIZE, col * MB_SIZE
         return self.pixels[y : y + MB_SIZE, x : x + MB_SIZE].copy()
 
-    def as_float(self) -> np.ndarray:
-        """Pixels as ``float64`` (for metric computations)."""
-        return self.pixels.astype(np.float64)
-
-    def with_index(self, index: int) -> "Frame":
-        """Return the same pixels tagged with a different sequence index."""
-        return Frame(self.pixels, index, self.cb, self.cr)
-
 
 def _validate_frames(frames: Sequence[Frame]) -> None:
     if not frames:
@@ -136,14 +128,6 @@ class VideoSequence:
         _validate_frames(self.frames)
         if self.fps <= 0:
             raise ValueError(f"fps must be positive, got {self.fps}")
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: Sequence[np.ndarray], name: str = "unnamed", fps: float = 30.0
-    ) -> "VideoSequence":
-        """Build a sequence from raw ``uint8`` arrays, indexing them in order."""
-        frames = tuple(Frame(np.ascontiguousarray(a), i) for i, a in enumerate(arrays))
-        return cls(frames, name=name, fps=fps)
 
     def __len__(self) -> int:
         return len(self.frames)

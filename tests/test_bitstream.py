@@ -59,15 +59,6 @@ class TestBitWriter:
         with pytest.raises(ValueError):
             writer.write_bits(-1, 4)
 
-    def test_write_unary(self):
-        writer = BitWriter()
-        writer.write_unary(3)
-        assert writer.getvalue() == bytes([0b00010000])
-
-    def test_unary_rejects_negative(self):
-        with pytest.raises(ValueError):
-            BitWriter().write_unary(-1)
-
     def test_getvalue_is_idempotent(self):
         writer = BitWriter()
         writer.write_bits(0b1011, 4)

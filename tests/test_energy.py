@@ -104,7 +104,7 @@ class TestModel:
         counters = OperationCounters(sad_blocks=100, dct_blocks=10)
         breakdown = model.breakdown(counters)
         assert 0 < breakdown.fraction("sad_blocks") < 1
-        assert breakdown.motion_estimation_joules == pytest.approx(
+        assert breakdown.by_class["sad_blocks"] == pytest.approx(
             100 * IPAQ_H5555.sad_block_uj * 1e-6
         )
 

@@ -89,7 +89,7 @@ class TestSigmaTrace:
         trace = strategy.trace
         assert len(trace.mean_sigma_series()) == len(sequence)
         assert len(trace.min_sigma_series()) == len(sequence)
-        assert len(trace.refresh_counts()) == len(sequence)
+        assert len(trace) == len(sequence)
 
     def test_min_never_exceeds_mean(self, instrumented_run):
         _, _, strategy, _ = instrumented_run

@@ -21,7 +21,7 @@ class TestBandwidthDeadlineLoss:
         assert all(
             link.survives(_packet(frame, 500, frame)) for frame in range(20)
         )
-        assert link.log.late_rate == 0.0
+        assert link.log.late_packets == 0
 
     def test_oversized_packet_misses_deadline(self):
         # 10 KB at 200 kbps = 400 ms serialization >> 100 ms budget.

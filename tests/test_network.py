@@ -82,7 +82,7 @@ class TestPacketizer:
     def test_sequence_numbers_monotone(self, encoded_frames):
         config, frames = encoded_frames
         packetizer = Packetizer(config, mtu=300)
-        packets = packetizer.packetize_sequence(frames)
+        packets = [p for ef in frames for p in packetizer.packetize(ef)]
         numbers = [p.sequence_number for p in packets]
         assert numbers == list(range(len(numbers)))
 
@@ -386,7 +386,7 @@ class TestMarkovBurstLoss:
     def test_single_state_is_geometric(self):
         # k=1 degenerates to Gilbert-Elliott with good_loss=0, bad_loss=1.
         model = MarkovBurstLoss(p_enter=0.1, escape=0.5)
-        assert model.burst_states == 1
+        assert model.escape == (0.5,)
         assert model.expected_burst_length == pytest.approx(2.0)
         assert model.steady_state_loss_rate == pytest.approx(
             2.0 / (10.0 + 2.0)

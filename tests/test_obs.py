@@ -221,7 +221,7 @@ class TestTraceFiles:
         merged = merge_traces([a, b], tmp_path / "merged.jsonl")
         data = load_trace(merged)
         assert sorted(data.trace_ids) == ["a", "b"]
-        assert data.n_spans == 4
+        assert len(data.spans) == 4
         assert data.metrics.counter_value("channel.packets_sent") == 8
 
     def test_merge_job_traces_empty_dir(self, tmp_path):

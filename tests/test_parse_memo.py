@@ -463,7 +463,7 @@ class TestMemoScope:
             (spec, 1, spec.content_hash(), runner.encode_content_hash(spec))
             for spec in grid
         ]
-        outcomes = runner._execute_chunk(cells, None, None, None)
+        outcomes = runner._pooled_chunk(None, None, None, cells)
         assert all(ok for ok, _, _ in outcomes)
         # Outcomes stay aligned with the chunk's own order.
         digests = [session_result_digest(result) for _, result, _ in outcomes]

@@ -152,11 +152,14 @@ class TestReplayEqualsColdRun:
 
 
 class TestReplayRule:
-    def test_lossless_cells_replay_every_frame_after_the_first(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lossless_cells_replay_every_frame_after_the_first(
+        self, tmp_path, jobs
+    ):
         grid = [_spec(plr=0.0, seed=seed) for seed in range(3)]
-        outcomes = run_grid(grid, runner_options(jobs=1, trace_dir=tmp_path))
+        outcomes = run_grid(grid, runner_options(jobs=jobs, trace_dir=tmp_path))
         # The first cell decodes and stores all six frames; the other
-        # two replay them.
+        # two replay them, at any worker count: the group is one unit.
         assert _replayed(tmp_path) == 2 * CLIP.n_frames
         for spec, outcome in zip(grid, outcomes):
             assert _fingerprint(outcome.result) == _fingerprint(run_job(spec))

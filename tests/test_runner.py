@@ -10,6 +10,7 @@ import pytest
 from repro.codec.rate import RateControlConfig
 from repro.codec.types import CodecConfig
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.obs.export import load_trace
 from repro.scenarios.pack import load_pack
 from repro.service.wire import session_result_digest
 from repro.sim.pipeline import SimulationConfig
@@ -17,6 +18,7 @@ from repro.sim.runner import (
     JobFailure,
     JobResult,
     JobSpec,
+    MIN_PART_CELLS,
     RETRY_BACKOFF_FACTOR,
     RETRY_BACKOFF_S,
     RETRY_JITTER,
@@ -31,6 +33,7 @@ from repro.sim.runner import (
     run_job,
     sequence_digest,
     stable_hash,
+    _cut,
 )
 from repro.video.synthetic import SyntheticConfig
 
@@ -407,7 +410,7 @@ class TestRunGrid:
         ids=["clean", "retries", "timeout"],
     )
     def test_pooled_loop_matches_serial_digests(self, knobs):
-        # Covers both chunk sizes of the pooled loop: coarse chunks on a
+        # Covers both units of the pooled loop: whole encode groups on a
         # clean run, one cell per chunk under retries or a timeout.
         serial = run_grid(self.GRID, runner_options(jobs=1, **knobs))
         pooled = run_grid(self.GRID, runner_options(jobs=2, **knobs))
@@ -415,6 +418,39 @@ class TestRunGrid:
         assert [session_result_digest(o.result) for o in pooled] == [
             session_result_digest(o.result) for o in serial
         ]
+
+    def test_a_pool_with_fewer_groups_than_workers_cuts_them(self):
+        # One group of eight cells on two workers runs as two parts of
+        # four; a group too short for two parts stays whole.
+        grid = [tiny_job(channel_seed=seed) for seed in range(1, 9)]
+        serial = run_grid(grid, runner_options(jobs=1))
+        pooled = run_grid(grid, runner_options(jobs=2))
+        assert [session_result_digest(o.result) for o in pooled] == [
+            session_result_digest(o.result) for o in serial
+        ]
+        assert _cut(list(range(8)), 2) == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert _cut(list(range(9)), 4) == [[0, 1, 2, 3], [4, 5, 6, 7, 8]]
+        assert _cut(list(range(MIN_PART_CELLS + 3)), 2) == [
+            list(range(MIN_PART_CELLS + 3))
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_group_is_encoded_once_at_any_worker_count(self, tmp_path, jobs):
+        # Two schemes x three seeds at PLR 0: two groups of three cells.
+        # Each group runs as one unit, so it is encoded once and its
+        # later cells replay the first cell's lossless frames.
+        grid = [
+            tiny_job(scheme=scheme, plr=0.0, channel_seed=seed)
+            for scheme in ("NO", "GOP-2")
+            for seed in (1, 2, 3)
+        ]
+        outcomes = run_grid(grid, runner_options(jobs=jobs, trace_dir=tmp_path))
+        assert all(outcome.ok for outcome in outcomes)
+        trace = load_trace(tmp_path / "trace.jsonl")
+        reused = [e for e in trace.events if e.name == "encode_reused"]
+        counters = trace.metrics.snapshot()["counters"]
+        assert len(grid) - len(reused) == 2
+        assert counters["decoder.frames_replayed"] == 2 * 2 * TINY_CLIP.n_frames
 
 
 def runner_plan(kind="worker_crash", times=1, seed=3, **knobs) -> FaultPlan:
@@ -456,6 +492,31 @@ class TestRetryAndQuarantine:
             assert outcome.quarantined
             assert outcome.attempts == 2
             assert outcome.error_type == "InjectedWorkerCrash"
+
+    def test_in_process_retry_reuses_its_groups_parses(self, tmp_path):
+        # Every cell crashes on attempt 1 and retries at once, inside its
+        # group's scope: the group parses and replays exactly what a
+        # clean run of the same grid does.
+        grid = [tiny_job(channel_seed=seed) for seed in (1, 2, 3)]
+        counters = []
+        for name, knobs in (
+            ("clean", {}),
+            ("faulted", {"faults": runner_plan("worker_crash"), "retries": 1}),
+        ):
+            outcomes = run_grid(
+                grid, runner_options(jobs=1, trace_dir=tmp_path / name, **knobs)
+            )
+            assert all(outcome.ok for outcome in outcomes)
+            trace = load_trace(tmp_path / name / "trace.jsonl")
+            counters.append(trace.metrics.snapshot()["counters"])
+        clean, faulted = counters
+        assert clean.get("decoder.fragments_reused", 0) > 0
+        for counter in (
+            "decoder.fragments_parsed",
+            "decoder.fragments_reused",
+            "decoder.frames_replayed",
+        ):
+            assert faulted.get(counter, 0) == clean.get(counter, 0)
 
     def test_no_retry_policy_keeps_single_attempt_semantics(self):
         outcomes = run_grid(

@@ -326,7 +326,7 @@ class TestPackProperties:
                 break
             start += segment.frames
         assert index == expected
-        if frame >= pack.timeline_frames:
+        if frame >= sum(segment.frames for segment in pack.segments):
             assert index == len(pack.segments) - 1
 
     @given(pack=scenario_packs, seed=st.integers(0, 2**16))

@@ -49,19 +49,8 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(np.zeros((48, 64, 3), dtype=np.uint8))
 
-    def test_with_index(self, rng):
-        frame = Frame(rng.integers(0, 256, (16, 16)).astype(np.uint8), 0)
-        assert frame.with_index(7).index == 7
-
 
 class TestVideoSequence:
-    def test_from_arrays(self, rng):
-        arrays = [rng.integers(0, 256, (16, 32)).astype(np.uint8) for _ in range(4)]
-        seq = VideoSequence.from_arrays(arrays, name="x", fps=25)
-        assert len(seq) == 4
-        assert [f.index for f in seq] == [0, 1, 2, 3]
-        assert seq.width == 32 and seq.fps == 25
-
     def test_rejects_mixed_sizes(self, rng):
         frames = (
             Frame(np.zeros((16, 16), dtype=np.uint8), 0),
