@@ -31,16 +31,17 @@ perfbench's ``service-bursts``) under one process-wide
 decoder work its batches did: ``parse_reuse_ratio``, the share of the
 fragments that reached the VLD which replayed a known parse, and
 ``decodes_per_frame``, the executed decodes per session frame (the
-rest replayed from an encode group's lossless prefix).  The stream
-cache outlives the batches, and each encoded stream's scope is parked
-on its entry, so the memo the one encode per class seeded serves every
-later batch and the uniform frame losses damage no delivered byte:
-with one dispatcher (the default), ``parse_reuse_ratio`` is exactly
-1.0 at any fleet size and is gated with zero tolerance.  A second
-dispatcher would share the tracer, which is not thread-safe, and would
-replay a stream on a per-grid scope whenever the other holds its
-parked one.  ``decodes_per_frame`` depends on which sessions
-share a batch, which the arrival timing decides, and is informational.
+rest were served from an encode group's sender states: a frame that
+reached an in-sync decoder exactly as sent).  The stream cache
+outlives the batches, and each encoded stream's scope is parked on its
+entry, so the memo and the sender states the one encode per class
+seeded serve every later batch, and the uniform frame losses damage no
+delivered byte: with one dispatcher (the default),
+``parse_reuse_ratio`` is exactly 1.0 at any fleet size and is gated
+with zero tolerance.  A second dispatcher would share the tracer,
+which is not thread-safe, and would replay a stream on a per-grid
+scope whenever the other holds its parked one.  ``decodes_per_frame``
+is informational.
 
 Entry points mirror the other benchmarks: standalone with
 ``python benchmarks/bench_service.py [--sessions N] [--out FILE]``
@@ -304,9 +305,9 @@ def measure(
             "parse memo parked with its stream, which serves every later "
             "batch, and frame losses damage no delivered byte, so 1.0 is "
             "exact at any fleet size and batch size.  decodes_per_frame "
-            "(executed decodes per session frame; the rest replayed "
-            "from a parked lossless prefix) depends on which sessions "
-            "share a batch, so it is informational.  Latency "
+            "(executed decodes per session frame; the rest were served "
+            "from the sender states parked with each stream) is "
+            "informational.  Latency "
             "percentiles and sessions/s depend on the host and do not "
             "transfer."
         ),

@@ -167,43 +167,32 @@ class Decoder:
         mvs_pixels = np.zeros((mb_rows, mb_cols, 2), dtype=np.int64)
         frame_index = expected_index
         frame_type = FrameType.P
-        # Inter macroblocks need every plane they predict from.
-        allow_inter = reference is not None and not (
-            config.chroma and reference_chroma is None
-        )
 
         # Phase 1 — per fragment: header, VLD and salvage bookkeeping.
-        salvaged: list[tuple[int, int, object]] = []
-        damaged = 0
-        for fragment_position, payload in enumerate(fragments):
-            # Fragment-level resync: *nothing* a fragment contains may
-            # abort the frame.  Expected corruption (bad magic, VLC
-            # desync) is handled inside _parse_fragment; this guard
-            # additionally contains any unexpected decode error at the
-            # fragment boundary — the damaged region is concealed and
-            # the remaining fragments still decode.
-            try:
-                header, parse = self._parse_fragment(payload, allow_inter)
-            except Exception as error:  # noqa: BLE001 - containment contract
-                damaged += 1
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        "decoder.fragment_error",
-                        fragment=fragment_position,
-                        error=type(error).__name__,
-                        expected_index=expected_index,
-                    )
-                continue
-            if header is None:
-                damaged += 1  # unreadable header: the whole fragment is lost
-                continue
-            if len(parse.meta) < header.mb_count:
-                damaged += 1  # VLC desync truncated the salvaged prefix
-            frame_index = header.frame_index
-            frame_type = header.frame_type
-            if len(parse.meta):
-                salvaged.append((header.first_mb, header.qp, parse))
+        memo = self.parse_memo
+        stored = len(memo) if memo is not None else 0
+        parsed, damaged = self._parse_frame(
+            fragments,
+            _allow_inter(config, reference, reference_chroma),
+            expected_index,
+        )
+        tracer = get_tracer()
+        if tracer.enabled and parsed:
+            # Every fresh parse adds a memo entry; a replayed one does not.
+            fresh = len(memo) - stored if memo is not None else len(parsed)
+            if fresh:
+                tracer.metrics.inc("decoder.fragments_parsed", fresh)
+            if len(parsed) > fresh:
+                tracer.metrics.inc("decoder.fragments_reused", len(parsed) - fresh)
+        bill_decode(self.counters, parsed, config.blocks_per_mb)
+        if parsed:
+            frame_index = parsed[-1][0].frame_index
+            frame_type = parsed[-1][0].frame_type
+        salvaged = [
+            (header.first_mb, header.qp, parse)
+            for header, parse, _ in parsed
+            if len(parse.meta)
+        ]
 
         # Phase 2 — once per frame, over every salvaged macroblock.
         if salvaged:
@@ -229,25 +218,81 @@ class Decoder:
             damaged_fragments=damaged,
         )
 
+    def bill_frame(
+        self,
+        fragments: Iterable[bytes],
+        reference: Optional[np.ndarray],
+        reference_chroma: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    ) -> OperationCounters:
+        """What :meth:`decode_frame` would bill for these fragments.
+
+        Runs phase 1 only (through the parse memo, so seeded fragments
+        are not parsed) and returns the counters of the decode without
+        reconstructing anything or touching :attr:`counters`.
+        """
+        counters = OperationCounters()
+        parsed, _ = self._parse_frame(
+            fragments, _allow_inter(self.config, reference, reference_chroma)
+        )
+        bill_decode(counters, parsed, self.config.blocks_per_mb)
+        return counters
+
+    def _parse_frame(
+        self, fragments: Iterable[bytes], allow_inter: bool, expected_index: int = 0
+    ):
+        """Phase 1: ``([(header, parse, bits), ...], damaged)``.
+
+        One entry per fragment whose header and layer were read, in
+        delivery order, with the bits its reader consumed; ``damaged``
+        counts the fragments whose damage the decoder concealed.
+        """
+        parsed: list[tuple] = []
+        damaged = 0
+        for fragment_position, payload in enumerate(fragments):
+            # Fragment-level resync: *nothing* a fragment contains may
+            # abort the frame.  Expected corruption (bad magic, VLC
+            # desync) is handled inside _parse_fragment; this guard
+            # additionally contains any unexpected decode error at the
+            # fragment boundary — the damaged region is concealed and
+            # the remaining fragments still decode.
+            try:
+                header, parse, bits = self._parse_fragment(payload, allow_inter)
+            except Exception as error:  # noqa: BLE001 - containment contract
+                damaged += 1
+                tracer = get_tracer()
+                if tracer.enabled:
+                    tracer.event(
+                        "decoder.fragment_error",
+                        fragment=fragment_position,
+                        error=type(error).__name__,
+                        expected_index=expected_index,
+                    )
+                continue
+            if header is None:
+                damaged += 1  # unreadable header: the whole fragment is lost
+                continue
+            if len(parse.meta) < header.mb_count:
+                damaged += 1  # VLC desync truncated the salvaged prefix
+            parsed.append((header, parse, bits))
+        return parsed, damaged
+
     def _parse_fragment(self, payload: bytes, allow_inter: bool):
         """Header and batch VLD of one fragment; salvage on corruption.
 
-        Returns ``(header, parse)``, or ``(None, None)`` when the header
-        is unreadable or claims macroblocks beyond the frame.  A corrupt
-        codeword (or a macroblock that cannot be predicted) truncates
-        the parse's salvaged prefix exactly where the sequential
-        decoder stopped.
+        Returns ``(header, parse, bits consumed)``, or ``(None, None,
+        0)`` when the header is unreadable or claims macroblocks beyond
+        the frame.  A corrupt codeword (or a macroblock that cannot be
+        predicted) truncates the parse's salvaged prefix exactly where
+        the sequential decoder stopped.
         """
         config = self.config
         reader = BitReader(payload)
         try:
             header = read_fragment_header(reader)
         except BitstreamError:
-            return None, None
+            return None, None, 0
         if header.first_mb + header.mb_count > config.mb_count:
-            return None, None
-        memo = self.parse_memo
-        stored = len(memo) if memo is not None else 0
+            return None, None, 0
         parse = decode_macroblock_layer(
             reader,
             header.frame_type,
@@ -256,19 +301,9 @@ class Decoder:
             allow_skip=config.allow_skip,
             allow_inter=allow_inter,
             mv_limit=config.mv_limit,
-            memo=memo,
+            memo=self.parse_memo,
         )
-        tracer = get_tracer()
-        if tracer.enabled:
-            # Every fresh parse adds a memo entry; a replayed one does not.
-            reused = memo is not None and len(memo) == stored
-            tracer.metrics.inc(
-                "decoder.fragments_reused"
-                if reused
-                else "decoder.fragments_parsed"
-            )
-        self.counters.entropy_bits += reader.bits_consumed
-        return header, parse
+        return header, parse, reader.bits_consumed
 
     def _reconstruct(
         self,
@@ -302,19 +337,12 @@ class Decoder:
             [first for first, _, _ in salvaged] - slot_base, counts
         ) + np.arange(n_slots)
 
-        # The paper's decoder dequantizes and transforms every block of
-        # every salvaged macroblock, duplicates included.
-        n_inter = n_slots - int(np.count_nonzero(intra))
-        billed = blocks_per_mb * n_slots
-        self.counters.mode_decisions += n_slots
-        self.counters.mc_blocks += n_inter
-        self.counters.dequant_blocks += billed
-        self.counters.idct_blocks += billed
-
         # The last delivered copy of each macroblock wins: ``slots[k]``
-        # is the slot written to the frame's k-th placed macroblock.
-        _, last = np.unique(mb_index[::-1], return_index=True)
-        slots = n_slots - 1 - last
+        # is the slot written to the frame's k-th placed macroblock, in
+        # macroblock order.
+        latest = np.full(config.mb_count, -1)
+        np.maximum.at(latest, mb_index, np.arange(n_slots))
+        slots = latest[latest >= 0]
         placed = np.full(n_slots, -1)
         placed[slots] = np.arange(slots.size)
         rows, cols = np.divmod(mb_index[slots], mb_cols)
@@ -337,8 +365,14 @@ class Decoder:
             )
         ev_index = ev_placed * values_per_mb + ev_index % values_per_mb
 
-        # One dequantization and one IDCT, over the coded blocks only.
-        coded, ev_block = np.unique(ev_index // 64, return_inverse=True)
+        # One dequantization and one IDCT, over the coded blocks only:
+        # ``coded`` lists them in block order, ``ev_block`` numbers each
+        # event's block within that list.
+        block = ev_index // 64
+        present = np.zeros(slots.size * blocks_per_mb, dtype=bool)
+        present[block] = True
+        coded = np.flatnonzero(present)
+        ev_block = np.cumsum(present)[block] - 1
         levels = np.zeros((coded.size, 64), dtype=np.int64)
         levels[ev_block, ev_index % 64] = ev_levels
         coded_slot = slots[coded // blocks_per_mb]
@@ -351,7 +385,9 @@ class Decoder:
 
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.metrics.inc("decoder.idct_blocks_billed", billed)
+            tracer.metrics.inc(
+                "decoder.idct_blocks_billed", blocks_per_mb * n_slots
+            )
             tracer.metrics.inc("decoder.idct_blocks_executed", coded.size)
 
         # The encoder's prediction and reconstruction, on the placed
@@ -380,6 +416,40 @@ class Decoder:
         received[rows, cols] = True
         modes[rows, cols] = _MODES[intra[slots].astype(np.intp)]
         mvs_pixels[rows, cols] = halfpel_to_pixels(mv) if config.half_pel else mv
+
+
+def bill_decode(
+    counters: OperationCounters, parsed: list, blocks_per_mb: int
+) -> None:
+    """Bill one frame's decode to ``counters``, from its parses alone.
+
+    ``parsed`` holds ``(header, parse, bits)`` per fragment read, as
+    :meth:`Decoder._parse_frame` returns it.  The paper's decoder reads
+    every bit, then dequantizes and transforms every block of every
+    salvaged macroblock, duplicates included, and motion-compensates
+    every inter one.
+    """
+    slots = inter = 0
+    for _, parse, bits in parsed:
+        counters.entropy_bits += bits
+        count = len(parse.meta)
+        if count:
+            slots += count
+            inter += count - int(np.count_nonzero(parse.meta[:, 0]))
+    billed = blocks_per_mb * slots
+    counters.mode_decisions += slots
+    counters.mc_blocks += inter
+    counters.dequant_blocks += billed
+    counters.idct_blocks += billed
+
+
+def _allow_inter(
+    config: CodecConfig,
+    reference: Optional[np.ndarray],
+    reference_chroma: Optional[tuple[np.ndarray, np.ndarray]],
+) -> bool:
+    """Inter macroblocks need every plane they predict from."""
+    return reference is not None and not (config.chroma and reference_chroma is None)
 
 
 #: Macroblock modes indexed by the intra flag.

@@ -108,16 +108,19 @@ class Span:
 
     def __exit__(self, *exc_info: object) -> None:
         end = time.perf_counter()
-        self._tracer._stack.pop()
-        self._tracer.records.append(
-            SpanRecord(
-                name=self.name,
-                start_s=self._start,
-                duration_s=end - self._start,
-                depth=self._depth,
-                parent=self._parent,
-                counters=dict(self._counters),
-                trace_id=self._tracer.trace_id,
+        tracer = self._tracer
+        tracer._stack.pop()
+        # A plain tuple: the record is built when ``records`` is read,
+        # so closing a span costs its parent span next to nothing.
+        tracer._closed.append(
+            (
+                self.name,
+                self._start,
+                end - self._start,
+                self._depth,
+                self._parent,
+                self._counters,
+                tracer.trace_id,
             )
         )
 
@@ -152,10 +155,19 @@ class Tracer:
 
     def __init__(self, trace_id: str = "run") -> None:
         self.trace_id = trace_id
-        self.records: list[SpanRecord] = []
         self.events: list[EventRecord] = []
         self.metrics: MetricsRegistry = MetricsRegistry()
         self._stack: list[Span] = []
+        self._records: list[SpanRecord] = []
+        self._closed: list[tuple] = []
+
+    @property
+    def records(self) -> list[SpanRecord]:
+        """Every closed span's :class:`SpanRecord`, in closing order."""
+        if self._closed:
+            self._records.extend(SpanRecord(*closed) for closed in self._closed)
+            self._closed.clear()
+        return self._records
 
     def span(self, name: str, **counters: float):
         """Open a named span; use as a context manager."""

@@ -505,16 +505,14 @@ class EncodeDaemon:
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ServiceError(400, f"body is not JSON: {error}")
         try:
-            if "jobs" in record:
-                submits = [JobSubmit.from_json(j) for j in record["jobs"]]
-            else:
-                submits = [JobSubmit.from_json(record)]
+            jobs = record["jobs"] if "jobs" in record else [record]
+            submits = [(JobSubmit.from_json(job), job) for job in jobs]
         except (WireFormatError, KeyError, TypeError, ValueError) as error:
             raise ServiceError(400, f"bad JobSubmit: {error}")
         job_ids = []
         try:
-            for submit in submits:
-                job_ids.append(self.queue.submit(submit).job_id)
+            for submit, job in submits:
+                job_ids.append(self.queue.submit(submit, wire=job).job_id)
         except QueueFull as error:
             response = {
                 "schema_version": WIRE_SCHEMA_VERSION,

@@ -409,8 +409,14 @@ class JobQueue:
         self,
         submit: JobSubmit,
         job_id: Optional[str] = None,
+        wire: Optional[Mapping[str, Any]] = None,
     ) -> JobRecord:
-        """Enqueue one job; raises :class:`QueueFull` at the backlog cap."""
+        """Enqueue one job; raises :class:`QueueFull` at the backlog cap.
+
+        ``wire`` is the JSON record ``submit`` was parsed from (the
+        daemon's request body); the submit file then holds it as it
+        is, and ``submit`` is not serialized again.
+        """
         now = self.clock()
         with self._lock:
             self._sync()
@@ -435,7 +441,7 @@ class JobQueue:
                     "job_id": record.job_id,
                     "seq": record.seq,
                     "submitted_at": now,
-                    "submit": submit.to_json(),
+                    "submit": wire if wire is not None else submit.to_json(),
                 }
             )
             if not self._create(self._job_path(record.job_id), payload):

@@ -237,67 +237,61 @@ class SimulationResult:
         return times
 
 
-class LosslessPrefix:
-    """Decoded states of the frames an encode group delivered intact.
+class SenderStates:
+    """The encoder's reconstruction of each frame of one encoded stream.
 
-    After frame ``k`` the decoder's state depends only on the stream and
-    on the fragments delivered for frames ``0..k``.  A cell whose frames
-    ``0..k`` each delivered exactly the sent fragments, in order, is
-    therefore in the same state as every other such cell of its encode
-    group: same planes, damage count and metrics, and the same decoder
-    :class:`~repro.energy.counters.OperationCounters` delta per frame.
-    The store holds frames ``0..length-1`` of that one shared prefix.
+    A decoder is *in sync* when its state (the planes it predicts from)
+    equals the sender's after the previous frame: at the start, and
+    again whenever a decoded frame reproduces the sender's state, as a
+    GOP I-frame or an AIR, PGOP or PBPAIR refresh does after a loss.
+    The decoder is a pure function of its state and the fragments it
+    gets, and a lossless decode reproduces the encoder's reconstruction,
+    so an in-sync decoder that receives frame ``k`` exactly as sent ends
+    in sender state ``k``.  Such a frame is *served* from this store
+    instead of decoded.
 
     Each plane lives in one uint8 array ``n_frames`` deep, allocated at
-    the first :meth:`store`, so a group holds at most one state per
-    frame and never keeps a decoder's own arrays.  The metrics depend
-    on the bad-pixel threshold and the planes on the concealment scheme
-    (which repairs encode-stage damage), so the store serves only cells
-    with the ``tag`` of the cell that first wrote it.
+    the first :meth:`put`, so a stream holds at most one state per frame
+    and never keeps the encoder's own arrays.  A frame whose payload an
+    encode-stage fault altered has no state.  The store also memoizes,
+    per frame, the decoder counter delta a decode would bill
+    (:attr:`deltas`) and, per frame and bad-pixel threshold, the served
+    frame's ``(psnr, bad_pixels)`` (:attr:`metrics`).  It never reaches
+    a cache's disk tier or a pickle.
     """
 
-    __slots__ = ("length", "tag", "_planes", "_frames")
+    __slots__ = ("_planes", "_held", "deltas", "metrics")
 
     def __init__(self) -> None:
-        self.length = 0
-        self.tag: Optional[tuple] = None
         self._planes: tuple[np.ndarray, ...] = ()
-        self._frames: list[tuple[float, int, int, OperationCounters]] = []
+        self._held: list[bool] = []
+        self.deltas: dict[int, OperationCounters] = {}
+        self.metrics: dict[tuple[int, int], tuple[float, int]] = {}
 
     @property
     def nbytes(self) -> int:
-        """Bytes of plane storage allocated (0 until the first store)."""
+        """Bytes of plane storage allocated (0 until the first put)."""
         return sum(plane.nbytes for plane in self._planes)
 
-    def serves(self, tag: tuple) -> bool:
-        return self.tag is None or self.tag == tag
+    def get(self, index: int) -> Optional[tuple[np.ndarray, ...]]:
+        """Sender state ``index`` (luma, then chroma), or None."""
+        if not self._planes or not self._held[index]:
+            return None
+        return tuple(plane[index] for plane in self._planes)
 
-    def frame(self, index: int):
-        """``(planes, psnr, bad_pixels, damaged, counters)`` of a frame."""
-        planes = tuple(plane[index] for plane in self._planes)
-        return (planes, *self._frames[index])
-
-    def store(
-        self,
-        n_frames: int,
-        tag: tuple,
-        planes: tuple[np.ndarray, ...],
-        psnr_db: float,
-        bad_pixels: int,
-        damaged: int,
-        counters: OperationCounters,
+    def put(
+        self, index: int, n_frames: int, planes: tuple[np.ndarray, ...]
     ) -> None:
-        """Append the next prefix frame (frame number :attr:`length`)."""
+        """Copy ``planes`` in as sender state ``index`` of ``n_frames``."""
         if not self._planes:
-            self.tag = tag
             self._planes = tuple(
                 np.empty((n_frames,) + plane.shape, dtype=np.uint8)
                 for plane in planes
             )
+            self._held = [False] * n_frames
         for buffer, plane in zip(self._planes, planes):
-            buffer[self.length] = plane
-        self._frames.append((psnr_db, bad_pixels, damaged, counters))
-        self.length += 1
+            buffer[index] = plane
+        self._held[index] = True
 
 
 @dataclass(eq=False)
@@ -313,17 +307,14 @@ class GroupScope:
         key: the group's encode key, under which the stream is cached.
         parse_memo: the group's :class:`~repro.codec.syntax.ParseMemo`,
             seeded by the group's encode when it runs in this scope.
-        prefix: the group's :class:`LosslessPrefix`.
-        stores: whether the running cell may write ``prefix``.  In a
-            fresh scope every cell but the group's last does, so a
-            one-cell group never allocates the store; in a parked scope
-            every cell does, since a later grid can replay it.
+        states: the group's :class:`SenderStates`, seeded by the same
+            encode, or filled by the cells' in-sync decodes of a stream
+            encoded elsewhere.
     """
 
     key: str
     parse_memo: ParseMemo = field(default_factory=ParseMemo)
-    prefix: LosslessPrefix = field(default_factory=LosslessPrefix)
-    stores: bool = False
+    states: SenderStates = field(default_factory=SenderStates)
 
 
 def _as_injector(
@@ -353,6 +344,7 @@ def _encode_stream(
     rate_controller: Optional[ClosedLoopRateController],
     injector: Optional[FaultInjector],
     parse_memo: Optional[ParseMemo],
+    states: Optional[SenderStates] = None,
 ) -> EncodedStream:
     """The sender loop: encode and packetize every frame.
 
@@ -363,13 +355,15 @@ def _encode_stream(
     together or apart, with stage spans accounting for the root's
     entire duration.  With a ``parse_memo``, every fragment packetized
     from the encoder's unaltered bytes is seeded with its parse
-    (:func:`~repro.codec.syntax.seed_parse_memo`).
+    (:func:`~repro.codec.syntax.seed_parse_memo`); with ``states``,
+    every frame sent as the encoder coded it leaves its reconstruction
+    there.
     """
     tracer = get_tracer()
     events_before = len(injector.events) if injector is not None else 0
 
     frames: list[StreamFrame] = []
-    for frame in sequence:
+    for position, frame in enumerate(sequence):
         if rate_controller is not None:
             # The controller jointly steers PBPAIR's Intra_Th alongside
             # the quantizer.
@@ -391,6 +385,13 @@ def _encode_stream(
                 encoded = replace(encoded, payload=payload, symbols=None)
         with tracer.span("packetize") as packet_span:
             packets = packetizer.packetize(encoded, parse_memo)
+            if states is not None and encoded.symbols is not None:
+                states.put(
+                    position,
+                    len(sequence),
+                    (encoded.reconstruction,)
+                    + (encoded.reconstruction_chroma or ()),
+                )
             packet_span.add(packets=len(packets))
             frames.append(
                 StreamFrame(
@@ -440,18 +441,20 @@ def _transmit_stream(
     span wrapping result construction stays a direct child of whatever
     root the caller holds, keeping stage coverage honest.
 
-    With a ``group`` scope, each frame of this cell's lossless prefix
-    (every frame so far delivered exactly the sent fragments, in order,
-    after the channel, bit errors and channel and decoder-input faults)
-    that the group's :class:`LosslessPrefix` holds is *replayed*: its
-    planes, damage count and metrics are restored and its decoder
-    counter delta is added, so the decode is billed though it is not
-    executed.  The channel and the faults still run on every frame.  A
-    frame the store lacks decodes as usual, and the cell appends it
-    when ``group.stores`` allows.  The store keeps one uint8 array per
-    plane, ``n_frames`` deep, so a group holds at most one decoded
-    state per frame.  Results and counters are identical with or
-    without a scope.
+    With a ``group`` scope, a frame that reaches an in-sync decoder
+    exactly as sent (after the channel, bit errors and channel and
+    decoder-input faults) is *served* from the group's
+    :class:`SenderStates`: no decode and no concealment.  Its planes are
+    the sender's state, its damage count is 0, and the counter delta a
+    decode would bill is added (computed from the frame's parses by
+    :meth:`~repro.codec.decoder.Decoder.bill_frame`, once per group) as
+    are its metrics (once per group and bad-pixel threshold).  The
+    channel and the faults still run on every frame.  Any other frame
+    decodes as usual; the decoder is back in sync when the decoded
+    planes equal the stored state.  A stream encoded outside the scope
+    (a cache's disk tier) has no states; each in-sync decode of a frame
+    sent as coded stores its planes.  Results and counters are
+    identical with or without a scope.
     """
     tracer = get_tracer()
     events_before = len(injector.events) if injector is not None else 0
@@ -459,15 +462,10 @@ def _transmit_stream(
     records: list[FrameRecord] = []
     decoder_reference: Optional[np.ndarray] = None
     decoder_chroma: Optional[tuple[np.ndarray, np.ndarray]] = None
-    tag = (config.bad_pixel_threshold, type(concealment))
-    prefix = group.prefix if group is not None else None
-    # A cell replays from a store that holds frames or that it may fill.
-    if prefix is not None and not (
-        prefix.serves(tag) and (prefix.length or group.stores)
-    ):
-        prefix = None
-    intact = prefix is not None
-    stores = intact and group.stores
+    states = group.states if group is not None else None
+    in_sync = states is not None
+    altered = {event.frame_index for event in stream.fault_events}
+    threshold = config.bad_pixel_threshold
 
     for position, (frame, sent) in enumerate(zip(sequence, stream.frames)):
         with tracer.span("channel"):
@@ -476,7 +474,6 @@ def _transmit_stream(
                 delivered = bit_errors.corrupt(delivered)
             if injector is not None:
                 delivered = injector.apply_to_packets(delivered, frame.index)
-        storing = False
         with tracer.span("decode_frame") as decode_span:
             fragments = depacketizer.group_by_frame(
                 delivered, frame.index + 1
@@ -485,31 +482,30 @@ def _transmit_stream(
                 fragments = injector.apply_to_fragments(
                     fragments, frame.index
                 )
-            if intact:
-                # Past the store's end only a cell that extends it needs
-                # to keep checking.
-                intact = (stores or position < prefix.length) and (
-                    fragments == [packet.payload for packet in sent.packets]
-                )
-            replayed = intact and position < prefix.length
-            if replayed:
-                planes, psnr_db, bad, damaged, delta = prefix.frame(position)
+            intact = in_sync and (
+                fragments == [packet.payload for packet in sent.packets]
+            )
+            served = states.get(position) if intact else None
+            if served is not None:
+                delta = states.deltas.get(position)
+                if delta is None:
+                    delta = states.deltas[position] = decoder.bill_frame(
+                        fragments, decoder_reference, decoder_chroma
+                    )
                 decoder.counters.add(delta)
                 decode_span.add(replayed=1, fragments=len(fragments))
                 tracer.metrics.inc("decoder.frames_replayed")
             else:
-                storing = intact  # the frame right after the store's end
-                if storing:
-                    before = decoder.counters.copy()
                 result = decoder.decode_frame(
                     fragments,
                     decoder_reference,
                     expected_index=frame.index,
                     reference_chroma=decoder_chroma,
                 )
-        if replayed:
-            decoder_reference = planes[0]
-            decoder_chroma = planes[1:] or None
+        if served is not None:
+            decoder_reference = served[0]
+            decoder_chroma = served[1:] or None
+            damaged = 0
         else:
             with tracer.span("conceal"):
                 repaired = concealment.conceal(
@@ -519,18 +515,39 @@ def _transmit_stream(
                     mvs_pixels=result.mvs_pixels,
                     modes=result.modes,
                 )
+                # Lost chroma macroblocks already hold the reference
+                # copy (the paper's copy concealment); spatial repair
+                # is luma-only.
+                planes = (repaired,) + (result.chroma or ())
+                if states is not None:
+                    state = states.get(position)
+                    if state is not None:
+                        in_sync = all(
+                            np.array_equal(plane, stored)
+                            for plane, stored in zip(planes, state)
+                        )
+                    else:
+                        in_sync = intact and frame.index not in altered
+                        if in_sync:
+                            states.put(position, stream.n_frames, planes)
             decoder_reference = repaired
-            # Lost chroma macroblocks already hold the reference copy (the
-            # paper's copy concealment); spatial repair is luma-only.
             decoder_chroma = result.chroma
             damaged = result.damaged_fragments
 
         with tracer.span("metrics"):
-            if not replayed:
-                psnr_db = psnr(frame.pixels, repaired)
-                bad = bad_pixel_count(
-                    frame.pixels, repaired, config.bad_pixel_threshold
+            measured = (
+                states.metrics.get((position, threshold))
+                if served is not None
+                else None
+            )
+            if measured is None:
+                measured = (
+                    psnr(frame.pixels, decoder_reference),
+                    bad_pixel_count(frame.pixels, decoder_reference, threshold),
                 )
+                if served is not None:
+                    states.metrics[(position, threshold)] = measured
+            psnr_db, bad = measured
             records.append(
                 FrameRecord(
                     frame_index=frame.index,
@@ -549,16 +566,6 @@ def _transmit_stream(
                     damaged_fragments=damaged,
                 )
             )
-            if storing:
-                prefix.store(
-                    stream.n_frames,
-                    tag,
-                    (repaired,) + (decoder_chroma or ()),
-                    psnr_db,
-                    bad,
-                    damaged,
-                    decoder.counters.diff(before),
-                )
 
     with tracer.span("report"):
         return SimulationResult(
@@ -587,6 +594,7 @@ def encode_phase(
     rate_controller: Optional[ClosedLoopRateController] = None,
     faults: Optional[Union[FaultPlan, FaultInjector]] = None,
     parse_memo: Optional[ParseMemo] = None,
+    states: Optional[SenderStates] = None,
 ) -> EncodedStream:
     """Phase 1 of Figure 1: source -> encoder -> packetizer.
 
@@ -608,6 +616,9 @@ def encode_phase(
             to seed with the parse of every intact fragment, for the
             decoders that replay this stream.  The stream itself is
             the same with or without it and carries no seeds.
+        states: optional :class:`SenderStates` to fill with the
+            encoder's reconstruction of every frame sent as coded, for
+            the decoders that replay this stream to serve.
     """
     config = config or SimulationConfig()
     _check_dimensions(sequence, config)
@@ -619,6 +630,7 @@ def encode_phase(
         rate_controller,
         _as_injector(faults),
         parse_memo,
+        states,
     )
 
 
@@ -689,9 +701,9 @@ def transmit_phase(
             (each segment derives its own stream structurally from it).
         group: optional :class:`GroupScope` shared with the other
             replays of the same stream: its parse memo spares the VLD,
-            and its lossless prefix spares the decode of every frame
-            another cell already decoded from the same delivered bytes
-            (see :func:`_transmit_stream`).  Results and counters are
+            and its sender states spare the decode of every frame that
+            reaches an in-sync decoder as sent (see
+            :func:`_transmit_stream`).  Results and counters are
             identical with or without it.
     """
     config = config or SimulationConfig()

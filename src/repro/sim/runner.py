@@ -766,8 +766,8 @@ class EncodedStreamCache:
     A memory entry can also carry its stream's parked
     :class:`~repro.sim.pipeline.GroupScope` (:meth:`lease`), which
     :func:`run_grid` hands to the stream's cells whenever the caller
-    passed this cache in, so a parse or a lossless-prefix frame decoded
-    in one grid serves every later one.  Evicting the entry drops its
+    passed this cache in, so the parses and sender states one grid made
+    or seeded serve every later one.  Evicting the entry drops its
     scope; scopes never reach the disk tier.
     """
 
@@ -810,9 +810,9 @@ class EncodedStreamCache:
         """Lend ``key``'s parked scope to one grid at a time.
 
         Yields the scope, made on first use (before the stream is
-        cached, so that the encode seeds its memo), or None while
-        another grid holds it: two grids must never extend one lossless
-        prefix at once.  On return the parked memo keeps at most one
+        cached, so that the encode seeds its memo and sender states), or
+        None while another grid holds it: two grids must never fill one
+        scope at once.  On return the parked memo keeps at most one
         parse per fragment the stream sent
         (:meth:`~repro.codec.syntax.ParseMemo.retain`),
         so damaged-fragment parses do not pile up between grids.
@@ -824,7 +824,7 @@ class EncodedStreamCache:
                 self._lent.add(key)
                 scope = self._scopes.get(key)
                 if scope is None:
-                    scope = self._scopes[key] = GroupScope(key, stores=True)
+                    scope = self._scopes[key] = GroupScope(key)
         if scope is None:
             yield None
             return
@@ -996,11 +996,12 @@ def run_job(
     the cell's encode key, computed once by the runner.  Its parse memo
     is seeded by the encode, when this cell runs it, so the decoder
     skips parsing fragment bytes whose parse is already known.  Its
-    lossless prefix lets the cell replay, instead of decode, every
-    frame that it and an earlier cell of the group both received
-    intact from the first frame on; the replayed decodes are still
-    billed to the cell's decoder counters (``decodes_per_frame`` in
-    the benchmarks counts the executed ones).
+    sender states, seeded by the same encode, let the cell serve,
+    instead of decode, every frame that reaches its decoder exactly as
+    sent while the decoder is in sync with the encoder; the served
+    decodes are still billed to the cell's decoder counters
+    (``decodes_per_frame`` in the benchmarks counts the executed
+    ones).
     """
     sequence = _sequence_for(spec.sequence, spec.n_frames, spec.synthetic)
     strategy = build_strategy(spec.scheme, **_strategy_kwargs_for(spec))
@@ -1040,6 +1041,7 @@ def run_job(
                 rate_controller=build_rate_controller(spec.rate),
                 faults=spec.faults,
                 parse_memo=group.parse_memo if group is not None else None,
+                states=group.states if group is not None else None,
             ),
         )
         if reused and tracer.enabled:
@@ -1164,16 +1166,16 @@ def _group_scopes(
     stream sharing is off, and no cell gets a scope).  Cells with one
     key replay one stream, so they share one
     :class:`~repro.sim.pipeline.GroupScope`: the key, one
-    :class:`~repro.codec.syntax.ParseMemo` (which the group's encode, if
-    it runs here, seeds with every fragment's parse) and one
-    :class:`~repro.sim.pipeline.LosslessPrefix`.
+    :class:`~repro.codec.syntax.ParseMemo` and one
+    :class:`~repro.sim.pipeline.SenderStates`, which the group's encode,
+    if it runs here, seeds with every fragment's parse and every
+    frame's reconstruction.
 
     With a ``parked`` stream cache (one the caller keeps across grids)
     a group takes its stream's parked scope
-    (:meth:`EncodedStreamCache.lease`), which outlives the walk and
-    which every cell may extend.  Otherwise, or while another grid
-    holds that scope, the group gets a fresh scope that every cell but
-    the group's last may extend, dropped once that cell has run.  Every
+    (:meth:`EncodedStreamCache.lease`), which outlives the walk.
+    Otherwise, or while another grid holds that scope, the group gets a
+    fresh scope, dropped once the group's last cell has run.  Every
     chunk runs its cells through this walk; only in-process chunks park.
     """
     for group in _stream_groups(keys):
@@ -1184,12 +1186,9 @@ def _group_scopes(
             continue
         lease = parked.lease(key) if parked is not None else nullcontext()
         with lease as scope:
-            fresh = scope is None
-            if fresh:
+            if scope is None:
                 scope = GroupScope(key)
             for position in group:
-                if fresh:
-                    scope.stores = position != group[-1]
                 yield position, scope
 
 
@@ -1359,8 +1358,8 @@ def run_grid(
             is off.  Workers receive the cache *directory*, never a
             pickled stream.  In-process runs park each encode group's
             scope on it (:meth:`EncodedStreamCache.lease`), so a later
-            grid replaying the same stream skips the parses and the
-            lossless-prefix decodes this one made; a cache the call
+            grid replaying the same stream finds the parses and the
+            sender states this one seeded or made; a cache the call
             builds itself drops each scope after the group's last cell.
 
     Returns:

@@ -1,28 +1,36 @@
-"""Lossless-prefix replay: cells of one encode group decode each intact frame once.
+"""Sender states: an intact frame at an in-sync decoder is served, not decoded.
 
-After frame ``k`` a decoder's state depends only on the stream and on
-the fragments delivered for frames ``0..k``.  The grid runner gives the
-cells that replay one encoded stream a
-:class:`~repro.sim.pipeline.GroupScope`, and a cell whose frames
-``0..k`` all arrived exactly as sent replays frame ``k`` from the
-group's :class:`~repro.sim.pipeline.LosslessPrefix` instead of decoding
-it.  These tests pin what that rests on:
+A decoder is in sync when its state equals the encoder's reconstruction
+of the previous frame: at the start, and again once a decoded frame
+reproduces the encoder's state (a GOP I-frame, an AIR, PGOP or PBPAIR
+refresh).  The decoder is a pure function of its state and the
+fragments it gets, so an in-sync decoder that receives a frame exactly
+as sent ends in the encoder's state for that frame.  The grid runner
+gives the cells that replay one encoded stream a
+:class:`~repro.sim.pipeline.GroupScope`, whose
+:class:`~repro.sim.pipeline.SenderStates` the encode seeds; such a
+frame is served from it.  These tests pin what that rests on:
 
 * every cell of a grid, serial or pooled, over every shipped scenario
   pack and fault plans at the encode, channel and decoder-input stages,
   equals a cold :func:`~repro.sim.runner.run_job` (no stream cache, so
-  no scope and no replay): same digest, same encoder and decoder
-  counters;
-* replay happens where the rule says it may, and only there;
-* a one-cell group allocates no store, and a group with several cells
-  allocates one uint8 array per plane, ``n_frames`` deep;
-* cells of one group that measure bad pixels at different thresholds
-  each get their own metrics;
+  no scope and nothing served): same digest, same encoder and decoder
+  counters, same per-frame damage;
+* so does every cell of one group at the pipeline level, with losses
+  and resyncs, encode-stage faults, bit errors, each concealment, two
+  bad-pixel thresholds, and a stream whose states the cells fill
+  themselves (one loaded from a cache's disk tier);
+* frames are served exactly where the rule says: the count equals the
+  intact frames at an in-sync decoder, counted by an instrumented
+  decode of every frame, and :func:`~repro.sim.pipeline.simulate`
+  serves nothing;
+* a group holds one uint8 array per plane, ``n_frames`` deep, freed
+  with its scope;
 * on a stream cache the caller keeps across grids, a group's scope is
-  parked on its stream's entry: later grids replay what earlier ones
-  decoded, still equal to cold runs, also from concurrent threads; the
-  parked memo keeps at most one parse per sent fragment, and evicting
-  the entry frees the scope.
+  parked on its stream's entry: later grids serve the states earlier
+  ones seeded, still equal to cold runs, also from concurrent threads;
+  the parked memo keeps at most one parse per sent fragment, and
+  evicting the entry frees the scope.
 """
 
 from __future__ import annotations
@@ -33,15 +41,31 @@ import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.codec.decoder import Decoder
+from repro.concealment.copy import CopyConcealment
+from repro.concealment.motion import MotionRecoveryConcealment
+from repro.concealment.spatial import SpatialConcealment
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.network.biterror import BitErrorChannel
+from repro.network.loss import UniformLoss
 from repro.obs.export import load_trace
+from repro.obs.tracer import Tracer, use_tracer
+from repro.resilience.registry import build_strategy
 from repro.scenarios.pack import available_packs, load_pack
 from repro.service.wire import session_result_digest
 from repro.sim import runner
-from repro.sim.pipeline import SimulationConfig
+from repro.sim.pipeline import (
+    GroupScope,
+    SenderStates,
+    SimulationConfig,
+    encode_phase,
+    simulate,
+    transmit_phase,
+)
 from repro.sim.runner import EncodedStreamCache, JobSpec, run_grid, run_job
 from repro.video.synthetic import SyntheticConfig
 
@@ -59,8 +83,9 @@ CLIP = SyntheticConfig(
 )
 SIM = SimulationConfig(codec=small_config(), mtu=96)
 SCHEMES = ("NO", "GOP-3", "AIR-24", "PGOP-3", "PBPAIR")
+CONCEALMENTS = (CopyConcealment, SpatialConcealment, MotionRecoveryConcealment)
 
-#: Fault specs at the three pipeline stages a replay must see through.
+#: Fault specs at the three pipeline stages serving must see through.
 FAULTS = (
     FaultSpec(kind="encode_byteflip", probability=1.0, frames=(2,)),
     FaultSpec(kind="byteflip", probability=0.3, amount=2),
@@ -86,11 +111,18 @@ def _spec(scheme="NO", pack=None, seed=0, faults=None, plr=0.1, config=SIM):
     )
 
 
+def _drop(*frames: int) -> FaultPlan:
+    return FaultPlan(
+        faults=(FaultSpec(kind="drop", probability=1.0, frames=frames),)
+    )
+
+
 def _fingerprint(result):
     return (
         session_result_digest(result),
         result.counters,
         result.decoder_counters,
+        tuple(frame.damaged_fragments for frame in result.frames),
     )
 
 
@@ -113,7 +145,17 @@ def _replayed(trace_dir) -> float:
     return counters.get("decoder.frames_replayed", 0)
 
 
-class TestReplayEqualsColdRun:
+def _served(trace_dir) -> list[int]:
+    """The frames a one-cell grid's cell served, in frame order."""
+    spans = [
+        span
+        for span in load_trace(trace_dir / "trace.jsonl").spans
+        if span.name == "decode_frame"
+    ]
+    return [k for k, span in enumerate(spans) if span.counters.get("replayed")]
+
+
+class TestServeEqualsColdRun:
     @given(
         scheme=st.sampled_from(SCHEMES),
         cells=st.lists(
@@ -150,39 +192,102 @@ class TestReplayEqualsColdRun:
         for spec, outcome in zip(grid, outcomes):
             assert _fingerprint(outcome.result) == _fingerprint(run_job(spec))
 
-
-class TestReplayRule:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_lossless_cells_replay_every_frame_after_the_first(
-        self, tmp_path, jobs
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        chroma=st.booleans(),
+        encode_fault=st.booleans(),
+        filled=st.booleans(),
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from((0.0, 0.2, 0.5)),  # plr
+                st.sampled_from(("frame", "packet")),
+                st.integers(0, 7),  # channel seed
+                st.sampled_from((0.0, 1e-3)),  # bit error rate
+                st.integers(0, len(CONCEALMENTS) - 1),
+                st.sampled_from((0, 40)),  # bad-pixel threshold
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_cell_of_a_group_equals_simulate(
+        self, scheme, chroma, encode_fault, filled, cells
     ):
+        config = dataclasses.replace(SIM, codec=small_config(chroma=chroma))
+        sequence = runner._sequence_for(
+            "tiny", CLIP.n_frames, dataclasses.replace(CLIP, chroma=chroma)
+        )
+        faults = FaultPlan(faults=(FAULTS[0],)) if encode_fault else None
+
+        def strategy():
+            return build_strategy(scheme, **({"plr": 0.2} if scheme == "PBPAIR" else {}))
+
+        # ``filled``: the stream was encoded elsewhere (a cache's disk
+        # tier), so the cells fill the states from their own decodes.
+        group = GroupScope("key")
+        stream = encode_phase(
+            sequence,
+            strategy(),
+            config=config,
+            faults=faults,
+            parse_memo=group.parse_memo,
+            states=None if filled else group.states,
+        )
+        for plr, granularity, seed, ber, concealment, threshold in cells:
+            cell_config = dataclasses.replace(config, bad_pixel_threshold=threshold)
+
+            def channel():
+                return {
+                    "loss_model": UniformLoss(
+                        plr=plr, seed=seed, granularity=granularity
+                    ),
+                    "config": cell_config,
+                    "concealment": CONCEALMENTS[concealment](),
+                    "bit_errors": BitErrorChannel(ber, seed=seed) if ber else None,
+                    "faults": faults,
+                }
+
+            served = transmit_phase(stream, sequence, group=group, **channel())
+            cold = simulate(sequence, strategy(), **channel())
+            assert _fingerprint(served) == _fingerprint(cold)
+            assert served.decoder_energy == cold.decoder_energy
+            assert served.frames == cold.frames
+
+
+class TestServeRule:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lossless_cells_serve_every_frame(self, tmp_path, jobs):
         grid = [_spec(plr=0.0, seed=seed) for seed in range(3)]
         outcomes = run_grid(grid, runner_options(jobs=jobs, trace_dir=tmp_path))
-        # The first cell decodes and stores all six frames; the other
-        # two replay them, at any worker count: the group is one unit.
-        assert _replayed(tmp_path) == 2 * CLIP.n_frames
+        # The group's encode seeds every frame's state, so every cell,
+        # the first included, serves all six frames at any worker count.
+        assert _replayed(tmp_path) == 3 * CLIP.n_frames
         for spec, outcome in zip(grid, outcomes):
             assert _fingerprint(outcome.result) == _fingerprint(run_job(spec))
 
-    def test_a_lost_frame_ends_the_prefix(self, tmp_path):
-        lossy = _spec(
-            seed=1,
-            faults=FaultPlan(
-                faults=(FaultSpec(kind="drop", probability=1.0, frames=(3,)),)
-            ),
-        )
-        clean = dataclasses.replace(lossy, faults=None, plr=0.0)
-        # Both cells share the clean stream (a drop is no encode fault),
-        # so the lossy cell replays frames 0-2 and decodes the rest.
-        grid = [clean, dataclasses.replace(lossy, plr=0.0)]
-        assert len({runner.encode_content_hash(spec) for spec in grid}) == 1
-        outcomes = run_grid(grid, runner_options(jobs=1, trace_dir=tmp_path))
-        assert _replayed(tmp_path) == 3
-        assert outcomes[1].result.frames[3].packets_lost > 0
-        for spec, outcome in zip(grid, outcomes):
-            assert _fingerprint(outcome.result) == _fingerprint(run_job(spec))
+    @pytest.mark.parametrize(
+        "scheme, lost, served",
+        [
+            # NO never refreshes: a loss ends the serving for good.
+            ("NO", 3, [0, 1, 2]),
+            # GOP-3's next I-frame (frame 4) is decoded and brings the
+            # decoder back in sync, so frame 5 is served again.
+            ("GOP-3", 1, [0, 5]),
+            # AIR-24 refreshes every macroblock of this clip each frame.
+            ("AIR-24", 2, [0, 1, 4, 5]),
+        ],
+    )
+    def test_a_loss_puts_the_decoder_out_of_sync_until_a_refresh(
+        self, tmp_path, scheme, lost, served
+    ):
+        spec = _spec(scheme, plr=0.0, faults=_drop(lost))
+        (outcome,) = run_grid([spec], runner_options(jobs=1, trace_dir=tmp_path))
+        assert outcome.result.frames[lost].packets_lost > 0
+        assert _served(tmp_path) == served
+        assert _fingerprint(outcome.result) == _fingerprint(run_job(spec))
 
-    def test_a_corrupted_fragment_ends_the_prefix(self, tmp_path):
+    def test_a_corrupted_fragment_puts_the_decoder_out_of_sync(self, tmp_path):
         corrupted = _spec(
             plr=0.0,
             seed=1,
@@ -195,17 +300,102 @@ class TestReplayRule:
             ),
         )
         # Every fragment arrives, so only the bytes tell frame 2 apart.
-        grid = [dataclasses.replace(corrupted, faults=None), corrupted]
-        outcomes = run_grid(grid, runner_options(jobs=1, trace_dir=tmp_path))
-        assert _replayed(tmp_path) == 2
-        assert outcomes[1].result.fault_events
-        assert session_result_digest(outcomes[0].result) != (
-            session_result_digest(outcomes[1].result)
+        (outcome,) = run_grid(
+            [corrupted], runner_options(jobs=1, trace_dir=tmp_path)
         )
-        for spec, outcome in zip(grid, outcomes):
-            assert _fingerprint(outcome.result) == _fingerprint(run_job(spec))
+        assert _served(tmp_path) == [0, 1]
+        assert outcome.result.fault_events
+        assert _fingerprint(outcome.result) == _fingerprint(run_job(corrupted))
 
-    def test_no_stream_sharing_means_no_scope_and_no_replay(
+    def test_a_frame_an_encode_fault_altered_has_no_state(
+        self, tmp_path, scope_spy
+    ):
+        spec = _spec(
+            "GOP-3",
+            plr=0.0,
+            faults=FaultPlan(
+                faults=(
+                    FaultSpec(kind="encode_byteflip", probability=1.0, frames=(2,)),
+                )
+            ),
+        )
+        (outcome,) = run_grid([spec], runner_options(jobs=1, trace_dir=tmp_path))
+        (scope,) = scope_spy
+        assert [scope.states.get(k) is None for k in range(CLIP.n_frames)] == [
+            k == 2 for k in range(CLIP.n_frames)
+        ]
+        # Frame 2 decodes; the decoder is out of sync until GOP-3's
+        # I-frame at 4 resyncs it.
+        assert _served(tmp_path) == [0, 1, 5]
+        assert _fingerprint(outcome.result) == _fingerprint(run_job(spec))
+
+    def test_served_frames_are_the_intact_frames_at_an_in_sync_decoder(
+        self, tmp_path, monkeypatch
+    ):
+        clip = dataclasses.replace(CLIP, n_frames=16)
+        spec = dataclasses.replace(
+            _spec("GOP-3", plr=0.3, seed=5), synthetic=clip
+        )
+        sequence = runner._sequence_for(spec.sequence, spec.n_frames, clip)
+        states = SenderStates()
+        stream = encode_phase(
+            sequence, build_strategy("GOP-3"), config=SIM, states=states
+        )
+
+        # An instrumented cold run: every frame decodes.
+        calls: list = []
+        decode = Decoder.decode_frame
+
+        def spy(self, fragments, reference, *args, **kwargs):
+            fragments = list(fragments)
+            result = decode(self, fragments, reference, *args, **kwargs)
+            calls.append((fragments, reference, result.frame))
+            return result
+
+        monkeypatch.setattr(Decoder, "decode_frame", spy)
+        run_job(spec)
+        monkeypatch.undo()
+        assert len(calls) == clip.n_frames
+
+        qualifying = []
+        for k, ((fragments, reference, decoded), sent) in enumerate(
+            zip(calls, stream.frames)
+        ):
+            in_sync = (
+                reference is None
+                if k == 0
+                else np.array_equal(reference, states.get(k - 1)[0])
+            )
+            if in_sync and fragments == [p.payload for p in sent.packets]:
+                qualifying.append(k)
+                # The lossless decode is the encoder's reconstruction.
+                np.testing.assert_array_equal(decoded, states.get(k)[0])
+        # Losses, and a resync after at least one of them.
+        assert 0 < len(qualifying) < clip.n_frames
+        assert any(k - 1 not in qualifying for k in qualifying[1:])
+
+        (outcome,) = run_grid([spec], runner_options(jobs=1, trace_dir=tmp_path))
+        assert _served(tmp_path) == qualifying
+        assert _fingerprint(outcome.result) == _fingerprint(run_job(spec))
+
+    def test_simulate_serves_nothing(self, monkeypatch):
+        decoded: list = []
+        decode = Decoder.decode_frame
+
+        def spy(self, *args, **kwargs):
+            decoded.append(1)
+            return decode(self, *args, **kwargs)
+
+        monkeypatch.setattr(Decoder, "decode_frame", spy)
+        tracer = Tracer()
+        sequence = runner._sequence_for("tiny", CLIP.n_frames, CLIP)
+        with use_tracer(tracer):
+            simulate(sequence, build_strategy("NO"), config=SIM)
+        counters = tracer.metrics.snapshot()["counters"]
+        assert counters.get("decoder.frames_replayed", 0) == 0
+        assert len(decoded) == CLIP.n_frames
+
+    def test_no_stream_sharing_means_no_scope_and_no_serving(
         self, scope_spy, tmp_path
     ):
         grid = [_spec(plr=0.0, seed=seed) for seed in range(2)]
@@ -217,29 +407,37 @@ class TestReplayRule:
         assert _replayed(tmp_path) == 0
 
 
-class TestStoreMemory:
-    def test_a_one_cell_group_allocates_no_store(self, scope_spy):
-        outcomes = run_grid(
-            [_spec(scheme) for scheme in ("NO", "GOP-3")],
-            runner_options(jobs=1),
+def test_a_group_holds_one_array_per_plane_freed_with_its_scope(scope_spy):
+    config = dataclasses.replace(SIM, codec=small_config(chroma=True))
+    outcomes = run_grid(
+        [_spec(plr=0.0, seed=seed, config=config) for seed in range(2)],
+        runner_options(jobs=1),
+    )
+    assert all(outcome.ok for outcome in outcomes)
+    scope = scope_spy[0]
+    assert all(other is scope for other in scope_spy)
+    plane = SMALL_W * SMALL_H
+    assert scope.states.nbytes == CLIP.n_frames * (plane + 2 * plane // 4)
+    state = scope.states.get(0)
+    assert [view.shape for view in state] == [
+        (SMALL_H, SMALL_W),
+        (SMALL_H // 2, SMALL_W // 2),
+        (SMALL_H // 2, SMALL_W // 2),
+    ]
+    # Every frame's plane is a view of that plane's one array.
+    for k in range(CLIP.n_frames):
+        assert all(
+            view.base is first.base
+            for view, first in zip(scope.states.get(k), state)
         )
-        assert all(outcome.ok for outcome in outcomes)
-        assert len({id(scope) for scope in scope_spy}) == 2
-        for scope in scope_spy:
-            assert not scope.stores
-            assert scope.prefix.length == 0 and scope.prefix.nbytes == 0
-
-    def test_a_group_stores_one_array_per_plane(self, scope_spy):
-        config = dataclasses.replace(SIM, codec=small_config(chroma=True))
-        grid = [_spec(plr=0.0, seed=seed, config=config) for seed in range(3)]
-        outcomes = run_grid(grid, runner_options(jobs=1))
-        assert all(outcome.ok for outcome in outcomes)
-        scope = scope_spy[0]
-        assert all(other is scope for other in scope_spy)
-        assert not scope.stores  # the group's last cell is running
-        assert scope.prefix.length == CLIP.n_frames
-        plane = SMALL_W * SMALL_H
-        assert scope.prefix.nbytes == CLIP.n_frames * (plane + 2 * plane // 4)
+    for view in state:
+        assert view.base.dtype == np.uint8
+        assert view.base.shape == (CLIP.n_frames,) + view.shape
+    refs = [weakref.ref(scope)] + [weakref.ref(view.base) for view in state]
+    del scope, state, view
+    scope_spy.clear()
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_cells_with_different_bad_pixel_thresholds_get_their_own_metrics(
@@ -255,11 +453,32 @@ def test_cells_with_different_bad_pixel_thresholds_get_their_own_metrics(
     ]
     assert len({runner.encode_content_hash(spec) for spec in grid}) == 1
     outcomes = run_grid(grid, runner_options(jobs=1, trace_dir=tmp_path))
-    # The second cell replays the first; the third measures at another
-    # threshold, so it decodes and measures for itself.
-    assert _replayed(tmp_path) == CLIP.n_frames
+    # Every cell serves every frame; the third measures at another
+    # threshold, so it gets its own metrics.
+    assert _replayed(tmp_path) == 3 * CLIP.n_frames
     bad = [outcome.result.total_bad_pixels for outcome in outcomes]
     assert bad[0] == bad[1] != bad[2]
+    for spec, outcome in zip(grid, outcomes):
+        assert _fingerprint(outcome.result) == _fingerprint(run_job(spec))
+
+
+def test_a_disk_loaded_stream_fills_the_states_from_in_sync_decodes(tmp_path):
+    directory = tmp_path / "streams"
+    grid = [_spec(plr=0.0, seed=seed) for seed in range(3)]
+    run_grid(
+        grid[:1], runner_options(jobs=1), stream_cache=EncodedStreamCache(directory)
+    )
+    # A new cache over the same directory: the stream comes off disk,
+    # and the scope made for it holds no states.
+    stream_cache = EncodedStreamCache(directory)
+    outcomes = run_grid(
+        grid,
+        runner_options(jobs=1, trace_dir=tmp_path / "trace"),
+        stream_cache=stream_cache,
+    )
+    assert stream_cache.encodes == 0
+    # The first cell decodes every frame and stores it; the others serve.
+    assert _replayed(tmp_path / "trace") == 2 * CLIP.n_frames
     for spec, outcome in zip(grid, outcomes):
         assert _fingerprint(outcome.result) == _fingerprint(run_job(spec))
 
@@ -318,7 +537,7 @@ class TestParkedScopes:
             for spec, outcome in zip(grid, outcomes):
                 assert _fingerprint(outcome.result) == _cold_fingerprint(spec)
 
-    def test_a_later_grid_replays_the_parked_prefix(self, scope_spy, tmp_path):
+    def test_a_later_grid_serves_the_parked_states(self, scope_spy, tmp_path):
         stream_cache = EncodedStreamCache()
         grids = [[_spec(plr=0.0, seed=seed)] for seed in range(2)]
         for number, grid in enumerate(grids):
@@ -328,12 +547,12 @@ class TestParkedScopes:
                 runner_options(jobs=1, trace_dir=trace_dir),
                 stream_cache=stream_cache,
             )
-        # One scope for both grids; the one-cell group stored its
-        # frames because a later grid could replay them, and did.
+        # One scope for both grids: the first grid's encode seeded it,
+        # and the second grid, which encodes nothing, serves from it.
         first, second = scope_spy
-        assert first is second and first.stores
-        assert first.prefix.length == CLIP.n_frames
-        assert _replayed(tmp_path / "0") == 0
+        assert first is second
+        assert stream_cache.encodes == 1
+        assert _replayed(tmp_path / "0") == CLIP.n_frames
         assert _replayed(tmp_path / "1") == CLIP.n_frames
         for grid in grids:
             assert _cold_fingerprint(grid[0]) == _fingerprint(
@@ -387,7 +606,7 @@ class TestParkedScopes:
     def test_a_lent_scope_is_not_lent_twice(self):
         stream_cache = EncodedStreamCache()
         with stream_cache.lease("key") as scope:
-            assert scope is not None and scope.stores
+            assert scope is not None
             with stream_cache.lease("key") as other:
                 assert other is None
         with stream_cache.lease("key") as again:
@@ -395,8 +614,8 @@ class TestParkedScopes:
 
     def test_concurrent_grids_on_one_cache_equal_cold_runs(self):
         # Four dispatcher-like threads replay one stream at once, with
-        # thread switches forced often: a prefix two grids extended at
-        # once would hand some cell another cell's frames.
+        # thread switches forced often: a scope two grids filled at once
+        # would hand some cell another cell's frames.
         grids = [
             [
                 _spec(plr=0.0 if cell else 0.1, seed=4 * thread + cell)

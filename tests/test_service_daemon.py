@@ -266,7 +266,7 @@ class TestBatchesShareWork:
         assert all(outcome.ok and not outcome.from_cache for outcome in outcomes)
         counters = tracer.metrics.snapshot()["counters"]
         # Every delivered fragment replays a parked parse, or belongs to
-        # a frame replayed from the parked lossless prefix.
+        # a frame served from the parked sender states.
         assert counters.get("decoder.fragments_parsed", 0) == 0
         assert counters["decoder.frames_replayed"] > 0
         batch = run_grid(second, runner_options(jobs=1))

@@ -679,6 +679,30 @@ class TestValidation:
         with pytest.raises(KeyError):
             queue.get("nope")
 
+    def test_submit_file_replays_the_request_record(self, tmp_path, clock):
+        # The daemon hands the queue the JSON record it parsed the
+        # submit from; the submit file holds that record, with a key
+        # the parser ignores, and replays to an equal submit.
+        submit = tiny_submit(seed=4, priority=2, session_class="bulk")
+        wire = json.loads(json.dumps(submit.to_json()))
+        wire["note"] = "ignored by JobSubmit.from_json"
+        queue = JobQueue(tmp_path / "q", clock=clock)
+        record = queue.submit(JobSubmit.from_json(wire), wire=wire)
+        written = json.loads(
+            (tmp_path / "q" / "jobs" / f"{record.job_id}.json").read_text()
+        )
+        assert written["submit"] == wire
+        # Another instance has no submit in memory: it reads the file.
+        reader = JobQueue(tmp_path / "q", clock=clock)
+        replayed = reader.claim("w1")
+        assert reader.records_read == 1
+        assert replayed.job_id == record.job_id
+        assert replayed.submit == submit
+        assert replayed.submit.spec.content_hash() == (
+            submit.spec.content_hash()
+        )
+        assert replayed.content_hash == record.content_hash
+
     def test_record_round_trip(self, queue):
         record = queue.submit(tiny_submit(priority=3))
         rebuilt = JobRecord.from_json(record.to_json())
