@@ -159,7 +159,6 @@ def measure(
             service_workers=service_workers,
             batch_size=batch_size,
             max_pending=n_sessions + 1,
-            poll_s=0.02,
         )
         # The daemon's batches run in its one dispatcher thread, the
         # only code that reports to the tracer.
@@ -176,6 +175,7 @@ def measure(
             fleet_s = time.perf_counter() - fleet_start
             counters = client.metrics()["counters"]
             records_read = counters["service.queue.records_read"]
+            idle_wakeups = int(counters["service.idle_wakeups"])
             prefix = "service.queue.file_ops."
             file_ops = {
                 name[len(prefix):]: count
@@ -275,6 +275,7 @@ def measure(
         completion_ratio=completion_ratio,
         digest_match_ratio=digest_match_ratio,
         records_read=records_read,
+        idle_wakeups=idle_wakeups,
         queue_file_ops=session_ops,
         lease_upkeep_file_ops={
             op: count for op, count in file_ops.items() if op not in session_ops
@@ -298,7 +299,11 @@ def measure(
             "exclusive creates, three journal appends, one claim read "
             "and one claim unlink per session).  records_read counts "
             "submit-file reads and is 0 when the daemon submitted every "
-            "job itself.  lease_upkeep_file_ops (heartbeats, reaper) "
+            "job itself.  idle_wakeups counts the dispatchers' claims "
+            "that found nothing: an idle dispatcher waits for a submit, "
+            "a drain or a reaper tick that sees pending jobs, so it grows "
+            "with those wakes, not with wall time; informational.  "
+            "lease_upkeep_file_ops (heartbeats, reaper) "
             "depend on wall time and are not gated.  parse_reuse_ratio "
             "is gated: the share of the daemon's fragments_decoded that "
             "replayed a known parse.  Each class's one encode seeds the "
@@ -369,6 +374,7 @@ def test_measure_smoke():
     assert record["counts"] == {"ok": 9}
     assert record["sessions_per_unique_encode"] == 3.0
     assert record["records_read"] == 0
+    assert record["idle_wakeups"] >= 1  # the start-up claim
     assert record["queue_file_ops"] == {
         "create": 18, "append": 27, "read": 9, "unlink": 9,
     }

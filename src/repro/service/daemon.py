@@ -36,10 +36,21 @@ daemon's shared result/stream caches.  Failures feed the queue's
 requeue/quarantine path — a failed cell, and every job of a batch that
 raised as a whole (counted in ``service.batch_errors``; the dispatcher
 keeps running) — and a reaper task releases the leases of silent
-workers.  Observability: per-session spans land in the runner trace
-directory when the :class:`~repro.sim.runner.RunnerOptions` asks for
-tracing, and the daemon's :class:`~repro.obs.metrics.MetricsRegistry` tracks
-queue depth, claims, completions and per-session latency.
+workers.  A dispatcher whose claim finds nothing waits on one event,
+never on a timer (each empty claim counts in ``service.idle_wakeups``).
+Three things set it: an accepted submit, including the jobs a 429
+reply accepted; ``/v1/drain``; and the reaper's tick, every
+``max(lease_s / 2, 0.1)`` seconds, whenever the queue's fold shows
+pending jobs (released claims; jobs another process submitted or
+requeued on the same queue directory) or the daemon is draining.  So an
+idle daemon's only timer is the reaper's, and that tick bounds the
+pickup of work no local call announces.  Claims, submits and the reaper
+all run on the event loop, and the event is cleared only right after an
+empty claim, so no wake is lost.  Observability: per-session spans land
+in the runner trace directory when the
+:class:`~repro.sim.runner.RunnerOptions` asks for tracing, and the
+daemon's :class:`~repro.obs.metrics.MetricsRegistry` tracks queue
+depth, claims, completions and per-session latency.
 """
 
 from __future__ import annotations
@@ -130,10 +141,12 @@ class ServiceConfig:
         max_pending: queue backlog bound — submissions beyond it get
             HTTP 429 with a Retry-After hint.
         lease_s: claim lease; a worker silent for longer loses its jobs
-            to the reaper.
+            to the reaper.  The reaper ticks every ``max(lease_s / 2,
+            0.1)`` seconds, and its tick is also when the dispatchers
+            learn of jobs another process submitted or requeued on the
+            same queue directory.
         max_fails: failures (including lease expiries) before a job is
             quarantined.
-        poll_s: dispatcher idle poll interval.
         manifest_path: where the durable :class:`ServiceManifest` is
             written on drain/shutdown (default:
             ``<queue_dir>/service_manifest.json``).
@@ -148,7 +161,6 @@ class ServiceConfig:
     max_pending: int = 1024
     lease_s: float = 30.0
     max_fails: int = 3
-    poll_s: float = 0.05
     manifest_path: Optional[Union[str, Path]] = None
 
     def __post_init__(self) -> None:
@@ -186,6 +198,8 @@ class EncodeDaemon:
         self.started_at = time.time()
         self._draining = False
         self._shutdown = asyncio.Event()
+        # Set by every local source of claimable work; see _dispatcher.
+        self._wake = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
         self._port: Optional[int] = None
         self._executor = concurrent.futures.ThreadPoolExecutor(
@@ -268,7 +282,11 @@ class EncodeDaemon:
             batch = self.queue.claim_batch(name, self.config.batch_size)
             self.metrics.gauge("service.queue_depth", self.queue.depth())
             if not batch:
-                await asyncio.sleep(self.config.poll_s)
+                # Cleared with no await since the claim: a wake set
+                # after this point finds the dispatcher waiting.
+                self._wake.clear()
+                self.metrics.inc("service.idle_wakeups")
+                await self._wake.wait()
                 continue
             self.metrics.inc("service.claims", len(batch))
             heartbeat = asyncio.create_task(
@@ -364,6 +382,12 @@ class EncodeDaemon:
             released = self.queue.release_stale()
             if released:
                 self.metrics.inc("service.stale_releases", len(released))
+            # The one wake for work no local call announces: released
+            # claims and other processes' submits or requeues.  A
+            # draining daemon also looks whether its backlog, which
+            # another process may be running, has finished.
+            if self._draining or self.queue.counts().get("pending"):
+                self._wake.set()
 
     # -- HTTP front end -----------------------------------------------------
 
@@ -468,6 +492,7 @@ class EncodeDaemon:
             )
         if path == "/v1/drain" and method == "POST":
             self._draining = True
+            self._wake.set()
             return 202, {}, _json_bytes(self._health())
         if path == "/v1/shutdown" and method == "POST":
             self._draining = True
@@ -526,7 +551,10 @@ class EncodeDaemon:
                 {"Retry-After": f"{error.retry_after_s:g}"},
                 _json_bytes(response),
             )
-        self.metrics.inc("service.submitted", len(job_ids))
+        finally:
+            if job_ids:
+                self.metrics.inc("service.submitted", len(job_ids))
+                self._wake.set()
         self.metrics.gauge("service.queue_depth", self.queue.depth())
         return (
             202,

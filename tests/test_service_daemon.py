@@ -14,6 +14,7 @@ from repro.obs.tracer import Tracer, use_tracer
 from repro.scenarios.pack import load_pack
 from repro.service.client import ServiceBusy, ServiceClient, ServiceClientError
 from repro.service.daemon import EncodeDaemon, ServiceConfig, start_daemon
+from repro.service.queue import JobQueue
 from repro.service.wire import JobSubmit, load_service_manifest, session_result_digest
 from repro.sim.pipeline import SimulationConfig
 from repro.sim import runner
@@ -51,7 +52,6 @@ def daemon_config(tmp_path, **overrides) -> ServiceConfig:
         service_workers=2,
         batch_size=4,
         lease_s=5.0,
-        poll_s=0.02,
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
@@ -367,6 +367,73 @@ class TestBackpressureAndDraining:
                 message="drain to finish the backlog",
             )
         assert handle.manifest.counts == {"ok": 1}
+
+
+class TestWakeOnWork:
+    """An idle dispatcher waits for work, not for a timer.
+
+    A ``lease_s`` of 30 puts the reaper's tick, the one timed wake, at
+    15 s, so a job that finishes within 5 s was woken by its submit or
+    drain.  The job ids a 429 reply accepted count as a submit.  A
+    second queue handle on the daemon's directory stands in for another
+    process: only the reaper's tick announces its submits.
+    """
+
+    PICKUP_S = 5.0
+
+    def test_an_idle_daemon_claims_once_per_dispatcher(self, tmp_path):
+        config = daemon_config(tmp_path)
+        with start_daemon(config) as handle:
+            time.sleep(1.0)
+            counters = ServiceClient(handle.url).metrics()["counters"]
+            # The start-up claim of each dispatcher, then nothing.
+            assert 0 < counters["service.idle_wakeups"] <= config.service_workers
+
+    def test_a_submit_wakes_the_dispatcher(self, tmp_path):
+        with start_daemon(daemon_config(tmp_path, lease_s=30.0)) as handle:
+            client = ServiceClient(handle.url)
+            job_ids = client.submit(JobSubmit(spec=tiny_spec(seed=1)))
+            done = client.wait(job_ids, timeout=self.PICKUP_S)
+            assert done[job_ids[0]].state == "ok"
+            client.shutdown()
+
+    def test_jobs_a_429_reply_accepted_wake_the_dispatcher(self, tmp_path):
+        config = daemon_config(tmp_path, max_pending=2, lease_s=30.0)
+        with start_daemon(config) as handle:
+            client = ServiceClient(handle.url)
+            jobs = [JobSubmit(spec=tiny_spec(seed=i)).to_json() for i in range(3)]
+            status, _headers, body = client._request(
+                "POST", "/v1/jobs", {"jobs": jobs}
+            )
+            assert status == 429
+            accepted = json.loads(body)["job_ids"]
+            assert len(accepted) == 2
+            done = client.wait(accepted, timeout=self.PICKUP_S)
+            assert [done[j].state for j in accepted] == ["ok", "ok"]
+            assert client.metrics()["counters"]["service.submitted"] == 2
+            client.shutdown()
+
+    def test_drain_wakes_an_idle_daemon_to_exit(self, tmp_path):
+        config = daemon_config(tmp_path, lease_s=30.0)
+        with start_daemon(config) as handle:
+            ServiceClient(handle.url).drain()
+            wait_until(
+                lambda: handle.manifest is not None,
+                timeout=self.PICKUP_S,
+                message="an idle daemon to drain",
+            )
+        assert config.resolved_manifest_path.exists()
+        assert handle.manifest.n_jobs == 0
+
+    def test_the_reaper_tick_picks_up_another_handles_submit(self, tmp_path):
+        config = daemon_config(tmp_path, lease_s=1.0)
+        with start_daemon(config) as handle:
+            other = JobQueue(config.queue_dir, lease_s=config.lease_s)
+            job_id = other.submit(JobSubmit(spec=tiny_spec(seed=1))).job_id
+            client = ServiceClient(handle.url)
+            done = client.wait([job_id], timeout=self.PICKUP_S)
+            assert done[job_id].state == "ok"
+            client.shutdown()
 
 
 class TestFaultsAgainstClaims:
